@@ -25,6 +25,7 @@ from .grids import (
     SymMatField,
     ball_family,
     bump_tests,
+    dyadic_radii,
     hessian_field,
     make_grid,
     sample,
@@ -72,7 +73,8 @@ def build_parser() -> _Parser:
         q.add_argument("--seed", type=int, default=None,
                        help="override the [run] seed")
         q.add_argument("--threads", type=int, default=None,
-                       help="worker threads (falls back to $" + THREADS_ENV + ")")
+                       help="thread count recorded in the report; falls back "
+                            "to $" + THREADS_ENV)
         if field:
             q.add_argument("--field", required=True,
                            help="matrix field file (CSV or HVGF binary)")
@@ -102,9 +104,6 @@ def _resolve_run_params(cfg: RunConfig, args) -> tuple[int, int]:
             ) from exc
     else:
         threads = cfg.threads
-    if threads > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(threads))
     return seed, threads
 
 
@@ -192,15 +191,6 @@ def _usable_geometry(field):
     return center, width
 
 
-def _dyadic_radii(r_max: float, r_min: float):
-    radii = []
-    r = r_max
-    while r >= r_min * (1 - 1e-12):
-        radii.append(r)
-        r /= 2.0
-    return radii
-
-
 def cmd_diagnose(cfg: RunConfig, field_file: str, out: str, seed: int,
                  threads: int) -> int:
     if cfg.tau_sigma is None:
@@ -218,7 +208,7 @@ def cmd_diagnose(cfg: RunConfig, field_file: str, out: str, seed: int,
     bmo = diag.bmo_modulus(field, fam)
     jn = diag.john_nirenberg_ratio(field, fam, cfg.osc_p)
 
-    radii = _dyadic_radii(r_max, r_min)
+    radii = dyadic_radii(r_max, r_min)
     curve, fit = diag.campanato_decay(field, center, radii, cfg.osc_p)
     p0est = diag.fit_p0(field, center, radii, K_max=cfg.p0_K_max)
 
@@ -358,7 +348,7 @@ def cmd_campanato(cfg: RunConfig, field_file: str, out: str, seed: int,
     center, width = _usable_geometry(field)
     r_max = cfg.r_max if cfg.r_max is not None else width / 4.0
     r_min = cfg.r_min if cfg.r_min is not None else max(3.0 * field.h, r_max / 8.0)
-    radii = _dyadic_radii(r_max, r_min)
+    radii = dyadic_radii(r_max, r_min)
     curve, fit = diag.campanato_decay(field, center, radii, cfg.osc_p)
     lemma = None
     if not fit.degenerate:

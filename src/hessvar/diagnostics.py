@@ -51,13 +51,21 @@ def _ball_values(f: SymMatField, ball: Ball) -> np.ndarray:
     return f.values[nodes]
 
 
-def mean_oscillation(f: SymMatField, ball: Ball, p: float = 1.0) -> float:
-    """Normalized p-oscillation: mean over the ball of |f - (f)_B|^p."""
+def _check_exponent(p: float) -> None:
     if p < 1.0:
         raise DiagnosticsError(f"oscillation exponent must be >= 1, got {p}")
+
+
+def _deviations(f: SymMatField, ball: Ball) -> np.ndarray:
+    """|f - (f)_B| at the valid nodes of the ball."""
     vals = _ball_values(f, ball)
-    dev = symmat.hs_norm_packed(vals - vals.mean(axis=0), f.dim)
-    return float((dev**p).mean())
+    return symmat.hs_norm_packed(vals - vals.mean(axis=0), f.dim)
+
+
+def mean_oscillation(f: SymMatField, ball: Ball, p: float = 1.0) -> float:
+    """Normalized p-oscillation: mean over the ball of |f - (f)_B|^p."""
+    _check_exponent(p)
+    return float((_deviations(f, ball) ** p).mean())
 
 
 def mean_power(f: SymMatField, ball: Ball, p: float) -> float:
@@ -104,12 +112,21 @@ class JNEstimate:
 
 
 def john_nirenberg_ratio(f: SymMatField, family: BallFamily, p: float) -> JNEstimate:
-    """Max over the family of osc_p / omega; degenerate when omega = 0."""
-    omega = bmo_modulus(f, family).omega
+    """Max over the family of osc_p / omega; degenerate when omega = 0.
+
+    omega is the BMO modulus; one pass over the family yields both the L^1
+    and the L^p oscillation of every ball.
+    """
+    _check_exponent(p)
+    osc1, oscp = [], []
+    for ball in family:
+        dev = _deviations(f, ball)
+        osc1.append(float(dev.mean()))
+        oscp.append(float((dev**p).mean()))
+    omega = max(osc1)
     if omega == 0.0:
         return JNEstimate(p=p, cbar=0.0, degenerate=True)
-    ratio = max(mean_oscillation(f, b, p) / omega for b in family)
-    return JNEstimate(p=p, cbar=ratio, degenerate=False)
+    return JNEstimate(p=p, cbar=max(v / omega for v in oscp), degenerate=False)
 
 
 # -------------------------------------------------------------- decay fits

@@ -43,6 +43,12 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _check_spacing(path, h: float) -> None:
+    if not (np.isfinite(h) and h > 0):
+        raise FormatError(
+            f"{path}: grid spacing must be finite and positive, got {h!r}")
+
+
 def _origin_centered(extents, h: float) -> np.ndarray:
     return np.array([-0.5 * (N - 1) * h for N in extents])
 
@@ -94,6 +100,7 @@ def read_csv(path):
         dim, n_axes, h, bw = int(dim_s), int(n_s), float(h_s), int(bw_s)
     except ValueError as exc:
         raise FormatError(f"{path}: bad metadata row: {lines[1]!r}") from exc
+    _check_spacing(path, h)
     ncomp = len(lines[2].split(",")) - dim
     extents = (n_axes,) * dim
     expected = int(np.prod(extents))
@@ -146,12 +153,16 @@ def read_binary(path, boundary_width: int = 2):
         raw = fh.read()
     if raw[:4] != MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    (dim,) = struct.unpack_from("<I", raw, 4)
-    if dim not in (2, 3):
-        raise FormatError(f"{path}: unsupported dim {dim}")
-    extents = struct.unpack_from(f"<{dim}I", raw, 8)
-    off = 8 + 4 * dim
-    (h,) = struct.unpack_from("<d", raw, off)
+    try:
+        (dim,) = struct.unpack_from("<I", raw, 4)
+        if dim not in (2, 3):
+            raise FormatError(f"{path}: unsupported dim {dim}")
+        extents = struct.unpack_from(f"<{dim}I", raw, 8)
+        off = 8 + 4 * dim
+        (h,) = struct.unpack_from("<d", raw, off)
+    except struct.error as exc:
+        raise FormatError(f"{path}: truncated header ({len(raw)} bytes)") from exc
+    _check_spacing(path, h)
     off += 8
     nodes = int(np.prod(extents))
     body = raw[off:]

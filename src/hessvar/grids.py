@@ -466,6 +466,16 @@ def ball_fits(grid_like, ball: Ball) -> bool:
     return bool(np.all(c - ball.radius >= lo - 1e-12) and np.all(c + ball.radius <= hi + 1e-12))
 
 
+def dyadic_radii(r_max: float, r_min: float) -> list:
+    """Radii ``r_max, r_max/2, ...`` down to ``r_min`` (relative slack 1e-12)."""
+    radii = []
+    r = float(r_max)
+    while r >= r_min * (1.0 - 1e-12):
+        radii.append(r)
+        r /= 2.0
+    return radii
+
+
 def ball_family(
     grid_like, center_stride: int, r_min: float, r_max: float
 ) -> BallFamily:
@@ -480,11 +490,7 @@ def ball_family(
     if r_min < 3.0 * grid_like.h:
         raise GridError(f"r_min must be at least 3h = {3 * grid_like.h:g}")
     lo, hi = _interior_box(grid_like)
-    radii = []
-    r = float(r_max)
-    while r >= r_min * (1.0 - 1e-12):
-        radii.append(r)
-        r /= 2.0
+    radii = dyadic_radii(r_max, r_min)
     centers = []
     if center_stride <= 0:
         centers.append(tuple(0.5 * (lo + hi)))

@@ -31,7 +31,7 @@ from .grids import (
     hessian_field,
     shifted,
 )
-from .solver import dd_weak_residual, _hessian_of_values
+from .solver import dd_weak_residual
 
 
 class PhaseError(RuntimeError):
@@ -212,7 +212,7 @@ def laplace_beltrami_expanded(scalar: np.ndarray, u: ScalarGrid):
     h = u.h
     ginv = symmat.unpack(metric.g_inv, n)
     Hu = H.matrices()
-    Hphi = symmat.unpack(_hessian_of_values(phi, h), n)
+    Hphi = hessian_field(u.with_values(phi)).matrices()
     term1 = np.einsum("...ij,...ij->...", ginv, Hphi)
     dtheta = np.stack([
         (shifted(phase.theta, _unit(n, q), np.nan)

@@ -31,7 +31,6 @@ from .grids import (
     TestFunctionSet,
     hessian_adjoint,
     hessian_field,
-    shifted,
     _hessian_stencil,
 )
 from .models import AdmissibilityError, DoubleDivergenceModel, EnergyModel
@@ -96,7 +95,7 @@ class SolveReport:
     steps: list = field(default_factory=list)
     energies: list = field(default_factory=list)
     cg_iterations: list = field(default_factory=list)
-    cg_tolerances: list = field(default_factory=list)
+    cg_residuals: list = field(default_factory=list)
     converged: bool = False
     grad_tol: float = np.nan
 
@@ -108,7 +107,7 @@ class SolveReport:
             "steps": list(self.steps),
             "energies": list(self.energies),
             "cg_iterations": list(self.cg_iterations),
-            "cg_tolerances": list(self.cg_tolerances),
+            "cg_residuals": list(self.cg_residuals),
             "converged": self.converged,
             "grad_tol": self.grad_tol,
         }
@@ -152,122 +151,89 @@ def energy_gradient(u: ScalarGrid, model: EnergyModel) -> np.ndarray:
     H = hessian_field(u)
     region = _quadrature_region(u, H)
     G = _eval_on(lambda M: models.eval_dF(model, M), H, region)
-    Gpacked = np.zeros(u.extents + (symmat.packed_size(u.dim),))
-    Gpacked[region] = symmat.pack(G)
-    grad = u.h**u.dim * hessian_adjoint(Gpacked, region, u.h)
+    grad = _weighted_adjoint(G, region, u.h)
     grad[~(u.interior & u.valid)] = 0.0
     return grad
 
 
-def _hessian_of_values(values: np.ndarray, h: float) -> np.ndarray:
-    """Packed Hessian stencil applied to a raw (globally defined) array."""
-    n = values.ndim
-    stencils = _hessian_stencil(n, h)
-    out = np.empty(values.shape + (len(stencils),))
-    for a, st in enumerate(stencils):
-        acc = np.zeros(values.shape)
-        for off, w in st:
-            acc += w * shifted(values, off, 0.0)
-        out[..., a] = acc
-    return out
-
-
-def _composite_stencil(T0: np.ndarray, h: float) -> dict:
-    """Offset -> weight map of h^n S^T T0 S for a constant tensor T0.
-
-    Both stencil factors are symmetric convolutions, so the composition is a
-    single convolution; in 2D with the identity tensor this is the classical
-    13-point discrete bi-Laplacian.
-    """
-    n = T0.shape[0]
-    stencils = _hessian_stencil(n, h)
-    dup = symmat.duplication_weights(n)
-    pairs = symmat.PACKED_PAIRS[n]
-    weights: dict = {}
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            Tab = T0[i, j, k, l]
-            if Tab == 0.0:
-                continue
-            coef = dup[a] * dup[b] * Tab
-            for da, wa in stencils[a]:
-                for db, wb in stencils[b]:
-                    off = tuple(x + y for x, y in zip(da, db))
-                    weights[off] = weights.get(off, 0.0) + coef * wa * wb
-    return {off: h**n * w for off, w in weights.items() if w != 0.0}
+def _weighted_adjoint(G: np.ndarray, region: np.ndarray, h: float) -> np.ndarray:
+    """h^n S^T G for symmetric matrices G (K, n, n) given on the region nodes."""
+    packed = np.zeros(region.shape + (symmat.packed_size(region.ndim),))
+    packed[region] = symmat.pack(G)
+    return h**region.ndim * hessian_adjoint(packed, region, h)
 
 
 class NewtonOperator:
-    """Matrix-free application of the second-derivative (stiffness) operator.
+    """Assembled second-derivative (stiffness) operator of one Newton step.
 
-    v   ->   h^n * S^T [ T(x) : S v ]  restricted to interior nodes,
+        (A v)(y) = h^n (S^T [T : S v])(y) = sum_d C_d(y) v(y + d)
 
-    where S is the packed Hessian stencil map and T the per-node tensor of
-    second derivatives of the integrand on the quadrature region.  When T is
-    constant and every stencil column of an unknown node lies inside the
-    quadrature region (full grids), the operator is applied as one composite
-    convolution instead.
+    for unknown nodes y, and zero elsewhere.  S is the packed Hessian stencil
+    map and T the per-node tensor of second derivatives of the integrand on
+    the quadrature region (zero off it, with the minor symmetries); input
+    slot (i, j) of S v pairs with output slot (k, l) through T^{ij,kl}, as in
+    :func:`models.tensor_apply`.  The coefficients C_d are assembled once,
+    one row per stencil offset d over the flat index range spanning the
+    unknowns.  Offsets that no nonzero entry of T reaches are not stored:
+    2D has 25 offsets in general and 13 for the quadratic integrand, where
+    the operator is the 13-point discrete bi-Laplacian.
     """
 
     def __init__(self, Tfield: np.ndarray, region: np.ndarray,
-                 unknowns: np.ndarray, h: float,
-                 constant_tensor: np.ndarray | None = None):
-        self.T = Tfield                 # (K, n, n, n, n) on region nodes
-        self.region = region
-        self.unknowns = unknowns
-        self.h = h
-        self.n = region.ndim
-        self.m = symmat.packed_size(self.n)
-        self.composite = (
-            _composite_stencil(constant_tensor, h)
-            if constant_tensor is not None else None
-        )
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        if self.composite is not None:
-            out = np.zeros_like(v)
-            for off, w in self.composite.items():
-                out += w * shifted(v, off, 0.0)
-            out[~self.unknowns] = 0.0
-            return out
-        Hv = _hessian_of_values(v, self.h)
-        sig = symmat.unpack(Hv[self.region], self.n)
-        W = models.tensor_apply(self.T, sig)
-        Wpacked = np.zeros(v.shape + (self.m,))
-        Wpacked[self.region] = symmat.pack(W)
-        out = self.h**self.n * hessian_adjoint(Wpacked, self.region, self.h)
-        out[~self.unknowns] = 0.0
-        return out
-
-    def jacobi_diagonal(self) -> np.ndarray:
-        """Exact diagonal of the operator on the unknown nodes."""
-        if self.composite is not None:
-            diag = np.full(self.region.shape, self.composite[(0,) * self.n])
-            diag[~self.unknowns] = 1.0
-            return diag
-        n, h = self.n, self.h
+                 unknowns: np.ndarray, h: float):
+        n = region.ndim
         stencils = _hessian_stencil(n, h)
         dup = symmat.duplication_weights(n)
         pairs = symmat.PACKED_PAIRS[n]
-        diag = np.zeros(self.region.shape)
-        for a, (i, j) in enumerate(pairs):
-            Taa = np.zeros(self.region.shape)
-            Taa[self.region] = self.T[..., i, j, i, j]
-            for off, w in stencils[a]:
-                diag += dup[a] ** 2 * w * w * shifted(
-                    Taa, tuple(-o for o in off), 0.0
-                )
-        # center-offset cross terms couple distinct diagonal components
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                Tij = np.zeros(self.region.shape)
-                Tij[self.region] = self.T[..., i, i, j, j]
-                diag += (4.0 / h**4) * Tij
-        diag = h**n * diag
-        diag[~self.unknowns] = 1.0
-        return diag
+        strides = [int(np.prod(region.shape[k + 1:])) for k in range(n)]
+
+        def flat(off):
+            return sum(o * s for o, s in zip(off, strides))
+
+        rows = np.flatnonzero(unknowns)
+        self.shape = region.shape
+        self.start, self.stop = ((int(rows[0]), int(rows[-1]) + 1)
+                                 if rows.size else (0, 0))
+        # (output slot a, input slot b) pairs with a nonzero tensor entry
+        terms = [(a, b) for a, (k, l) in enumerate(pairs)
+                 for b, (i, j) in enumerate(pairs) if np.any(Tfield[:, i, j, k, l])]
+        offsets = {(0,) * n} | {
+            tuple(x + y for x, y in zip(oa, ob))
+            for a, b in terms for oa, _ in stencils[a] for ob, _ in stencils[b]
+        }
+        offsets = sorted(offsets)
+        row_of = {off: r for r, off in enumerate(offsets)}
+        self.deltas = [flat(off) for off in offsets]
+        self.center = row_of[(0,) * n]
+        self.coeffs = np.zeros((len(offsets), self.stop - self.start))
+        full = np.zeros(region.size)
+        inside = np.ravel(region)
+        for a, b in terms:
+            (k, l), (i, j) = pairs[a], pairs[b]
+            full[inside] = dup[a] * dup[b] * Tfield[:, i, j, k, l]
+            for oa, wa in stencils[a]:
+                src = full[self.start + flat(oa):self.stop + flat(oa)]
+                for ob, wb in stencils[b]:
+                    row = row_of[tuple(x + y for x, y in zip(oa, ob))]
+                    self.coeffs[row] += (wa * wb) * src
+        self.unknown_rows = np.ravel(unknowns)[self.start:self.stop]
+        self.coeffs *= h**n * self.unknown_rows
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        vflat = np.ravel(v)
+        out = np.zeros(vflat.size)
+        acc = out[self.start:self.stop]
+        tmp = np.empty(acc.size)
+        for delta, c in zip(self.deltas, self.coeffs):
+            acc += np.multiply(c, vflat[self.start + delta:self.stop + delta], out=tmp)
+        return out.reshape(v.shape)
+
+    def jacobi_diagonal(self) -> np.ndarray:
+        """Diagonal of the operator: C_0 on the unknowns, 1 elsewhere."""
+        diag = np.ones(int(np.prod(self.shape)))
+        diag[self.start:self.stop] = np.where(self.unknown_rows,
+                                              self.coeffs[self.center], 1.0)
+        return diag.reshape(self.shape)
 
 
 def conjugate_gradient(matvec, b: np.ndarray, x0: np.ndarray, rtol: float,
@@ -338,18 +304,20 @@ def check_admissible(u: ScalarGrid, model: EnergyModel) -> None:
         )
 
 
-def _build_newton_operator(u: ScalarGrid, model: EnergyModel) -> NewtonOperator:
+def _newton_direction(u: ScalarGrid, model: EnergyModel, grad: np.ndarray,
+                      cg_rtol: float, cg_maxiter: int, atol: float):
+    """CG solve of the Newton system at ``u``; returns conjugate_gradient's triple.
+
+    The assembled operator lives only for this solve, so it is freed before
+    the line search and before the next step's operator is built.
+    """
     H = hessian_field(u)
     region = _quadrature_region(u, H)
-    constant = None
-    if model.kind == "quadratic" and u.valid.all():
-        constant = models.identity_tensor(u.dim)
-        T = np.empty((int(region.sum()),) + constant.shape)
-        T[:] = constant
-    else:
-        T = _eval_on(lambda M: models.eval_d2F(model, M), H, region)
-    return NewtonOperator(T, region, u.interior & u.valid, u.h,
-                          constant_tensor=constant)
+    T = _eval_on(lambda M: models.eval_d2F(model, M), H, region)
+    op = NewtonOperator(T, region, u.interior & u.valid, u.h)
+    del H, T    # CG needs only the assembled coefficients
+    return conjugate_gradient(op.matvec, -grad, np.zeros_like(grad), cg_rtol,
+                              cg_maxiter, diag=op.jacobi_diagonal(), atol=atol)
 
 
 def minimize_clamped(
@@ -389,15 +357,12 @@ def minimize_clamped(
         if gnorm <= tol:
             report.converged = True
             break
-        op = _build_newton_operator(u, model)
         # the post-step gradient equals the CG residual for linear problems,
         # so solving past the Newton tolerance buys nothing
-        delta, cg_iters, _ = conjugate_gradient(
-            op.matvec, -grad, np.zeros_like(grad), cg_rtol, cg_maxiter,
-            diag=op.jacobi_diagonal(), atol=0.4 * tol,
-        )
+        delta, cg_iters, cg_residual = _newton_direction(
+            u, model, grad, cg_rtol, cg_maxiter, atol=0.4 * tol)
         report.cg_iterations.append(cg_iters)
-        report.cg_tolerances.append(cg_rtol)
+        report.cg_residuals.append(cg_residual)
         slope = float(np.vdot(grad, delta))
         if slope >= 0.0:
             raise SolverError("Newton direction is not a descent direction")
@@ -438,18 +403,25 @@ def minimize_clamped(
 
 # -------------------------------------------------------------- weak forms
 
+def _pair_with_tests(G: np.ndarray, region: np.ndarray, h: float,
+                     tests: TestFunctionSet) -> np.ndarray:
+    """Per test eta: h^n sum_x <G(x), D^2 eta(x)> over the region nodes.
+
+    The Hessian stencil moves onto G once (summation by parts); each test
+    then costs one dot product.  Only the symmetric part of G pairs with the
+    symmetric D^2 eta.
+    """
+    dual = _weighted_adjoint(0.5 * (G + np.swapaxes(G, -1, -2)), region, h)
+    return np.array([float(np.vdot(dual, eta)) for eta in tests])
+
+
 def weak_residual(u: ScalarGrid, model: EnergyModel,
                   tests: TestFunctionSet) -> np.ndarray:
     """Per test function: h^n sum_x <F^{ij}(D^2 u), D^2 eta> over the region."""
     H = hessian_field(u)
     region = _quadrature_region(u, H)
     G = _eval_on(lambda M: models.eval_dF(model, M), H, region)
-    out = np.empty(len(tests))
-    for k, eta in enumerate(tests):
-        He = _hessian_of_values(np.asarray(eta), u.h)
-        sig = symmat.unpack(He[region], u.dim)
-        out[k] = u.h**u.dim * symmat.hs_inner(G, sig).sum()
-    return out
+    return _pair_with_tests(G, region, u.h, tests)
 
 
 def dd_weak_residual(u: ScalarGrid, model: DoubleDivergenceModel,
@@ -458,14 +430,8 @@ def dd_weak_residual(u: ScalarGrid, model: DoubleDivergenceModel,
     H = hessian_field(u)
     region = _quadrature_region(u, H)
     M = H.matrices()[region]
-    A = model(M)
-    AM = models.tensor_apply(A, M)     # a^{ij,kl} u_ij as a matrix in (k,l)
-    out = np.empty(len(tests))
-    for k, eta in enumerate(tests):
-        He = _hessian_of_values(np.asarray(eta), u.h)
-        sig = symmat.unpack(He[region], u.dim)
-        out[k] = u.h**u.dim * symmat.hs_inner(AM, sig).sum()
-    return out
+    AM = models.tensor_apply(model(M), M)   # a^{ij,kl} u_ij as a matrix in (k,l)
+    return _pair_with_tests(AM, region, u.h, tests)
 
 
 def linearized_residual(f: ScalarGrid, b_field: np.ndarray,
@@ -483,15 +449,8 @@ def linearized_residual(f: ScalarGrid, b_field: np.ndarray,
     region = H.valid if b_valid is None else (H.valid & b_valid)
     if not region.any():
         raise GridError("no common valid region between f and the coefficients")
-    B = b_field[region]
-    Mf = H.matrices()[region]
-    Bf = models.tensor_apply(B, Mf)
-    out = np.empty(len(tests))
-    for k, eta in enumerate(tests):
-        He = _hessian_of_values(np.asarray(eta), f.h)
-        sig = symmat.unpack(He[region], f.dim)
-        out[k] = f.h**f.dim * symmat.hs_inner(Bf, sig).sum()
-    return out
+    Bf = models.tensor_apply(b_field[region], H.matrices()[region])
+    return _pair_with_tests(Bf, region, f.h, tests)
 
 
 # -------------------------------------------------------------- linear BVP
@@ -516,13 +475,10 @@ def solve_constant_coeff_bvp(
             f"{lam_min:g})"
         )
     u0 = bc.apply(grid)
-    H = hessian_field(u0)
-    region = H.valid
+    region = hessian_field(u0).valid
     unknowns = u0.interior & u0.valid
-    K = int(region.sum())
-    Tfield = np.broadcast_to(T0, (K,) + T0.shape).copy()
-    constant = T0 if u0.valid.all() else None
-    op = NewtonOperator(Tfield, region, unknowns, u0.h, constant_tensor=constant)
+    Tfield = np.broadcast_to(T0, (int(region.sum()),) + T0.shape)
+    op = NewtonOperator(Tfield, region, unknowns, u0.h)
     grad = op.matvec(np.array(u0.values))
 
     if cg_maxiter is None:

@@ -153,7 +153,6 @@ def _eig_2x2(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _eig_3x3_jacobi(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A = np.array(M, dtype=float, copy=True)
-    batch = A.shape[:-2]
     V = np.broadcast_to(np.eye(3), A.shape).copy()
     scale = np.maximum(hs_norm(A), np.finfo(float).tiny)
     for _ in range(JACOBI_MAX_SWEEPS):
@@ -199,8 +198,6 @@ def _eig_3x3_jacobi(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(w, axis=-1)
     w = np.take_along_axis(w, order, axis=-1)
     V = np.take_along_axis(V, order[..., None, :].repeat(3, axis=-2), axis=-1)
-    if batch == ():
-        return w, V
     return w, V
 
 

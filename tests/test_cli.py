@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -207,6 +208,39 @@ def test_diagnose_missing_field_exits_65(tmp_path):
     cfg = write_config(tmp_path / "d.cfg", BASE_SOLVE + DIAG_TAIL)
     assert run(["diagnose", "--config", cfg, "--field",
                 str(tmp_path / "absent.hvgf"), "--out", str(tmp_path / "o")]) == 65
+
+
+def _diagnose_corrupted_field(tmp_path, corrupt, writer=gridio.write_binary,
+                              name="f.hvgf"):
+    g = grids.make_grid(2, 33, 0.5)
+    fpath = tmp_path / name
+    writer(fpath, grids.hessian_field(grids.sample(g, lambda x, y: x**2)))
+    fpath.write_bytes(corrupt(fpath.read_bytes()))
+    cfg = write_config(tmp_path / "d.cfg", BASE_SOLVE + DIAG_TAIL)
+    return run(["diagnose", "--config", cfg, "--field", str(fpath),
+                "--out", str(tmp_path / "o")])
+
+
+def test_diagnose_truncated_header_exits_65(tmp_path, capsys):
+    # magic + dim + one of two extents
+    assert _diagnose_corrupted_field(tmp_path, lambda raw: raw[:12]) == 65
+    assert "truncated header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["hvgf", "csv"])
+def test_diagnose_nan_spacing_exits_65(tmp_path, capsys, fmt):
+    if fmt == "hvgf":
+        # h sits after the magic, the dim and two u32 extents
+        nan_h = struct.pack("<d", float("nan"))
+        code = _diagnose_corrupted_field(
+            tmp_path, lambda raw: raw[:16] + nan_h + raw[24:])
+    else:
+        # second line is the metadata row dim,n_axes,h,boundary_width
+        code = _diagnose_corrupted_field(
+            tmp_path, lambda raw: raw.replace(b"\n2,33,0.03125,2\n", b"\n2,33,nan,2\n"),
+            gridio.write_csv, "f.csv")
+    assert code == 65
+    assert "grid spacing" in capsys.readouterr().err
 
 
 def test_hamstat_special_lagrangian_fixture(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -230,25 +232,42 @@ def test_minimize_max_iter_flag_not_fatal():
     assert rep.iterations == 0
 
 
-def test_newton_operator_fast_and_slow_paths_agree():
-    # the composite-stencil shortcut for constant tensors must act exactly
-    # like the generic tensor-field application
+def test_newton_operator_matches_independent_tensor_chain():
+    # the assembled operator against S^T [T : S v] built from hessian_field,
+    # tensor_apply and hessian_adjoint, on a tensor field without major
+    # symmetry so that the input/output slot convention is pinned
     rng = np.random.default_rng(58)
-    g = grids.make_grid(2, 17, 1.0)
-    H = grids.hessian_field(g)
-    region = H.valid
-    unknowns = g.interior & g.valid
-    T0 = models.symmetrize_tensor(
-        models.identity_tensor(2) * 2.0
-        + 0.3 * models.symmetrize_tensor(rng.standard_normal((2, 2, 2, 2))))
-    K = int(region.sum())
-    Tfield = np.broadcast_to(T0, (K, 2, 2, 2, 2)).copy()
-    slow = solver.NewtonOperator(Tfield, region, unknowns, g.h)
-    fast = solver.NewtonOperator(Tfield, region, unknowns, g.h,
-                                 constant_tensor=T0)
-    v = np.where(unknowns, rng.standard_normal(g.extents), 0.0)
-    np.testing.assert_allclose(fast.matvec(v), slow.matvec(v),
-                               rtol=1e-12, atol=1e-12)
+    masked = grids.make_grid(2, 17, 1.0)
+    valid = np.ones(masked.extents, dtype=bool)
+    valid[11:, 9:] = False
+    masked = replace(masked, valid=valid)
+    for g in (grids.make_grid(2, 17, 1.0), grids.make_grid(3, 11, 1.0), masked):
+        dim = g.dim
+        region = grids.hessian_field(g).valid
+        unknowns = g.interior & g.valid
+        K = int(region.sum())
+        Tfield = models.symmetrize_tensor(
+            2.0 * models.identity_tensor(dim)
+            + 0.3 * rng.standard_normal((K,) + (dim,) * 4))
+        assert np.abs(Tfield - Tfield.transpose(0, 3, 4, 1, 2)).max() > 0.1
+        op = solver.NewtonOperator(Tfield, region, unknowns, g.h)
+
+        v = rng.standard_normal(g.extents)
+        sig = grids.hessian_field(g.with_values(v)).matrices()[region]
+        W = np.zeros(g.extents + (symmat.packed_size(dim),))
+        W[region] = symmat.pack(models.tensor_apply(Tfield, sig))
+        want = g.h**dim * grids.hessian_adjoint(W, region, g.h)
+        want[~unknowns] = 0.0
+        np.testing.assert_allclose(op.matvec(v), want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+        diag = op.jacobi_diagonal()
+        assert np.all(diag[~unknowns] == 1.0)
+        for node in np.argwhere(unknowns)[::7]:
+            y = tuple(node)
+            e = np.zeros(g.extents)
+            e[y] = 1.0
+            assert diag[y] == op.matvec(e)[y]
 
 
 # --------------------------------------------------------- second order
@@ -375,10 +394,7 @@ def test_summation_by_parts_moves_derivatives_onto_test_function():
     T = models.identity_tensor(2) * 2.5
     dd = models.constant_dd_model(2, T)
     lhs = solver.dd_weak_residual(u, dd, grids.TestFunctionSet((eta,)))[0]
-    comp = solver._composite_stencil(T, g.h)
-    Seta = np.zeros(g.extents)
-    for off, w in comp.items():
-        Seta += w * grids.shifted(eta, off, 0.0)
+    Seta = 2.5 * g.h**2 * apply_13point(eta, g.h)
     rhs = float((u.values * Seta).sum())
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
