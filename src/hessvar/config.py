@@ -43,6 +43,7 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 from dataclasses import dataclass, field, asdict
 
@@ -153,9 +154,12 @@ def _convert(raw: str, typ, where: str):
     try:
         if typ is bool:
             return _BOOL[raw.lower()]
-        return typ(raw)
+        value = typ(raw)
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"{where}: cannot parse {raw!r} as {typ.__name__}") from exc
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: {raw!r} is not a finite number")
+    return value
 
 
 def parse_config(path) -> RunConfig:
@@ -202,6 +206,14 @@ def validate_config(cfg: RunConfig, base: str = ".") -> None:
         raise ConfigError(f"grid needs at least 11 nodes per axis, got {cfg.nodes}")
     if cfg.half_width <= 0:
         raise ConfigError(f"half_width must be positive, got {cfg.half_width}")
+    if cfg.grad_tol is not None and not cfg.grad_tol > 0:
+        raise ConfigError(f"grad_tol must be positive, got {cfg.grad_tol}")
+    if cfg.max_iter < 0:
+        raise ConfigError(f"max_iter must be >= 0, got {cfg.max_iter}")
+    if not (0.0 < cfg.cg_rtol < 1.0):
+        raise ConfigError(f"cg_rtol must lie in (0, 1), got {cfg.cg_rtol}")
+    if cfg.hs_samples < 1:
+        raise ConfigError(f"hamstat samples must be >= 1, got {cfg.hs_samples}")
     if cfg.init not in ("boundary", "zero"):
         raise ConfigError(f"solver init must be 'boundary' or 'zero', got {cfg.init!r}")
     if cfg.model_kind == "table":

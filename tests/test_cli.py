@@ -117,6 +117,44 @@ def test_solve_malformed_config_exits_64(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+HAMSTAT_AREA = "[model]\nkind = area\neta = 0.1\n[run]\nseed = 0\n"
+
+
+def _with_setting(text, section, key, value):
+    """``text`` with ``key = value`` in ``[section]``, replacing any old value."""
+    lines = [ln for ln in text.splitlines() if not ln.startswith(f"{key} =")]
+    header = f"[{section}]"
+    if header not in lines:
+        lines += ["", header]
+    at = lines.index(header) + 1
+    return "\n".join(lines[:at] + [f"{key} = {value}"] + lines[at:]) + "\n"
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("hamstat", "hamstat", "samples", "0"),
+    ("solve", "solver", "cg_rtol", "nan"),
+    ("solve", "solver", "cg_rtol", "-1"),
+    ("solve", "solver", "cg_rtol", "2"),
+    ("solve", "solver", "max_iter", "-3"),
+    ("solve", "solver", "grad_tol", "nan"),
+    ("solve", "solver", "grad_tol", "-1"),
+    ("solve", "grid", "half_width", "nan"),
+    ("solve", "grid", "half_width", "inf"),
+    ("solve", "boundary", "amplitude", "inf"),
+    ("solve", "boundary", "amplitude", "nan"),
+    ("solve", "model", "rho_u", "nan"),
+])
+def test_out_of_range_config_value_exits_64(tmp_path, capsys, command,
+                                             section, key, value):
+    base = HAMSTAT_AREA if command == "hamstat" else BASE_SOLVE
+    cfg = write_config(tmp_path / "bad.cfg",
+                       _with_setting(base, section, key, value))
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 64
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert "Traceback" not in err
+
+
 def test_solve_usage_error_exits_64(tmp_path):
     assert run(["solve", "--out", str(tmp_path)]) == 64
 

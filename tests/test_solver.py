@@ -270,6 +270,102 @@ def test_newton_operator_matches_independent_tensor_chain():
             assert diag[y] == op.matvec(e)[y]
 
 
+def test_solve_report_records_admissibility_margins():
+    g = grids.make_grid(2, 21, 0.5)
+    f = lambda x, y: 0.15 * np.sin(2 * x) * y
+    bc = ClampedBoundaryData.from_potential(g, f)
+    u, rep = solver.minimize_clamped(models.area_model(2, rho_U=0.9), bc,
+                                     grids.sample(g, f), grad_tol=1e-12)
+    margins = rep.admissibility_margins
+    assert rep.iterations >= 1
+    assert len(margins) == len(rep.steps)
+    assert all(0.0 < m < 1.0 - solver.ADMISSIBILITY_MARGIN / 0.9 for m in margins)
+    H = grids.hessian_field(u)
+    assert margins[-1] == symmat.op_norm(H.matrices()[H.valid]).max() / 0.9
+    assert rep.to_dict()["admissibility_margins"] == margins
+
+    _, rep = solver.minimize_clamped(models.quadratic_model(2), bc, g)
+    assert rep.admissibility_margins == [0.0] * len(rep.steps)
+
+
+# --------------------------------------------------------- preconditioner
+
+def dirichlet_laplacian(v, h):
+    """(2n+1)-point negative Laplacian of v with zero values outside the array."""
+    out = 2 * v.ndim * v
+    for axis in range(v.ndim):
+        for s in (-1, 1):
+            off = tuple(s if k == axis else 0 for k in range(v.ndim))
+            out = out - grids.shifted(v, off, 0.0)
+    return out / h**2
+
+
+@pytest.mark.parametrize("box", [(5, 7), (4, 5, 6)])
+def test_preconditioner_inverts_squared_laplacian_on_box(box):
+    rng = np.random.default_rng(59)
+    h = 0.1
+    unknowns = np.zeros(tuple(m + 4 for m in box), dtype=bool)
+    inner = tuple(slice(2, m + 2) for m in box)
+    unknowns[inner] = True
+    r = np.where(unknowns, rng.standard_normal(unknowns.shape), 0.0)
+    z = solver.squared_laplacian_preconditioner(unknowns, h)(r)
+    assert np.all(z[~unknowns] == 0.0)
+    back = h**len(box) * dirichlet_laplacian(dirichlet_laplacian(z[inner], h), h)
+    np.testing.assert_allclose(back, r[inner], rtol=0, atol=1e-12 * np.abs(r).max())
+
+
+def test_preconditioner_symmetric_positive_on_masked_unknowns():
+    rng = np.random.default_rng(60)
+    unknowns = rng.random((13, 17)) < 0.6
+    unknowns[:, :2] = False
+    P = solver.squared_laplacian_preconditioner(unknowns, 0.05)
+    r, s = (np.where(unknowns, rng.standard_normal(unknowns.shape), 0.0)
+            for _ in range(2))
+    Pr, Ps = P(r), P(s)
+    assert np.all(Pr[~unknowns] == 0.0)
+    assert np.vdot(Pr, s) == pytest.approx(np.vdot(r, Ps), rel=1e-12)
+    assert np.vdot(r, Pr) > 0.0
+
+
+def _area_newton_system(g):
+    f = lambda x, y: 0.3 * cubic_biharmonic(x, y)
+    u = ClampedBoundaryData.from_potential(g, f).apply(grids.sample(g, f))
+    model = models.area_model(2, rho_U=0.9)
+    return u, model, solver.energy_gradient(u, model)
+
+
+def test_preconditioned_cg_iterations_grow_slowly_on_area_newton_system():
+    iters = {}
+    for nodes in (65, 129):
+        u, model, grad = _area_newton_system(grids.make_grid(2, nodes, 0.5))
+        _, iters[nodes], res = solver._newton_direction(
+            u, model, grad, cg_rtol=1e-10, cg_maxiter=10_000, atol=0.0)
+        assert res <= 1e-10
+    assert max(iters.values()) < 150
+    assert iters[129] < 2 * iters[65]
+
+
+def test_preconditioner_beats_jacobi_on_masked_l_shape():
+    g = grids.make_grid(2, 49, 0.5)
+    valid = np.ones(g.extents, dtype=bool)
+    valid[25:, 25:] = False
+    u, model, grad = _area_newton_system(replace(g, valid=valid))
+    H = grids.hessian_field(u)
+    unknowns = u.interior & u.valid
+    op = solver.NewtonOperator(models.eval_d2F(model, H.matrices()[H.valid]),
+                               H.valid, unknowns, u.h)
+    diag = op.jacobi_diagonal()
+    iters = {}
+    for name, precond in (
+            ("jacobi", lambda r: r / diag),
+            ("squared_laplacian",
+             solver.squared_laplacian_preconditioner(unknowns, u.h))):
+        _, iters[name], _ = solver.conjugate_gradient(
+            op.matvec, -grad, np.zeros_like(grad), 1e-10, 10_000,
+            precond=precond)
+    assert iters["squared_laplacian"] < iters["jacobi"]
+
+
 # --------------------------------------------------------- second order
 
 def test_constant_coeff_bvp_second_order_on_transcendental_solution():
