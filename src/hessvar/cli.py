@@ -205,7 +205,6 @@ def cmd_diagnose(cfg: RunConfig, field_file: str, out: str, seed: int,
     r_min = cfg.r_min if cfg.r_min is not None else max(3.0 * h, r_max / 8.0)
 
     fam = ball_family(field, cfg.ball_stride, r_min, r_max)
-    bmo = diag.bmo_modulus(field, fam)
     jn = diag.john_nirenberg_ratio(field, fam, cfg.osc_p)
 
     radii = dyadic_radii(r_max, r_min)
@@ -239,10 +238,8 @@ def cmd_diagnose(cfg: RunConfig, field_file: str, out: str, seed: int,
         "config": _resolved_config(cfg, seed, threads),
         "seed": seed,
         "bmo": {
-            "omega": bmo.omega,
-            "ball": {"center": list(bmo.ball.center), "radius": bmo.ball.radius},
-            "family_size": bmo.family_size,
-            "small_bmo_regime": bool(bmo.omega <= cfg.omega_threshold),
+            **jn.bmo.to_dict(),
+            "small_bmo_regime": bool(jn.bmo.omega <= cfg.omega_threshold),
             "omega_threshold": cfg.omega_threshold,
         },
         "jn": jn.to_dict(),

@@ -194,8 +194,6 @@ def validate_config(cfg: RunConfig, base: str = ".") -> None:
         raise ConfigError(f"model kind {cfg.model_kind!r} not recognized")
     if cfg.eta is not None and not (0.0 < cfg.eta < 1.0):
         raise ConfigError(f"eta must lie in (0, 1), got {cfg.eta}")
-    if cfg.rho_U is not None and cfg.rho_U <= 0:
-        raise ConfigError(f"rho_U must be positive, got {cfg.rho_U}")
     if not (0.0 < cfg.alpha < 1.0):
         raise ConfigError(f"alpha must lie in (0, 1), got {cfg.alpha}")
     if cfg.osc_p < 1.0:
@@ -204,12 +202,18 @@ def validate_config(cfg: RunConfig, base: str = ".") -> None:
         raise ConfigError(f"grid dim must be 2 or 3, got {cfg.dim}")
     if cfg.nodes < 11:
         raise ConfigError(f"grid needs at least 11 nodes per axis, got {cfg.nodes}")
-    if cfg.half_width <= 0:
-        raise ConfigError(f"half_width must be positive, got {cfg.half_width}")
-    if cfg.grad_tol is not None and not cfg.grad_tol > 0:
-        raise ConfigError(f"grad_tol must be positive, got {cfg.grad_tol}")
-    if cfg.max_iter < 0:
-        raise ConfigError(f"max_iter must be >= 0, got {cfg.max_iter}")
+    positive = {"rho_U": cfg.rho_U, "half_width": cfg.half_width,
+                "grad_tol": cfg.grad_tol, "r_min": cfg.r_min, "r_max": cfg.r_max,
+                "p0_k_max": cfg.p0_K_max, "bump_scale": cfg.bump_scale}
+    for key, value in positive.items():
+        if value is not None and not value > 0:
+            raise ConfigError(f"{key} must be positive, got {value}")
+    at_least = (("max_iter", cfg.max_iter, 0), ("ball_stride", cfg.ball_stride, 0),
+                ("tau_sigma", cfg.tau_sigma, 0), ("sigma_p0", cfg.sigma_p0, 1),
+                ("pair_budget", cfg.pair_budget, 1))
+    for key, value, lowest in at_least:
+        if value is not None and not value >= lowest:
+            raise ConfigError(f"{key} must be >= {lowest}, got {value}")
     if not (0.0 < cfg.cg_rtol < 1.0):
         raise ConfigError(f"cg_rtol must lie in (0, 1), got {cfg.cg_rtol}")
     if cfg.hs_samples < 1:

@@ -27,8 +27,9 @@ from .grids import (
     EmptyRegionError,
     GridError,
     SymMatField,
-    ball_mask,
     ball_fits,
+    ball_window,
+    inner_box_nodes,
     shifted,
 )
 
@@ -45,10 +46,11 @@ def sobolev_dual_exponent(n: int) -> float:
 # -------------------------------------------------------------- oscillation
 
 def _ball_values(f: SymMatField, ball: Ball) -> np.ndarray:
-    nodes = ball_mask(f, ball) & f.valid
-    if not nodes.any():
+    box, inside = ball_window(f, ball)
+    vals = f.values[box][inside & f.valid[box]]
+    if len(vals) == 0:
         raise EmptyRegionError(f"ball {ball} contains no valid nodes")
-    return f.values[nodes]
+    return vals
 
 
 def _check_exponent(p: float) -> None:
@@ -90,13 +92,7 @@ class BMOResult:
 
 def bmo_modulus(f: SymMatField, family: BallFamily) -> BMOResult:
     """Supremum of the L^1 mean oscillation over the recorded ball family."""
-    best = -1.0
-    best_ball = None
-    for ball in family:
-        val = mean_oscillation(f, ball, 1.0)
-        if val > best:
-            best, best_ball = val, ball
-    return BMOResult(omega=best, ball=best_ball, family_size=len(family))
+    return john_nirenberg_ratio(f, family, 1.0).bmo
 
 
 @dataclass(frozen=True)
@@ -106,6 +102,7 @@ class JNEstimate:
     p: float
     cbar: float
     degenerate: bool
+    bmo: BMOResult          # the L^1 modulus and its ball, from the same pass
 
     def to_dict(self) -> dict:
         return {"p": self.p, "cbar": self.cbar, "degenerate": self.degenerate}
@@ -114,19 +111,23 @@ class JNEstimate:
 def john_nirenberg_ratio(f: SymMatField, family: BallFamily, p: float) -> JNEstimate:
     """Max over the family of osc_p / omega; degenerate when omega = 0.
 
-    omega is the BMO modulus; one pass over the family yields both the L^1
-    and the L^p oscillation of every ball.
+    omega is the BMO modulus, attained at the first ball of largest L^1
+    oscillation; one pass over the family yields both the L^1 and the L^p
+    oscillation of every ball.
     """
     _check_exponent(p)
-    osc1, oscp = [], []
+    omega, omega_ball, oscp = -1.0, None, []
     for ball in family:
         dev = _deviations(f, ball)
-        osc1.append(float(dev.mean()))
+        osc1 = float(dev.mean())
+        if osc1 > omega:
+            omega, omega_ball = osc1, ball
         oscp.append(float((dev**p).mean()))
-    omega = max(osc1)
+    bmo = BMOResult(omega=omega, ball=omega_ball, family_size=len(family))
     if omega == 0.0:
-        return JNEstimate(p=p, cbar=0.0, degenerate=True)
-    return JNEstimate(p=p, cbar=max(v / omega for v in oscp), degenerate=False)
+        return JNEstimate(p=p, cbar=0.0, degenerate=True, bmo=bmo)
+    return JNEstimate(p=p, cbar=max(v / omega for v in oscp), degenerate=False,
+                      bmo=bmo)
 
 
 # -------------------------------------------------------------- decay fits
@@ -182,16 +183,14 @@ def campanato_decay(f: SymMatField, center, radii, p: float = 2.0):
         raise DiagnosticsError("decay fits need at least 3 radii")
     if len(set(radii)) != len(radii):
         raise DiagnosticsError("radii must be strictly decreasing")
+    _check_exponent(p)
     center = tuple(float(c) for c in center)
     values, integrals = [], []
     for r in radii:
-        ball = Ball(center=center, radius=r)
-        nodes = ball_mask(f, ball) & f.valid
-        if not nodes.any():
-            raise EmptyRegionError(f"radius {r} ball contains no valid nodes")
-        osc = mean_oscillation(f, ball, p)
+        dev = _deviations(f, Ball(center=center, radius=r))
+        osc = float((dev**p).mean())
         values.append(osc)
-        integrals.append(osc * f.h**f.dim * int(nodes.sum()))
+        integrals.append(osc * f.h**f.dim * len(dev))
     curve = OscillationCurve(center=center, radii=tuple(radii),
                              values=tuple(values), integrals=tuple(integrals), p=p)
     floor = 1e-280
@@ -464,19 +463,6 @@ class HolderEstimate:
         }
 
 
-def _holder_region_nodes(f: SymMatField, fraction: float) -> np.ndarray:
-    usable = f.valid
-    if not usable.any():
-        raise EmptyRegionError("field has no valid nodes")
-    idx = np.argwhere(usable)
-    lo = idx.min(axis=0)
-    hi = idx.max(axis=0)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * fraction * (hi - lo)
-    keep = np.all(np.abs(idx - mid) <= half + 1e-9, axis=1)
-    return idx[keep]
-
-
 def holder_seminorm(f: SymMatField, alpha: float, pair_budget: int = 2000,
                     seed: int = 0, region_fraction: float = 0.75) -> HolderEstimate:
     """Max of |f(x) - f(y)| / |x - y|^alpha over sampled node pairs.
@@ -488,7 +474,7 @@ def holder_seminorm(f: SymMatField, alpha: float, pair_budget: int = 2000,
     """
     if not (0.0 < alpha < 1.0):
         raise DiagnosticsError(f"alpha must lie in (0, 1), got {alpha}")
-    nodes = _holder_region_nodes(f, region_fraction)
+    nodes = inner_box_nodes(f.valid, region_fraction)
     if len(nodes) < 2:
         raise EmptyRegionError("need at least two nodes for a Hoelder estimate")
     # coarse exhaustive sub-lattice: k nodes give k(k-1)/2 pairs
@@ -504,7 +490,7 @@ def holder_seminorm(f: SymMatField, alpha: float, pair_budget: int = 2000,
         pairs.append((nodes[i], nodes[j]))
     best = 0.0
     best_pair = None
-    for a, b in pairs[:max(pair_budget, len(pairs))]:
+    for a, b in pairs:
         fa = f.values[tuple(a)]
         fb = f.values[tuple(b)]
         dist = f.h * float(np.sqrt(((a - b) ** 2).sum()))

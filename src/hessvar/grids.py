@@ -229,9 +229,6 @@ class BallFamily:
     """Finite ball collection standing in for 'all balls' in oscillation suprema."""
 
     balls: tuple
-    center_stride: int = 0
-    r_min: float = 0.0
-    r_max: float = 0.0
 
     def __post_init__(self):
         if len(self.balls) == 0:
@@ -406,64 +403,84 @@ def field_difference_quotient(f: SymMatField, direction: int, step: int = 1) -> 
     return SymMatField(h=f.h, origin=f.origin, values=vals, valid=valid)
 
 
-def ball_mask(grid_like, ball: Ball) -> np.ndarray:
-    """Boolean mask of nodes with ``|x - center| <= radius``."""
-    dist2 = np.zeros(grid_like.extents)
-    for axis in range(grid_like.dim):
-        c = grid_like.axis_coords(axis) - ball.center[axis]
-        shape = [1] * grid_like.dim
-        shape[axis] = grid_like.extents[axis]
-        dist2 = dist2 + (c**2).reshape(shape)
-    return dist2 <= ball.radius**2 * (1.0 + 1e-12)
-
-
-def region_mask(grid_like, region) -> np.ndarray:
-    """Node mask for a region spec: None (everything valid) or a Ball."""
+def _usable(grid_like) -> np.ndarray:
+    """Nodes that integrals and ball averages use: valid, and interior for a ScalarGrid."""
     if isinstance(grid_like, ScalarGrid):
-        base = grid_like.valid & grid_like.interior
-    else:
-        base = grid_like.valid
-    if region is None:
-        return base
-    if isinstance(region, Ball):
-        return base & ball_mask(grid_like, region)
-    raise GridError(f"unsupported region spec {region!r}")
+        return grid_like.valid & grid_like.interior
+    return grid_like.valid
+
+
+def ball_window(grid_like, ball: Ball):
+    """Bounding-box window ``(box, mask)`` of the nodes with ``|x - center| <= radius``.
+
+    ``box`` is a tuple of slices; ``mask`` is the distance test on that box, so
+    ``values[box][mask]`` lists the ball's nodes in C order.  A ball that
+    misses the grid gives an empty window.
+    """
+    r2 = ball.radius**2 * (1.0 + 1e-12)
+    box, dist2 = [], 0.0
+    for axis in range(grid_like.dim):
+        # a node inside the ball passes this per-axis test, so the box holds it
+        d2 = (grid_like.axis_coords(axis) - ball.center[axis]) ** 2
+        idx = np.nonzero(d2 <= r2)[0]
+        sl = slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
+        shape = [1] * grid_like.dim
+        shape[axis] = -1
+        dist2 = dist2 + d2[sl].reshape(shape)
+        box.append(sl)
+    return tuple(box), dist2 <= r2
 
 
 def integrate(values: np.ndarray, grid_like, region=None) -> float:
-    """Midpoint-rule integral: ``h^n`` times the sum over region nodes."""
-    mask = region_mask(grid_like, region)
-    if not mask.any():
-        raise EmptyRegionError("integration region contains no nodes")
+    """Midpoint-rule integral over the usable nodes of ``region`` (None: all, or a Ball)."""
     vals = np.asarray(values)
-    if vals.shape != mask.shape:
+    if vals.shape != grid_like.extents:
         raise GridError("values shape does not match the grid")
-    return float(grid_like.h ** grid_like.dim * vals[mask].sum())
-
-
-def _interior_box(grid_like):
-    """Per-axis coordinate bounds of the usable region (interior or valid)."""
-    if isinstance(grid_like, ScalarGrid):
-        usable = grid_like.valid & grid_like.interior
+    usable = _usable(grid_like)
+    if region is None:
+        picked = vals[usable]
+    elif isinstance(region, Ball):
+        box, inside = ball_window(grid_like, region)
+        picked = vals[box][inside & usable[box]]
     else:
-        usable = grid_like.valid
-    if not usable.any():
+        raise GridError(f"unsupported region spec {region!r}")
+    if picked.size == 0:
+        raise EmptyRegionError("integration region contains no nodes")
+    return float(grid_like.h ** grid_like.dim * picked.sum())
+
+
+def inner_box_nodes(mask: np.ndarray, fraction: float) -> np.ndarray:
+    """Indices of the ``mask`` nodes in the concentric ``fraction`` sub-box of its bounding box.
+
+    Rows of ``np.argwhere`` output, in C order.
+    """
+    idx = np.argwhere(mask)
+    if len(idx) == 0:
+        raise EmptyRegionError("mask has no nodes")
+    lo = idx.min(axis=0)
+    hi = idx.max(axis=0)
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * fraction * (hi - lo)
+    return idx[np.all(np.abs(idx - mid) <= half + 1e-9, axis=1)]
+
+
+def _bounds(grid_like, usable: np.ndarray):
+    """Per-axis coordinate bounds of the ``usable`` nodes."""
+    idx = np.argwhere(usable)
+    if len(idx) == 0:
         raise EmptyRegionError("no usable nodes")
-    lo, hi = [], []
-    for axis in range(grid_like.dim):
-        proj = usable.any(axis=tuple(a for a in range(grid_like.dim) if a != axis))
-        idx = np.nonzero(proj)[0]
-        coords = grid_like.axis_coords(axis)
-        lo.append(coords[idx[0]])
-        hi.append(coords[idx[-1]])
-    return np.array(lo), np.array(hi)
+    return (grid_like.origin + grid_like.h * idx.min(axis=0),
+            grid_like.origin + grid_like.h * idx.max(axis=0))
+
+
+def _fits(lo, hi, ball: Ball) -> bool:
+    c = np.array(ball.center)
+    return bool(np.all(c - ball.radius >= lo - 1e-12) and np.all(c + ball.radius <= hi + 1e-12))
 
 
 def ball_fits(grid_like, ball: Ball) -> bool:
     """True if the ball sits inside the usable-region bounding box."""
-    lo, hi = _interior_box(grid_like)
-    c = np.array(ball.center)
-    return bool(np.all(c - ball.radius >= lo - 1e-12) and np.all(c + ball.radius <= hi + 1e-12))
+    return _fits(*_bounds(grid_like, _usable(grid_like)), ball)
 
 
 def dyadic_radii(r_max: float, r_min: float) -> list:
@@ -489,7 +506,8 @@ def ball_family(
         raise GridError(f"r_min {r_min} exceeds r_max {r_max}")
     if r_min < 3.0 * grid_like.h:
         raise GridError(f"r_min must be at least 3h = {3 * grid_like.h:g}")
-    lo, hi = _interior_box(grid_like)
+    usable = _usable(grid_like)
+    lo, hi = _bounds(grid_like, usable)
     radii = dyadic_radii(r_max, r_min)
     centers = []
     if center_stride <= 0:
@@ -506,12 +524,13 @@ def ball_family(
     for c in centers:
         for r in radii:
             b = Ball(center=c, radius=r)
-            if ball_fits(grid_like, b) and region_mask(grid_like, b).any():
-                balls.append(b)
+            if _fits(lo, hi, b):
+                box, inside = ball_window(grid_like, b)
+                if (inside & usable[box]).any():
+                    balls.append(b)
     if not balls:
         raise EmptyRegionError("ball family is empty for the given parameters")
-    return BallFamily(balls=tuple(balls), center_stride=center_stride,
-                      r_min=r_min, r_max=r_max)
+    return BallFamily(balls=tuple(balls))
 
 
 def nodal_tests(grid: ScalarGrid, stride: int = 1) -> TestFunctionSet:
@@ -533,7 +552,7 @@ def bump_tests(grid: ScalarGrid, centers, scale: float) -> TestFunctionSet:
 
     Each bump must fit strictly inside the interior region at the given scale.
     """
-    lo, hi = _interior_box(grid)
+    lo, hi = _bounds(grid, _usable(grid))
     X = grid.coords()
     fns, labels = [], []
     for c in centers:

@@ -29,6 +29,7 @@ from .grids import (
     SymMatField,
     TestFunctionSet,
     hessian_field,
+    inner_box_nodes,
     shifted,
 )
 from .solver import dd_weak_residual
@@ -263,24 +264,14 @@ def phase_harmonicity_residual(u: ScalarGrid,
     metric = induced_metric(H)
     phase = lagrangian_phase(H)
     vals, valid = laplace_beltrami(phase.theta, metric)
-    idx = np.argwhere(valid)
-    if len(idx) == 0:
-        raise GridError("no nodes support the phase-harmonicity residual")
-    lo = idx.min(axis=0)
-    hi = idx.max(axis=0)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * inner_fraction * (hi - lo)
-    keep = np.zeros_like(valid)
-    sel = np.all(np.abs(idx - mid) <= half + 1e-9, axis=1)
-    keep[tuple(idx[sel].T)] = True
-    region = valid & keep
-    if not region.any():
+    nodes = inner_box_nodes(valid, inner_fraction)
+    if len(nodes) == 0:
         raise GridError("inner region is empty")
-    r = vals[region]
+    r = vals[tuple(nodes.T)]
     return ResidualSummary(
         sup=float(np.abs(r).max()),
         l2=float(np.sqrt(u.h**u.dim * (r**2).sum())),
-        nodes=int(region.sum()),
+        nodes=len(nodes),
     )
 
 

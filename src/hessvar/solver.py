@@ -121,11 +121,6 @@ class SolveReport:
 
 # -------------------------------------------------------------- energy
 
-def _quadrature_region(u: ScalarGrid, H: SymMatField | None = None) -> np.ndarray:
-    H = hessian_field(u) if H is None else H
-    return H.valid
-
-
 def _eval_on(model_fn, H: SymMatField, region: np.ndarray):
     """Evaluate a batched matrix function on the masked nodes of a field."""
     Msub = H.matrices()[region]
@@ -143,7 +138,7 @@ def _eval_on(model_fn, H: SymMatField, region: np.ndarray):
 def assemble_energy(u: ScalarGrid, model: EnergyModel) -> float:
     """h^n-weighted sum of F(D^2 u) over the Hessian-valid region."""
     H = hessian_field(u)
-    region = _quadrature_region(u, H)
+    region = H.valid
     vals = _eval_on(lambda M: models.eval_F(model, M), H, region)
     return float(u.h**u.dim * vals.sum())
 
@@ -155,7 +150,7 @@ def energy_gradient(u: ScalarGrid, model: EnergyModel) -> np.ndarray:
     weak residual against the nodal test function at y.
     """
     H = hessian_field(u)
-    region = _quadrature_region(u, H)
+    region = H.valid
     G = _eval_on(lambda M: models.eval_dF(model, M), H, region)
     grad = _weighted_adjoint(G, region, u.h)
     grad[~(u.interior & u.valid)] = 0.0
@@ -375,7 +370,7 @@ def _newton_direction(u: ScalarGrid, model: EnergyModel, grad: np.ndarray,
     the line search and before the next step's operator is built.
     """
     H = hessian_field(u)
-    region = _quadrature_region(u, H)
+    region = H.valid
     T = _eval_on(lambda M: models.eval_d2F(model, M), H, region)
     unknowns = u.interior & u.valid
     op = NewtonOperator(T, region, unknowns, u.h)
@@ -490,7 +485,7 @@ def weak_residual(u: ScalarGrid, model: EnergyModel,
                   tests: TestFunctionSet) -> np.ndarray:
     """Per test function: h^n sum_x <F^{ij}(D^2 u), D^2 eta> over the region."""
     H = hessian_field(u)
-    region = _quadrature_region(u, H)
+    region = H.valid
     G = _eval_on(lambda M: models.eval_dF(model, M), H, region)
     return _pair_with_tests(G, region, u.h, tests)
 
@@ -499,7 +494,7 @@ def dd_weak_residual(u: ScalarGrid, model: DoubleDivergenceModel,
                      tests: TestFunctionSet) -> np.ndarray:
     """Per test: h^n sum_x a^{ij,kl}(D^2 u) u_ij eta_kl."""
     H = hessian_field(u)
-    region = _quadrature_region(u, H)
+    region = H.valid
     M = H.matrices()[region]
     AM = models.tensor_apply(model(M), M)   # a^{ij,kl} u_ij as a matrix in (k,l)
     return _pair_with_tests(AM, region, u.h, tests)

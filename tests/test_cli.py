@@ -143,13 +143,25 @@ def _with_setting(text, section, key, value):
     ("solve", "boundary", "amplitude", "inf"),
     ("solve", "boundary", "amplitude", "nan"),
     ("solve", "model", "rho_u", "nan"),
+    ("diagnose", "diagnostics", "pair_budget", "-5"),
+    ("diagnose", "diagnostics", "pair_budget", "0"),
+    ("diagnose", "diagnostics", "ball_stride", "-1"),
+    ("diagnose", "diagnostics", "r_min", "0"),
+    ("diagnose", "diagnostics", "r_max", "-0.1"),
+    ("diagnose", "diagnostics", "p0_k_max", "0"),
+    ("diagnose", "diagnostics", "sigma_p0", "-1"),
+    ("diagnose", "diagnostics", "sigma_p0", "0.5"),
+    ("diagnose", "diagnostics", "tau_sigma", "-0.5"),
+    ("hamstat", "hamstat", "bump_scale", "0"),
 ])
 def test_out_of_range_config_value_exits_64(tmp_path, capsys, command,
                                              section, key, value):
     base = HAMSTAT_AREA if command == "hamstat" else BASE_SOLVE
     cfg = write_config(tmp_path / "bad.cfg",
                        _with_setting(base, section, key, value))
-    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 64
+    # the config is rejected before the field file is opened
+    field = ["--field", str(tmp_path / "absent.hvgf")] if command == "diagnose" else []
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")] + field) == 64
     err = capsys.readouterr().err
     assert "config error" in err and key in err
     assert "Traceback" not in err

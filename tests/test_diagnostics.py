@@ -289,6 +289,83 @@ def test_fit_p0_no_certification_verdict():
     assert est.verdict == "no exponent certified"
 
 
+# ------------------------------------------------ full-grid mask reference
+
+def _reference_ball_values(f, ball):
+    """Valid values of the ball, selected by a distance test on the whole grid."""
+    dist2 = np.zeros(f.extents)
+    for axis in range(f.dim):
+        shape = [1] * f.dim
+        shape[axis] = -1
+        dist2 = dist2 + ((f.axis_coords(axis) - ball.center[axis]) ** 2).reshape(shape)
+    return f.values[(dist2 <= ball.radius**2 * (1.0 + 1e-12)) & f.valid]
+
+
+def _reference_deviations(f, ball):
+    vals = _reference_ball_values(f, ball)
+    return symmat.hs_norm_packed(vals - vals.mean(axis=0), f.dim)
+
+
+def _reference_mean_power(f, ball, p):
+    return float((symmat.hs_norm_packed(_reference_ball_values(f, ball), f.dim) ** p).mean())
+
+
+def test_ball_diagnostics_equal_full_grid_mask_reference():
+    rng = np.random.default_rng(71)
+    g = grids.make_grid(2, 33, 1.0)
+    x, y = g.coords()
+    jump = (x + 0.3 * y > 0.05)[..., None]
+    vals = np.where(jump, symmat.pack(np.diag([2.0, -1.0])), symmat.pack(np.eye(2)))
+    vals = vals + 0.2 * rng.standard_normal(vals.shape)
+    valid = g.interior.copy()
+    valid[tuple(rng.integers(4, 29, size=(2, 20)))] = False   # holes inside balls
+    vals[~valid] = np.nan
+    f = grids.SymMatField(h=g.h, origin=g.origin, values=vals, valid=valid)
+    h, p = g.h, 2.0
+
+    fam = grids.ball_family(f, center_stride=3, r_min=3 * h, r_max=0.75)
+    jn = diag.john_nirenberg_ratio(f, fam, p)
+    omega, omega_ball, oscp = -1.0, None, []
+    for ball in fam:
+        dev = _reference_deviations(f, ball)
+        if float(dev.mean()) > omega:
+            omega, omega_ball = float(dev.mean()), ball
+        oscp.append(float((dev**p).mean()))
+    assert omega > 0.0
+    assert (jn.bmo.omega, jn.bmo.ball) == (omega, omega_ball)
+    assert diag.bmo_modulus(f, fam) == jn.bmo
+    assert jn.cbar == max(v / omega for v in oscp)
+    flat = grids.SymMatField(h=h, origin=g.origin, values=np.ones_like(vals), valid=valid)
+    assert diag.bmo_modulus(flat, fam).ball == fam.balls[0]   # ties keep the first ball
+
+    center = (0.05, 0.0)
+    radii = [0.6, 0.4, 0.3, 0.2]
+    curve, _ = diag.campanato_decay(f, center, radii, p)
+    integrals = []
+    for r in radii:
+        dev = _reference_deviations(f, Ball(center=center, radius=r))
+        integrals.append(float((dev**p).mean()) * h**2 * len(dev))
+    assert curve.integrals == tuple(integrals)
+
+    balls = [Ball(center=center, radius=r) for r in radii]
+    rhs = [_reference_mean_power(f, b, 2.0) ** 0.5 for b in balls]
+    required = []
+    for q in diag.DEFAULT_P_SCAN:
+        lhs = [_reference_mean_power(f, b, q) ** (1.0 / q) for b in balls]
+        required.append(max(lhs[j] / rhs[i] for i in range(len(balls))
+                            for j in range(i + 1, len(balls))))
+    assert diag.fit_p0(f, center, radii).required_constants == tuple(required)
+
+    centers, scales = [(0.0, 0.0), (0.1, -0.1)], [0.3, 0.15, 0.1]
+    pbar = diag.sobolev_dual_exponent(2)
+    constants = tuple(
+        tuple(_reference_mean_power(f, Ball(center=c, radius=s), 2.0) ** 0.5
+              / _reference_mean_power(f, Ball(center=c, radius=2 * s), pbar) ** (1 / pbar)
+              for s in scales)
+        for c in centers)
+    assert diag.reverse_holder_check(f, centers, scales).constants == constants
+
+
 # ------------------------------------------------------------ singular set
 
 def jump_field(g, A, offset=None):
@@ -391,7 +468,7 @@ def test_holder_linear_field_vs_exhaustive_oracle():
     est = diag.holder_seminorm(f, 0.5, pair_budget=3000, seed=4)
 
     # exhaustive pair search on the same region
-    nodes = diag._holder_region_nodes(f, 0.75)
+    nodes = grids.inner_box_nodes(f.valid, 0.75)
     best = 0.0
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):

@@ -188,6 +188,42 @@ def test_integrate_empty_region_raises():
         grids.integrate(np.ones(g.extents), g, Ball(center=(10.0, 10.0), radius=0.1))
 
 
+def _full_grid_ball_nodes(g, ball):
+    """Node indices with |x - c|^2 <= r^2 (1 + 1e-12), tested on the whole grid."""
+    dist2 = np.zeros(g.extents)
+    for axis in range(g.dim):
+        shape = [1] * g.dim
+        shape[axis] = -1
+        dist2 = dist2 + ((g.axis_coords(axis) - ball.center[axis]) ** 2).reshape(shape)
+    return np.argwhere(dist2 <= ball.radius**2 * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("dim, nodes", [(2, 23), (3, 13)])
+def test_ball_window_selects_full_grid_ball_nodes_in_order(dim, nodes):
+    rng = np.random.default_rng(40 + dim)
+    g = grids.make_grid(dim, nodes, 1.0)
+    g = g.with_values(rng.standard_normal(g.extents))
+    h = g.h
+    node = g.origin + h * rng.integers(0, nodes, size=(6, dim))
+    off_node = g.origin + (nodes - 1) * h * rng.random((6, dim))
+    edge = np.array([[-1.0] * dim, [1.0 - 0.3 * h] * dim])
+    centers = np.concatenate([node, off_node, edge])
+    radii = [k * h for k in (1, 2, 3, 5, 8)] + [0.37, 1.3, 4.0]
+    for c in centers:
+        for r in radii:
+            ball = Ball(center=tuple(c), radius=r)
+            box, mask = grids.ball_window(g, ball)
+            start = np.array([sl.start for sl in box])
+            want = _full_grid_ball_nodes(g, ball)
+            np.testing.assert_array_equal(np.argwhere(mask) + start, want)
+            assert np.array_equal(g.values[box][mask], g.values[tuple(want.T)])
+    outside = Ball(center=(3.0,) * dim, radius=0.5)
+    box, mask = grids.ball_window(g, outside)
+    assert mask.size == 0 and len(_full_grid_ball_nodes(g, outside)) == 0
+    with pytest.raises(EmptyRegionError):
+        grids.integrate(np.ones(g.extents), g, outside)
+
+
 def test_ball_family_single_ball():
     g = grids.make_grid(2, 33, 1.0)
     fam = grids.ball_family(g, center_stride=0, r_min=0.25, r_max=0.25)
