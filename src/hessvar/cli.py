@@ -24,6 +24,7 @@ from .grids import (
     ScalarGrid,
     SymMatField,
     ball_family,
+    bounding_box,
     bump_tests,
     dyadic_radii,
     hessian_field,
@@ -181,13 +182,10 @@ def cmd_solve(cfg: RunConfig, out: str, seed: int, threads: int,
 # ---------------------------------------------------------------- diagnose
 
 def _usable_geometry(field):
-    idx = np.argwhere(field.valid)
-    lo = idx.min(axis=0)
-    hi = idx.max(axis=0)
-    center = tuple(
-        field.origin[d] + field.h * 0.5 * (lo[d] + hi[d]) for d in range(field.dim)
-    )
-    width = field.h * float((hi - lo).min())
+    box = bounding_box(field.valid)
+    center = tuple(field.origin[d] + field.h * 0.5 * (s.start + s.stop - 1)
+                   for d, s in enumerate(box))
+    width = field.h * float(min(s.stop - 1 - s.start for s in box))
     return center, width
 
 
@@ -313,7 +311,7 @@ def cmd_hamstat(cfg: RunConfig, out: str, seed: int, threads: int,
     )
     tests = bump_tests(u, [center], scale=cfg.bump_scale)
     vres = hamstat_residual(u, tests)
-    pres = phase_harmonicity_residual(u, cfg.inner_fraction)
+    pres = phase_harmonicity_residual(phase, metric, cfg.inner_fraction)
     cert = convexity_certificate(cfg.eta, cfg.dim, cfg.hs_samples, seed=seed)
 
     payload = {

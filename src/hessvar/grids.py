@@ -42,6 +42,17 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def bounding_box(mask: np.ndarray) -> tuple:
+    """Slices of the smallest box holding every node of ``mask``."""
+    box = []
+    for axis in range(mask.ndim):
+        idx = np.flatnonzero(mask.any(axis=tuple(a for a in range(mask.ndim) if a != axis)))
+        if idx.size == 0:
+            raise EmptyRegionError("mask has no nodes")
+        box.append(slice(int(idx[0]), int(idx[-1]) + 1))
+    return tuple(box)
+
+
 def shifted(a: np.ndarray, off, fill) -> np.ndarray:
     """Array with ``out[x] = a[x + off]``, `fill` where x + off leaves the grid."""
     out = np.full(a.shape, fill, dtype=a.dtype)
@@ -141,14 +152,7 @@ class ScalarGrid:
 
     def cropped(self) -> "ScalarGrid":
         """Restrict to the bounding box of the valid region (all-valid result)."""
-        if not self.valid.any():
-            raise GridError("cannot crop a grid with empty valid region")
-        sl = []
-        for axis in range(self.dim):
-            proj = self.valid.any(axis=tuple(a for a in range(self.dim) if a != axis))
-            idx = np.nonzero(proj)[0]
-            sl.append(slice(idx[0], idx[-1] + 1))
-        sl = tuple(sl)
+        sl = bounding_box(self.valid)
         if not self.valid[sl].all():
             raise GridError("valid region is not a box; cannot crop")
         origin = self.origin + self.h * np.array([s.start for s in sl])
@@ -454,23 +458,22 @@ def inner_box_nodes(mask: np.ndarray, fraction: float) -> np.ndarray:
 
     Rows of ``np.argwhere`` output, in C order.
     """
+    lo, hi = _box_corners(bounding_box(mask))
     idx = np.argwhere(mask)
-    if len(idx) == 0:
-        raise EmptyRegionError("mask has no nodes")
-    lo = idx.min(axis=0)
-    hi = idx.max(axis=0)
     mid = 0.5 * (lo + hi)
     half = 0.5 * fraction * (hi - lo)
     return idx[np.all(np.abs(idx - mid) <= half + 1e-9, axis=1)]
 
 
+def _box_corners(box):
+    """First and last node index per axis of a :func:`bounding_box`."""
+    return np.array([s.start for s in box]), np.array([s.stop - 1 for s in box])
+
+
 def _bounds(grid_like, usable: np.ndarray):
     """Per-axis coordinate bounds of the ``usable`` nodes."""
-    idx = np.argwhere(usable)
-    if len(idx) == 0:
-        raise EmptyRegionError("no usable nodes")
-    return (grid_like.origin + grid_like.h * idx.min(axis=0),
-            grid_like.origin + grid_like.h * idx.max(axis=0))
+    lo, hi = _box_corners(bounding_box(usable))
+    return grid_like.origin + grid_like.h * lo, grid_like.origin + grid_like.h * hi
 
 
 def _fits(lo, hi, ball: Ball) -> bool:

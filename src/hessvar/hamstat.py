@@ -64,10 +64,7 @@ def induced_metric(field: SymMatField) -> MetricField:
     inverse identity ``g g^{-1} = I`` is verified to 1e-12 on valid nodes.
     """
     n = field.dim
-    M = field.matrices()
-    g = np.broadcast_to(np.eye(n), M.shape) + M @ M
-    ginv = symmat.inv_sym(g)
-    sd = np.sqrt(symmat.det_sym(g))
+    g, ginv, sd = models.graph_metric(field.matrices())
     ok = field.valid
     if ok.any():
         resid = np.abs((g @ ginv)[ok] - np.eye(n)).max()
@@ -132,9 +129,7 @@ def hamstat_dd_model(n: int) -> models.DoubleDivergenceModel:
     eye = np.eye(n)
 
     def coeff(M):
-        g = np.broadcast_to(eye, M.shape) + M @ M
-        ginv = symmat.inv_sym(g)
-        sd = np.sqrt(symmat.det_sym(g))
+        _, ginv, sd = models.graph_metric(M)
         return np.einsum("...,...ij,kl->...ikjl", sd, ginv, eye)
 
     return models.DoubleDivergenceModel(n=n, coeff=coeff, name="hamstat")
@@ -252,17 +247,15 @@ class ResidualSummary:
         return {"sup": self.sup, "l2": self.l2, "nodes": self.nodes}
 
 
-def phase_harmonicity_residual(u: ScalarGrid,
+def phase_harmonicity_residual(phase: PhaseField, metric: MetricField,
                                inner_fraction: float = 0.5) -> ResidualSummary:
     """Sup and L^2 norms of the Laplace-Beltrami operator applied to the phase.
 
-    Evaluated on the concentric ``inner_fraction`` sub-box of the region
-    where the discrete operator is defined, which keeps clamped-boundary
-    layers of solver output out of the measurement.
+    ``phase`` and ``metric`` come from the same Hessian field.  Evaluated on
+    the concentric ``inner_fraction`` sub-box of the region where the
+    discrete operator is defined, which keeps clamped-boundary layers of
+    solver output out of the measurement.
     """
-    H = hessian_field(u)
-    metric = induced_metric(H)
-    phase = lagrangian_phase(H)
     vals, valid = laplace_beltrami(phase.theta, metric)
     nodes = inner_box_nodes(valid, inner_fraction)
     if len(nodes) == 0:
@@ -270,7 +263,7 @@ def phase_harmonicity_residual(u: ScalarGrid,
     r = vals[tuple(nodes.T)]
     return ResidualSummary(
         sup=float(np.abs(r).max()),
-        l2=float(np.sqrt(u.h**u.dim * (r**2).sum())),
+        l2=float(np.sqrt(metric.h**metric.dim * (r**2).sum())),
         nodes=len(nodes),
     )
 

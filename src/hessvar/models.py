@@ -16,8 +16,10 @@ Built-in kinds:
 
 * ``quadratic``  F(M) = |M|^2 / 2, derivative M, constant identity tensor.
 * ``area``       F(M) = sqrt(det(I + M^2)), the volume integrand of the
-  gradient graph ``x -> (x, Du)``; closed-form derivatives through the
-  spectral decomposition of M.
+  gradient graph ``x -> (x, Du)``.  With the metric g = I + M^2, B = g^-1
+  and A = B M, the derivatives are G = F A and
+  T^{ij,kl} = F [A_ij A_kl + (B_ik B_jl + B_il B_jk)/2 - (A_ik A_jl + A_il A_jk)/2]
+  (derived at ``_area_d2F``); no eigen-decomposition is needed.
 * ``custom``     user callables, with matrix finite differences (Richardson
   extrapolated, step ``delta * (1 + |M|)``) filling in missing derivatives.
 
@@ -271,54 +273,51 @@ def _fd_d2F(dF, M: np.ndarray, step: float) -> np.ndarray:
 
 # ---- area closed forms
 
-def _area_F(M: np.ndarray) -> np.ndarray:
+def graph_metric(M: np.ndarray):
+    """``(g, B, F)``: the metric g = I + M^2, its inverse B and F = sqrt(det g)."""
     n = M.shape[-1]
     g = np.broadcast_to(np.eye(n), M.shape) + M @ M
-    return np.sqrt(symmat.det_sym(g))
+    return g, symmat.inv_sym(g), np.sqrt(symmat.det_sym(g))
+
+
+def _area_F(M: np.ndarray) -> np.ndarray:
+    n = M.shape[-1]
+    return np.sqrt(symmat.det_sym(np.broadcast_to(np.eye(n), M.shape) + M @ M))
 
 
 def _area_dF(M: np.ndarray) -> np.ndarray:
-    n = M.shape[-1]
-    g = np.broadcast_to(np.eye(n), M.shape) + M @ M
-    G = _area_F(M)[..., None, None] * (M @ symmat.inv_sym(g))
+    _, B, F = graph_metric(M)
+    G = F[..., None, None] * (M @ B)
     return 0.5 * (G + np.swapaxes(G, -1, -2))
 
 
 def _area_d2F(M: np.ndarray) -> np.ndarray:
-    """Second derivative tensor of the volume integrand.
+    """Second derivative tensor of the volume integrand, in closed form.
 
-    Through the spectral decomposition M = Q diag(lam) Q^T: in the eigenbasis
-    the form splits into a diagonal block (second partials in the eigenvalues)
-    and decoupled off-diagonal directions whose coefficients are the divided
-    differences of the first partials, which here simplify to
-    V (1 - lam_i lam_j) / ((1 + lam_i^2)(1 + lam_j^2)).
+    With B = g^-1 and A = B M (B commutes with M): dF[tau] = F tr(A tau), so
+    G = F A; dB[tau] = -B (M tau + tau M) B and M B M = I - B give
+    dG[tau] = F (tr(A tau) A + B tau B - A tau A), hence
+
+        T^{ij,kl} = F [A_ij A_kl + (B_ik B_jl + B_il B_jk) / 2
+                                 - (A_ik A_jl + A_il A_jk) / 2].
+
+    Each packed pair ((ij), (kl)) is evaluated once and written to all eight
+    slots it stands for, so T is exactly minor and major symmetric.
     """
-    M = np.asarray(M, dtype=float)
     n = M.shape[-1]
-    lam, Q = symmat.sym_eig(M)
-    one = 1.0 + lam * lam                      # (..., n)
-    V = np.sqrt(np.prod(one, axis=-1))         # (...,)
-    e = lam / one
-    # second partials in eigenvalue space
-    fij = V[..., None, None] * (e[..., :, None] * e[..., None, :])
-    diag = V[..., None] / (one * one)
-    for i in range(n):
-        fij[..., i, i] = diag[..., i]
-    theta = V[..., None, None] * (
-        (1.0 - lam[..., :, None] * lam[..., None, :])
-        / (one[..., :, None] * one[..., None, :])
-    )
-    T = np.zeros(M.shape[:-2] + (n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            T[..., i, j, i, j] += 0.5 * theta[..., i, j]
-            T[..., i, j, j, i] += 0.5 * theta[..., i, j]
-    for i in range(n):
-        for j in range(n):
-            T[..., i, i, j, j] += fij[..., i, j]
-    return np.einsum("...ai,...bj,...ck,...dl,...ijkl->...abcd", Q, Q, Q, Q, T)
+    _, B, F = graph_metric(M)
+    A = M @ B
+    T = np.empty(M.shape[:-2] + (n, n, n, n))
+    pairs = symmat.PACKED_PAIRS[n]
+    for a, (i, j) in enumerate(pairs):
+        for k, l in pairs[a:]:
+            v = F * (A[..., i, j] * A[..., k, l]
+                     + 0.5 * (B[..., i, k] * B[..., j, l] + B[..., i, l] * B[..., j, k]
+                              - A[..., i, k] * A[..., j, l] - A[..., i, l] * A[..., j, k]))
+            for p, q, r, s in ((i, j, k, l), (k, l, i, j)):
+                T[..., p, q, r, s] = T[..., q, p, r, s] = v
+                T[..., p, q, s, r] = T[..., q, p, s, r] = v
+    return T
 
 
 # ---- public evaluators

@@ -31,6 +31,7 @@ from .grids import (
     ScalarGrid,
     SymMatField,
     TestFunctionSet,
+    bounding_box,
     hessian_adjoint,
     hessian_field,
     _hessian_stencil,
@@ -268,10 +269,9 @@ def squared_laplacian_preconditioner(unknowns: np.ndarray, h: float):
     Returns a callable on full-extents node arrays; the result is zero off U.
     """
     n = unknowns.ndim
-    idx = np.nonzero(unknowns)
-    if idx[0].size == 0:
+    if not unknowns.any():
         return np.zeros_like
-    box = tuple(slice(int(i.min()), int(i.max()) + 1) for i in idx)
+    box = bounding_box(unknowns)
     mask = unknowns[box]
     lam = np.zeros(mask.shape)
     scale = 1.0

@@ -247,7 +247,9 @@ def test_criterion_7_hamstat_residuals():
     uq = grids.sample(g, lambda x, y: 0.08 * x**2 - 0.03 * x * y + 0.05 * y**2)
     tests = grids.bump_tests(g, [(0.0, 0.0)], scale=0.2)
     ra = np.abs(hamstat.hamstat_residual(uq, tests)).max()
-    pa = hamstat.phase_harmonicity_residual(uq).sup
+    Hq = grids.hessian_field(uq)
+    pa = hamstat.phase_harmonicity_residual(hamstat.lagrangian_phase(Hq),
+                                            hamstat.induced_metric(Hq)).sup
     ok_a = ra < 1e-13 and pa < 1e-10
 
     # (b) harmonic cubic: phase at round-off; the residual is identically
@@ -283,7 +285,8 @@ def test_criterion_7_hamstat_residuals():
         H = grids.hessian_field(uc)
         opn = symmat.op_norm(H.matrices()[H.valid]).max()
         assert opn <= 0.2
-        sups[nodes] = hamstat.phase_harmonicity_residual(uc).sup
+        sups[nodes] = hamstat.phase_harmonicity_residual(
+            hamstat.lagrangian_phase(H), hamstat.induced_metric(H)).sup
     rate = np.log2(sups[33] / sups[65])
     ok_c = rate >= 1.0
     print(f"  (a) roundoff {ra:.2e}/{pa:.2e}; (b) residuals {res_b}; "

@@ -293,6 +293,18 @@ def test_diagnose_nan_spacing_exits_65(tmp_path, capsys, fmt):
     assert "grid spacing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["diagnose", "campanato"])
+def test_all_nan_field_exits_65(tmp_path, capsys, command):
+    g = grids.make_grid(2, 33, 0.5)
+    fpath = tmp_path / "nan.hvgf"
+    gridio.write_binary(fpath, grids.SymMatField(
+        h=g.h, origin=g.origin, values=np.full(g.extents + (3,), np.nan)))
+    cfg = write_config(tmp_path / "d.cfg", BASE_SOLVE + DIAG_TAIL)
+    assert run([command, "--config", cfg, "--field", str(fpath),
+                "--out", str(tmp_path / "o")]) == 65
+    assert "data error" in capsys.readouterr().err
+
+
 def test_hamstat_special_lagrangian_fixture(tmp_path):
     text = """
 [model]

@@ -283,6 +283,16 @@ def test_bump_must_fit_interior():
         grids.bump_tests(g, centers=[(0.5, 0.5)], scale=0.8)
 
 
+def test_bounding_box_matches_node_extremes():
+    rng = np.random.default_rng(7)
+    mask = np.zeros((9, 11, 7), dtype=bool)
+    mask[2:6, 3:10, 1:5] = rng.random((4, 7, 4)) < 0.3
+    mask[2, 3, 1] = mask[5, 9, 4] = True
+    assert grids.bounding_box(mask) == (slice(2, 6), slice(3, 10), slice(1, 5))
+    with pytest.raises(EmptyRegionError):
+        grids.bounding_box(np.zeros((4, 4), dtype=bool))
+
+
 def test_cropped_grid_after_difference_quotient():
     g = grids.make_grid(2, 21, 1.0)
     u = grids.sample(g, lambda x, y: x**3 * y)

@@ -94,6 +94,57 @@ def test_admissibility_raises_with_index():
 
 # ------------------------------------------------------- derivative oracles
 
+def spectral_area_d2F(M):
+    """Reference second derivative of sqrt(det(I + M^2)) through M = Q diag(lam) Q^T.
+
+    In the eigenbasis the form splits into a diagonal block (second partials
+    in the eigenvalues) and decoupled off-diagonal directions whose
+    coefficients are the divided differences of the first partials,
+    V (1 - lam_i lam_j) / ((1 + lam_i^2)(1 + lam_j^2)).
+    """
+    n = M.shape[-1]
+    lam, Q = symmat.sym_eig(M)
+    one = 1.0 + lam * lam
+    V = np.sqrt(np.prod(one, axis=-1))
+    e = lam / one
+    fij = V[..., None, None] * (e[..., :, None] * e[..., None, :])
+    for i in range(n):
+        fij[..., i, i] = V / one[..., i] ** 2
+    theta = V[..., None, None] * (
+        (1.0 - lam[..., :, None] * lam[..., None, :])
+        / (one[..., :, None] * one[..., None, :])
+    )
+    T = np.zeros(M.shape[:-2] + (n, n, n, n))
+    for i in range(n):
+        for j in range(n):
+            T[..., i, i, j, j] += fij[..., i, j]
+            if i != j:
+                T[..., i, j, i, j] += 0.5 * theta[..., i, j]
+                T[..., i, j, j, i] += 0.5 * theta[..., i, j]
+    return np.einsum("...ai,...bj,...ck,...dl,...ijkl->...abcd", Q, Q, Q, Q, T)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_area_second_derivative_matches_spectral_oracle(n):
+    rng = np.random.default_rng(34)
+    Q = symmat.haar_rotations(rng, 1, n)[0]
+    lam = np.array([0.6, 0.6, -0.3])[:n]
+    M = np.concatenate([
+        random_sym(rng, 200, n, scale=1.5),
+        np.zeros((1, n, n)),
+        0.7 * np.eye(n)[None],
+        (Q * lam) @ Q.T[None],           # repeated eigenvalue in a rotated frame
+    ])
+    T = eval_d2F(area_model(n), M)
+    ref = spectral_area_d2F(M)
+    # relative to each tensor's largest entry: small entries carry the
+    # oracle's eigen-solver round-off
+    scale = np.abs(ref).max(axis=(-4, -3, -2, -1), keepdims=True)
+    assert np.all(np.abs(T - ref) <= 1e-12 * scale)
+    assert np.array_equal(T, np.swapaxes(T, -4, -3))
+    assert np.array_equal(T, np.swapaxes(T, -2, -1))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_gradient_matches_directional_fd_all_kinds(n):
     rng = np.random.default_rng(31)
