@@ -43,7 +43,6 @@ from .hamstat import (
 from .models import AdmissibilityError, ModelError
 from .reports import SCHEMA_VERSION, write_report
 from .solver import ClampedBoundaryData, SolverError, minimize_clamped
-from .symmat import EigenConvergenceError
 
 EXIT_OK = 0
 EXIT_NONCONVERGED = 2
@@ -424,7 +423,7 @@ def run(argv=None) -> int:
         return EXIT_USAGE
     except (AdmissibilityError, ModelError, GridError, EmptyRegionError,
             gridio.FormatError, diag.DiagnosticsError, SolverError,
-            EigenConvergenceError, PhaseError, OSError) as exc:
+            PhaseError, OSError) as exc:
         print(f"hessvar: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -168,8 +168,10 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"config file {path} does not exist")
     cp = configparser.ConfigParser(interpolation=None, strict=True)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cp.read_file(fh, source=str(path))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     except configparser.Error as exc:
         lineno = getattr(exc, "lineno", None)
         at = f" (line {lineno})" if lineno else ""

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import symmat
-from .grids import ScalarGrid, SymMatField, sample
+from .grids import SymMatField
 
 
 def _zero(*X):
@@ -53,10 +53,6 @@ def potential(name: str, amplitude: float = 1.0):
         return amplitude * fn(*X)
 
     return scaled
-
-
-def sample_potential(grid: ScalarGrid, name: str, amplitude: float = 1.0) -> ScalarGrid:
-    return sample(grid, potential(name, amplitude))
 
 
 def hyperplane_jump_field(grid_like, matrix, axis: int = 0,

@@ -25,12 +25,13 @@ not stored and defaults to 2 on load.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
 from . import symmat
-from .grids import ScalarGrid, SymMatField
+from .grids import GridError, ScalarGrid, SymMatField
 
 MAGIC = b"HVGF"
 
@@ -43,14 +44,28 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _check_spacing(path, h: float) -> None:
-    if not (np.isfinite(h) and h > 0):
+def _check_spacing(path, h: float, dim: int) -> None:
+    """Require a finite positive h whose cell volume h**dim is a finite nonzero float."""
+    try:
+        ok = math.isfinite(h) and h > 0 and 0.0 < h**dim < math.inf
+    except OverflowError:
+        ok = False
+    if not ok:
         raise FormatError(
-            f"{path}: grid spacing must be finite and positive, got {h!r}")
+            f"{path}: grid spacing must be finite and positive with a finite, "
+            f"nonzero cell volume h**{dim}, got {h!r}")
 
 
 def _origin_centered(extents, h: float) -> np.ndarray:
     return np.array([-0.5 * (N - 1) * h for N in extents])
+
+
+def _build(path, cls, **fields):
+    """Construct a grid object; a file describing an invalid grid is malformed."""
+    try:
+        return cls(**fields)
+    except GridError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- CSV
@@ -91,8 +106,11 @@ def write_csv(path, obj, boundary_width: int | None = None) -> None:
 
 def read_csv(path):
     """Read a CSV grid file; returns ScalarGrid or SymMatField."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     if len(lines) < 4 or lines[0] != "dim,n_axes,h,boundary_width":
         raise FormatError(f"{path}: missing grid CSV header")
     try:
@@ -100,10 +118,14 @@ def read_csv(path):
         dim, n_axes, h, bw = int(dim_s), int(n_s), float(h_s), int(bw_s)
     except ValueError as exc:
         raise FormatError(f"{path}: bad metadata row: {lines[1]!r}") from exc
-    _check_spacing(path, h)
+    if dim not in (2, 3) or n_axes < 1:
+        raise FormatError(f"{path}: unsupported dim {dim} or n_axes {n_axes}")
+    _check_spacing(path, h, dim)
     ncomp = len(lines[2].split(",")) - dim
+    if ncomp not in (1, symmat.packed_size(dim)):
+        raise FormatError(f"{path}: {ncomp} value columns do not match dim {dim}")
     extents = (n_axes,) * dim
-    expected = int(np.prod(extents))
+    expected = math.prod(extents)
     rows = lines[3:]
     if len(rows) != expected:
         raise FormatError(f"{path}: expected {expected} node rows, got {len(rows)}")
@@ -112,15 +134,17 @@ def read_csv(path):
         parts = row.split(",")
         if len(parts) != dim + ncomp:
             raise FormatError(f"{path}: bad node row {node}: {row!r}")
-        data[node] = [float(v) for v in parts[dim:]]
+        try:
+            data[node] = [float(v) for v in parts[dim:]]
+        except ValueError as exc:
+            raise FormatError(f"{path}: bad value in node row {node}: {row!r}") from exc
     data = data.reshape(extents + (ncomp,))
     origin = _origin_centered(extents, h)
     if ncomp == 1:
-        return ScalarGrid(h=h, origin=origin, values=data[..., 0], boundary_width=bw)
-    if ncomp == symmat.packed_size(dim):
-        valid = np.isfinite(data).all(axis=-1)
-        return SymMatField(h=h, origin=origin, values=data, valid=valid)
-    raise FormatError(f"{path}: {ncomp} value columns do not match dim {dim}")
+        return _build(path, ScalarGrid, h=h, origin=origin, values=data[..., 0],
+                      boundary_width=bw)
+    return _build(path, SymMatField, h=h, origin=origin, values=data,
+                  valid=np.isfinite(data).all(axis=-1))
 
 
 # ---------------------------------------------------------------- binary
@@ -162,20 +186,20 @@ def read_binary(path, boundary_width: int = 2):
         (h,) = struct.unpack_from("<d", raw, off)
     except struct.error as exc:
         raise FormatError(f"{path}: truncated header ({len(raw)} bytes)") from exc
-    _check_spacing(path, h)
+    _check_spacing(path, h, dim)
     off += 8
-    nodes = int(np.prod(extents))
+    nodes = math.prod(extents)
     body = raw[off:]
     origin = _origin_centered(extents, h)
     if len(body) == 8 * nodes:
         values = np.frombuffer(body, dtype="<f8").reshape(extents)
-        return ScalarGrid(h=h, origin=origin, values=values.copy(),
-                          boundary_width=boundary_width)
+        return _build(path, ScalarGrid, h=h, origin=origin, values=values.copy(),
+                      boundary_width=boundary_width)
     m = symmat.packed_size(dim)
     if len(body) == 8 * nodes * m:
         values = np.frombuffer(body, dtype="<f8").reshape(extents + (m,)).copy()
-        valid = np.isfinite(values).all(axis=-1)
-        return SymMatField(h=h, origin=origin, values=values, valid=valid)
+        return _build(path, SymMatField, h=h, origin=origin, values=values,
+                      valid=np.isfinite(values).all(axis=-1))
     if len(body) == nodes:
         mask = np.frombuffer(body, dtype=np.uint8).reshape(extents).copy()
         return mask, h

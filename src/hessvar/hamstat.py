@@ -12,8 +12,7 @@ fourth-order equation
 which this module evaluates both as a double-divergence residual and through
 the area-model energy gradient (the two agree identically).  The geometric
 counterpart, vanishing of the Laplace-Beltrami operator applied to the
-phase, is measured by a conservative flux discretization with a
-non-divergence expansion kept as a cross-check.
+phase, is measured by a conservative flux discretization.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from .grids import (
     ScalarGrid,
     SymMatField,
     TestFunctionSet,
-    hessian_field,
     inner_box_nodes,
     shifted,
 )
@@ -105,8 +103,9 @@ class PhaseField:
 def lagrangian_phase(field: SymMatField) -> PhaseField:
     """Theta = sum_i arctan(lambda_i) over the per-node Hessian eigenvalues.
 
-    Eigenvalues come from the closed form (n = 2) or cyclic Jacobi (n = 3);
-    |Theta| < n pi / 2 strictly for finite fields.
+    Eigenvalues come from :func:`hessvar.symmat.sym_eigvals`, closed forms
+    with no iteration for n = 2 and n = 3, within a few ulps of the largest
+    eigenvalue; |Theta| < n pi / 2 strictly for finite fields.
     """
     n = field.dim
     lam = np.zeros(field.extents + (n,))
@@ -192,49 +191,6 @@ def laplace_beltrami(scalar: np.ndarray, metric: MetricField):
             valid &= shifted(metric.valid, d, False)
     out[~valid] = np.nan
     return out, valid
-
-
-def laplace_beltrami_expanded(scalar: np.ndarray, u: ScalarGrid):
-    """Non-divergence expansion g^{ij} d_ij - g^{jp} Theta_q u_{pq} d_j.
-
-    Secondary evaluator for cross-validating the conservative form; uses
-    central differences for the phase gradient and the scalar derivatives.
-    """
-    phi = np.asarray(scalar, dtype=float)
-    H = hessian_field(u)
-    metric = induced_metric(H)
-    phase = lagrangian_phase(H)
-    n = u.dim
-    h = u.h
-    ginv = symmat.unpack(metric.g_inv, n)
-    Hu = H.matrices()
-    Hphi = hessian_field(u.with_values(phi)).matrices()
-    term1 = np.einsum("...ij,...ij->...", ginv, Hphi)
-    dtheta = np.stack([
-        (shifted(phase.theta, _unit(n, q), np.nan)
-         - shifted(phase.theta, _unit(n, q, -1), np.nan)) / (2 * h)
-        for q in range(n)
-    ], axis=-1)
-    dphi = np.stack([
-        (shifted(phi, _unit(n, j), np.nan)
-         - shifted(phi, _unit(n, j, -1), np.nan)) / (2 * h)
-        for j in range(n)
-    ], axis=-1)
-    drift = np.einsum("...jp,...q,...pq->...j", ginv, dtheta, Hu)
-    out = term1 - np.einsum("...j,...j->...", drift, dphi)
-    valid = np.array(H.valid)
-    for off in np.ndindex(*(3,) * n):
-        d = tuple(int(v) - 1 for v in off)
-        if any(d):
-            valid &= shifted(H.valid, d, False)
-    out[~valid] = np.nan
-    return out, valid
-
-
-def _unit(n: int, axis: int, sign: int = 1):
-    e = [0] * n
-    e[axis] = sign
-    return tuple(e)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,17 @@ row-major: (0,0), (0,1), (1,1) for n = 2 and (0,0), (0,1), (0,2), (1,1),
 Hilbert-Schmidt contractions of packed data need the duplication weights from
 :func:`duplication_weights`.
 
-All routines are batched: leading axes are broadcast untouched.  Eigenvalue
-decompositions are done in closed form for n = 2 and by cyclic Jacobi sweeps
-for n = 3, so the module has no LAPACK dependency and stays bit-reproducible
-across BLAS builds.
+All routines are batched: leading axes are broadcast untouched.  Eigenvalues
+(no eigenvectors) come in closed form with no iteration: ``mid -+ rad`` for
+n = 2, and for n = 3 the trigonometric root of the characteristic cubic
+(Smith, CACM 4(4):168, 1961) for the isolated extreme eigenvalue, followed by
+the 2x2 closed form on its orthogonal complement (the deflation of Kopp,
+IJMPC 19:523, 2008).  Every matrix is first scaled by its largest absolute
+entry, so the 3x3 eigenvalues agree with LAPACK to a few ulps of the largest
+eigenvalue -- for repeated and nearly repeated eigenvalues too -- and entry
+scales from 1e-300 to 1e300 neither underflow nor overflow.  The kernels are
+elementwise numpy arithmetic (no LAPACK, BLAS or ``einsum``), so results are
+bit-reproducible across BLAS builds.
 """
 
 from __future__ import annotations
@@ -22,13 +29,6 @@ PACKED_PAIRS = {
     2: ((0, 0), (0, 1), (1, 1)),
     3: ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)),
 }
-
-JACOBI_MAX_SWEEPS = 30
-
-
-class EigenConvergenceError(RuntimeError):
-    """Cyclic Jacobi failed to reduce the off-diagonal within the sweep cap."""
-
 
 def packed_size(n: int) -> int:
     return n * (n + 1) // 2
@@ -132,96 +132,66 @@ def inv_sym(M: np.ndarray) -> np.ndarray:
     return out / det[..., None, None]
 
 
-def _eig_2x2(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eigvals_2x2(M: np.ndarray) -> np.ndarray:
     a = M[..., 0, 0]
     b = M[..., 0, 1]
     c = M[..., 1, 1]
     mid = 0.5 * (a + c)
     rad = np.sqrt(0.25 * (a - c) ** 2 + b * b)
-    w = np.stack([mid - rad, mid + rad], axis=-1)
-    # rotation angle diagonalizing [[a, b], [b, c]]
-    theta = 0.5 * np.arctan2(2.0 * b, a - c)
-    cs, sn = np.cos(theta), np.sin(theta)
-    V = np.empty(M.shape, dtype=M.dtype)
-    # columns are eigenvectors; theta rotates onto the (larger, smaller) pair
-    V[..., 0, 0] = -sn
-    V[..., 1, 0] = cs
-    V[..., 0, 1] = cs
-    V[..., 1, 1] = sn
-    return w, V
+    return np.stack([mid - rad, mid + rad], axis=-1)
 
 
-def _eig_3x3_jacobi(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    A = np.array(M, dtype=float, copy=True)
-    V = np.broadcast_to(np.eye(3), A.shape).copy()
-    scale = np.maximum(hs_norm(A), np.finfo(float).tiny)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = np.sqrt(
-            2.0 * (A[..., 0, 1] ** 2 + A[..., 0, 2] ** 2 + A[..., 1, 2] ** 2)
-        )
-        if np.all(off <= 1e-15 * scale):
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = A[..., p, q]
-            active = np.abs(apq) > 1e-18 * scale
-            if not active.any():
-                continue
-            app, aqq = A[..., p, p], A[..., q, q]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                tau = (aqq - app) / (2.0 * apq)
-            t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            t = np.where(tau == 0.0, 1.0, t)
-            t = np.where(active, t, 0.0)
-            cs = 1.0 / np.sqrt(1.0 + t * t)
-            sn = t * cs
-            # two-sided rotation in the (p, q) plane
-            rot = np.broadcast_to(np.eye(3), A.shape).copy()
-            rot[..., p, p] = cs
-            rot[..., q, q] = cs
-            rot[..., p, q] = sn
-            rot[..., q, p] = -sn
-            A = np.swapaxes(rot, -1, -2) @ A @ rot
-            V = V @ rot
-            # kill round-off leakage at the annihilated slot
-            A[..., p, q] = np.where(active, 0.0, A[..., p, q])
-            A[..., q, p] = A[..., p, q]
-    else:
-        off = np.sqrt(
-            2.0 * (A[..., 0, 1] ** 2 + A[..., 0, 2] ** 2 + A[..., 1, 2] ** 2)
-        )
-        if np.any(off > 1e-12 * scale):
-            raise EigenConvergenceError(
-                f"Jacobi sweeps exhausted ({JACOBI_MAX_SWEEPS}) with "
-                f"max relative off-diagonal {(off / scale).max():g}"
-            )
-    w = np.stack([A[..., 0, 0], A[..., 1, 1], A[..., 2, 2]], axis=-1)
-    order = np.argsort(w, axis=-1)
-    w = np.take_along_axis(w, order, axis=-1)
-    V = np.take_along_axis(V, order[..., None, :].repeat(3, axis=-2), axis=-1)
-    return w, V
+def _eigvals_3x3(M: np.ndarray) -> np.ndarray:
+    """Trigonometric root of the isolated eigenvalue, then 2x2 deflation.
 
-
-def sym_eig(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of symmetric matrices.
-
-    Returns ``(w, V)`` with ``M = V @ diag(w) @ V.T`` column-wise.  Closed
-    form for n = 2, cyclic Jacobi (sweep cap ``JACOBI_MAX_SWEEPS``) for n = 3.
+    With ``A = M / max|M_ij|``, ``q = tr A / 3`` and ``B = (A - q I) / p``
+    scaled to ``tr B^2 = 6``, the roots of B are ``2 cos(phi + 2 pi k / 3)``
+    with ``cos 3 phi = det(B) / 2``.  The extreme root on the side of
+    ``det B`` (``beta``, sign of det B times ``2 cos(arccos|det B / 2| / 3)``)
+    lies at least sqrt(3) from the other two, so it is well conditioned
+    even where those two coincide.  Its spectral projector is
+    ``adj(B - beta I) / tr adj(B - beta I)`` (rank one, trace at least 3 in
+    magnitude), and the other two roots are ``mid -+ rad`` of B restricted
+    to the orthogonal complement: ``mid = (tr B - beta) / 2`` and
+    ``2 rad^2 = |B - mid I - (beta - mid) P|_F^2``.
     """
-    M = np.asarray(M, dtype=float)
-    n = M.shape[-1]
-    if n == 2:
-        w, V = _eig_2x2(M)
-        order = np.argsort(w, axis=-1)
-        w = np.take_along_axis(w, order, axis=-1)
-        V = np.take_along_axis(V, order[..., None, :].repeat(2, axis=-2), axis=-1)
-        return w, V
-    if n == 3:
-        return _eig_3x3_jacobi(M)
-    raise ValueError(f"dimension {n} not supported")
+    scale = np.abs(M).max(axis=(-2, -1))
+    # an infinite entry gives NaN eigenvalues, like a NaN entry
+    with np.errstate(invalid="ignore"):
+        A = M / np.where(scale > 0.0, scale, 1.0)[..., None, None]
+    q = (A[..., 0, 0] + A[..., 1, 1] + A[..., 2, 2]) / 3.0
+    b00, b11, b22 = A[..., 0, 0] - q, A[..., 1, 1] - q, A[..., 2, 2] - q
+    b01, b02, b12 = A[..., 0, 1], A[..., 0, 2], A[..., 1, 2]
+    p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22
+                 + 2.0 * (b01 * b01 + b02 * b02 + b12 * b12)) / 6.0)
+    s = 1.0 / np.where(p > 0.0, p, 1.0)   # p = 0: A = qI, any B will do
+    b00, b11, b22, b01, b02, b12 = (v * s for v in (b00, b11, b22, b01, b02, b12))
+    half_det = 0.5 * (b00 * (b11 * b22 - b12 * b12) - b01 * (b01 * b22 - b12 * b02)
+                      + b02 * (b01 * b12 - b11 * b02))
+    beta = np.copysign(
+        2.0 * np.cos(np.arccos(np.minimum(np.abs(half_det), 1.0)) / 3.0), half_det)
+    c00, c11, c22 = b00 - beta, b11 - beta, b22 - beta
+    adj = (c11 * c22 - b12 * b12, c00 * c22 - b02 * b02, c00 * c11 - b01 * b01,
+           b02 * b12 - b01 * c22, b01 * b12 - b02 * c11, b01 * b02 - c00 * b12)
+    mid = 0.5 * (b00 + b11 + b22 - beta)
+    w = (beta - mid) / (adj[0] + adj[1] + adj[2])
+    d00, d11, d22 = b00 - mid - w * adj[0], b11 - mid - w * adj[1], b22 - mid - w * adj[2]
+    d01, d02, d12 = b01 - w * adj[3], b02 - w * adj[4], b12 - w * adj[5]
+    rad = np.sqrt(0.5 * (d00 * d00 + d11 * d11 + d22 * d22)
+                  + d01 * d01 + d02 * d02 + d12 * d12)
+    mu = np.stack([mid - rad, mid + rad, beta], axis=-1)
+    return np.sort((q * scale)[..., None] + (p * scale)[..., None] * mu, axis=-1)
 
 
 def sym_eigvals(M: np.ndarray) -> np.ndarray:
-    return sym_eig(M)[0]
+    """Ascending eigenvalues of symmetric 2x2 / 3x3 matrices, in closed form."""
+    M = np.asarray(M, dtype=float)
+    n = M.shape[-1]
+    if n == 2:
+        return _eigvals_2x2(M)
+    if n == 3:
+        return _eigvals_3x3(M)
+    raise ValueError(f"dimension {n} not supported")
 
 
 def op_norm(M: np.ndarray) -> np.ndarray:

@@ -294,6 +294,32 @@ def test_diagnose_nan_spacing_exits_65(tmp_path, capsys, fmt):
 
 
 @pytest.mark.parametrize("command", ["diagnose", "campanato"])
+def test_huge_spacing_exits_65(tmp_path, capsys, command):
+    # finite and positive, but the cell volume h**2 overflows a float
+    g = grids.make_grid(2, 33, 0.5)
+    fpath = tmp_path / "huge.hvgf"
+    gridio.write_binary(fpath, grids.SymMatField(
+        h=1e160, origin=g.origin, values=np.zeros(g.extents + (3,))))
+    cfg = write_config(tmp_path / "d.cfg", BASE_SOLVE + DIAG_TAIL)
+    assert run([command, "--config", cfg, "--field", str(fpath),
+                "--out", str(tmp_path / "o")]) == 65
+    assert "grid spacing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("broken, code", [("config", 64), ("field", 65)])
+def test_non_utf8_text_input_exits_documented_code(tmp_path, capsys, broken, code):
+    g = grids.make_grid(2, 33, 0.5)
+    fpath = tmp_path / "f.csv"
+    gridio.write_csv(fpath, grids.hessian_field(grids.sample(g, lambda x, y: x**2)))
+    cfg = write_config(tmp_path / "d.cfg", BASE_SOLVE + DIAG_TAIL)
+    target = {"config": tmp_path / "d.cfg", "field": fpath}[broken]
+    target.write_bytes(b"\xff\xfe" + target.read_bytes())
+    assert run(["diagnose", "--config", cfg, "--field", str(fpath),
+                "--out", str(tmp_path / "o")]) == code
+    assert "not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["diagnose", "campanato"])
 def test_all_nan_field_exits_65(tmp_path, capsys, command):
     g = grids.make_grid(2, 33, 0.5)
     fpath = tmp_path / "nan.hvgf"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,27 @@ def test_hessian_storage_is_symmetric():
     H = grids.hessian_field(u)
     M = H.matrices()[H.valid]
     assert np.array_equal(M, np.swapaxes(M, -1, -2))
+
+
+@pytest.mark.parametrize("dim, nodes", [(2, 17), (3, 11)])
+def test_hessian_adjoint_identity_on_masked_region_with_holes(dim, nodes):
+    # <S u, G> = <u, S^T G> with off-diagonal slots counted twice; u is NaN
+    # in the holes and G is nonzero off the mask, so neither may leak in
+    rng = np.random.default_rng(12 + dim)
+    g = grids.make_grid(dim, nodes, 1.0)
+    valid = rng.random(g.extents) > 0.02
+    valid[(slice(2, 5),) * dim] = False
+    u = replace(g.with_values(np.where(valid, rng.standard_normal(g.extents), np.nan)),
+                valid=valid)
+    H = grids.hessian_field(u)
+    mask = H.valid
+    assert 0 < mask.sum() < (nodes - 2) ** dim
+    G = rng.standard_normal(H.values.shape)
+    adj = grids.hessian_adjoint(G, mask, g.h)
+    assert np.all(adj[~valid] == 0.0)
+    lhs = np.sum(symmat.duplication_weights(dim) * H.values[mask] * G[mask])
+    rhs = np.vdot(u.values[valid], adj[valid])
+    assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_hessian_second_order_convergence_on_sine():

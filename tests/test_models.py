@@ -103,7 +103,7 @@ def spectral_area_d2F(M):
     V (1 - lam_i lam_j) / ((1 + lam_i^2)(1 + lam_j^2)).
     """
     n = M.shape[-1]
-    lam, Q = symmat.sym_eig(M)
+    lam, Q = np.linalg.eigh(M)
     one = 1.0 + lam * lam
     V = np.sqrt(np.prod(one, axis=-1))
     e = lam / one

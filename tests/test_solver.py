@@ -270,6 +270,49 @@ def test_newton_operator_matches_independent_tensor_chain():
             assert diag[y] == op.matvec(e)[y]
 
 
+def _area_newton_point_3d():
+    """A non-trivial admissible 3D area iterate and its assembled Newton operator."""
+    g = grids.make_grid(3, 11, 0.5)
+    f = lambda x, y, z: 0.3 * (x**3 * y + x * y**3) + 0.2 * np.sin(2 * z) * x
+    u = ClampedBoundaryData.from_potential(g, f).apply(grids.sample(g, f))
+    model = models.area_model(3, rho_U=0.9)
+    H = grids.hessian_field(u)
+    M = H.matrices()[H.valid]
+    assert 0.05 < symmat.op_norm(M).max() < 0.9
+    unknowns = u.interior & u.valid
+    op = solver.NewtonOperator(models.eval_d2F(model, M), H.valid, unknowns, u.h)
+    return u, model, unknowns, op
+
+
+def test_newton_operator_symmetric_for_3d_area_model():
+    u, _, unknowns, op = _area_newton_point_3d()
+    rng = np.random.default_rng(59)
+    for _ in range(3):
+        v, w = (np.where(unknowns, rng.standard_normal(u.extents), 0.0) for _ in "vw")
+        Av, Aw = op.matvec(v), op.matvec(w)
+        assert np.vdot(Av, w) == pytest.approx(np.vdot(v, Aw), rel=1e-12)
+        assert np.vdot(Av, v) > 0.0
+
+
+def test_newton_operator_matches_gradient_finite_differences():
+    # A v against the Richardson-extrapolated central difference of the
+    # energy gradient along v
+    u, model, unknowns, op = _area_newton_point_3d()
+    rng = np.random.default_rng(60)
+
+    def grad_along(v, eps):
+        plus = solver.energy_gradient(u.with_values(u.values + eps * v), model)
+        minus = solver.energy_gradient(u.with_values(u.values - eps * v), model)
+        return (plus - minus) / (2 * eps)
+
+    for _ in range(3):
+        v = np.where(unknowns, rng.standard_normal(u.extents), 0.0)
+        eps = 1e-3 * u.h**2 / np.abs(v).max()   # moves D^2 u by about 1e-3
+        fd = (4 * grad_along(v, eps / 2) - grad_along(v, eps)) / 3
+        Av = op.matvec(v)
+        assert np.abs(Av - fd).max() <= 1e-9 * np.abs(Av).max()
+
+
 def test_solve_report_records_admissibility_margins():
     g = grids.make_grid(2, 21, 0.5)
     f = lambda x, y: 0.15 * np.sin(2 * x) * y

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hessvar import symmat
+from hessvar import models, symmat
 
 
 def random_sym(rng, count, n, scale=1.0):
@@ -34,22 +34,52 @@ def test_eigenvalues_match_lapack(n):
     np.testing.assert_allclose(w, w_ref, atol=1e-12 * 3.0)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_eigendecomposition_reconstructs(n):
-    rng = np.random.default_rng(3)
-    M = random_sym(rng, 100, n)
-    w, V = symmat.sym_eig(M)
-    R = np.einsum("bij,bj,bkj->bik", V, w, V)
-    np.testing.assert_allclose(R, M, atol=1e-13)
-    I = np.einsum("bij,bkj->bik", V, V)
-    np.testing.assert_allclose(I, np.broadcast_to(np.eye(n), I.shape), atol=1e-13)
-
-
 def test_eigen_handles_repeated_eigenvalues():
     M = np.array([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, -1.0]])
-    w, V = symmat.sym_eig(M)
-    np.testing.assert_allclose(w, [-1.0, 2.0, 2.0], atol=1e-14)
-    np.testing.assert_allclose(V @ np.diag(w) @ V.T, M, atol=1e-13)
+    np.testing.assert_allclose(symmat.sym_eigvals(M), [-1.0, 2.0, 2.0], atol=1e-14)
+    Q = symmat.haar_rotations(np.random.default_rng(3), 1, 3)[0]
+    np.testing.assert_allclose(symmat.sym_eigvals(Q @ M @ Q.T), [-1.0, 2.0, 2.0],
+                               atol=1e-14)
+
+
+def _rotated(rng, lam):
+    Q = symmat.haar_rotations(rng, len(lam), 3)
+    return np.einsum("bij,bj,bkj->bik", Q, lam, Q)
+
+
+def test_eigvals_3x3_match_lapack_on_hard_spectra():
+    # no RuntimeWarning either: the suite's filterwarnings makes one an error
+    rng = np.random.default_rng(8)
+    lo, hi = np.sort(rng.uniform(-1.0, 1.0, (2, 300)), axis=0)
+    spectra = {
+        "random": rng.uniform(-1.0, 1.0, (300, 3)),
+        "doubled top": np.stack([lo, hi, hi], axis=-1),
+        "doubled bottom": np.stack([lo, lo, hi], axis=-1),
+        "doubled extreme": np.tile([-0.89, -0.89, 0.1], (300, 1)),
+        "tripled": np.stack([lo, lo, lo], axis=-1),
+        "gap 1e-7": np.stack([lo, lo + 1e-7, hi], axis=-1),
+        "gap 1e-9": np.stack([lo, hi, hi + 1e-9], axis=-1),
+    }
+    cases = {k: _rotated(rng, lam) for k, lam in spectra.items()}
+    cases["diagonal"] = rng.uniform(-1.0, 1.0, (300, 3))[..., None] * np.eye(3)
+    cases["zero"] = np.zeros((4, 3, 3))
+    cases["unbatched"] = cases["doubled top"][0]
+    cases["scale 1e-300"] = 1e-300 * cases["random"]
+    cases["scale 1e150"] = 1e150 * cases["doubled bottom"]
+    for name, M in cases.items():
+        w = symmat.sym_eigvals(M)
+        ref = np.linalg.eigvalsh(M)
+        assert w.shape == ref.shape, name
+        err = np.abs(w - ref).max(axis=-1)
+        assert np.all(err <= 1e-14 * np.abs(ref).max(axis=-1)), (name, err.max())
+
+
+def test_nonfinite_matrix_is_not_admissible():
+    model = models.area_model(3, rho_U=0.9)
+    M = np.stack([0.1 * np.eye(3)] * 3)
+    M[1, 0, 2] = M[1, 2, 0] = np.nan
+    M[2, 1, 1] = np.inf
+    assert models.admissible(model, M).tolist() == [True, False, False]
 
 
 @pytest.mark.parametrize("n", [2, 3])
