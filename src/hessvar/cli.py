@@ -379,11 +379,13 @@ def cmd_report_merge(inputs, out: str) -> int:
         name = os.path.splitext(os.path.basename(path))[0]
         if name in merged:
             raise GridError(f"duplicate report name {name!r} in merge")
-        with open(path) as fh:
-            try:
+        try:
+            with open(path, encoding="utf-8") as fh:
                 merged[name] = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise GridError(f"{path} is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise GridError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise GridError(f"{path} is not valid JSON: {exc}") from exc
     parent = os.path.dirname(os.path.abspath(out))
     os.makedirs(parent, exist_ok=True)
     write_report(out, {"schema": SCHEMA_VERSION, "command": "report-merge",

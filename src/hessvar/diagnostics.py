@@ -30,7 +30,6 @@ from .grids import (
     ball_fits,
     ball_window,
     inner_box_nodes,
-    shifted,
 )
 
 
@@ -365,23 +364,48 @@ def _ball_offsets(radius: float, h: float, dim: int) -> list:
 
 
 def _oscillation_density(f: SymMatField, radius: float, p0: float):
-    """Per-node r^{-n} integral of |f - (f)_{B_r}|^{p0}; NaN where incomputable."""
+    """Per-node r^{-n} integral of |f - (f)_{B_r}|^{p0}; NaN where incomputable.
+
+    A node is computable when every ball offset lands on a valid node, so
+    the computable nodes lie in the inner box ``[reach, N - reach)`` of each
+    axis (``reach`` the largest offset along it); both passes run on offset
+    views of that box, which is empty on an axis with fewer than
+    ``2 reach + 1`` nodes.  Sums run over the offsets in
+    :func:`_ball_offsets` order and over the packed components in storage
+    order, as ``symmat.hs_norm_packed`` adds them.
+    """
     offs = _ball_offsets(radius, f.h, f.dim)
-    count = np.zeros(f.extents)
-    total = np.zeros(f.extents + (f.values.shape[-1],))
+    reach = np.abs(np.array(offs)).max(axis=0)
+    inner = tuple(max(0, s - 2 * r) for s, r in zip(f.extents, reach))
+
+    def view(off):
+        return tuple(slice(r + o, r + o + k) for r, o, k in zip(reach, off, inner))
+
+    # component-major values, zero off the valid nodes
+    vals = np.moveaxis(np.where(f.valid[..., None], f.values, 0.0), -1, 0).copy()
+    ok = np.ones(inner, dtype=bool)
+    total = np.zeros(vals.shape[:1] + inner)
     for off in offs:
-        ok = shifted(f.valid, off, False)
-        count += ok
-        total += np.where(ok[..., None], shifted(f.values, off + (0,), 0.0), 0.0)
-    computable = count == len(offs)
-    avg = np.where(computable[..., None], total / np.maximum(count, 1.0)[..., None], 0.0)
-    acc = np.zeros(f.extents)
+        sl = view(off)
+        ok &= f.valid[sl]
+        total += vals[(slice(None),) + sl]
+    avg = np.where(ok, total / len(offs), 0.0)
+    w = symmat.duplication_weights(f.dim).reshape((-1,) + (1,) * f.dim)
+    dev, term = np.empty(total.shape), np.empty(total.shape)
+    acc, norm = np.zeros(inner), np.empty(inner)
     for off in offs:
-        dev = shifted(f.values, off + (0,), np.nan) - avg
-        normp = symmat.hs_norm_packed(np.where(computable[..., None], dev, 0.0), f.dim)
-        acc += normp**p0
-    dens = f.h**f.dim * acc / radius**f.dim
-    dens[~computable] = np.nan
+        np.subtract(vals[(slice(None),) + view(off)], avg, out=dev)
+        np.multiply(w, dev, out=term)
+        term *= dev
+        np.add.reduce(term, axis=0, out=norm)
+        np.sqrt(norm, out=norm)
+        norm **= p0
+        acc += norm
+    core = view((0,) * f.dim)
+    computable = np.zeros(f.extents, dtype=bool)
+    computable[core] = ok
+    dens = np.full(f.extents, np.nan)
+    dens[core] = np.where(ok, f.h**f.dim * acc / radius**f.dim, np.nan)
     return dens, computable
 
 

@@ -53,15 +53,30 @@ def bounding_box(mask: np.ndarray) -> tuple:
     return tuple(box)
 
 
+def offset_slices(off, shape):
+    """Slice pair ``(src, dst)`` of the lattice offset ``off`` on an array of ``shape``.
+
+    ``a[src]`` holds the values at ``x + off`` for the nodes ``x`` in
+    ``a[dst]``: the nodes whose shifted position stays on the grid.  Offsets
+    are clamped to the extents, so ``|off| >= extent`` on some axis gives empty
+    slices.  Axes of ``shape`` past ``len(off)`` are left whole.
+    """
+    src, dst = [], []
+    for o, s in zip(off, shape):
+        o = max(-s, min(s, o))
+        src.append(slice(max(0, o), s + min(0, o)))
+        dst.append(slice(max(0, -o), s + min(0, -o)))
+    return tuple(src), tuple(dst)
+
+
 def shifted(a: np.ndarray, off, fill) -> np.ndarray:
-    """Array with ``out[x] = a[x + off]``, `fill` where x + off leaves the grid."""
+    """Full-size copy with ``out[x] = a[x + off]``, `fill` where x + off leaves the grid.
+
+    Accumulations over many offsets index :func:`offset_slices` views
+    instead; this copy serves the callers that need the filled array.
+    """
     out = np.full(a.shape, fill, dtype=a.dtype)
-    src = tuple(
-        slice(max(0, o), s + min(0, o)) for o, s in zip(off, a.shape)
-    )
-    dst = tuple(
-        slice(max(0, -o), s + min(0, -o)) for o, s in zip(off, a.shape)
-    )
+    src, dst = offset_slices(off, a.shape)
     out[dst] = a[src]
     return out
 
@@ -340,13 +355,17 @@ def hessian_field(u: ScalarGrid) -> SymMatField:
     stencils = _hessian_stencil(n, u.h)
     m = symmat.packed_size(n)
     out = np.empty(u.extents + (m,))
-    valid = np.array(u.valid, copy=True)
+    # every stencil offset has |off_i| <= 1 and the diagonal stencils reach
+    # both neighbours on every axis, so the outer ring is never valid
+    ring_free = (slice(1, -1),) * n
+    valid = np.zeros(u.extents, dtype=bool)
+    valid[ring_free] = u.valid[ring_free]
     for a, st in enumerate(stencils):
         acc = np.zeros(u.extents)
         for off, w in st:
-            acc += w * shifted(u.values, off, np.nan)
-            if any(off):
-                valid &= shifted(u.valid, off, False)
+            src, dst = offset_slices(off, u.extents)
+            acc[dst] += w * u.values[src]
+            valid[dst] &= u.valid[src]
         out[..., a] = acc
     out[~valid] = np.nan
     return SymMatField(h=u.h, origin=u.origin, values=out, valid=valid)
@@ -368,7 +387,8 @@ def hessian_adjoint(G: np.ndarray, mask: np.ndarray, h: float) -> np.ndarray:
     for a, st in enumerate(stencils):
         comp = np.where(mask, G[..., a], 0.0)
         for off, w in st:
-            out += (dup[a] * w) * shifted(comp, off, 0.0)
+            src, dst = offset_slices(off, out.shape)
+            out[dst] += (dup[a] * w) * comp[src]
     return out
 
 

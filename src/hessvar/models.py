@@ -534,8 +534,11 @@ def load_table_model(path, n: int, rho_U: float | None = None,
     multilinear interpolation; derivatives fall back to finite differences,
     so their fidelity is limited by the table resolution.
     """
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ModelError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     if len(lines) < 3 or lines[0] != "packed_dim,m,lo,hi,count":
         raise ModelError(f"{path}: missing integrand table header")
     try:
@@ -546,17 +549,27 @@ def load_table_model(path, n: int, rho_U: float | None = None,
         raise ModelError(f"{path}: bad table metadata {lines[1]!r}") from exc
     if dim != n or m != symmat.packed_size(n):
         raise ModelError(f"{path}: table is for dimension {dim}, requested {n}")
-    if count < 2 or hi <= lo:
+    if count < 2 or not (hi > lo and np.isfinite(hi - lo)):
         raise ModelError(f"{path}: degenerate lattice ({count} points in [{lo},{hi}])")
     if lines[2] != "flat_index,value":
         raise ModelError(f"{path}: expected 'flat_index,value' column header")
     rows = lines[3:]
     if len(rows) != count**m:
         raise ModelError(f"{path}: expected {count**m} rows, got {len(rows)}")
-    table = np.empty(count**m)
+    table = np.full(count**m, np.nan)     # NaN marks an entry not yet read
     for row in rows:
-        idx_s, val_s = row.split(",")
-        table[int(idx_s)] = float(val_s)
+        try:
+            idx_s, val_s = row.split(",")
+            idx, val = int(idx_s), float(val_s)
+        except ValueError as exc:
+            raise ModelError(f"{path}: bad table row {row!r}") from exc
+        if not 0 <= idx < table.size:
+            raise ModelError(f"{path}: flat_index {idx} outside [0, {table.size})")
+        if not np.isnan(table[idx]):
+            raise ModelError(f"{path}: flat_index {idx} appears twice")
+        if not np.isfinite(val):
+            raise ModelError(f"{path}: non-finite value in row {row!r}")
+        table[idx] = val
     table = table.reshape((count,) * m)
     step = (hi - lo) / (count - 1)
 

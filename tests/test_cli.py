@@ -111,6 +111,26 @@ def test_table_model_missing_file_is_config_error(tmp_path):
         parse_config(write_config(tmp_path / "t.cfg", text))
 
 
+@pytest.mark.parametrize("defect", ["no comma", "index past end", "not utf-8",
+                                    "negative index", "duplicate index", "nan value"])
+def test_bad_integrand_table_exits_65(tmp_path, capsys, defect):
+    from hessvar import models
+
+    table = tmp_path / "quad_table.csv"
+    models.write_table_model(table, models.quadratic_model(2),
+                             lo=-2.0, hi=2.0, count=3)
+    lines = table.read_text().splitlines()      # 3 header lines, rows 0..26
+    value = lines[-1].split(",")[1]
+    last = {"no comma": f"26 {value}", "index past end": f"27,{value}",
+            "not utf-8": f"26,{value}\udcff", "negative index": f"-1,{value}",
+            "duplicate index": f"25,{value}", "nan value": "26,nan"}[defect]
+    table.write_bytes("\n".join(lines[:-1] + [last, ""]).encode("utf-8", "surrogateescape"))
+    text = BASE_SOLVE.replace("kind = quadratic", "kind = table\ntable = quad_table.csv")
+    cfg = write_config(tmp_path / "t.cfg", text)
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 65
+    assert "quad_table.csv" in capsys.readouterr().err
+
+
 def test_solve_malformed_config_exits_64(tmp_path, capsys):
     cfg = write_config(tmp_path / "bad.cfg", "[model\nkind = quadratic\n")
     assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 64
@@ -443,6 +463,17 @@ def test_report_merge_bad_json_exits_65(tmp_path):
     a = tmp_path / "a.json"
     a.write_text("not json")
     assert run(["report-merge", str(a), "--out", str(tmp_path / "m.json")]) == 65
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b'{"a": "\xff"}', "not UTF-8 text"),
+    (b"[" * 100000 + b"]" * 100000, "not valid JSON"),   # nested past the recursion limit
+], ids=["non-utf8", "too-deep"])
+def test_report_merge_undecodable_exits_65(tmp_path, capsys, raw, message):
+    a = tmp_path / "a.json"
+    a.write_bytes(raw)
+    assert run(["report-merge", str(a), "--out", str(tmp_path / "m.json")]) == 65
+    assert message in capsys.readouterr().err
 
 
 def test_determinism_byte_identical_reports(tmp_path):

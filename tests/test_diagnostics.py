@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -434,6 +436,62 @@ def test_singular_set_radius_validation():
     f = constant_field(g, np.eye(2))
     with pytest.raises(diag.DiagnosticsError):
         diag.singular_set(f, 2.5, [4 * g.h, 2 * g.h], tau=1.0)
+
+
+def shifted_oscillation_density(f, radius, p0):
+    """Oracle: the density from three full-grid shifted copies per ball offset."""
+    offs = diag._ball_offsets(radius, f.h, f.dim)
+    count = np.zeros(f.extents)
+    total = np.zeros(f.extents + (f.values.shape[-1],))
+    for off in offs:
+        ok = grids.shifted(f.valid, off, False)
+        count += ok
+        total += np.where(ok[..., None], grids.shifted(f.values, off + (0,), 0.0), 0.0)
+    computable = count == len(offs)
+    avg = np.where(computable[..., None], total / np.maximum(count, 1.0)[..., None], 0.0)
+    acc = np.zeros(f.extents)
+    for off in offs:
+        dev = grids.shifted(f.values, off + (0,), np.nan) - avg
+        normp = symmat.hs_norm_packed(np.where(computable[..., None], dev, 0.0), f.dim)
+        acc += normp**p0
+    dens = f.h**f.dim * acc / radius**f.dim
+    dens[~computable] = np.nan
+    return dens, computable
+
+
+@pytest.mark.parametrize("dim, nodes, reaches", [(2, 41, (3, 4, 8)), (3, 19, (3, 4))],
+                         ids=["2d", "3d"])
+def test_oscillation_density_equals_shifted_copy_oracle(dim, nodes, reaches):
+    # a jump plus noise, NaN in a hole block and at scattered invalid nodes
+    rng = np.random.default_rng(90 + dim)
+    g = grids.make_grid(dim, nodes, 1.0)
+    m = symmat.packed_size(dim)
+    X = g.coords()[0][..., None]
+    vals = np.where(X > 0.1, 1.0, -1.0) * symmat.pack(np.eye(dim)) + 0.3 * rng.standard_normal(
+        g.extents + (m,))
+    valid = rng.random(g.extents) > 0.003
+    valid[(slice(nodes - 7, nodes - 4),) * dim] = False
+    vals[~valid] = np.nan
+    f = grids.SymMatField(h=g.h, origin=g.origin, values=vals, valid=valid)
+    for k in reaches:
+        for p0 in (2.5, 4.0):
+            dens, comp = diag._oscillation_density(f, k * g.h, p0)
+            want, want_comp = shifted_oscillation_density(f, k * g.h, p0)
+            assert np.array_equal(comp, want_comp), (k, p0)
+            assert 0 < comp.sum() < (nodes - 2 * k) ** dim  # holes cost nodes
+            assert np.array_equal(dens[comp], want[comp]), (k, p0)
+            assert np.isnan(dens[~comp]).all()
+
+
+@pytest.mark.parametrize("rows", [2, 3, 4, 5])
+def test_singular_set_empty_on_fields_narrower_than_the_ball(rows):
+    # no node of a rows x 12 field holds a whole 3h ball (7 nodes across)
+    f = grids.SymMatField(h=0.1, origin=(0.0, 0.0), values=np.ones((rows, 12, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = diag.singular_set(f, 2.5, [4 * f.h, 3 * f.h], tau=1.0)
+    assert res.mask.shape == res.computable.shape == (rows, 12)
+    assert not res.mask.any() and not res.computable.any()
 
 
 def test_box_counting_dimension_of_jump_mask():

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -101,6 +102,80 @@ def test_hessian_adjoint_identity_on_masked_region_with_holes(dim, nodes):
     lhs = np.sum(symmat.duplication_weights(dim) * H.values[mask] * G[mask])
     rhs = np.vdot(u.values[valid], adj[valid])
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def _shifted_copy_hessian(u):
+    """Reference: the stencil sums over full-grid shifted copies, NaN off the grid."""
+    stencils = grids._hessian_stencil(u.dim, u.h)
+    out = np.empty(u.extents + (len(stencils),))
+    valid = np.array(u.valid, copy=True)
+    for a, st in enumerate(stencils):
+        acc = np.zeros(u.extents)
+        for off, w in st:
+            acc += w * grids.shifted(u.values, off, np.nan)
+            if any(off):
+                valid &= grids.shifted(u.valid, off, False)
+        out[..., a] = acc
+    out[~valid] = np.nan
+    return out, valid
+
+
+def _shifted_copy_adjoint(G, mask, h):
+    stencils = grids._hessian_stencil(G.ndim - 1, h)
+    dup = symmat.duplication_weights(G.ndim - 1)
+    out = np.zeros(G.shape[:-1])
+    for a, st in enumerate(stencils):
+        comp = np.where(mask, G[..., a], 0.0)
+        for off, w in st:
+            out += (dup[a] * w) * grids.shifted(comp, off, 0.0)
+    return out
+
+
+@pytest.mark.parametrize("dim, nodes", [(2, 15), (3, 11)])
+def test_hessian_stencils_equal_shifted_copy_reference(dim, nodes):
+    # in-place accumulation over offset views keeps every bit, holes included
+    rng = np.random.default_rng(70 + dim)
+    g = grids.make_grid(dim, nodes, 1.0)
+    valid = rng.random(g.extents) > 0.05
+    u = replace(g.with_values(np.where(valid, rng.standard_normal(g.extents), np.nan)),
+                valid=valid)
+    H = grids.hessian_field(u)
+    want, want_valid = _shifted_copy_hessian(u)
+    assert np.array_equal(H.valid, want_valid) and 0 < H.valid.sum()
+    assert np.array_equal(H.values, want, equal_nan=True)
+    G = rng.standard_normal(H.values.shape)
+    assert np.array_equal(grids.hessian_adjoint(G, H.valid, g.h),
+                          _shifted_copy_adjoint(G, H.valid, g.h))
+
+
+def _per_node_shift(a, off):
+    """Reference: per node x, the value at x + off and whether x + off is on the grid."""
+    vals = np.zeros(a.shape)
+    inside = np.zeros(a.shape, dtype=bool)
+    for x in np.ndindex(*a.shape):
+        y = tuple(i + o for i, o in zip(x, off))
+        if all(0 <= j < s for j, s in zip(y, a.shape)):
+            vals[x], inside[x] = a[y], True
+    return vals, inside
+
+
+@pytest.mark.parametrize("shape", [(5,), (4, 6), (3, 4, 5)])
+def test_offset_slices_match_per_node_shift(shape):
+    # offsets inside the grid, at its edge (|o| = extent - 1) and beyond it
+    a = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+    pair = np.stack([a, -a], axis=-1)
+    for off in itertools.product(*(range(-s - 1, s + 2) for s in shape)):
+        want, inside = _per_node_shift(a, off)
+        src, dst = grids.offset_slices(off, shape)
+        got = np.zeros(shape)
+        covered = np.zeros(shape, dtype=bool)
+        got[dst], covered[dst] = a[src], True
+        assert np.array_equal(covered, inside), off
+        assert np.array_equal(got, want), off
+        assert np.array_equal(grids.shifted(a, off, -7.0), np.where(inside, want, -7.0))
+        # trailing axes past the offset stay whole
+        src, dst = grids.offset_slices(off, pair.shape)
+        assert np.array_equal(pair[src][..., 1], -a[src])
 
 
 def test_hessian_second_order_convergence_on_sine():
