@@ -210,6 +210,8 @@ def validate_config(cfg: RunConfig, base: str = ".") -> None:
     for key, value in positive.items():
         if value is not None and not value > 0:
             raise ConfigError(f"{key} must be positive, got {value}")
+    if cfg.r_min is not None and cfg.r_max is not None and cfg.r_min > cfg.r_max:
+        raise ConfigError(f"[diagnostics] r_min = {cfg.r_min} exceeds r_max = {cfg.r_max}")
     at_least = (("max_iter", cfg.max_iter, 0), ("ball_stride", cfg.ball_stride, 0),
                 ("tau_sigma", cfg.tau_sigma, 0), ("sigma_p0", cfg.sigma_p0, 1),
                 ("pair_budget", cfg.pair_budget, 1))

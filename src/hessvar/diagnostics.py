@@ -27,9 +27,11 @@ from .grids import (
     EmptyRegionError,
     GridError,
     SymMatField,
+    ball_chunks,
     ball_fits,
     ball_window,
     inner_box_nodes,
+    node_ball_offsets,
 )
 
 
@@ -69,10 +71,14 @@ def mean_oscillation(f: SymMatField, ball: Ball, p: float = 1.0) -> float:
     return float((_deviations(f, ball) ** p).mean())
 
 
+def _ball_norms(f: SymMatField, ball: Ball) -> np.ndarray:
+    """|f| at the valid nodes of the ball."""
+    return symmat.hs_norm_packed(_ball_values(f, ball), f.dim)
+
+
 def mean_power(f: SymMatField, ball: Ball, p: float) -> float:
     """Mean over the ball of |f|^p (no average subtracted)."""
-    vals = _ball_values(f, ball)
-    return float((symmat.hs_norm_packed(vals, f.dim) ** p).mean())
+    return float((_ball_norms(f, ball) ** p).mean())
 
 
 @dataclass(frozen=True)
@@ -107,26 +113,66 @@ class JNEstimate:
         return {"p": self.p, "cbar": self.cbar, "degenerate": self.degenerate}
 
 
+def _family_oscillations(f: SymMatField, balls, p: float):
+    """L^1 and L^p mean oscillation of every ball, in ``balls`` order.
+
+    Each chunk of :func:`ball_chunks` is gathered component by component as
+    (balls, nodes), zero off the valid nodes, and goes through the
+    arithmetic of :func:`_deviations` row by row: the mean adds the nodes in
+    order (``add.accumulate``, which never sums pairwise), the norm adds the
+    weighted squares in component storage order, and the L^1 and L^p sums
+    are numpy's pairwise sums over each ball's row of valid nodes (a row
+    with holes is compacted first).  Every value thus equals the per-ball
+    one bit for bit.
+    """
+    m = f.values.shape[-1]
+    flat, valid = f.values.reshape(-1), f.valid.reshape(-1)
+    w = symmat.duplication_weights(f.dim)
+    osc1, oscp, empty = np.empty(len(balls)), np.empty(len(balls)), []
+    for members, nodes in ball_chunks(f, balls):
+        ok = valid[nodes]
+        count = ok.sum(axis=1)
+        if not count.all():
+            empty.append(members[count == 0][0])
+            continue
+        dev, idx, holes = np.zeros(nodes.shape), nodes * m, ~ok
+        for a in range(m):
+            x = flat[a:].take(idx)
+            x[holes] = 0.0
+            x -= np.add.accumulate(x, axis=1)[:, -1:] / count[:, None]
+            dev += (w[a] * x) * x
+        dev = np.sqrt(dev)
+        s1, sp = np.add.reduce(dev, axis=1), np.add.reduce(dev**p, axis=1)
+        for b in np.flatnonzero(count < nodes.shape[1]):
+            row = dev[b][ok[b]]
+            s1[b], sp[b] = row.sum(), (row**p).sum()
+        osc1[members], oscp[members] = s1 / count, sp / count
+    if empty:
+        raise EmptyRegionError(f"ball {balls[min(empty)]} contains no valid nodes")
+    return osc1, oscp
+
+
 def john_nirenberg_ratio(f: SymMatField, family: BallFamily, p: float) -> JNEstimate:
     """Max over the family of osc_p / omega; degenerate when omega = 0.
 
     omega is the BMO modulus, attained at the first ball of largest L^1
-    oscillation; one pass over the family yields both the L^1 and the L^p
-    oscillation of every ball.
+    oscillation.  One grouped pass yields both the L^1 and the L^p
+    oscillation of every ball: the balls of one radius about family
+    centres on the node lattice share one node pattern and are evaluated
+    together, in chunks (see :func:`_family_oscillations`), with the same
+    values as ball-by-ball evaluation.
     """
     _check_exponent(p)
-    omega, omega_ball, oscp = -1.0, None, []
-    for ball in family:
-        dev = _deviations(f, ball)
-        osc1 = float(dev.mean())
-        if osc1 > omega:
-            omega, omega_ball = osc1, ball
-        oscp.append(float((dev**p).mean()))
+    osc1, oscp = _family_oscillations(f, family.balls, p)
+    omega, omega_ball = -1.0, None
+    for ball, osc in zip(family, osc1.tolist()):
+        if osc > omega:
+            omega, omega_ball = osc, ball
     bmo = BMOResult(omega=omega, ball=omega_ball, family_size=len(family))
     if omega == 0.0:
         return JNEstimate(p=p, cbar=0.0, degenerate=True, bmo=bmo)
-    return JNEstimate(p=p, cbar=max(v / omega for v in oscp), degenerate=False,
-                      bmo=bmo)
+    return JNEstimate(p=p, cbar=max(v / omega for v in oscp.tolist()),
+                      degenerate=False, bmo=bmo)
 
 
 # -------------------------------------------------------------- decay fits
@@ -311,11 +357,11 @@ def fit_p0(f: SymMatField, center, radii, K_max: float = 10.0,
     if len(radii) < 3:
         raise DiagnosticsError("higher-integrability scan needs >= 3 radii")
     center = tuple(float(c) for c in center)
-    balls = [Ball(center=center, radius=r) for r in radii]
-    rhs = [mean_power(f, b, 2.0) ** 0.5 for b in balls]
+    norms = [_ball_norms(f, Ball(center=center, radius=r)) for r in radii]
+    rhs = [float((nrm**2.0).mean()) ** 0.5 for nrm in norms]
     required = []
     for p in scan:
-        lhs = [mean_power(f, b, p) ** (1.0 / p) for b in balls]
+        lhs = [float((nrm**p).mean()) ** (1.0 / p) for nrm in norms]
         worst = 0.0
         for jr, r in enumerate(radii):
             for jp in range(jr + 1, len(radii)):
@@ -353,16 +399,6 @@ class SingularMask:
         }
 
 
-def _ball_offsets(radius: float, h: float, dim: int) -> list:
-    reach = int(np.floor(radius / h + 1e-12))
-    offs = []
-    for off in np.ndindex(*(2 * reach + 1,) * dim):
-        d = np.array(off) - reach
-        if (d * d).sum() * h * h <= radius * radius * (1.0 + 1e-12):
-            offs.append(tuple(d))
-    return offs
-
-
 def _oscillation_density(f: SymMatField, radius: float, p0: float):
     """Per-node r^{-n} integral of |f - (f)_{B_r}|^{p0}; NaN where incomputable.
 
@@ -371,10 +407,10 @@ def _oscillation_density(f: SymMatField, radius: float, p0: float):
     axis (``reach`` the largest offset along it); both passes run on offset
     views of that box, which is empty on an axis with fewer than
     ``2 reach + 1`` nodes.  Sums run over the offsets in
-    :func:`_ball_offsets` order and over the packed components in storage
-    order, as ``symmat.hs_norm_packed`` adds them.
+    :func:`hessvar.grids.node_ball_offsets` (C) order and over the packed
+    components in storage order, as ``symmat.hs_norm_packed`` adds them.
     """
-    offs = _ball_offsets(radius, f.h, f.dim)
+    offs = node_ball_offsets(radius, f.h, f.dim)
     reach = np.abs(np.array(offs)).max(axis=0)
     inner = tuple(max(0, s - 2 * r) for s, r in zip(f.extents, reach))
 

@@ -434,6 +434,28 @@ def _usable(grid_like) -> np.ndarray:
     return grid_like.valid
 
 
+def _axis_window(coords: np.ndarray, center: float, r2: float):
+    """Slice of the ``coords`` within ``sqrt(r2)`` of ``center``, and their squared distances."""
+    d2 = (coords - center) ** 2
+    idx = np.nonzero(d2 <= r2)[0]
+    sl = slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
+    return sl, d2[sl]
+
+
+def _window_mask(rows, r2: float) -> np.ndarray:
+    """Distance test on the box whose per-axis squared distances are ``rows``."""
+    dist2 = 0.0
+    for axis, d2 in enumerate(rows):
+        shape = [1] * len(rows)
+        shape[axis] = -1
+        dist2 = dist2 + d2.reshape(shape)
+    return dist2 <= r2
+
+
+def _r2(radius: float) -> float:
+    return radius**2 * (1.0 + 1e-12)
+
+
 def ball_window(grid_like, ball: Ball):
     """Bounding-box window ``(box, mask)`` of the nodes with ``|x - center| <= radius``.
 
@@ -441,18 +463,70 @@ def ball_window(grid_like, ball: Ball):
     ``values[box][mask]`` lists the ball's nodes in C order.  A ball that
     misses the grid gives an empty window.
     """
-    r2 = ball.radius**2 * (1.0 + 1e-12)
-    box, dist2 = [], 0.0
-    for axis in range(grid_like.dim):
-        # a node inside the ball passes this per-axis test, so the box holds it
-        d2 = (grid_like.axis_coords(axis) - ball.center[axis]) ** 2
-        idx = np.nonzero(d2 <= r2)[0]
-        sl = slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
-        shape = [1] * grid_like.dim
-        shape[axis] = -1
-        dist2 = dist2 + d2[sl].reshape(shape)
-        box.append(sl)
-    return tuple(box), dist2 <= r2
+    # a node inside the ball passes the per-axis test, so the box holds it
+    r2 = _r2(ball.radius)
+    box, rows = zip(*(_axis_window(grid_like.axis_coords(axis), ball.center[axis], r2)
+                      for axis in range(grid_like.dim)))
+    return box, _window_mask(rows, r2)
+
+
+# node-ball pairs per chunk of ball_chunks, so a float64 temporary over a
+# chunk is 256 KB; chunks of 128 KB-1 MB run equally fast on a 257^2 family
+BALL_CHUNK = 1 << 15
+
+
+def ball_chunks(grid_like, balls):
+    """Yield ``(members, nodes)`` over ``balls``, in groups that share one window mask.
+
+    ``members`` indexes ``balls``; row ``i`` of ``nodes`` holds the flat C-order
+    node indices of ball ``members[i]``, in :func:`ball_window` order.  Balls
+    whose windows have the same shape and mask share a group, so a family of
+    node-centred balls forms one group per radius, and a ball with a window of
+    its own (an off-node centre, a window cut by the grid edge) forms a group
+    of one.  A group is cut into chunks of about ``BALL_CHUNK`` node-ball
+    pairs, one ball at least.
+    """
+    coords = [grid_like.axis_coords(axis) for axis in range(grid_like.dim)]
+    # each ball's group and window start, in arrays: per-ball lists would be
+    # interleaved with the caller's objects and keep heap pages alive
+    group = np.empty(len(balls), dtype=np.intp)
+    starts = np.empty((len(balls), grid_like.dim), dtype=np.intp)
+    windows, patterns, groups = {}, {}, {}
+    for k, ball in enumerate(balls):
+        r2 = _r2(ball.radius)
+        rows = [r2]                     # r2, then each axis's squared distances
+        for axis in range(grid_like.dim):
+            c = ball.center[axis]
+            if (axis, c, r2) not in windows:
+                sl, d2 = _axis_window(coords[axis], c, r2)
+                windows[axis, c, r2] = sl.start, d2.tobytes()
+            starts[k, axis], row = windows[axis, c, r2]
+            rows.append(row)
+        rows = tuple(rows)
+        if rows not in patterns:
+            mask = _window_mask([np.frombuffer(row) for row in rows[1:]], r2)
+            patterns[rows] = mask.shape, mask.tobytes()
+        group[k] = groups.setdefault(patterns[rows], len(groups))
+    for (shape, bits), g in groups.items():
+        mask = np.frombuffer(bits, dtype=bool).reshape(shape)
+        offsets = np.ravel_multi_index(np.nonzero(mask), grid_like.extents)
+        members = np.flatnonzero(group == g)
+        base = np.ravel_multi_index(tuple(starts[members].T), grid_like.extents)
+        step = max(1, BALL_CHUNK // max(1, offsets.size))
+        for i in range(0, len(members), step):
+            yield members[i:i + step], base[i:i + step, None] + offsets
+
+
+def node_ball_offsets(radius: float, h: float, dim: int) -> list:
+    """Offsets, in C order, of the lattice nodes within ``radius`` of a node.
+
+    The :func:`ball_window` of the ball about node 0 of the lattice ``h Z^dim``.
+    """
+    reach = int(radius / h) + 1
+    r2 = _r2(radius)
+    sl, d2 = _axis_window(h * np.arange(-reach, reach + 1), 0.0, r2)
+    offs = np.argwhere(_window_mask((d2,) * dim, r2)) + (sl.start - reach)
+    return [tuple(off) for off in offs.tolist()]
 
 
 def integrate(values: np.ndarray, grid_like, region=None) -> float:
@@ -496,18 +570,23 @@ def _bounds(grid_like, usable: np.ndarray):
     return grid_like.origin + grid_like.h * lo, grid_like.origin + grid_like.h * hi
 
 
-def _fits(lo, hi, ball: Ball) -> bool:
-    c = np.array(ball.center)
-    return bool(np.all(c - ball.radius >= lo - 1e-12) and np.all(c + ball.radius <= hi + 1e-12))
+def _fits(lo, hi, centers, radii) -> np.ndarray:
+    """Whether ``B_r(c)`` lies in the box ``[lo, hi]``, for centers ``c`` (rows) and radii ``r``."""
+    cs, rs = np.array(centers)[:, None], np.array(radii)[:, None]
+    return np.all(cs - rs >= lo - 1e-12, axis=-1) & np.all(cs + rs <= hi + 1e-12, axis=-1)
 
 
 def ball_fits(grid_like, ball: Ball) -> bool:
     """True if the ball sits inside the usable-region bounding box."""
-    return _fits(*_bounds(grid_like, _usable(grid_like)), ball)
+    return bool(_fits(*_bounds(grid_like, _usable(grid_like)), [ball.center], [ball.radius]))
 
 
 def dyadic_radii(r_max: float, r_min: float) -> list:
     """Radii ``r_max, r_max/2, ...`` down to ``r_min`` (relative slack 1e-12)."""
+    if not (np.isfinite(r_max) and np.isfinite(r_min) and r_min > 0):
+        # halving never passes below a non-positive r_min nor leaves an infinite r_max
+        raise GridError(f"dyadic radii need a finite r_max and a finite r_min > 0, "
+                        f"got r_max = {r_max}, r_min = {r_min}")
     radii = []
     r = float(r_max)
     while r >= r_min * (1.0 - 1e-12):
@@ -522,8 +601,10 @@ def ball_family(
     """Dyadic ball family on a strided center lattice.
 
     Radii ``r_max, r_max/2, ...`` down to ``r_min`` at every center; chains
-    are clipped to balls that fit the usable region.  ``center_stride = 0``
-    places a single center at the domain midpoint.
+    are clipped to balls that fit the usable region and hold a usable node,
+    tested per group of :func:`ball_chunks` (one group per radius on the
+    strided node lattice).  ``center_stride = 0`` places a single center at
+    the domain midpoint.
     """
     if r_min > r_max:
         raise GridError(f"r_min {r_min} exceeds r_max {r_max}")
@@ -532,25 +613,22 @@ def ball_family(
     usable = _usable(grid_like)
     lo, hi = _bounds(grid_like, usable)
     radii = dyadic_radii(r_max, r_min)
-    centers = []
     if center_stride <= 0:
-        centers.append(tuple(0.5 * (lo + hi)))
+        centers = [0.5 * (lo + hi)]
     else:
         axes = []
         for axis in range(grid_like.dim):
             coords = grid_like.axis_coords(axis)
             inside = np.nonzero((coords >= lo[axis] - 1e-12) & (coords <= hi[axis] + 1e-12))[0]
             axes.append(coords[inside[::center_stride]])
-        for c in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, grid_like.dim):
-            centers.append(tuple(c))
-    balls = []
-    for c in centers:
-        for r in radii:
-            b = Ball(center=c, radius=r)
-            if _fits(lo, hi, b):
-                box, inside = ball_window(grid_like, b)
-                if (inside & usable[box]).any():
-                    balls.append(b)
+        centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, grid_like.dim)
+    fitting = [Ball(center=c, radius=r) for c, row in zip(centers, _fits(lo, hi, centers, radii))
+               for r, fit in zip(radii, row) if fit]
+    keep = np.zeros(len(fitting), dtype=bool)
+    usable = usable.reshape(-1)
+    for members, nodes in ball_chunks(grid_like, fitting):
+        keep[members] = usable[nodes].any(axis=1)
+    balls = [b for b, k in zip(fitting, keep) if k]
     if not balls:
         raise EmptyRegionError("ball family is empty for the given parameters")
     return BallFamily(balls=tuple(balls))

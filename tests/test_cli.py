@@ -187,6 +187,18 @@ def test_out_of_range_config_value_exits_64(tmp_path, capsys, command,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["diagnose", "campanato"])
+def test_inverted_radii_config_exits_64(tmp_path, capsys, command):
+    text = _with_setting(BASE_SOLVE + DIAG_TAIL, "diagnostics", "r_min", "0.3")
+    cfg = write_config(tmp_path / "bad.cfg", text)
+    with pytest.raises(ConfigError, match="r_min = 0.3 exceeds r_max = 0.2"):
+        parse_config(cfg)
+    field = ["--field", str(tmp_path / "absent.hvgf")]
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")] + field) == 64
+    err = capsys.readouterr().err
+    assert "config error" in err and "r_min" in err and "r_max" in err
+
+
 def test_solve_usage_error_exits_64(tmp_path):
     assert run(["solve", "--out", str(tmp_path)]) == 64
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -148,6 +149,80 @@ def test_jn_linear_field_stable_under_refinement():
                                 r_min=0.2, r_max=0.4)
         vals[nodes] = diag.john_nirenberg_ratio(f, fam, 2.0).cbar
     assert vals[65] == pytest.approx(vals[33], rel=0.10)
+
+
+def _per_ball_jn(f, balls, p):
+    """Oracle: ball-by-ball L^1/L^p oscillations from ``_deviations``, and (omega, ball, cbar)."""
+    osc1, oscp = [], []
+    omega, omega_ball = -1.0, None
+    for ball in balls:
+        dev = diag._deviations(f, ball)
+        osc1.append(float(dev.mean()))
+        oscp.append(float((dev**p).mean()))
+        if osc1[-1] > omega:
+            omega, omega_ball = osc1[-1], ball
+    return osc1, oscp, (omega, omega_ball, max(v / omega for v in oscp))
+
+
+def _holed_field(dim, nodes, seed):
+    """A jump plus noise with NaN at a hole block and at scattered invalid nodes."""
+    rng = np.random.default_rng(seed)
+    g = grids.make_grid(dim, nodes, 1.0)
+    X = g.coords()[0][..., None]
+    vals = (np.where(X > 0.1, 1.0, -1.0) * symmat.pack(np.eye(dim))
+            + 0.3 * rng.standard_normal(g.extents + (symmat.packed_size(dim),)))
+    valid = rng.random(g.extents) > 0.002
+    valid[(slice(nodes - 9, nodes - 5),) * dim] = False
+    vals[~valid] = np.nan
+    return grids.SymMatField(h=g.h, origin=g.origin, values=vals, valid=valid)
+
+
+@pytest.mark.parametrize("dim, nodes, stride, reach", [(2, 41, 2, 8), (3, 19, 2, 6)],
+                         ids=["2d", "3d"])
+def test_grouped_oscillations_equal_per_ball_oracle(dim, nodes, stride, reach, monkeypatch):
+    f = _holed_field(dim, nodes, 80 + dim)
+    h = f.h
+    fam = grids.ball_family(f, stride, r_min=3 * h, r_max=reach * h)
+    off_node = tuple(Ball(center=tuple(c), radius=r) for c, r in
+                     [((0.1 * h,) * dim, 3.3 * h), ((-0.37,) * dim, 4 * h),
+                      ((1.0 - h,) * dim, 3 * h)])   # the last is cut by the grid edge
+    families = {
+        "strided": fam,
+        "sub": grids.BallFamily(fam.balls[::3]),
+        "midpoint": grids.ball_family(f, 0, r_min=3 * h, r_max=reach * h),
+        "mixed": grids.BallFamily(off_node + fam.balls[::5] + off_node[:1]),
+    }
+    holes = [not f.valid[box][mask].all() for box, mask in
+             (grids.ball_window(f, b) for b in fam)]
+    assert any(holes) and not all(holes)   # both the compacted and the plain rows run
+    # the strided family spans more chunks than it has groups (one per radius)
+    assert len(list(grids.ball_chunks(f, fam.balls))) > len({b.radius for b in fam})
+    for chunk in (grids.BALL_CHUNK, 50):      # 50 pairs: one ball per chunk
+        monkeypatch.setattr(grids, "BALL_CHUNK", chunk)
+        for name, family in families.items():
+            for p in (1.0, 2.5, 4.0):
+                osc1, oscp, (omega, ball, cbar) = _per_ball_jn(f, family.balls, p)
+                got1, gotp = diag._family_oscillations(f, family.balls, p)
+                assert got1.tolist() == osc1, (name, p, chunk)
+                assert gotp.tolist() == oscp, (name, p, chunk)
+                jn = diag.john_nirenberg_ratio(f, family, p)
+                assert (jn.bmo.omega, jn.bmo.ball, jn.cbar) == (omega, ball, cbar)
+                assert jn.bmo.family_size == len(family)
+            assert diag.bmo_modulus(f, family) == jn.bmo
+
+
+def test_grouped_oscillations_raise_for_the_first_empty_ball():
+    f = _holed_field(2, 41, 83)
+    h = f.h
+    hole = tuple(f.origin + h * 33.5)             # the middle of the hole block
+    first_empty = Ball(center=hole, radius=h)     # four nodes, all in the hole
+    balls = (Ball(center=(0.0, 0.0), radius=1.5 * h), first_empty,
+             Ball(center=(hole[0] - 0.5 * h,) * 2, radius=1.5 * h))
+    for ball in balls[1:]:
+        with pytest.raises(EmptyRegionError):
+            diag._deviations(f, ball)
+    with pytest.raises(EmptyRegionError, match=re.escape(f"ball {first_empty} ")):
+        diag.john_nirenberg_ratio(f, grids.BallFamily(balls), 2.0)
 
 
 # -------------------------------------------------------------- Campanato
@@ -438,9 +513,20 @@ def test_singular_set_radius_validation():
         diag.singular_set(f, 2.5, [4 * g.h, 2 * g.h], tau=1.0)
 
 
+def integer_ball_offsets(radius, h, dim):
+    """Oracle: offsets d in C order with |d|^2 h^2 <= r^2 (1 + 1e-12), in integers."""
+    reach = int(np.floor(radius / h + 1e-12))
+    offs = []
+    for off in np.ndindex(*(2 * reach + 1,) * dim):
+        d = np.array(off) - reach
+        if (d * d).sum() * h * h <= radius * radius * (1.0 + 1e-12):
+            offs.append(tuple(int(v) for v in d))
+    return offs
+
+
 def shifted_oscillation_density(f, radius, p0):
     """Oracle: the density from three full-grid shifted copies per ball offset."""
-    offs = diag._ball_offsets(radius, f.h, f.dim)
+    offs = integer_ball_offsets(radius, f.h, f.dim)
     count = np.zeros(f.extents)
     total = np.zeros(f.extents + (f.values.shape[-1],))
     for off in offs:

@@ -322,6 +322,50 @@ def test_ball_window_selects_full_grid_ball_nodes_in_order(dim, nodes):
         grids.integrate(np.ones(g.extents), g, outside)
 
 
+@pytest.mark.parametrize("dim, nodes, half_width", [
+    (2, 33, 1.0), (2, 41, 1.0), (2, 30, 0.7), (2, 100, 0.5), (3, 23, 0.5), (3, 25, 1.3),
+])
+def test_ball_chunks_list_ball_window_nodes(dim, nodes, half_width, monkeypatch):
+    g = grids.make_grid(dim, nodes, half_width)
+    h = g.h
+    # node-centred families at radii k h (8h/4h, 6h/3h) and off the lattice
+    families = [grids.ball_family(g, 3, r_min=3 * h, r_max=k * h).balls
+                for k in (8, 6, 7.3, 5.55)]
+    extra = (Ball(center=(0.1 * h,) * dim, radius=3.3 * h),       # off-node centre
+             Ball(center=tuple(g.origin + h), radius=4 * h),      # cut by the grid edge
+             Ball(center=(3.0 * half_width,) * dim, radius=h))   # misses the grid
+    balls = sum(families, ()) + extra
+    seen = np.zeros(len(balls), dtype=int)
+    for members, nodes_ in grids.ball_chunks(g, balls):
+        assert len(members) == 1 or nodes_.size <= grids.BALL_CHUNK
+        for k, row in zip(members, nodes_):
+            box, mask = grids.ball_window(g, balls[k])
+            start = [sl.start for sl in box]
+            want = np.ravel_multi_index(tuple((np.argwhere(mask) + start).T), g.extents)
+            np.testing.assert_array_equal(row, want)
+            seen[k] += 1
+    assert (seen == 1).all()
+    monkeypatch.setattr(grids, "BALL_CHUNK", 1 << 40)
+    for fam in families:
+        # one group, hence one chunk, per radius
+        assert len(list(grids.ball_chunks(g, fam))) == len({b.radius for b in fam})
+    for r in (3 * h, 4 * h, 3.3 * h, 5.55 * h):
+        c = (nodes // 2,) * dim
+        box, mask = grids.ball_window(g, Ball(center=tuple(g.origin + h * np.array(c)),
+                                              radius=r))
+        want = np.argwhere(mask) + [sl.start for sl in box] - c
+        assert grids.node_ball_offsets(r, h, dim) == [tuple(o) for o in want.tolist()]
+
+
+@pytest.mark.parametrize("r_max, r_min", [
+    (1.0, 0.0), (1.0, -0.25), (1.0, np.nan), (1.0, np.inf), (np.inf, 0.1), (np.nan, 0.1),
+])
+def test_dyadic_radii_rejects_unusable_bounds(r_max, r_min):
+    # halving from r_max never ends above r_min <= 0 or from an infinite r_max
+    with pytest.raises(GridError, match="dyadic radii"):
+        grids.dyadic_radii(r_max, r_min)
+
+
 def test_ball_family_single_ball():
     g = grids.make_grid(2, 33, 1.0)
     fam = grids.ball_family(g, center_stride=0, r_min=0.25, r_max=0.25)
