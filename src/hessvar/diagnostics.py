@@ -548,18 +548,21 @@ def holder_seminorm(f: SymMatField, alpha: float, pair_budget: int = 2000,
         if i == j:
             continue
         pairs.append((nodes[i], nodes[j]))
-    best = 0.0
-    best_pair = None
-    for a, b in pairs:
-        fa = f.values[tuple(a)]
-        fb = f.values[tuple(b)]
-        dist = f.h * float(np.sqrt(((a - b) ** 2).sum()))
-        val = float(symmat.hs_norm_packed(fa - fb, f.dim)) / dist**alpha
-        if val > best:
-            best = val
-            xa = tuple(f.origin[d] + f.h * a[d] for d in range(f.dim))
-            xb = tuple(f.origin[d] + f.h * b[d] for d in range(f.dim))
-            best_pair = (xa, xb)
+    ends = np.array(pairs)                  # (pairs, 2, n) node indices
+    a, b = ends[:, 0], ends[:, 1]
+    diff = f.values[tuple(a.T)] - f.values[tuple(b.T)]
+    dist = f.h * np.sqrt(((a - b) ** 2).sum(axis=1))
+    # scalar pow per distance: numpy's vectorized pow can differ from it in
+    # the last bit, and the ratios keep the bits of a per-pair evaluation
+    scale = np.array([d**alpha for d in dist.tolist()])
+    vals = symmat.hs_norm_packed(diff, f.dim) / scale
+    # the first pair attaining the largest positive ratio (NaN never counts)
+    vals = np.where(vals > 0.0, vals, 0.0)
+    k = int(np.argmax(vals))
+    best, best_pair = float(vals[k]), None
+    if best > 0.0:
+        best_pair = tuple(tuple(f.origin[d] + f.h * x[d] for d in range(f.dim))
+                          for x in (a[k], b[k]))
     return HolderEstimate(alpha=alpha, value=best, pair=best_pair,
                           pairs_used=len(pairs), seed=seed)
 

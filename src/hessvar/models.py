@@ -320,12 +320,13 @@ def _area_d2F(M: np.ndarray) -> np.ndarray:
     return T
 
 
-# ---- public evaluators
+# ---- integrand bodies and public evaluators
+#
+# The bodies skip the admissibility check: the solver calls them on Hessians
+# whose operator norms it has already bounded.  The public evaluators check,
+# then call the body.
 
-def eval_F(model: EnergyModel, M: np.ndarray) -> np.ndarray:
-    """Integrand value; raises AdmissibilityError off the admissible set."""
-    M = np.asarray(M, dtype=float)
-    require_admissible(model, M)
+def _F_body(model: EnergyModel, M: np.ndarray) -> np.ndarray:
     if model.kind == "quadratic":
         return 0.5 * symmat.hs_inner(M, M)
     if model.kind == "area":
@@ -335,10 +336,7 @@ def eval_F(model: EnergyModel, M: np.ndarray) -> np.ndarray:
     raise ModelError(f"unknown model kind {model.kind!r}")
 
 
-def eval_dF(model: EnergyModel, M: np.ndarray) -> np.ndarray:
-    """First derivative: symmetric matrix G with <G, sigma> = D_sigma F."""
-    M = np.asarray(M, dtype=float)
-    require_admissible(model, M)
+def _dF_body(model: EnergyModel, M: np.ndarray) -> np.ndarray:
     if model.kind == "quadratic":
         return M.copy()
     if model.kind == "area":
@@ -348,10 +346,7 @@ def eval_dF(model: EnergyModel, M: np.ndarray) -> np.ndarray:
     return _fd_dF(model._F, M, model.fd_step)
 
 
-def eval_d2F(model: EnergyModel, M: np.ndarray) -> np.ndarray:
-    """Second derivative tensor (..., n, n, n, n) with full symmetries."""
-    M = np.asarray(M, dtype=float)
-    require_admissible(model, M)
+def _d2F_body(model: EnergyModel, M: np.ndarray) -> np.ndarray:
     if model.kind == "quadratic":
         return np.broadcast_to(identity_tensor(model.n), M.shape[:-2] + (model.n,) * 4).copy()
     if model.kind == "area":
@@ -362,6 +357,27 @@ def eval_d2F(model: EnergyModel, M: np.ndarray) -> np.ndarray:
         lambda X: _fd_dF(model._F, X, model.fd_step)
     )
     return _fd_d2F(dF, M, model.fd_step)
+
+
+def eval_F(model: EnergyModel, M: np.ndarray) -> np.ndarray:
+    """Integrand value; raises AdmissibilityError off the admissible set."""
+    M = np.asarray(M, dtype=float)
+    require_admissible(model, M)
+    return _F_body(model, M)
+
+
+def eval_dF(model: EnergyModel, M: np.ndarray) -> np.ndarray:
+    """First derivative: symmetric matrix G with <G, sigma> = D_sigma F."""
+    M = np.asarray(M, dtype=float)
+    require_admissible(model, M)
+    return _dF_body(model, M)
+
+
+def eval_d2F(model: EnergyModel, M: np.ndarray) -> np.ndarray:
+    """Second derivative tensor (..., n, n, n, n) with full symmetries."""
+    M = np.asarray(M, dtype=float)
+    require_admissible(model, M)
+    return _d2F_body(model, M)
 
 
 # ---------------------------------------------------------------- ellipticity

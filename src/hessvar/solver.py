@@ -14,14 +14,18 @@ interior node.
 Minimization is damped Newton with Armijo backtracking; the Newton systems
 are symmetric positive definite by uniform convexity and are solved with
 conjugate gradients preconditioned by the exact inverse of the squared
-Dirichlet Laplacian on the box of the unknowns, applied with a DST built
-from ``numpy.fft``.  Steps are shortened until every node Hessian stays
-inside the model's admissible set (margin 1e-6).
+Dirichlet Laplacian on the box of the unknowns, applied as products with
+dense DST-I sine matrices, one per box axis.  Steps are shortened until every
+node Hessian stays inside the model's admissible set (margin 1e-6).  Each
+iterate is evaluated once (:class:`_Iterate`): its Hessian field and
+operator-norm peak serve the admissibility test, the energy, the gradient and
+the Newton operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +33,6 @@ from . import models, symmat
 from .grids import (
     GridError,
     ScalarGrid,
-    SymMatField,
     TestFunctionSet,
     bounding_box,
     hessian_adjoint,
@@ -122,11 +125,10 @@ class SolveReport:
 
 # -------------------------------------------------------------- energy
 
-def _eval_on(model_fn, H: SymMatField, region: np.ndarray):
-    """Evaluate a batched matrix function on the masked nodes of a field."""
-    Msub = H.matrices()[region]
+def _eval_on(model_fn, M: np.ndarray, region: np.ndarray):
+    """Evaluate a batched matrix function on the matrices M of the region nodes."""
     try:
-        return model_fn(Msub)
+        return model_fn(M)
     except AdmissibilityError as err:
         if err.index is not None:
             node = tuple(int(v) for v in np.argwhere(region)[err.index[0]])
@@ -136,11 +138,16 @@ def _eval_on(model_fn, H: SymMatField, region: np.ndarray):
         raise
 
 
+def _gradient(u: ScalarGrid, G: np.ndarray, region: np.ndarray) -> np.ndarray:
+    grad = _weighted_adjoint(G, region, u.h)
+    grad[~(u.interior & u.valid)] = 0.0
+    return grad
+
+
 def assemble_energy(u: ScalarGrid, model: EnergyModel) -> float:
     """h^n-weighted sum of F(D^2 u) over the Hessian-valid region."""
     H = hessian_field(u)
-    region = H.valid
-    vals = _eval_on(lambda M: models.eval_F(model, M), H, region)
+    vals = _eval_on(partial(models.eval_F, model), H.matrices()[H.valid], H.valid)
     return float(u.h**u.dim * vals.sum())
 
 
@@ -151,11 +158,8 @@ def energy_gradient(u: ScalarGrid, model: EnergyModel) -> np.ndarray:
     weak residual against the nodal test function at y.
     """
     H = hessian_field(u)
-    region = H.valid
-    G = _eval_on(lambda M: models.eval_dF(model, M), H, region)
-    grad = _weighted_adjoint(G, region, u.h)
-    grad[~(u.interior & u.valid)] = 0.0
-    return grad
+    G = _eval_on(partial(models.eval_dF, model), H.matrices()[H.valid], H.valid)
+    return _gradient(u, G, H.valid)
 
 
 def _weighted_adjoint(G: np.ndarray, region: np.ndarray, h: float) -> np.ndarray:
@@ -238,20 +242,25 @@ class NewtonOperator:
         return diag.reshape(self.shape)
 
 
-def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
-    """Unnormalized DST-I along one axis: X_k = sum_j x_j sin(pi j k / (m + 1)).
+def _sine_matrix(m: int) -> np.ndarray:
+    """DST-I matrix S[j, k] = sin(pi j k / (m + 1)), j, k = 1..m; S S = (m + 1)/2 I.
 
-    The rfft of the odd extension (0, x, 0, -reversed x) of length 2(m + 1)
-    has imaginary part -2 X_k at k = 1..m.  Applied twice it is (m + 1) / 2
-    times the identity.
+    The product j k is reduced modulo the period 2 (m + 1) first, so every
+    sine argument lies in [0, 2 pi) and keeps full relative accuracy.
     """
-    x = np.moveaxis(x, axis, -1)
-    m = x.shape[-1]
-    ext = np.zeros(x.shape[:-1] + (2 * (m + 1),))
-    ext[..., 1:m + 1] = x
-    ext[..., m + 2:] = -x[..., ::-1]
-    spec = np.fft.rfft(ext)[..., 1:m + 1].imag
-    return np.moveaxis(-0.5 * spec, -1, axis)
+    k = np.arange(1, m + 1)
+    return np.sin(np.pi * (np.outer(k, k) % (2 * (m + 1))) / (m + 1))
+
+
+def _dst(z: np.ndarray, sines) -> np.ndarray:
+    """Unnormalized DST-I along every axis of z, one matrix product per axis.
+
+    Each product contracts the leading axis and appends the transformed one,
+    so after one product per axis the axes are back in their order.
+    """
+    for S in sines:
+        z = np.tensordot(z, S, axes=(0, 0))
+    return z
 
 
 def squared_laplacian_preconditioner(unknowns: np.ndarray, h: float):
@@ -261,7 +270,8 @@ def squared_laplacian_preconditioner(unknowns: np.ndarray, h: float):
     the unknown nodes U.  Its eigenvectors are products of DST-I modes, with
     eigenvalues ``lambda_k = sum_axes (2 - 2 cos(k pi / (m + 1))) / h^2`` on
     an axis of m box nodes, so ``B^-1`` is two DSTs per axis around the
-    per-mode factor ``(2 / (m + 1))^n / (h^n lambda_k^2)``.  ``P`` is
+    per-mode factor ``(2 / (m + 1))^n / (h^n lambda_k^2)``.  Each DST is a
+    product with the axis's sine matrix, built once here.  ``P`` is
     symmetric positive definite on U for every unknown set and equals
     ``B^-1`` when U fills B.  The squared Laplacian is spectrally equivalent
     to the fourth-order Newton operators (Braess and Peisker, IMA J. Numer.
@@ -275,6 +285,7 @@ def squared_laplacian_preconditioner(unknowns: np.ndarray, h: float):
     mask = unknowns[box]
     lam = np.zeros(mask.shape)
     scale = 1.0
+    sines = [_sine_matrix(m) for m in mask.shape]
     for axis, m in enumerate(mask.shape):
         k = np.arange(1, m + 1).reshape((-1,) + (1,) * (n - 1 - axis))
         lam = lam + (2.0 - 2.0 * np.cos(k * np.pi / (m + 1))) / h**2
@@ -282,12 +293,9 @@ def squared_laplacian_preconditioner(unknowns: np.ndarray, h: float):
     factor = scale / (h**n * lam**2)
 
     def apply(r: np.ndarray) -> np.ndarray:
-        z = np.where(mask, r[box], 0.0)
-        for axis in range(n):
-            z = _dst1(z, axis)
+        z = _dst(np.where(mask, r[box], 0.0), sines)
         z *= factor
-        for axis in range(n):
-            z = _dst1(z, axis)
+        z = _dst(z, sines)
         out = np.zeros_like(r)
         out[box] = np.where(mask, z, 0.0)
         return out
@@ -338,46 +346,83 @@ def conjugate_gradient(matvec, b: np.ndarray, x0: np.ndarray, rtol: float,
     )
 
 
-def _max_op_norm(u: ScalarGrid, model: EnergyModel) -> float:
-    """max ||D^2 u||_op over the Hessian-valid nodes; 0.0 when rho_U is infinite."""
-    if not np.isfinite(model.rho_U):
-        return 0.0
-    H = hessian_field(u)
-    return float(symmat.op_norm(H.matrices()[H.valid]).max())
-
-
 def check_admissible(u: ScalarGrid, model: EnergyModel) -> None:
     """Raise AdmissibilityError naming the first offending node, if any."""
-    if not np.isfinite(model.rho_U):
-        return
-    H = hessian_field(u)
-    M = H.matrices()
-    bad = np.zeros(u.extents, dtype=bool)
-    bad[H.valid] = symmat.op_norm(M[H.valid]) >= model.rho_U
+    if np.isfinite(model.rho_U):
+        H = hessian_field(u)
+        _name_inadmissible(symmat.op_norm(H.matrices()[H.valid]), H.valid,
+                           model.rho_U)
+
+
+def _name_inadmissible(norms: np.ndarray, region: np.ndarray, rho_U: float) -> None:
+    """Raise at the first region node (C order) whose norm reaches rho_U."""
+    bad = norms >= rho_U
     if bad.any():
-        node = tuple(int(v) for v in np.argwhere(bad)[0])
+        node = tuple(int(v) for v in np.argwhere(region)[np.argmax(bad)])
         raise AdmissibilityError(
-            f"Hessian operator norm >= rho_U = {model.rho_U:g} at node {node}",
+            f"Hessian operator norm >= rho_U = {rho_U:g} at node {node}",
             index=node,
         )
 
 
-def _newton_direction(u: ScalarGrid, model: EnergyModel, grad: np.ndarray,
-                      cg_rtol: float, cg_maxiter: int, atol: float):
-    """CG solve of the Newton system at ``u``; returns conjugate_gradient's triple.
+class _Iterate:
+    """One iterate of the clamped minimization, evaluated once.
+
+    Holds ``u``, the quadrature region (the Hessian-valid nodes), ``M`` =
+    D^2 u on the region and ``peak`` = max ||M||_op (0.0 when rho_U is
+    infinite).  The solver tests ``peak`` against rho_U before it asks for
+    the energy, the gradient or the Newton operator, so those call the
+    unchecked integrand bodies.
+    """
+
+    def __init__(self, u: ScalarGrid, model: EnergyModel):
+        H = hessian_field(u)
+        self.u, self.model, self.region = u, model, H.valid
+        self.M = H.matrices()[H.valid]
+        self.peak = (float(symmat.op_norm(self.M).max(initial=0.0))
+                     if np.isfinite(model.rho_U) else 0.0)
+
+    def require_admissible(self) -> None:
+        """Raise what check_admissible and eval_F raise on an inadmissible u."""
+        if not self.peak < self.model.rho_U:
+            _name_inadmissible(symmat.op_norm(self.M), self.region, self.model.rho_U)
+            # a NaN norm reaches no threshold; eval_F rejects it
+            _eval_on(partial(models.eval_F, self.model), self.M, self.region)
+
+    def _on_region(self, body):
+        return _eval_on(partial(body, self.model), self.M, self.region)
+
+    def energy(self) -> float:
+        return float(self.u.h**self.u.dim * self._on_region(models._F_body).sum())
+
+    def gradient(self) -> np.ndarray:
+        return _gradient(self.u, self._on_region(models._dF_body), self.region)
+
+    def newton_operator(self) -> NewtonOperator:
+        """The Newton operator at u.  It is the last reader of M and drops it.
+
+        With M alive while the coefficient rows are allocated, glibc's heap
+        kept the freed integrand temporaries below it: peak RSS of a 65^3
+        area solve rose from 401 to 473 MB.
+        """
+        T = self._on_region(models._d2F_body)
+        del self.M
+        u = self.u
+        return NewtonOperator(T, self.region, u.interior & u.valid, u.h)
+
+
+def _newton_direction(it: _Iterate, grad: np.ndarray, cg_rtol: float,
+                      cg_maxiter: int, atol: float):
+    """CG solve of the Newton system at ``it``; returns conjugate_gradient's triple.
 
     The assembled operator lives only for this solve, so it is freed before
     the line search and before the next step's operator is built.
     """
-    H = hessian_field(u)
-    region = H.valid
-    T = _eval_on(lambda M: models.eval_d2F(model, M), H, region)
-    unknowns = u.interior & u.valid
-    op = NewtonOperator(T, region, unknowns, u.h)
-    del H, T    # CG needs only the assembled coefficients
+    op = it.newton_operator()
+    unknowns = it.u.interior & it.u.valid
     return conjugate_gradient(
         op.matvec, -grad, np.zeros_like(grad), cg_rtol, cg_maxiter,
-        precond=squared_laplacian_preconditioner(unknowns, u.h), atol=atol)
+        precond=squared_laplacian_preconditioner(unknowns, it.u.h), atol=atol)
 
 
 def _default_cg_maxiter(unknowns: np.ndarray) -> int:
@@ -403,28 +448,29 @@ def minimize_clamped(
     only supplies the interior starting values (and must be admissible once
     stamped).
     """
-    u = bc.apply(init)
-    check_admissible(u, model)
-    unknowns = u.interior & u.valid
+    it = _Iterate(bc.apply(init), model)
+    it.require_admissible()
+    unknowns = it.u.interior & it.u.valid
     if cg_maxiter is None:
         cg_maxiter = _default_cg_maxiter(unknowns)
 
     report = SolveReport()
-    energy = assemble_energy(u, model)
+    energy = it.energy()
     report.energies.append(energy)
-    for _ in range(max_iter):
-        grad = energy_gradient(u, model)
-        gnorm = float(np.abs(grad).max())
-        tol = grad_tol if grad_tol is not None else 1e-10 * (1.0 + abs(energy))
-        report.grad_norm = gnorm
-        report.grad_tol = tol
-        if gnorm <= tol:
+    while True:
+        grad = it.gradient()
+        report.grad_norm = float(np.abs(grad).max())
+        report.grad_tol = (grad_tol if grad_tol is not None
+                           else 1e-10 * (1.0 + abs(energy)))
+        if report.grad_norm <= report.grad_tol:
             report.converged = True
+            break
+        if report.iterations >= max_iter:
             break
         # the post-step gradient equals the CG residual for linear problems,
         # so solving past the Newton tolerance buys nothing
         delta, cg_iters, cg_residual = _newton_direction(
-            u, model, grad, cg_rtol, cg_maxiter, atol=0.4 * tol)
+            it, grad, cg_rtol, cg_maxiter, atol=0.4 * report.grad_tol)
         report.cg_iterations.append(cg_iters)
         report.cg_residuals.append(cg_residual)
         slope = float(np.vdot(grad, delta))
@@ -433,15 +479,17 @@ def minimize_clamped(
         # below this, energy differences drown in round-off and the Armijo
         # comparison is meaningless; convexity makes the Newton step safe
         armijo_floor = 64.0 * np.finfo(float).eps * (1.0 + abs(energy))
+        u = it.u
         t = 1.0
         accepted = False
         while t >= 1e-12:
-            trial = u.with_values(np.where(unknowns, u.values + t * delta, u.values))
-            peak = _max_op_norm(trial, model)
-            if not peak < model.rho_U - ADMISSIBILITY_MARGIN:
+            trial = _Iterate(
+                u.with_values(np.where(unknowns, u.values + t * delta, u.values)),
+                model)
+            if not trial.peak < model.rho_U - ADMISSIBILITY_MARGIN:
                 t *= 0.5
                 continue
-            trial_energy = assemble_energy(trial, model)
+            trial_energy = trial.energy()
             if -t * slope <= armijo_floor:
                 accepted = True
                 break
@@ -453,18 +501,14 @@ def minimize_clamped(
             raise SolverError(
                 "line search stalled: no admissible decreasing step found"
             )
-        u = trial
+        it = trial
         energy = trial_energy
         report.steps.append(t)
-        report.admissibility_margins.append(peak / model.rho_U)
+        report.admissibility_margins.append(it.peak / model.rho_U)
         report.energies.append(energy)
         report.iterations += 1
-    else:
-        grad = energy_gradient(u, model)
-        report.grad_norm = float(np.abs(grad).max())
-        report.converged = report.grad_norm <= report.grad_tol
     report.energy = energy
-    return u, report
+    return it.u, report
 
 
 # -------------------------------------------------------------- weak forms
@@ -485,9 +529,8 @@ def weak_residual(u: ScalarGrid, model: EnergyModel,
                   tests: TestFunctionSet) -> np.ndarray:
     """Per test function: h^n sum_x <F^{ij}(D^2 u), D^2 eta> over the region."""
     H = hessian_field(u)
-    region = H.valid
-    G = _eval_on(lambda M: models.eval_dF(model, M), H, region)
-    return _pair_with_tests(G, region, u.h, tests)
+    G = _eval_on(partial(models.eval_dF, model), H.matrices()[H.valid], H.valid)
+    return _pair_with_tests(G, H.valid, u.h, tests)
 
 
 def dd_weak_residual(u: ScalarGrid, model: DoubleDivergenceModel,

@@ -218,6 +218,18 @@ def test_solve_max_iter_flag_exit_2(tmp_path):
     assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_solve_max_iter_zero_converged_start_exits_0(tmp_path):
+    # the sampled cubic is the exact discrete solution: no step is needed
+    text = BASE_SOLVE.replace("init = zero", "init = boundary\nmax_iter = 0")
+    cfg = write_config(tmp_path / "cap.cfg", text)
+    out = tmp_path / "o"
+    assert run(["solve", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "solve_report.json").read_text())
+    assert report["iterations"] == 0
+    assert np.isfinite(report["solver"]["grad_tol"])
+    assert report["grad_norm"] <= report["solver"]["grad_tol"]
+
+
 def test_diagnose_constant_field(tmp_path):
     g = grids.make_grid(2, 65, 0.5)
     field = grids.SymMatField(

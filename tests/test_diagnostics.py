@@ -643,6 +643,49 @@ def test_holder_deterministic_given_seed():
     assert a.value == b.value and a.pair == b.pair
 
 
+def _holder_pair_loop(f, alpha, pair_budget, seed, region_fraction=0.75):
+    """Reference: one pair at a time over holder_seminorm's pair sequence."""
+    nodes = grids.inner_box_nodes(f.valid, region_fraction)
+    k_target = max(2, int(np.sqrt(pair_budget)))
+    stride = max(1, len(nodes) // k_target)
+    coarse = nodes[::stride]
+    pairs = [(a, b) for i, a in enumerate(coarse) for b in coarse[i + 1:]]
+    rng = np.random.default_rng(seed)
+    while len(pairs) < pair_budget:
+        i, j = rng.integers(0, len(nodes), size=2)
+        if i == j:
+            continue
+        pairs.append((nodes[i], nodes[j]))
+    best, best_pair = 0.0, None
+    for a, b in pairs:
+        dist = f.h * float(np.sqrt(((a - b) ** 2).sum()))
+        val = float(symmat.hs_norm_packed(
+            f.values[tuple(a)] - f.values[tuple(b)], f.dim)) / dist**alpha
+        if val > best:
+            best = val
+            best_pair = tuple(tuple(f.origin[d] + f.h * x[d] for d in range(f.dim))
+                              for x in (a, b))
+    return best, best_pair
+
+
+@pytest.mark.parametrize("field", ["random-2d", "random-3d", "linear", "constant"])
+def test_holder_array_pass_equals_pair_loop(field):
+    rng = np.random.default_rng(67)
+    g = grids.make_grid(3 if field == "random-3d" else 2, 11, 1.0)
+    if field.startswith("random"):
+        f = grids.SymMatField(h=g.h, origin=g.origin, values=rng.standard_normal(
+            g.extents + (symmat.packed_size(g.dim),)))
+    elif field == "linear":
+        # the largest ratio ties on four coarse-lattice rows: the first wins
+        f = linear_field(g, np.eye(2))
+    else:
+        f = constant_field(g, np.eye(2))
+    for alpha, seed in ((0.3, 0), (0.5, 11), (0.8, 2)):
+        est = diag.holder_seminorm(f, alpha, pair_budget=600, seed=seed)
+        assert (est.value, est.pair) == _holder_pair_loop(f, alpha, 600, seed)
+    assert (est.pair is None) == (field == "constant")
+
+
 # -------------------------------------------------------------- 3D smoke
 
 def test_three_dimensional_oscillation_and_detector():

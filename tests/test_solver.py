@@ -207,6 +207,21 @@ def test_minimize_inadmissible_init_names_node():
     assert err.value.index is not None
 
 
+def test_check_admissible_names_the_node_the_solve_rejects():
+    g = grids.make_grid(2, 17, 1.0)
+    f = lambda x, y: 0.15 * x**3  # ||D^2 f||_op = 0.9 |x|
+    bc = ClampedBoundaryData.from_potential(g, f)
+    model = models.area_model(2, rho_U=0.7)
+    u = bc.apply(grids.sample(g, f))
+    with pytest.raises(AdmissibilityError) as direct:
+        solver.check_admissible(u, model)
+    with pytest.raises(AdmissibilityError) as solve:
+        solver.minimize_clamped(model, bc, u)
+    assert str(solve.value) == str(direct.value)
+    assert solve.value.index == direct.value.index
+    solver.check_admissible(u, replace(model, rho_U=0.95))
+
+
 def test_boundary_data_satisfaction_check():
     g = grids.make_grid(2, 17, 1.0)
     bc = ClampedBoundaryData.from_potential(g, lambda x, y: x + y)
@@ -230,6 +245,112 @@ def test_minimize_max_iter_flag_not_fatal():
     u, rep = solver.minimize_clamped(models.quadratic_model(2), bc, g, max_iter=0)
     assert not rep.converged
     assert rep.iterations == 0
+
+
+def test_minimize_max_iter_zero_judges_the_start_point():
+    # the exact cubic has a zero discrete gradient, so no step is needed
+    g = grids.make_grid(2, 33, 0.5)
+    bc = ClampedBoundaryData.from_potential(g, cubic_biharmonic)
+    init = grids.sample(g, cubic_biharmonic)
+    model = models.quadratic_model(2)
+    _, rep = solver.minimize_clamped(model, bc, init, max_iter=0)
+    assert rep.iterations == 0
+    assert rep.grad_norm == 0.0
+    assert np.isfinite(rep.grad_tol)
+    assert rep.converged
+    _, rep5 = solver.minimize_clamped(model, bc, init, max_iter=5)
+    assert rep5.to_dict() == rep.to_dict()
+
+
+# ------------------------------------------------------ iterate record
+
+def _area_field(dim):
+    if dim == 2:
+        g = grids.make_grid(2, 21, 0.5)
+        valid = np.ones(g.extents, dtype=bool)
+        valid[13:, 13:] = False     # an L-shape: the region is not a box
+        g = replace(g, valid=valid)
+        f = lambda x, y: 0.15 * np.sin(2 * x) * y
+    else:
+        g = grids.make_grid(3, 11, 0.5)
+        f = lambda x, y, z: 0.2 * (x**3 * y + y * z**2 - x * z)
+    u = ClampedBoundaryData.from_potential(g, f).apply(grids.sample(g, f))
+    return u, models.area_model(dim, rho_U=0.9)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_iterate_record_matches_public_evaluators(dim):
+    u, model = _area_field(dim)
+    it = solver._Iterate(u, model)
+    H = grids.hessian_field(u)
+    assert np.array_equal(it.region, H.valid)
+    assert it.peak == symmat.op_norm(H.matrices()[H.valid]).max()
+    assert it.energy() == solver.assemble_energy(u, model)
+    assert np.array_equal(it.gradient(), solver.energy_gradient(u, model))
+    op = it.newton_operator()
+    ref = solver.NewtonOperator(models.eval_d2F(model, H.matrices()[H.valid]),
+                                H.valid, u.interior & u.valid, u.h)
+    assert op.deltas == ref.deltas
+    assert np.array_equal(op.coeffs, ref.coeffs)
+    assert solver._Iterate(u, replace(model, rho_U=np.inf)).peak == 0.0
+
+
+def test_minimize_runs_op_norm_once_per_evaluated_iterate(monkeypatch):
+    calls = {"op_norm": 0, "hessian_field": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(symmat, "op_norm", counted("op_norm", symmat.op_norm))
+    monkeypatch.setattr(solver, "hessian_field",
+                        counted("hessian_field", solver.hessian_field))
+    g = grids.make_grid(2, 21, 0.5)
+    f = lambda x, y: 0.15 * np.sin(2 * x) * y
+    bc = ClampedBoundaryData.from_potential(g, f)
+    _, rep = solver.minimize_clamped(models.area_model(2, rho_U=0.9), bc,
+                                     grids.sample(g, f), grad_tol=1e-12)
+    assert rep.converged and rep.iterations >= 1
+    # the start point, then one iterate per line-search trial
+    iterates = 1 + sum(round(-np.log2(t)) + 1 for t in rep.steps)
+    assert calls == {"op_norm": iterates, "hessian_field": iterates}
+
+
+def _flattening_model():
+    """F = sqrt(1 + 25 |M|^2): its curvature falls off, so Newton overshoots."""
+    def F(M):
+        return np.sqrt(1.0 + 25.0 * np.einsum("...ij,...ij->...", M, M))
+
+    def dF(M):
+        return 25.0 * M / F(M)[..., None, None]
+
+    def d2F(M):
+        s = F(M)[..., None, None, None, None]
+        MM = np.einsum("...ij,...kl->...ijkl", M, M)
+        return 25.0 * models.identity_tensor(M.shape[-1]) / s - 625.0 * MM / s**3
+
+    return models.custom_model(2, F, dF, d2F, rho_U=0.99)
+
+
+def test_minimize_backtracked_steps_keep_the_accepted_trial():
+    g = grids.make_grid(2, 21, 0.5)
+    f = lambda x, y: 0.1 * x**3 * y
+    bump = lambda x, y: np.where((abs(x) < 0.4) & (abs(y) < 0.4),
+                                 (0.16 - x**2)**3 * (0.16 - y**2)**3, 0.0)
+    bc = ClampedBoundaryData.from_potential(g, f)
+    init = grids.sample(g, lambda x, y: f(x, y) + 1000.0 * bump(x, y))
+    model = _flattening_model()
+    u, rep = solver.minimize_clamped(model, bc, init, grad_tol=1e-8)
+    assert rep.converged
+    assert min(rep.steps) < 1.0
+    # steps below the Armijo round-off floor may leave the energy unchanged
+    assert np.all(np.diff(rep.energies) <= 0.0)
+    assert rep.energy == solver.assemble_energy(u, model)
+    H = grids.hessian_field(u)
+    assert rep.admissibility_margins[-1] == \
+        symmat.op_norm(H.matrices()[H.valid]).max() / model.rho_U
 
 
 def test_newton_operator_matches_independent_tensor_chain():
@@ -333,6 +454,43 @@ def test_solve_report_records_admissibility_margins():
 
 # --------------------------------------------------------- preconditioner
 
+def _dst1(x: np.ndarray, axis: int) -> np.ndarray:
+    """Oracle: unnormalized DST-I along one axis from an FFT.
+
+    The rfft of the odd extension (0, x, 0, -reversed x) of length 2(m + 1)
+    has imaginary part -2 X_k at k = 1..m.
+    """
+    x = np.moveaxis(x, axis, -1)
+    m = x.shape[-1]
+    ext = np.zeros(x.shape[:-1] + (2 * (m + 1),))
+    ext[..., 1:m + 1] = x
+    ext[..., m + 2:] = -x[..., ::-1]
+    spec = np.fft.rfft(ext)[..., 1:m + 1].imag
+    return np.moveaxis(-0.5 * spec, -1, axis)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 29, 125, 253])
+def test_sine_matrix_products_match_fft_dst(m):
+    rng = np.random.default_rng(m)
+    for shape in ((m, 7), (5, m), (m, 3, 6), (4, m, 2), (3, 5, m)):
+        z = rng.standard_normal(shape)
+        want = z
+        for axis in range(z.ndim):
+            want = _dst1(want, axis)
+        got = solver._dst(z, [solver._sine_matrix(k) for k in shape])
+        assert got.shape == shape
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 29, 125, 253])
+def test_sine_matrix_squares_to_scaled_identity(m):
+    S = solver._sine_matrix(m)
+    assert np.array_equal(S, S.T)
+    np.testing.assert_allclose(S @ S, 0.5 * (m + 1) * np.eye(m), rtol=0,
+                               atol=1e-12 * (m + 1))
+
+
 def dirichlet_laplacian(v, h):
     """(2n+1)-point negative Laplacian of v with zero values outside the array."""
     out = 2 * v.ndim * v
@@ -382,7 +540,8 @@ def test_preconditioned_cg_iterations_grow_slowly_on_area_newton_system():
     for nodes in (65, 129):
         u, model, grad = _area_newton_system(grids.make_grid(2, nodes, 0.5))
         _, iters[nodes], res = solver._newton_direction(
-            u, model, grad, cg_rtol=1e-10, cg_maxiter=10_000, atol=0.0)
+            solver._Iterate(u, model), grad, cg_rtol=1e-10, cg_maxiter=10_000,
+            atol=0.0)
         assert res <= 1e-10
     assert max(iters.values()) < 150
     assert iters[129] < 2 * iters[65]
