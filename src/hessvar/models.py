@@ -29,6 +29,7 @@ can be loaded as custom models; see :func:`load_table_model`.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,6 +71,34 @@ def tensor_apply(T: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 def tensor_pair(T: np.ndarray, sigma: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """T^{ij,kl} sigma_ij tau_kl (full index sum)."""
     return np.einsum("...ijkl,...ij,...kl->...", T, sigma, tau)
+
+
+def pack_tensor(T: np.ndarray) -> np.ndarray:
+    """Component-major packed copy P (m, m, ...) of a (..., n, n, n, n) tensor.
+
+    ``P[a, b] = T^{ij,kl}`` with (k, l) the packed output slot a and (i, j)
+    the packed input slot b (upper triangles, see :mod:`hessvar.symmat`).
+    With the minor symmetries these m^2 entries determine T; no major
+    symmetry is assumed.
+    """
+    pairs = symmat.PACKED_PAIRS[T.shape[-1]]
+    P = np.empty((len(pairs),) * 2 + T.shape[:-4])
+    for a, (k, l) in enumerate(pairs):
+        for b, (i, j) in enumerate(pairs):
+            P[a, b] = T[..., i, j, k, l]
+    return P
+
+
+def unpack_tensor(P: np.ndarray) -> np.ndarray:
+    """The (..., n, n, n, n) tensor with the minor symmetries of a packed P."""
+    n = symmat.dim_from_packed(P.shape[0])
+    pairs = symmat.PACKED_PAIRS[n]
+    T = np.empty(P.shape[2:] + (n,) * 4)
+    for a, (k, l) in enumerate(pairs):
+        for b, (i, j) in enumerate(pairs):
+            T[..., i, j, k, l] = T[..., j, i, k, l] = P[a, b]
+            T[..., i, j, l, k] = T[..., j, i, l, k] = P[a, b]
+    return T
 
 
 def _orthonormal_sym_basis(n: int) -> np.ndarray:
@@ -291,8 +320,23 @@ def _area_dF(M: np.ndarray) -> np.ndarray:
     return 0.5 * (G + np.swapaxes(G, -1, -2))
 
 
-def _area_d2F(M: np.ndarray) -> np.ndarray:
-    """Second derivative tensor of the volume integrand, in closed form.
+def _mapped_empty(shape) -> np.ndarray:
+    """Uninitialised float array on an anonymous memory mapping of its own.
+
+    Freeing a malloc block of 128 kB to 32 MB raises glibc's mmap threshold
+    to its size, so later temporaries below that size stay on the heap.
+    The packed tensor of a 49^3 area solve is 30 MB: from malloc, it raised
+    the solve's peak RSS from 185 to 195 MB; on its own mapping, 146 MB.
+    """
+    size = int(np.prod(shape))
+    if size == 0:
+        return np.empty(shape)
+    flags = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+    return np.frombuffer(mmap.mmap(-1, 8 * size, **flags), dtype=float).reshape(shape)
+
+
+def _area_d2F_packed(M: np.ndarray) -> np.ndarray:
+    """Packed second derivative of the volume integrand, in closed form.
 
     With B = g^-1 and A = B M (B commutes with M): dF[tau] = F tr(A tau), so
     G = F A; dB[tau] = -B (M tau + tau M) B and M B M = I - B give
@@ -301,23 +345,29 @@ def _area_d2F(M: np.ndarray) -> np.ndarray:
         T^{ij,kl} = F [A_ij A_kl + (B_ik B_jl + B_il B_jk) / 2
                                  - (A_ik A_jl + A_il A_jk) / 2].
 
-    Each packed pair ((ij), (kl)) is evaluated once and written to all eight
-    slots it stands for, so T is exactly minor and major symmetric.
+    Returns P (m, m, ...) as :func:`pack_tensor` does.  Each packed pair
+    ((ij), (kl)) is evaluated once, on component-major copies of A and B,
+    and written to P[a, b] and P[b, a], so P is exactly symmetric.
     """
     n = M.shape[-1]
     _, B, F = graph_metric(M)
     A = M @ B
-    T = np.empty(M.shape[:-2] + (n, n, n, n))
+    A, B = (np.moveaxis(X, (-2, -1), (0, 1)).copy() for X in (A, B))
     pairs = symmat.PACKED_PAIRS[n]
+    P = _mapped_empty((len(pairs),) * 2 + M.shape[:-2])
     for a, (i, j) in enumerate(pairs):
-        for k, l in pairs[a:]:
-            v = F * (A[..., i, j] * A[..., k, l]
-                     + 0.5 * (B[..., i, k] * B[..., j, l] + B[..., i, l] * B[..., j, k]
-                              - A[..., i, k] * A[..., j, l] - A[..., i, l] * A[..., j, k]))
-            for p, q, r, s in ((i, j, k, l), (k, l, i, j)):
-                T[..., p, q, r, s] = T[..., q, p, r, s] = v
-                T[..., p, q, s, r] = T[..., q, p, s, r] = v
-    return T
+        for b, (k, l) in enumerate(pairs[a:], a):
+            np.multiply(F, A[i, j] * A[k, l]
+                        + 0.5 * (B[i, k] * B[j, l] + B[i, l] * B[j, k]
+                                 - A[i, k] * A[j, l] - A[i, l] * A[j, k]),
+                        out=P[a, b, ...])
+            P[b, a] = P[a, b]
+    return P
+
+
+def _area_d2F(M: np.ndarray) -> np.ndarray:
+    """Second derivative tensor of the volume integrand: the unpacked closed form."""
+    return unpack_tensor(_area_d2F_packed(M))
 
 
 # ---- integrand bodies and public evaluators
@@ -357,6 +407,21 @@ def _d2F_body(model: EnergyModel, M: np.ndarray) -> np.ndarray:
         lambda X: _fd_dF(model._F, X, model.fd_step)
     )
     return _fd_d2F(dF, M, model.fd_step)
+
+
+def _d2F_packed_body(model: EnergyModel, M: np.ndarray) -> np.ndarray:
+    """The second derivative packed as by :func:`pack_tensor`, shape (m, m, ...).
+
+    The quadratic integrand gets a read-only broadcast view of the packed
+    identity; only ``custom`` models build the full tensor first.
+    """
+    if model.kind == "quadratic":
+        P = pack_tensor(identity_tensor(model.n))
+        return np.broadcast_to(P.reshape(P.shape + (1,) * (M.ndim - 2)),
+                               P.shape + M.shape[:-2])
+    if model.kind == "area":
+        return _area_d2F_packed(M)
+    return pack_tensor(_d2F_body(model, M))
 
 
 def eval_F(model: EnergyModel, M: np.ndarray) -> np.ndarray:

@@ -176,21 +176,22 @@ class NewtonOperator:
 
     for unknown nodes y, and zero elsewhere.  S is the packed Hessian stencil
     map and T the per-node tensor of second derivatives of the integrand on
-    the quadrature region (zero off it, with the minor symmetries); input
-    slot (i, j) of S v pairs with output slot (k, l) through T^{ij,kl}, as in
-    :func:`models.tensor_apply`.  The coefficients C_d are assembled once,
-    one row per stencil offset d over the flat index range spanning the
-    unknowns.  Offsets that no nonzero entry of T reaches are not stored:
-    2D has 25 offsets in general and 13 for the quadratic integrand, where
-    the operator is the 13-point discrete bi-Laplacian.
+    the quadrature region (zero off it), given packed as by
+    :func:`models.pack_tensor`: ``P[a, b] = T^{ij,kl}`` pairs input slot
+    b = (i, j) of S v with output slot a = (k, l), as in
+    :func:`models.tensor_apply`; P has shape (m, m, K) for the K region
+    nodes.  The coefficients C_d are assembled once, one row per stencil
+    offset d over the flat index range spanning the unknowns.  Offsets that
+    no nonzero entry of P reaches are not stored: 2D has 25 offsets in
+    general and 13 for the quadratic integrand, where the operator is the
+    13-point discrete bi-Laplacian.
     """
 
-    def __init__(self, Tfield: np.ndarray, region: np.ndarray,
+    def __init__(self, P: np.ndarray, region: np.ndarray,
                  unknowns: np.ndarray, h: float):
         n = region.ndim
         stencils = _hessian_stencil(n, h)
         dup = symmat.duplication_weights(n)
-        pairs = symmat.PACKED_PAIRS[n]
         strides = [int(np.prod(region.shape[k + 1:])) for k in range(n)]
 
         def flat(off):
@@ -201,8 +202,8 @@ class NewtonOperator:
         self.start, self.stop = ((int(rows[0]), int(rows[-1]) + 1)
                                  if rows.size else (0, 0))
         # (output slot a, input slot b) pairs with a nonzero tensor entry
-        terms = [(a, b) for a, (k, l) in enumerate(pairs)
-                 for b, (i, j) in enumerate(pairs) if np.any(Tfield[:, i, j, k, l])]
+        terms = [(a, b) for a in range(len(stencils)) for b in range(len(stencils))
+                 if P[a, b].any()]
         offsets = {(0,) * n} | {
             tuple(x + y for x, y in zip(oa, ob))
             for a, b in terms for oa, _ in stencils[a] for ob, _ in stencils[b]
@@ -215,8 +216,7 @@ class NewtonOperator:
         full = np.zeros(region.size)
         inside = np.ravel(region)
         for a, b in terms:
-            (k, l), (i, j) = pairs[a], pairs[b]
-            full[inside] = dup[a] * dup[b] * Tfield[:, i, j, k, l]
+            full[inside] = dup[a] * dup[b] * P[a, b]
             for oa, wa in stencils[a]:
                 src = full[self.start + flat(oa):self.stop + flat(oa)]
                 for ob, wb in stencils[b]:
@@ -405,10 +405,10 @@ class _Iterate:
         kept the freed integrand temporaries below it: peak RSS of a 65^3
         area solve rose from 401 to 473 MB.
         """
-        T = self._on_region(models._d2F_body)
+        P = self._on_region(models._d2F_packed_body)
         del self.M
         u = self.u
-        return NewtonOperator(T, self.region, u.interior & u.valid, u.h)
+        return NewtonOperator(P, self.region, u.interior & u.valid, u.h)
 
 
 def _newton_direction(it: _Iterate, grad: np.ndarray, cg_rtol: float,
@@ -586,8 +586,9 @@ def solve_constant_coeff_bvp(
     u0 = bc.apply(grid)
     region = hessian_field(u0).valid
     unknowns = u0.interior & u0.valid
-    Tfield = np.broadcast_to(T0, (int(region.sum()),) + T0.shape)
-    op = NewtonOperator(Tfield, region, unknowns, u0.h)
+    P0 = models.pack_tensor(T0)
+    P = np.broadcast_to(P0[..., None], P0.shape + (int(region.sum()),))
+    op = NewtonOperator(P, region, unknowns, u0.h)
     grad = op.matvec(np.array(u0.values))
 
     if cg_maxiter is None:

@@ -145,6 +145,55 @@ def test_area_second_derivative_matches_spectral_oracle(n):
     assert np.array_equal(T, np.swapaxes(T, -2, -1))
 
 
+def slot_filling_area_d2F(M):
+    """Oracle: the full-tensor closed form, each packed pair written to its eight slots."""
+    n = M.shape[-1]
+    _, B, F = models.graph_metric(M)
+    A = M @ B
+    T = np.empty(M.shape[:-2] + (n, n, n, n))
+    pairs = symmat.PACKED_PAIRS[n]
+    for a, (i, j) in enumerate(pairs):
+        for k, l in pairs[a:]:
+            v = F * (A[..., i, j] * A[..., k, l]
+                     + 0.5 * (B[..., i, k] * B[..., j, l] + B[..., i, l] * B[..., j, k]
+                              - A[..., i, k] * A[..., j, l] - A[..., i, l] * A[..., j, k]))
+            for p, q, r, s in ((i, j, k, l), (k, l, i, j)):
+                T[..., p, q, r, s] = T[..., q, p, r, s] = v
+                T[..., p, q, s, r] = T[..., q, p, s, r] = v
+    return T
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_packed_area_d2F_equals_slot_filling_oracle(n):
+    rng = np.random.default_rng(36)
+    M = np.concatenate([random_sym(rng, 300, n, scale=1.5),
+                        np.zeros((1, n, n)), 0.7 * np.eye(n)[None]])
+    ref = slot_filling_area_d2F(M)
+    P = models._area_d2F_packed(M)
+    m = symmat.packed_size(n)
+    assert P.shape == (m, m, len(M))
+    assert np.array_equal(models.unpack_tensor(P), ref)
+    assert np.array_equal(models.pack_tensor(ref), P)
+    assert np.array_equal(eval_d2F(area_model(n), M), ref)
+    # one matrix, no batch axis
+    assert np.array_equal(eval_d2F(area_model(n), M[3]), ref[3])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_packed_body_matches_full_body_for_every_kind(n):
+    rng = np.random.default_rng(37)
+    M = random_sym(rng, 40, n, scale=0.4)
+    bumpy = lambda X: (0.5 * symmat.hs_inner(X, X)
+                       + 0.1 * np.exp(0.3 * np.einsum("...ii->...", X)))
+    for model in (quadratic_model(n), area_model(n), custom_model(n, bumpy)):
+        P = models._d2F_packed_body(model, M)
+        assert np.array_equal(P, models.pack_tensor(models._d2F_body(model, M)))
+    # pack/unpack keep a field without major symmetry
+    T = models.symmetrize_tensor(rng.standard_normal((5,) + (n,) * 4))
+    assert np.abs(T - T.transpose(0, 3, 4, 1, 2)).max() > 0.1
+    assert np.array_equal(models.unpack_tensor(models.pack_tensor(T)), T)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_gradient_matches_directional_fd_all_kinds(n):
     rng = np.random.default_rng(31)

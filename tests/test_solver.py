@@ -288,8 +288,9 @@ def test_iterate_record_matches_public_evaluators(dim):
     assert it.energy() == solver.assemble_energy(u, model)
     assert np.array_equal(it.gradient(), solver.energy_gradient(u, model))
     op = it.newton_operator()
-    ref = solver.NewtonOperator(models.eval_d2F(model, H.matrices()[H.valid]),
-                                H.valid, u.interior & u.valid, u.h)
+    ref = solver.NewtonOperator(
+        models.pack_tensor(models.eval_d2F(model, H.matrices()[H.valid])),
+        H.valid, u.interior & u.valid, u.h)
     assert op.deltas == ref.deltas
     assert np.array_equal(op.coeffs, ref.coeffs)
     assert solver._Iterate(u, replace(model, rho_U=np.inf)).peak == 0.0
@@ -353,6 +354,55 @@ def test_minimize_backtracked_steps_keep_the_accepted_trial():
         symmat.op_norm(H.matrices()[H.valid]).max() / model.rho_U
 
 
+def full_tensor_newton_rows(Tfield, region, unknowns, h):
+    """Oracle: (deltas, coeffs) of the Newton operator from the full (K, n, n, n, n) field.
+
+    The assembly scans the 36 (3D) or 9 (2D) packed slots of the full
+    tensor in the operator's term, offset and stencil order.
+    """
+    n = region.ndim
+    stencils = grids._hessian_stencil(n, h)
+    dup = symmat.duplication_weights(n)
+    pairs = symmat.PACKED_PAIRS[n]
+    strides = [int(np.prod(region.shape[k + 1:])) for k in range(n)]
+    flat = lambda off: sum(o * s for o, s in zip(off, strides))
+    rows = np.flatnonzero(unknowns)
+    start, stop = int(rows[0]), int(rows[-1]) + 1
+    terms = [(a, b) for a, (k, l) in enumerate(pairs)
+             for b, (i, j) in enumerate(pairs) if np.any(Tfield[:, i, j, k, l])]
+    offsets = sorted({(0,) * n} | {
+        tuple(x + y for x, y in zip(oa, ob))
+        for a, b in terms for oa, _ in stencils[a] for ob, _ in stencils[b]})
+    row_of = {off: r for r, off in enumerate(offsets)}
+    coeffs = np.zeros((len(offsets), stop - start))
+    full = np.zeros(region.size)
+    for a, b in terms:
+        (k, l), (i, j) = pairs[a], pairs[b]
+        full[np.ravel(region)] = dup[a] * dup[b] * Tfield[:, i, j, k, l]
+        for oa, wa in stencils[a]:
+            src = full[start + flat(oa):stop + flat(oa)]
+            for ob, wb in stencils[b]:
+                coeffs[row_of[tuple(x + y for x, y in zip(oa, ob))]] += (wa * wb) * src
+    coeffs *= h**n * np.ravel(unknowns)[start:stop]
+    return [flat(off) for off in offsets], coeffs
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_newton_rows_equal_full_tensor_assembly_for_every_kind(dim):
+    u, area = _area_field(dim)
+    bumpy = lambda X: (0.5 * symmat.hs_inner(X, X)
+                       + 0.1 * np.exp(0.3 * np.einsum("...ii->...", X)))
+    H = grids.hessian_field(u)
+    M = H.matrices()[H.valid]
+    for model in (area, models.quadratic_model(dim),
+                  models.custom_model(dim, bumpy)):
+        op = solver._Iterate(u, model).newton_operator()
+        deltas, coeffs = full_tensor_newton_rows(
+            models.eval_d2F(model, M), H.valid, u.interior & u.valid, u.h)
+        assert op.deltas == deltas
+        assert np.array_equal(op.coeffs, coeffs)
+
+
 def test_newton_operator_matches_independent_tensor_chain():
     # the assembled operator against S^T [T : S v] built from hessian_field,
     # tensor_apply and hessian_adjoint, on a tensor field without major
@@ -371,7 +421,10 @@ def test_newton_operator_matches_independent_tensor_chain():
             2.0 * models.identity_tensor(dim)
             + 0.3 * rng.standard_normal((K,) + (dim,) * 4))
         assert np.abs(Tfield - Tfield.transpose(0, 3, 4, 1, 2)).max() > 0.1
-        op = solver.NewtonOperator(Tfield, region, unknowns, g.h)
+        op = solver.NewtonOperator(models.pack_tensor(Tfield), region, unknowns, g.h)
+        deltas, coeffs = full_tensor_newton_rows(Tfield, region, unknowns, g.h)
+        assert op.deltas == deltas
+        assert np.array_equal(op.coeffs, coeffs)
 
         v = rng.standard_normal(g.extents)
         sig = grids.hessian_field(g.with_values(v)).matrices()[region]
@@ -401,7 +454,8 @@ def _area_newton_point_3d():
     M = H.matrices()[H.valid]
     assert 0.05 < symmat.op_norm(M).max() < 0.9
     unknowns = u.interior & u.valid
-    op = solver.NewtonOperator(models.eval_d2F(model, M), H.valid, unknowns, u.h)
+    op = solver.NewtonOperator(models.pack_tensor(models.eval_d2F(model, M)),
+                               H.valid, unknowns, u.h)
     return u, model, unknowns, op
 
 
@@ -554,8 +608,9 @@ def test_preconditioner_beats_jacobi_on_masked_l_shape():
     u, model, grad = _area_newton_system(replace(g, valid=valid))
     H = grids.hessian_field(u)
     unknowns = u.interior & u.valid
-    op = solver.NewtonOperator(models.eval_d2F(model, H.matrices()[H.valid]),
-                               H.valid, unknowns, u.h)
+    op = solver.NewtonOperator(
+        models.pack_tensor(models.eval_d2F(model, H.matrices()[H.valid])),
+        H.valid, unknowns, u.h)
     diag = op.jacobi_diagonal()
     iters = {}
     for name, precond in (
