@@ -49,9 +49,6 @@ EXIT_NONCONVERGED = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 
-THREADS_ENV = "HESSVAR_THREADS"
-
-
 class UsageError(Exception):
     pass
 
@@ -72,9 +69,6 @@ def build_parser() -> _Parser:
         q.add_argument("--out", required=True, help="output directory")
         q.add_argument("--seed", type=int, default=None,
                        help="override the [run] seed")
-        q.add_argument("--threads", type=int, default=None,
-                       help="thread count recorded in the report; falls back "
-                            "to $" + THREADS_ENV)
         if field:
             q.add_argument("--field", required=True,
                            help="matrix field file (CSV or HVGF binary)")
@@ -91,26 +85,9 @@ def build_parser() -> _Parser:
     return p
 
 
-def _resolve_run_params(cfg: RunConfig, args) -> tuple[int, int]:
-    seed = args.seed if args.seed is not None else cfg.seed
-    if args.threads is not None:
-        threads = args.threads
-    elif os.environ.get(THREADS_ENV):
-        try:
-            threads = int(os.environ[THREADS_ENV])
-        except ValueError as exc:
-            raise ConfigError(
-                f"${THREADS_ENV} is not an integer: {os.environ[THREADS_ENV]!r}"
-            ) from exc
-    else:
-        threads = cfg.threads
-    return seed, threads
-
-
-def _resolved_config(cfg: RunConfig, seed: int, threads: int) -> dict:
+def _resolved_config(cfg: RunConfig, seed: int) -> dict:
     d = cfg.to_dict()
     d["seed"] = seed
-    d["threads"] = threads
     return d
 
 
@@ -152,8 +129,7 @@ def _boundary_and_init(cfg: RunConfig, grid: ScalarGrid, base: str):
 
 # ------------------------------------------------------------------- solve
 
-def cmd_solve(cfg: RunConfig, out: str, seed: int, threads: int,
-              base: str = ".") -> int:
+def cmd_solve(cfg: RunConfig, out: str, seed: int, base: str = ".") -> int:
     os.makedirs(out, exist_ok=True)
     grid = make_grid(cfg.dim, cfg.nodes, cfg.half_width)
     model = build_model(cfg, base)
@@ -165,7 +141,7 @@ def cmd_solve(cfg: RunConfig, out: str, seed: int, threads: int,
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "solve",
-        "config": _resolved_config(cfg, seed, threads),
+        "config": _resolved_config(cfg, seed),
         "seed": seed,
         "iterations": rep.iterations,
         "grad_norm": rep.grad_norm,
@@ -188,8 +164,7 @@ def _usable_geometry(field):
     return center, width
 
 
-def cmd_diagnose(cfg: RunConfig, field_file: str, out: str, seed: int,
-                 threads: int) -> int:
+def cmd_diagnose(cfg: RunConfig, field_file: str, out: str, seed: int) -> int:
     if cfg.tau_sigma is None:
         raise ConfigError(
             "diagnose needs an explicit [diagnostics] tau_sigma threshold"
@@ -232,7 +207,7 @@ def cmd_diagnose(cfg: RunConfig, field_file: str, out: str, seed: int,
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "diagnose",
-        "config": _resolved_config(cfg, seed, threads),
+        "config": _resolved_config(cfg, seed),
         "seed": seed,
         "bmo": {
             **jn.bmo.to_dict(),
@@ -280,8 +255,7 @@ def cmd_diagnose(cfg: RunConfig, field_file: str, out: str, seed: int,
 
 # ----------------------------------------------------------------- hamstat
 
-def cmd_hamstat(cfg: RunConfig, out: str, seed: int, threads: int,
-                base: str = ".") -> int:
+def cmd_hamstat(cfg: RunConfig, out: str, seed: int, base: str = ".") -> int:
     if cfg.eta is None:
         raise ConfigError("hamstat needs [model] eta in (0, 1)")
     os.makedirs(out, exist_ok=True)
@@ -316,7 +290,7 @@ def cmd_hamstat(cfg: RunConfig, out: str, seed: int, threads: int,
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "hamstat",
-        "config": _resolved_config(cfg, seed, threads),
+        "config": _resolved_config(cfg, seed),
         "seed": seed,
         "phase": {
             "file": phase_file,
@@ -335,8 +309,7 @@ def cmd_hamstat(cfg: RunConfig, out: str, seed: int, threads: int,
 
 # --------------------------------------------------------------- campanato
 
-def cmd_campanato(cfg: RunConfig, field_file: str, out: str, seed: int,
-                  threads: int) -> int:
+def cmd_campanato(cfg: RunConfig, field_file: str, out: str, seed: int) -> int:
     os.makedirs(out, exist_ok=True)
     field = gridio.read_field(field_file)
     center, width = _usable_geometry(field)
@@ -358,7 +331,7 @@ def cmd_campanato(cfg: RunConfig, field_file: str, out: str, seed: int,
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "campanato",
-        "config": _resolved_config(cfg, seed, threads),
+        "config": _resolved_config(cfg, seed),
         "seed": seed,
         "curve": curve.to_dict(),
         "fit": fit.to_dict(),
@@ -406,16 +379,16 @@ def run(argv=None) -> int:
         if args.command == "report-merge":
             return cmd_report_merge(args.inputs, args.out)
         cfg = parse_config(args.config)
-        seed, threads = _resolve_run_params(cfg, args)
+        seed = args.seed if args.seed is not None else cfg.seed
         base = os.path.dirname(os.path.abspath(args.config))
         if args.command == "solve":
-            return cmd_solve(cfg, args.out, seed, threads, base)
+            return cmd_solve(cfg, args.out, seed, base)
         if args.command == "diagnose":
-            return cmd_diagnose(cfg, args.field, args.out, seed, threads)
+            return cmd_diagnose(cfg, args.field, args.out, seed)
         if args.command == "hamstat":
-            return cmd_hamstat(cfg, args.out, seed, threads, base)
+            return cmd_hamstat(cfg, args.out, seed, base)
         if args.command == "campanato":
-            return cmd_campanato(cfg, args.field, args.out, seed, threads)
+            return cmd_campanato(cfg, args.field, args.out, seed)
         raise UsageError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"hessvar: config error: {exc}", file=sys.stderr)

@@ -32,7 +32,6 @@ The format is INI-style with bracketed sections and no nesting::
 
     [run]
     seed = 0
-    threads = 0
 
 Every key has a default except where noted; parse errors carry line numbers.
 Referenced files (boundary data, integrand tables) must exist at parse time.
@@ -92,7 +91,6 @@ class RunConfig:
     inner_fraction: float = 0.5
     # [run]
     seed: int = 0
-    threads: int = 0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -141,7 +139,6 @@ _SCHEMA = {
     },
     "run": {
         "seed": ("seed", int),
-        "threads": ("threads", int),
     },
 }
 

@@ -28,7 +28,7 @@ from .grids import (
     GridError,
     SymMatField,
     ball_chunks,
-    ball_fits,
+    balls_fit,
     ball_window,
     inner_box_nodes,
     node_ball_offsets,
@@ -290,15 +290,17 @@ def reverse_holder_check(f: SymMatField, centers, scales) -> ReverseHolderResult
     pbar = sobolev_dual_exponent(n)
     centers = [tuple(float(v) for v in c) for c in centers]
     scales = [float(s) for s in scales]
+    fits = balls_fit(f, centers, [2.0 * s for s in scales])
+    if not fits.all():
+        i, k = np.argwhere(~fits)[0]
+        raise GridError(
+            f"doubled ball B_{2 * scales[k]:g}({centers[i]}) leaves the valid region"
+        )
     constants, degenerate = [], []
     for c in centers:
         row, drow = [], []
         for s in scales:
             outer = Ball(center=c, radius=2.0 * s)
-            if not ball_fits(f, outer):
-                raise GridError(
-                    f"doubled ball B_{2 * s:g}({c}) leaves the valid region"
-                )
             num = mean_power(f, Ball(center=c, radius=s), 2.0) ** 0.5
             den = mean_power(f, outer, pbar) ** (1.0 / pbar)
             if den == 0.0:

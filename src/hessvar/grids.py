@@ -572,13 +572,19 @@ def _bounds(grid_like, usable: np.ndarray):
 
 def _fits(lo, hi, centers, radii) -> np.ndarray:
     """Whether ``B_r(c)`` lies in the box ``[lo, hi]``, for centers ``c`` (rows) and radii ``r``."""
-    cs, rs = np.array(centers)[:, None], np.array(radii)[:, None]
+    cs = np.reshape(np.asarray(centers, dtype=float), (-1, 1, len(lo)))
+    rs = np.asarray(radii, dtype=float)[:, None]
     return np.all(cs - rs >= lo - 1e-12, axis=-1) & np.all(cs + rs <= hi + 1e-12, axis=-1)
+
+
+def balls_fit(grid_like, centers, radii) -> np.ndarray:
+    """(centers, radii) table: whether ``B_r(c)`` sits inside the usable-region bounding box."""
+    return _fits(*_bounds(grid_like, _usable(grid_like)), centers, radii)
 
 
 def ball_fits(grid_like, ball: Ball) -> bool:
     """True if the ball sits inside the usable-region bounding box."""
-    return bool(_fits(*_bounds(grid_like, _usable(grid_like)), [ball.center], [ball.radius]))
+    return bool(balls_fit(grid_like, [ball.center], [ball.radius]))
 
 
 def dyadic_radii(r_max: float, r_min: float) -> list:

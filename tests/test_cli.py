@@ -523,10 +523,20 @@ def test_determinism_byte_identical_reports(tmp_path):
     assert souts[0] == souts[1]
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("HESSVAR_THREADS", "2")
-    cfg = write_config(tmp_path / "s.cfg", BASE_SOLVE)
+def test_threads_config_key_exits_64(tmp_path, capsys, monkeypatch):
+    # the environment variable of the removed thread setting is ignored
+    monkeypatch.setenv("HESSVAR_THREADS", "not a number")
+    cfg = write_config(tmp_path / "s.cfg", BASE_SOLVE + "threads = 2\n")
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 64
+    assert "unknown key 'threads' in [run]" in capsys.readouterr().err
+    cfg = write_config(tmp_path / "ok.cfg", BASE_SOLVE)
     out = tmp_path / "out"
     assert run(["solve", "--config", cfg, "--out", str(out)]) == 0
-    rep = json.loads((out / "solve_report.json").read_text())
-    assert rep["config"]["threads"] == 2
+    assert "threads" not in json.loads((out / "solve_report.json").read_text())["config"]
+
+
+def test_threads_option_exits_64(tmp_path, capsys):
+    cfg = write_config(tmp_path / "s.cfg", BASE_SOLVE)
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o"),
+                "--threads", "2"]) == 64
+    assert "--threads" in capsys.readouterr().err
