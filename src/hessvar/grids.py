@@ -582,11 +582,6 @@ def balls_fit(grid_like, centers, radii) -> np.ndarray:
     return _fits(*_bounds(grid_like, _usable(grid_like)), centers, radii)
 
 
-def ball_fits(grid_like, ball: Ball) -> bool:
-    """True if the ball sits inside the usable-region bounding box."""
-    return bool(balls_fit(grid_like, [ball.center], [ball.radius]))
-
-
 def dyadic_radii(r_max: float, r_min: float) -> list:
     """Radii ``r_max, r_max/2, ...`` down to ``r_min`` (relative slack 1e-12)."""
     if not (np.isfinite(r_max) and np.isfinite(r_min) and r_min > 0):

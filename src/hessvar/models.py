@@ -10,7 +10,10 @@ Derivative convention: off-diagonal entries M_ij and M_ji are one variable.
 sigma)`` for every symmetric ``sigma`` (Hilbert-Schmidt pairing with the full
 index sum), and ``eval_d2F`` returns the tensor T with ``T^{ij,kl} sigma_ij
 sigma_kl = d^2/dt^2 F(M + t sigma)``.  All contractions in the package use
-this single convention.
+this single convention.  The solver takes the second derivative packed:
+``P[a, b] = T^{ij,kl}``, shape (m, m, ...), with a = (k, l) and b = (i, j)
+packed slots (:func:`pack_tensor`); the area closed form is evaluated
+packed and ``eval_d2F`` unpacks it.
 
 Built-in kinds:
 
@@ -19,7 +22,7 @@ Built-in kinds:
   gradient graph ``x -> (x, Du)``.  With the metric g = I + M^2, B = g^-1
   and A = B M, the derivatives are G = F A and
   T^{ij,kl} = F [A_ij A_kl + (B_ik B_jl + B_il B_jk)/2 - (A_ik A_jl + A_il A_jk)/2]
-  (derived at ``_area_d2F``); no eigen-decomposition is needed.
+  (derived at ``_area_d2F_packed``); no eigen-decomposition is needed.
 * ``custom``     user callables, with matrix finite differences (Richardson
   extrapolated, step ``delta * (1 + |M|)``) filling in missing derivatives.
 
@@ -327,9 +330,10 @@ def _mapped_empty(shape) -> np.ndarray:
     to its size, so later temporaries below that size stay on the heap.
     The packed tensor of a 49^3 area solve is 30 MB: from malloc, it raised
     the solve's peak RSS from 185 to 195 MB; on its own mapping, 146 MB.
+    Arrays below 128 kB come from malloc, which never maps them.
     """
     size = int(np.prod(shape))
-    if size == 0:
+    if 8 * size < 1 << 17:
         return np.empty(shape)
     flags = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
     return np.frombuffer(mmap.mmap(-1, 8 * size, **flags), dtype=float).reshape(shape)

@@ -19,7 +19,9 @@ dense DST-I sine matrices, one per box axis.  Steps are shortened until every
 node Hessian stays inside the model's admissible set (margin 1e-6).  Each
 iterate is evaluated once (:class:`_Iterate`): its Hessian field and
 operator-norm peak serve the admissibility test, the energy, the gradient and
-the Newton operator.
+the Newton operator.  The Newton operator is assembled from the packed second
+derivative of the integrand (:func:`models.pack_tensor`), one contiguous row
+per (output, input) slot pair.
 """
 
 from __future__ import annotations

@@ -304,14 +304,11 @@ def test_reverse_holder_names_first_oversized_ball():
     g = grids.make_grid(2, 33, 1.0)
     f = constant_field(g, np.eye(2))
     centers, scales = [(0.0, 0.0), (0.5, -0.2), (0.6, 0.5)], [0.1, 0.3, 0.22]
-    # the first (center, scale) pair in loop order whose doubled ball leaves
-    first = next((c, s) for c in centers for s in scales
-                 if not grids.ball_fits(f, Ball(center=c, radius=2.0 * s)))
-    assert first == ((0.5, -0.2), 0.3)
+    # three doubled balls cross x = 1; (0.5, -0.2) at scale 0.3 comes first
+    # in (center, scale) order
     with pytest.raises(grids.GridError) as err:
         diag.reverse_holder_check(f, centers, scales)
-    assert str(err.value) == (f"doubled ball B_{2 * first[1]:g}({first[0]}) "
-                              f"leaves the valid region")
+    assert str(err.value) == "doubled ball B_0.6((0.5, -0.2)) leaves the valid region"
     res = diag.reverse_holder_check(f, [], scales)
     assert res.constants == () and res.degenerate == ()
 

@@ -404,7 +404,7 @@ def test_ball_family_counting_oracle():
                     count += 1
     assert len(fam) == count
     for b in fam:
-        assert grids.ball_fits(g, b)
+        assert grids.balls_fit(g, [b.center], [b.radius]).all()
 
 
 def test_nodal_and_bump_tests_vanish_off_interior():

@@ -166,7 +166,8 @@ def slot_filling_area_d2F(M):
 @pytest.mark.parametrize("n", [2, 3])
 def test_packed_area_d2F_equals_slot_filling_oracle(n):
     rng = np.random.default_rng(36)
-    M = np.concatenate([random_sym(rng, 300, n, scale=1.5),
+    # 602 matrices: the 3D P (173 kB) is above the size that gets its own mapping
+    M = np.concatenate([random_sym(rng, 600, n, scale=1.5),
                         np.zeros((1, n, n)), 0.7 * np.eye(n)[None]])
     ref = slot_filling_area_d2F(M)
     P = models._area_d2F_packed(M)
