@@ -32,7 +32,6 @@ can be loaded as custom models; see :func:`load_table_model`.
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -323,22 +322,6 @@ def _area_dF(M: np.ndarray) -> np.ndarray:
     return 0.5 * (G + np.swapaxes(G, -1, -2))
 
 
-def _mapped_empty(shape) -> np.ndarray:
-    """Uninitialised float array on an anonymous memory mapping of its own.
-
-    Freeing a malloc block of 128 kB to 32 MB raises glibc's mmap threshold
-    to its size, so later temporaries below that size stay on the heap.
-    The packed tensor of a 49^3 area solve is 30 MB: from malloc, it raised
-    the solve's peak RSS from 185 to 195 MB; on its own mapping, 146 MB.
-    Arrays below 128 kB come from malloc, which never maps them.
-    """
-    size = int(np.prod(shape))
-    if 8 * size < 1 << 17:
-        return np.empty(shape)
-    flags = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
-    return np.frombuffer(mmap.mmap(-1, 8 * size, **flags), dtype=float).reshape(shape)
-
-
 def _area_d2F_packed(M: np.ndarray) -> np.ndarray:
     """Packed second derivative of the volume integrand, in closed form.
 
@@ -358,7 +341,7 @@ def _area_d2F_packed(M: np.ndarray) -> np.ndarray:
     A = M @ B
     A, B = (np.moveaxis(X, (-2, -1), (0, 1)).copy() for X in (A, B))
     pairs = symmat.PACKED_PAIRS[n]
-    P = _mapped_empty((len(pairs),) * 2 + M.shape[:-2])
+    P = np.empty((len(pairs),) * 2 + M.shape[:-2])
     for a, (i, j) in enumerate(pairs):
         for b, (k, l) in enumerate(pairs[a:], a):
             np.multiply(F, A[i, j] * A[k, l]

@@ -19,9 +19,10 @@ dense DST-I sine matrices, one per box axis.  Steps are shortened until every
 node Hessian stays inside the model's admissible set (margin 1e-6).  Each
 iterate is evaluated once (:class:`_Iterate`): its Hessian field and
 operator-norm peak serve the admissibility test, the energy, the gradient and
-the Newton operator.  The Newton operator is assembled from the packed second
-derivative of the integrand (:func:`models.pack_tensor`), one contiguous row
-per (output, input) slot pair.
+the Newton operator.  The Newton operator is matrix-free, ``h^n 1_U S^T (P :
+S v)`` on the one Hessian stencil S, with the packed second derivative P of
+the integrand (:func:`models.pack_tensor`) folded into one coefficient array
+per nonzero (output, input) slot pair.
 """
 
 from __future__ import annotations
@@ -172,76 +173,89 @@ def _weighted_adjoint(G: np.ndarray, region: np.ndarray, h: float) -> np.ndarray
 
 
 class NewtonOperator:
-    """Assembled second-derivative (stiffness) operator of one Newton step.
+    """Matrix-free second-derivative (stiffness) operator of one Newton step.
 
-        (A v)(y) = h^n (S^T [T : S v])(y) = sum_d C_d(y) v(y + d)
+        A v = h^n 1_U S^T [T : S v]
 
-    for unknown nodes y, and zero elsewhere.  S is the packed Hessian stencil
-    map and T the per-node tensor of second derivatives of the integrand on
-    the quadrature region (zero off it), given packed as by
-    :func:`models.pack_tensor`: ``P[a, b] = T^{ij,kl}`` pairs input slot
-    b = (i, j) of S v with output slot a = (k, l), as in
+    on the unknown nodes U, and zero elsewhere.  S is the packed Hessian
+    stencil of :func:`grids._hessian_stencil` and T the per-node tensor of
+    second derivatives of the integrand on the quadrature region (zero off
+    it), packed as by :func:`models.pack_tensor`: ``P[a, b] = T^{ij,kl}``
+    pairs input slot b = (i, j) of S v with output slot a = (k, l), as in
     :func:`models.tensor_apply`; P has shape (m, m, K) for the K region
-    nodes.  The coefficients C_d are assembled once, one row per stencil
-    offset d over the flat index range spanning the unknowns.  Offsets that
-    no nonzero entry of P reaches are not stored: 2D has 25 offsets in
-    general and 13 for the quadratic integrand, where the operator is the
-    13-point discrete bi-Laplacian.
+    nodes.  Each slot's stencil is kept as flat C-order offsets of weight
+    +-1 (the centre weight -2 as two -1 entries); h^n dup[a] dup[b] and both
+    slots' stencil scales are folded into one coefficient array per nonzero
+    (a, b).  The arrays span the unknowns' flat index range widened by the
+    stencil reach; the unknowns must lie off the two outer node rings.
     """
 
     def __init__(self, P: np.ndarray, region: np.ndarray,
                  unknowns: np.ndarray, h: float):
         n = region.ndim
-        stencils = _hessian_stencil(n, h)
-        dup = symmat.duplication_weights(n)
+        hessian = _hessian_stencil(n, h)
         strides = [int(np.prod(region.shape[k + 1:])) for k in range(n)]
-
-        def flat(off):
-            return sum(o * s for o, s in zip(off, strides))
-
+        self.stencils = [[(int(np.dot(off, strides)), 1 if w > 0 else -1)
+                          for off, w in st for _ in range(round(abs(w / st[0][1])))]
+                         for st in hessian]
+        reach = max(abs(d) for st in self.stencils for d, _ in st)
         rows = np.flatnonzero(unknowns)
-        self.shape = region.shape
-        self.start, self.stop = ((int(rows[0]), int(rows[-1]) + 1)
-                                 if rows.size else (0, 0))
-        # (output slot a, input slot b) pairs with a nonzero tensor entry
-        terms = [(a, b) for a in range(len(stencils)) for b in range(len(stencils))
-                 if P[a, b].any()]
-        offsets = {(0,) * n} | {
-            tuple(x + y for x, y in zip(oa, ob))
-            for a, b in terms for oa, _ in stencils[a] for ob, _ in stencils[b]
-        }
-        offsets = sorted(offsets)
-        row_of = {off: r for r, off in enumerate(offsets)}
-        self.deltas = [flat(off) for off in offsets]
-        self.center = row_of[(0,) * n]
-        self.coeffs = np.zeros((len(offsets), self.stop - self.start))
-        full = np.zeros(region.size)
-        inside = np.ravel(region)
-        for a, b in terms:
-            full[inside] = dup[a] * dup[b] * P[a, b]
-            for oa, wa in stencils[a]:
-                src = full[self.start + flat(oa):self.stop + flat(oa)]
-                for ob, wb in stencils[b]:
-                    row = row_of[tuple(x + y for x, y in zip(oa, ob))]
-                    self.coeffs[row] += (wa * wb) * src
-        self.unknown_rows = np.ravel(unknowns)[self.start:self.stop]
-        self.coeffs *= h**n * self.unknown_rows
+        self.unknowns = unknowns
+        self.start, self.stop = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
+        self.lo, self.hi = (self.start - reach, self.stop + reach) if rows.size else (0, 0)
+        nodes = np.flatnonzero(region)
+        k0, k1 = np.searchsorted(nodes, (self.lo, self.hi))
+        at = nodes[k0:k1] - self.lo
+        scale = symmat.duplication_weights(n) * [st[0][1] for st in hessian]
+        self.terms = []
+        for a, b in np.ndindex(P.shape[:2]):
+            if P[a, b].any():
+                c = np.zeros(self.hi - self.lo)
+                c[at] = h**n * scale[a] * scale[b] * P[a, b, k0:k1]
+                self.terms.append((a, b, c))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         vflat = np.ravel(v)
+        Sv = np.zeros((len(self.stencils), self.hi - self.lo))
+        for row, st in zip(Sv, self.stencils):
+            _add_unit_stencil(row, vflat, self.lo, st)
+        W = np.zeros_like(Sv)
+        tmp = np.empty(self.hi - self.lo)
+        for a, b, c in self.terms:
+            W[a] += np.multiply(c, Sv[b], out=tmp)
         out = np.zeros(vflat.size)
         acc = out[self.start:self.stop]
-        tmp = np.empty(acc.size)
-        for delta, c in zip(self.deltas, self.coeffs):
-            acc += np.multiply(c, vflat[self.start + delta:self.stop + delta], out=tmp)
+        for row, st in zip(W, self.stencils):
+            _add_unit_stencil(acc, row, self.start - self.lo, st)
+        acc *= np.ravel(self.unknowns)[self.start:self.stop]
         return out.reshape(v.shape)
 
     def jacobi_diagonal(self) -> np.ndarray:
-        """Diagonal of the operator: C_0 on the unknowns, 1 elsewhere."""
-        diag = np.ones(int(np.prod(self.shape)))
-        diag[self.start:self.stop] = np.where(self.unknown_rows,
-                                              self.coeffs[self.center], 1.0)
-        return diag.reshape(self.shape)
+        """Diagonal of the operator on the unknowns, 1 elsewhere.
+
+        Nodes 3 apart on some axis do not interact, so one matvec per residue
+        class of the node index mod 3 gives every diagonal entry of the class.
+        """
+        diag = np.empty(self.unknowns.shape)
+        for residue in np.ndindex((3,) * self.unknowns.ndim):
+            cls = tuple(slice(r, None, 3) for r in residue)
+            e = np.zeros(self.unknowns.shape)
+            e[cls] = 1.0
+            diag[cls] = self.matvec(e)[cls]
+        return np.where(self.unknowns, diag, 1.0)
+
+
+def _add_unit_stencil(out: np.ndarray, src: np.ndarray, first: int, stencil) -> None:
+    """``out += stencil(src)`` at the flat nodes ``first, first + 1, ...``.
+
+    ``stencil`` is a list of (flat offset, sign) pairs, each a weight of +-1.
+    """
+    for delta, sign in stencil:
+        piece = src[first + delta:first + delta + out.size]
+        if sign > 0:
+            out += piece
+        else:
+            out -= piece
 
 
 def _sine_matrix(m: int) -> np.ndarray:
@@ -401,24 +415,17 @@ class _Iterate:
         return _gradient(self.u, self._on_region(models._dF_body), self.region)
 
     def newton_operator(self) -> NewtonOperator:
-        """The Newton operator at u.  It is the last reader of M and drops it.
-
-        With M alive while the coefficient rows are allocated, glibc's heap
-        kept the freed integrand temporaries below it: peak RSS of a 65^3
-        area solve rose from 401 to 473 MB.
-        """
-        P = self._on_region(models._d2F_packed_body)
-        del self.M
         u = self.u
-        return NewtonOperator(P, self.region, u.interior & u.valid, u.h)
+        return NewtonOperator(self._on_region(models._d2F_packed_body),
+                              self.region, u.interior & u.valid, u.h)
 
 
 def _newton_direction(it: _Iterate, grad: np.ndarray, cg_rtol: float,
                       cg_maxiter: int, atol: float):
     """CG solve of the Newton system at ``it``; returns conjugate_gradient's triple.
 
-    The assembled operator lives only for this solve, so it is freed before
-    the line search and before the next step's operator is built.
+    The operator's coefficient arrays live only for this solve, so they are
+    freed before the line search and before the next step's operator is built.
     """
     op = it.newton_operator()
     unknowns = it.u.interior & it.u.valid

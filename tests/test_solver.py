@@ -1,4 +1,5 @@
 from dataclasses import replace
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,9 +292,30 @@ def test_iterate_record_matches_public_evaluators(dim):
     ref = solver.NewtonOperator(
         models.pack_tensor(models.eval_d2F(model, H.matrices()[H.valid])),
         H.valid, u.interior & u.valid, u.h)
-    assert op.deltas == ref.deltas
-    assert np.array_equal(op.coeffs, ref.coeffs)
+    rng = np.random.default_rng(57)
+    for _ in range(3):
+        v = rng.standard_normal(u.extents)
+        assert np.array_equal(op.matvec(v), ref.matvec(v))
     assert solver._Iterate(u, replace(model, rho_U=np.inf)).peak == 0.0
+
+
+def test_newton_operator_holds_at_most_m_squared_grid_arrays():
+    # matrix-free: at most one coefficient array per packed (a, b) pair of
+    # the 3D tensor, m^2 = 36, and no coefficient row per stencil offset
+    g = grids.make_grid(3, 17, 0.5)
+    f = lambda x, y, z: 0.3 * (x**3 * y + x * y**3)
+    u = ClampedBoundaryData.from_potential(g, f).apply(grids.sample(g, f))
+    it = solver._Iterate(u, models.area_model(3, rho_U=0.9))
+    P = it._on_region(models._d2F_packed_body)
+    assert all(P[a, b].any() for a in range(6) for b in range(6))
+    tracemalloc.start()
+    try:
+        op = solver.NewtonOperator(P, it.region, u.interior & u.valid, u.h)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(op.terms) == 36     # one array per nonzero (a, b)
+    assert held <= 36 * u.values.nbytes
 
 
 def test_minimize_runs_op_norm_once_per_evaluated_iterate(monkeypatch):
@@ -355,10 +377,11 @@ def test_minimize_backtracked_steps_keep_the_accepted_trial():
 
 
 def full_tensor_newton_rows(Tfield, region, unknowns, h):
-    """Oracle: (deltas, coeffs) of the Newton operator from the full (K, n, n, n, n) field.
+    """Oracle: (start, deltas, coeffs) of the Newton operator from the full (K, n, n, n, n) field.
 
-    The assembly scans the 36 (3D) or 9 (2D) packed slots of the full
-    tensor in the operator's term, offset and stencil order.
+    One coefficient row per composed stencil offset, over the flat index
+    range of the unknowns from ``start``; :func:`row_product` applies them.
+    The assembly scans the 36 (3D) or 9 (2D) packed slots of the full tensor.
     """
     n = region.ndim
     stencils = grids._hessian_stencil(n, h)
@@ -384,7 +407,18 @@ def full_tensor_newton_rows(Tfield, region, unknowns, h):
             for ob, wb in stencils[b]:
                 coeffs[row_of[tuple(x + y for x, y in zip(oa, ob))]] += (wa * wb) * src
     coeffs *= h**n * np.ravel(unknowns)[start:stop]
-    return [flat(off) for off in offsets], coeffs
+    return start, [flat(off) for off in offsets], coeffs
+
+
+def row_product(rows, v):
+    """(A v) from the oracle rows: sum_d C_d(y) v(y + d) on the unknowns' range."""
+    start, deltas, coeffs = rows
+    vflat = np.ravel(v)
+    out = np.zeros(vflat.size)
+    stop = start + coeffs.shape[1]
+    for delta, c in zip(deltas, coeffs):
+        out[start:stop] += c * vflat[start + delta:stop + delta]
+    return out.reshape(v.shape)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -394,13 +428,17 @@ def test_newton_rows_equal_full_tensor_assembly_for_every_kind(dim):
                        + 0.1 * np.exp(0.3 * np.einsum("...ii->...", X)))
     H = grids.hessian_field(u)
     M = H.matrices()[H.valid]
+    rng = np.random.default_rng(56)
     for model in (area, models.quadratic_model(dim),
                   models.custom_model(dim, bumpy)):
         op = solver._Iterate(u, model).newton_operator()
-        deltas, coeffs = full_tensor_newton_rows(
+        rows = full_tensor_newton_rows(
             models.eval_d2F(model, M), H.valid, u.interior & u.valid, u.h)
-        assert op.deltas == deltas
-        assert np.array_equal(op.coeffs, coeffs)
+        for _ in range(3):
+            v = rng.standard_normal(u.extents)
+            want = row_product(rows, v)
+            np.testing.assert_allclose(op.matvec(v), want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
 
 
 def test_newton_operator_matches_independent_tensor_chain():
@@ -422,9 +460,6 @@ def test_newton_operator_matches_independent_tensor_chain():
             + 0.3 * rng.standard_normal((K,) + (dim,) * 4))
         assert np.abs(Tfield - Tfield.transpose(0, 3, 4, 1, 2)).max() > 0.1
         op = solver.NewtonOperator(models.pack_tensor(Tfield), region, unknowns, g.h)
-        deltas, coeffs = full_tensor_newton_rows(Tfield, region, unknowns, g.h)
-        assert op.deltas == deltas
-        assert np.array_equal(op.coeffs, coeffs)
 
         v = rng.standard_normal(g.extents)
         sig = grids.hessian_field(g.with_values(v)).matrices()[region]
