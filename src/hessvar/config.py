@@ -44,7 +44,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 from .fixtures import POTENTIALS
 

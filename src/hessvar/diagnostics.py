@@ -16,7 +16,7 @@ of the field by a constant matrix where the continuum quantity is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -59,7 +59,8 @@ def offset_slices(off, shape):
     ``a[src]`` holds the values at ``x + off`` for the nodes ``x`` in
     ``a[dst]``: the nodes whose shifted position stays on the grid.  Offsets
     are clamped to the extents, so ``|off| >= extent`` on some axis gives empty
-    slices.  Axes of ``shape`` past ``len(off)`` are left whole.
+    slices.  Axes of ``shape`` past ``len(off)`` are left whole.  Stencil sums
+    read their neighbours through these views, with no full-grid copy.
     """
     src, dst = [], []
     for o, s in zip(off, shape):
@@ -67,18 +68,6 @@ def offset_slices(off, shape):
         src.append(slice(max(0, o), s + min(0, o)))
         dst.append(slice(max(0, -o), s + min(0, -o)))
     return tuple(src), tuple(dst)
-
-
-def shifted(a: np.ndarray, off, fill) -> np.ndarray:
-    """Full-size copy with ``out[x] = a[x + off]``, `fill` where x + off leaves the grid.
-
-    Accumulations over many offsets index :func:`offset_slices` views
-    instead; this copy serves the callers that need the filled array.
-    """
-    out = np.full(a.shape, fill, dtype=a.dtype)
-    src, dst = offset_slices(off, a.shape)
-    out[dst] = a[src]
-    return out
 
 
 @dataclass(frozen=True)
@@ -144,15 +133,6 @@ class ScalarGrid:
             d = d.reshape(shape)
             L = d if L is None else np.minimum(L, d)
         return np.broadcast_to(L, self.extents).copy()
-
-    @property
-    def domain_mask(self) -> np.ndarray:
-        """0 = interior, 1 = boundary, 2 = ghost."""
-        L = self.layer_index()
-        mask = np.zeros(self.extents, dtype=np.uint8)
-        mask[L < self.boundary_width] = 1
-        mask[L == 0] = 2
-        return mask
 
     @property
     def interior(self) -> np.ndarray:
@@ -224,10 +204,6 @@ class SymMatField:
 
     def with_values(self, values: np.ndarray) -> "SymMatField":
         return replace(self, values=values)
-
-    def constant_shifted(self, C: np.ndarray) -> "SymMatField":
-        """Field plus a constant symmetric matrix."""
-        return self.with_values(self.values + symmat.pack(np.asarray(C, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -406,25 +382,17 @@ def difference_quotient(u: ScalarGrid, direction: int, step: int = 1) -> ScalarG
         raise GridError("difference-quotient shift exceeds the grid")
     off = [0] * u.dim
     off[direction] = int(step)
-    vals = (shifted(u.values, off, np.nan) - u.values) / (step * u.h)
-    valid = u.valid & shifted(u.valid, off, False)
+    src, dst = offset_slices(off, u.extents)
+    vals = np.full(u.extents, np.nan)
+    valid = np.zeros(u.extents, dtype=bool)
+    valid[dst] = u.valid[dst] & u.valid[src]
     if not valid.any():
         raise GridError("difference-quotient shift leaves no valid nodes")
-    vals = np.where(valid, vals, np.nan)
+    vals[dst] = np.where(valid[dst], (u.values[src] - u.values[dst]) / (step * u.h), np.nan)
     return ScalarGrid(
         h=u.h, origin=u.origin, values=vals,
         boundary_width=u.boundary_width, valid=valid,
     )
-
-
-def field_difference_quotient(f: SymMatField, direction: int, step: int = 1) -> SymMatField:
-    """Component-wise forward difference quotient of a matrix field."""
-    off = [0] * f.dim
-    off[direction] = int(step)
-    vals = (shifted(f.values, tuple(off) + (0,), np.nan) - f.values) / (step * f.h)
-    valid = f.valid & shifted(f.valid, off, False)
-    vals = np.where(valid[..., None], vals, np.nan)
-    return SymMatField(h=f.h, origin=f.origin, values=vals, valid=valid)
 
 
 def _usable(grid_like) -> np.ndarray:
@@ -633,20 +601,6 @@ def ball_family(
     if not balls:
         raise EmptyRegionError("ball family is empty for the given parameters")
     return BallFamily(balls=tuple(balls))
-
-
-def nodal_tests(grid: ScalarGrid, stride: int = 1) -> TestFunctionSet:
-    """Nodal hat functions (single-node indicators) on a strided interior lattice."""
-    interior = grid.interior & grid.valid
-    idx = np.argwhere(interior)[:: max(1, stride)]
-    fns, labels = [], []
-    for node in idx:
-        f = np.zeros(grid.extents)
-        f[tuple(node)] = 1.0
-        fns.append(f)
-        labels.append("hat" + "_".join(str(i) for i in node))
-    TestFunctionSet.validate_against(grid, fns)
-    return TestFunctionSet(functions=tuple(fns), labels=tuple(labels))
 
 
 def bump_tests(grid: ScalarGrid, centers, scale: float) -> TestFunctionSet:

@@ -17,6 +17,7 @@ phase, is measured by a conservative flux discretization.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ from .grids import (
     SymMatField,
     TestFunctionSet,
     inner_box_nodes,
-    shifted,
+    offset_slices,
 )
 from .solver import dd_weak_residual
 
@@ -157,7 +158,8 @@ def laplace_beltrami(scalar: np.ndarray, metric: MetricField):
     Face coefficients are arithmetic averages of ``sqrt(det g) g^{ij}`` at
     the two adjacent nodes; normal first differences are exact at the face,
     tangential ones are averaged central differences.  Returns ``(values,
-    valid)`` on the region shrunk by one ring.
+    valid)`` on the region shrunk by one ring.  Neighbour values are views
+    of the scalars padded by one ring of NaN (False for the mask).
     """
     phi = np.asarray(scalar, dtype=float)
     n = metric.dim
@@ -165,30 +167,28 @@ def laplace_beltrami(scalar: np.ndarray, metric: MetricField):
         raise GridError("scalar and metric live on different lattices")
     h = metric.h
     C = _metric_coef(metric)
+
+    def at(pad, off):   # values at x + off, the padding off the grid
+        return pad[tuple(slice(1 + o, 1 + o + s) for o, s in zip(off, phi.shape))]
+
+    unit = np.eye(n, dtype=int)
+    pphi = np.pad(phi, 1, constant_values=np.nan)
     div = np.zeros(phi.shape)
-    for i in range(n):
-        ei = [0] * n
-        ei[i] = 1
-        face = 0.5 * (C + shifted(C, tuple(ei) + (0, 0), np.nan))
-        flux = face[..., i, i] * (shifted(phi, ei, np.nan) - phi) / h
-        for j in range(n):
-            if j == i:
-                continue
-            ej = [0] * n
-            ej[j] = 1
-            dj_here = (shifted(phi, ej, np.nan)
-                       - shifted(phi, tuple(-v for v in ej), np.nan)) / (2 * h)
-            dj_there = (shifted(phi, tuple(a + b for a, b in zip(ei, ej)), np.nan)
-                        - shifted(phi, tuple(a - b for a, b in zip(ei, ej)), np.nan)
-                        ) / (2 * h)
-            flux += face[..., i, j] * 0.5 * (dj_here + dj_there)
-        div += (flux - shifted(flux, tuple(-v for v in ei), np.nan)) / h
+    for i, ei in enumerate(unit):
+        # row i of the face coefficient between x and x + e_i
+        face = np.full(phi.shape + (n,), np.nan)
+        src, dst = offset_slices(ei, phi.shape)
+        face[dst] = 0.5 * (C[dst + (i,)] + C[src + (i,)])
+        flux = face[..., i] * (at(pphi, ei) - phi) / h
+        for j, ej in enumerate(unit):
+            if j != i:
+                dj_here = (at(pphi, ej) - at(pphi, -ej)) / (2 * h)
+                dj_there = (at(pphi, ei + ej) - at(pphi, ei - ej)) / (2 * h)
+                flux += face[..., j] * 0.5 * (dj_here + dj_there)
+        div += (flux - at(np.pad(flux, 1, constant_values=np.nan), -ei)) / h
     out = div / metric.sqrt_det
-    valid = np.array(metric.valid)
-    for off in np.ndindex(*(3,) * n):
-        d = tuple(int(v) - 1 for v in off)
-        if any(d):
-            valid &= shifted(metric.valid, d, False)
+    pvalid = np.pad(metric.valid, 1)
+    valid = np.logical_and.reduce([at(pvalid, d) for d in itertools.product((-1, 0, 1), repeat=n)])
     out[~valid] = np.nan
     return out, valid
 

@@ -32,7 +32,7 @@ can be loaded as custom models; see :func:`load_table_model`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -529,18 +529,6 @@ class DoubleDivergenceModel:
 
     def __call__(self, M: np.ndarray) -> np.ndarray:
         return symmetrize_tensor(np.asarray(self.coeff(np.asarray(M, dtype=float))))
-
-
-def constant_dd_model(n: int, tensor: Tensor4 | np.ndarray,
-                      name: str = "constant") -> DoubleDivergenceModel:
-    T = tensor.entries if isinstance(tensor, Tensor4) else symmetrize_tensor(
-        np.asarray(tensor, dtype=float)
-    )
-
-    def coeff(M):
-        return np.broadcast_to(T, M.shape[:-2] + T.shape).copy()
-
-    return DoubleDivergenceModel(n=n, coeff=coeff, name=name)
 
 
 def linearized_coefficients_dd(

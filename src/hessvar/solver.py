@@ -87,12 +87,6 @@ class ClampedBoundaryData:
         vals[rings] = self.ring_values[rings]
         return grid.with_values(vals)
 
-    def satisfied_by(self, grid: ScalarGrid, tol: float = 1e-12) -> bool:
-        rings = grid.prescribed
-        scale = 1.0 + np.abs(self.ring_values[rings]).max(initial=0.0)
-        dev = np.abs(grid.values[rings] - self.ring_values[rings]).max(initial=0.0)
-        return bool(dev <= tol * scale)
-
 
 @dataclass
 class SolveReport:
@@ -326,8 +320,9 @@ def conjugate_gradient(matvec, b: np.ndarray, x0: np.ndarray, rtol: float,
     ``precond`` maps a residual to the preconditioned residual and must be
     symmetric positive definite on the subspace CG works in.  Stops when ``||r||_2 <= max(rtol * ||b||_2, atol)`` (the
     unpreconditioned residual).  Returns (x, iterations, achieved relative
-    residual).  Raises SolverError on an indefinite direction or stagnation
-    past ``maxiter``.
+    residual); a start that meets the target returns after 0 iterations.
+    Raises SolverError on an indefinite direction or stagnation past
+    ``maxiter``.
     """
     x = np.array(x0)
     r = b - matvec(x)
@@ -335,6 +330,9 @@ def conjugate_gradient(matvec, b: np.ndarray, x0: np.ndarray, rtol: float,
     if bnorm == 0.0:
         return np.zeros_like(b), 0, 0.0
     target = max(rtol * bnorm, atol)
+    res = float(np.sqrt(np.vdot(r, r)))
+    if res <= target:
+        return x, 0, res / bnorm
     z = precond(r)
     p = np.array(z)
     rz = float(np.vdot(r, z))

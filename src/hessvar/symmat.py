@@ -66,20 +66,6 @@ def unpack(packed: np.ndarray, n: int | None = None) -> np.ndarray:
     return out
 
 
-def check_symmetric(M: np.ndarray, tol: float = 0.0) -> None:
-    """Raise if M is not (batched) square symmetric with finite entries."""
-    M = np.asarray(M)
-    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
-        raise ValueError(f"expected square matrices, got shape {M.shape}")
-    if M.shape[-1] not in PACKED_PAIRS:
-        raise ValueError(f"dimension {M.shape[-1]} not supported (n must be 2 or 3)")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix entries must be finite")
-    dev = np.abs(M - np.swapaxes(M, -1, -2)).max()
-    if dev > tol:
-        raise ValueError(f"matrix not symmetric (max asymmetry {dev:g})")
-
-
 def hs_inner(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Hilbert-Schmidt inner product over the trailing (n, n) axes."""
     return np.sum(A * B, axis=(-2, -1))

@@ -7,6 +7,8 @@ import pytest
 from hessvar import grids, symmat
 from hessvar.grids import Ball, GridError, EmptyRegionError
 
+import oracles
+
 
 def test_make_grid_basic_2d():
     g = grids.make_grid(2, 33, 1.0)
@@ -28,15 +30,13 @@ def test_make_grid_rejects_tiny_grid():
 
 def test_domain_mask_partitions_nodes():
     g = grids.make_grid(2, 15, 1.0)
-    mask = g.domain_mask
-    counts = {int(v): int((mask == v).sum()) for v in (0, 1, 2)}
-    assert sum(counts.values()) == 15 * 15
+    ghost = g.layer_index() == 0
+    assert np.array_equal(g.interior, ~g.prescribed)
     # ghost ring is the outer frame
-    assert counts[2] == 15 * 15 - 13 * 13
+    assert ghost.sum() == 15 * 15 - 13 * 13
     # boundary is the next ring in (boundary_width = 2)
-    assert counts[1] == 13 * 13 - 11 * 11
-    assert counts[0] == 11 * 11
-    assert g.interior.sum() == counts[0]
+    assert (g.prescribed & ~ghost).sum() == 13 * 13 - 11 * 11
+    assert g.interior.sum() == 11 * 11
 
 
 def test_hessian_exact_on_quadratics():
@@ -112,9 +112,9 @@ def _shifted_copy_hessian(u):
     for a, st in enumerate(stencils):
         acc = np.zeros(u.extents)
         for off, w in st:
-            acc += w * grids.shifted(u.values, off, np.nan)
+            acc += w * oracles.shifted(u.values, off, np.nan)
             if any(off):
-                valid &= grids.shifted(u.valid, off, False)
+                valid &= oracles.shifted(u.valid, off, False)
         out[..., a] = acc
     out[~valid] = np.nan
     return out, valid
@@ -127,7 +127,7 @@ def _shifted_copy_adjoint(G, mask, h):
     for a, st in enumerate(stencils):
         comp = np.where(mask, G[..., a], 0.0)
         for off, w in st:
-            out += (dup[a] * w) * grids.shifted(comp, off, 0.0)
+            out += (dup[a] * w) * oracles.shifted(comp, off, 0.0)
     return out
 
 
@@ -172,7 +172,7 @@ def test_offset_slices_match_per_node_shift(shape):
         got[dst], covered[dst] = a[src], True
         assert np.array_equal(covered, inside), off
         assert np.array_equal(got, want), off
-        assert np.array_equal(grids.shifted(a, off, -7.0), np.where(inside, want, -7.0))
+        assert np.array_equal(oracles.shifted(a, off, -7.0), np.where(inside, want, -7.0))
         # trailing axes past the offset stay whole
         src, dst = grids.offset_slices(off, pair.shape)
         assert np.array_equal(pair[src][..., 1], -a[src])
@@ -224,12 +224,30 @@ def test_difference_quotient_shift_too_large():
         grids.difference_quotient(grids.sample(g, lambda x, y: x), 0, step=11)
 
 
+@pytest.mark.parametrize("dim, nodes", [(2, 17), (3, 11)])
+def test_difference_quotient_equals_shifted_copy_reference(dim, nodes):
+    # one offset-slice pair gives the bits of the two full-grid shifted copies
+    rng = np.random.default_rng(20 + dim)
+    g = grids.make_grid(dim, nodes, 1.0)
+    for u in (g.with_values(rng.standard_normal(g.extents)),
+              replace(g.with_values(rng.standard_normal(g.extents)),
+                      valid=rng.random(g.extents) > 0.1)):
+        u = u.with_values(np.where(u.valid, u.values, np.nan))
+        for direction in range(dim):
+            for step in (1, 3):
+                got = grids.difference_quotient(u, direction, step)
+                want = oracles.difference_quotient(u, direction, step)
+                assert np.array_equal(got.valid, want.valid)
+                assert 0 < got.valid.sum() < u.valid.sum()
+                assert np.array_equal(got.values, want.values, equal_nan=True)
+
+
 def test_difference_quotient_commutes_with_hessian():
     rng = np.random.default_rng(12)
     g = grids.make_grid(2, 21, 1.0)
     u = g.with_values(rng.standard_normal(g.extents))
     a = grids.hessian_field(grids.difference_quotient(u, 1))
-    b = grids.field_difference_quotient(grids.hessian_field(u), 1)
+    b = oracles.field_difference_quotient(grids.hessian_field(u), 1)
     both = a.valid & b.valid
     assert both.any()
     np.testing.assert_allclose(a.values[both], b.values[both], atol=1e-10)
@@ -409,7 +427,7 @@ def test_ball_family_counting_oracle():
 
 def test_nodal_and_bump_tests_vanish_off_interior():
     g = grids.make_grid(2, 21, 1.0)
-    tset = grids.nodal_tests(g, stride=37)
+    tset = oracles.nodal_tests(g, stride=37)
     assert len(tset) >= 1
     bset = grids.bump_tests(g, centers=[(0.0, 0.0)], scale=0.5)
     f = bset.functions[0]

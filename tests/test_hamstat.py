@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import sympy
 
 from hessvar import grids, hamstat, models, solver, symmat
 from hessvar.solver import ClampedBoundaryData
+
+import oracles
 
 
 def random_sym(rng, count, n, scale=1.0):
@@ -141,7 +145,7 @@ def test_hamstat_residual_hats_match_gradient_nodewise():
     rng = np.random.default_rng(79)
     g = grids.make_grid(2, 13, 1.0)
     u = g.with_values(0.3 * rng.standard_normal(g.extents))
-    hats = grids.nodal_tests(g, stride=5)
+    hats = oracles.nodal_tests(g, stride=5)
     res = hamstat.hamstat_residual(u, hats)
     grad = solver.energy_gradient(u, models.area_model(2))
     picked = np.argwhere(g.interior & g.valid)[::5]
@@ -243,8 +247,8 @@ def laplace_beltrami_expanded(phi, u):
     unit = np.eye(n, dtype=int)
 
     def central(v, q):
-        return (grids.shifted(v, tuple(unit[q]), np.nan)
-                - grids.shifted(v, tuple(-unit[q]), np.nan)) / (2 * h)
+        return (oracles.shifted(v, tuple(unit[q]), np.nan)
+                - oracles.shifted(v, tuple(-unit[q]), np.nan)) / (2 * h)
 
     dtheta = np.stack([central(theta, q) for q in range(n)], axis=-1)
     dphi = np.stack([central(phi, j) for j in range(n)], axis=-1)
@@ -254,7 +258,7 @@ def laplace_beltrami_expanded(phi, u):
     for off in np.ndindex(*(3,) * n):
         d = tuple(int(v) - 1 for v in off)
         if any(d):
-            valid &= grids.shifted(H.valid, d, False)
+            valid &= oracles.shifted(H.valid, d, False)
     out[~valid] = np.nan
     return out, valid
 
@@ -272,6 +276,26 @@ def test_laplace_beltrami_expanded_form_cross_validates():
         both = va & vb
         diffs[nodes] = np.abs(a - b)[both].max()
     assert diffs[33] / diffs[65] >= 3.0  # both are O(h^2) of the same operator
+
+
+@pytest.mark.parametrize("dim, nodes, holes", [(2, 33, False), (2, 33, True),
+                                               (3, 15, False), (3, 15, True)])
+def test_laplace_beltrami_equals_shifted_copy_reference(dim, nodes, holes):
+    # padded views give the bits of the full-grid shifted copies, holes included
+    rng = np.random.default_rng(80 + dim)
+    g = grids.make_grid(dim, nodes, 1.0)
+    u = grids.sample(g, lambda *x: 0.3 * x[0] ** 3 * x[1] + 0.1 * np.sin(2 * x[-1]))
+    if holes:
+        valid = rng.random(g.extents) > 0.02
+        u = replace(u.with_values(np.where(valid, u.values, np.nan)), valid=valid)
+    H = grids.hessian_field(u)
+    metric = hamstat.induced_metric(H)
+    phi = hamstat.lagrangian_phase(H).theta
+    got, got_valid = hamstat.laplace_beltrami(phi, metric)
+    want, want_valid = oracles.laplace_beltrami(phi, metric)
+    assert np.array_equal(got_valid, want_valid)
+    assert 0 < got_valid.sum() < H.valid.sum()
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 # ------------------------------------------------ phase harmonicity

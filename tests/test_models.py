@@ -16,6 +16,8 @@ from hessvar.models import (
     quadratic_model,
 )
 
+import oracles
+
 
 def random_sym(rng, count, n, scale=1.0):
     A = rng.standard_normal((count, n, n)) * scale
@@ -376,7 +378,7 @@ def test_linearized_coefficients_segment_leaves_ball():
 def test_dd_linearization_constant_coefficient():
     rng = np.random.default_rng(39)
     T = models.identity_tensor(2) * 3.0
-    dd = models.constant_dd_model(2, T)
+    dd = oracles.constant_dd_model(2, T)
     M = random_sym(rng, 1, 2)[0]
     Ms = random_sym(rng, 1, 2)[0]
     b = linearized_coefficients_dd(dd, M, Ms)

@@ -11,6 +11,8 @@ from hessvar.grids import Ball
 from hessvar.models import AdmissibilityError
 from hessvar.solver import ClampedBoundaryData
 
+import oracles
+
 # independent 13-point stencil of the 2D energy operator:
 # (d_xx)^2 + (d_yy)^2 + 2 * (wide d_xx)(wide d_yy), weights in units of 1/h^4
 BILAPLACIAN_13 = {
@@ -28,7 +30,7 @@ def cubic_biharmonic(x, y):
 def apply_13point(values, h):
     out = np.zeros_like(values)
     for (di, dj), w in BILAPLACIAN_13.items():
-        out += w * grids.shifted(values, (di, dj), 0.0)
+        out += w * oracles.shifted(values, (di, dj), 0.0)
     return out / h**4
 
 
@@ -226,8 +228,11 @@ def test_check_admissible_names_the_node_the_solve_rejects():
 def test_boundary_data_satisfaction_check():
     g = grids.make_grid(2, 17, 1.0)
     bc = ClampedBoundaryData.from_potential(g, lambda x, y: x + y)
-    assert bc.satisfied_by(bc.apply(g))
-    assert not bc.satisfied_by(g)
+    X, Y = g.coords()
+    stamped = bc.apply(g).values
+    assert np.array_equal(stamped[g.prescribed], (X + Y)[g.prescribed])
+    assert np.all(stamped[g.interior] == 0.0)
+    assert np.any(g.values[g.prescribed] != stamped[g.prescribed])
 
 
 def test_minimize_3d_recovers_cubic():
@@ -586,7 +591,7 @@ def dirichlet_laplacian(v, h):
     for axis in range(v.ndim):
         for s in (-1, 1):
             off = tuple(s if k == axis else 0 for k in range(v.ndim))
-            out = out - grids.shifted(v, off, 0.0)
+            out = out - oracles.shifted(v, off, 0.0)
     return out / h**2
 
 
@@ -658,6 +663,25 @@ def test_preconditioner_beats_jacobi_on_masked_l_shape():
     assert iters["squared_laplacian"] < iters["jacobi"]
 
 
+def test_conjugate_gradient_returns_a_start_that_meets_the_target():
+    b = np.ones(5)
+    x, iters, rel = solver.conjugate_gradient(lambda x: 2 * x, b, 0.5 * b, 1e-12, 10,
+                                              precond=lambda r: r)
+    assert np.array_equal(x, 0.5 * b) and iters == 0 and rel == 0.0
+    x0 = 0.5 * b + 1e-3
+    x, iters, rel = solver.conjugate_gradient(lambda x: 2 * x, b, x0, 1e-2, 10,
+                                              precond=lambda r: r)
+    assert np.array_equal(x, x0) and iters == 0
+    assert rel == pytest.approx(2e-3, rel=1e-9)
+
+
+def test_conjugate_gradient_with_no_iterations_reports_the_start_residual():
+    b = np.ones(5)
+    with pytest.raises(solver.SolverError, match=r"0 iterations, relative residual 1 > 1e-12"):
+        solver.conjugate_gradient(lambda x: 2 * x, b, np.zeros(5), 1e-12, 0,
+                                  precond=lambda r: r)
+
+
 # --------------------------------------------------------- second order
 
 def test_constant_coeff_bvp_second_order_on_transcendental_solution():
@@ -720,7 +744,7 @@ def test_weak_residual_nodal_hats_reproduce_gradient():
     rng = np.random.default_rng(54)
     g = grids.make_grid(2, 15, 1.0)
     u = g.with_values(rng.standard_normal(g.extents))
-    tests = grids.nodal_tests(g, stride=7)
+    tests = oracles.nodal_tests(g, stride=7)
     res = solver.weak_residual(u, models.quadratic_model(2), tests)
     grad = solver.energy_gradient(u, models.quadratic_model(2))
     picked = np.argwhere(g.interior & g.valid)[::7]
@@ -752,7 +776,7 @@ def test_dd_residual_identity_matches_weak_residual():
     g = grids.make_grid(2, 15, 1.0)
     u = g.with_values(rng.standard_normal(g.extents))
     tests = grids.bump_tests(g, [(0.0, 0.0)], scale=0.5)
-    dd = models.constant_dd_model(2, models.Tensor4.identity(2))
+    dd = oracles.constant_dd_model(2, models.Tensor4.identity(2))
     a = solver.dd_weak_residual(u, dd, tests)
     b = solver.weak_residual(u, models.quadratic_model(2), tests)
     np.testing.assert_allclose(a, b, rtol=1e-12)
@@ -780,7 +804,7 @@ def test_summation_by_parts_moves_derivatives_onto_test_function():
     u = g.with_values(rng.standard_normal(g.extents))
     eta = grids.bump_tests(g, [(0.0, 0.0)], scale=0.4).functions[0]
     T = models.identity_tensor(2) * 2.5
-    dd = models.constant_dd_model(2, T)
+    dd = oracles.constant_dd_model(2, T)
     lhs = solver.dd_weak_residual(u, dd, grids.TestFunctionSet((eta,)))[0]
     Seta = 2.5 * g.h**2 * apply_13point(eta, g.h)
     rhs = float((u.values * Seta).sum())

@@ -114,10 +114,3 @@ def test_opnorm_ball_sampling_respects_radius():
         assert symmat.op_norm(M).max() <= 0.7 + 1e-12
         # symmetric by construction
         np.testing.assert_allclose(M, np.swapaxes(M, -1, -2), atol=1e-15)
-
-
-def test_check_symmetric_rejects_bad_input():
-    with pytest.raises(ValueError):
-        symmat.check_symmetric(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        symmat.check_symmetric(np.array([[np.inf, 0.0], [0.0, 1.0]]))
