@@ -195,7 +195,7 @@ def validate_config(cfg: RunConfig, base: str = ".") -> None:
         raise ConfigError(f"eta must lie in (0, 1), got {cfg.eta}")
     if not (0.0 < cfg.alpha < 1.0):
         raise ConfigError(f"alpha must lie in (0, 1), got {cfg.alpha}")
-    if cfg.osc_p < 1.0:
+    if not cfg.osc_p >= 1.0:
         raise ConfigError(f"oscillation exponent p must be >= 1, got {cfg.osc_p}")
     if cfg.dim not in (2, 3):
         raise ConfigError(f"grid dim must be 2 or 3, got {cfg.dim}")

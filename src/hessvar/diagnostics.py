@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import symmat
+from . import grids, symmat
 from .grids import (
     Ball,
     BallFamily,
@@ -55,7 +55,7 @@ def _ball_values(f: SymMatField, ball: Ball) -> np.ndarray:
 
 
 def _check_exponent(p: float) -> None:
-    if p < 1.0:
+    if not p >= 1.0:                        # NaN fails too
         raise DiagnosticsError(f"oscillation exponent must be >= 1, got {p}")
 
 
@@ -113,19 +113,40 @@ class JNEstimate:
         return {"p": self.p, "cbar": self.cbar, "degenerate": self.degenerate}
 
 
+def _chunk_deviations(flat, w, idx, count, holes=None):
+    """|f - (f)_B| on a chunk of balls, one ball per row of ``idx``.
+
+    ``flat`` is the field's values raveled (packed components last) and
+    ``idx`` the index in ``flat`` of component 0 of each ball node, (balls,
+    nodes); ``w`` are the duplication weights, ``count`` the valid nodes per
+    ball (a scalar or a column) and ``holes`` the invalid entries of
+    ``idx``, zeroed before the mean (None when there are none).  The
+    arithmetic of :func:`_deviations` row by row: each component is
+    gathered as (balls, nodes), the mean adds the nodes in order
+    (``add.accumulate``, which never sums pairwise), and the norm adds the
+    weighted squares in component storage order.  Hole entries get a
+    deviation too, which the caller drops.  Called by
+    :func:`_family_oscillations` (for :func:`john_nirenberg_ratio`) and by
+    :func:`_candidate_density` (for :func:`singular_set`).
+    """
+    dev = np.zeros(idx.shape)
+    for a in range(len(w)):
+        x = flat[a:].take(idx)
+        if holes is not None:
+            x[holes] = 0.0
+        x -= np.add.accumulate(x, axis=1)[:, -1:] / count
+        dev += (w[a] * x) * x
+    return np.sqrt(dev)
+
+
 def _family_oscillations(f: SymMatField, balls, p: float):
     """L^1 and L^p mean oscillation of every ball, in ``balls`` order.
 
-    Each chunk of :func:`ball_chunks` is gathered component by component as
-    (balls, nodes), zero off the valid nodes, and goes through the
-    arithmetic of :func:`_deviations` row by row: the mean adds the nodes in
-    order (``add.accumulate``, which never sums pairwise), the norm adds the
-    weighted squares in component storage order, and the L^1 and L^p sums
-    are numpy's pairwise sums over each ball's row of valid nodes (a row
-    with holes is compacted first).  Every value thus equals the per-ball
-    one bit for bit.
+    Each chunk of :func:`ball_chunks` goes through :func:`_chunk_deviations`,
+    and the L^1 and L^p sums are numpy's pairwise sums over each ball's row
+    of valid nodes (a row with holes is compacted first).  Every value thus
+    equals the per-ball one bit for bit.
     """
-    m = f.values.shape[-1]
     flat, valid = f.values.reshape(-1), f.valid.reshape(-1)
     w = symmat.duplication_weights(f.dim)
     osc1, oscp, empty = np.empty(len(balls)), np.empty(len(balls)), []
@@ -135,15 +156,11 @@ def _family_oscillations(f: SymMatField, balls, p: float):
         if not count.all():
             empty.append(members[count == 0][0])
             continue
-        dev, idx, holes = np.zeros(nodes.shape), nodes * m, ~ok
-        for a in range(m):
-            x = flat[a:].take(idx)
-            x[holes] = 0.0
-            x -= np.add.accumulate(x, axis=1)[:, -1:] / count[:, None]
-            dev += (w[a] * x) * x
-        dev = np.sqrt(dev)
+        holed = np.flatnonzero(count < nodes.shape[1])
+        dev = _chunk_deviations(flat, w, nodes * len(w), count[:, None],
+                                ~ok if len(holed) else None)
         s1, sp = np.add.reduce(dev, axis=1), np.add.reduce(dev**p, axis=1)
-        for b in np.flatnonzero(count < nodes.shape[1]):
+        for b in holed:
             row = dev[b][ok[b]]
             s1[b], sp[b] = row.sum(), (row**p).sum()
         osc1[members], oscp[members] = s1 / count, sp / count
@@ -401,36 +418,50 @@ class SingularMask:
         }
 
 
-def _oscillation_density(f: SymMatField, radius: float, p0: float):
-    """Per-node r^{-n} integral of |f - (f)_{B_r}|^{p0}; NaN where incomputable.
+def _ball_support(f: SymMatField, offs):
+    """``(view, computable)`` for the ball offsets ``offs`` about every node.
 
-    A node is computable when every ball offset lands on a valid node, so
-    the computable nodes lie in the inner box ``[reach, N - reach)`` of each
-    axis (``reach`` the largest offset along it); both passes run on offset
-    views of that box, which is empty on an axis with fewer than
-    ``2 reach + 1`` nodes.  Sums run over the offsets in
-    :func:`hessvar.grids.node_ball_offsets` (C) order and over the packed
-    components in storage order, as ``symmat.hs_norm_packed`` adds them.
+    A node is computable when every offset lands on a valid node, so the
+    computable nodes lie in the inner box ``[reach, N - reach)`` of each
+    axis (``reach`` the largest offset along it), which is empty on an axis
+    with fewer than ``2 reach + 1`` nodes.  ``view(off)`` is that box
+    shifted by ``off``; ``computable`` is the full-grid mask.
     """
-    offs = node_ball_offsets(radius, f.h, f.dim)
     reach = np.abs(np.array(offs)).max(axis=0)
     inner = tuple(max(0, s - 2 * r) for s, r in zip(f.extents, reach))
 
     def view(off):
         return tuple(slice(r + o, r + o + k) for r, o, k in zip(reach, off, inner))
 
+    ok = np.ones(inner, dtype=bool)
+    for off in offs:
+        ok &= f.valid[view(off)]
+    computable = np.zeros(f.extents, dtype=bool)
+    computable[view((0,) * f.dim)] = ok
+    return view, computable
+
+
+def _oscillation_density(f: SymMatField, radius: float, p0: float):
+    """Per-node r^{-n} integral of |f - (f)_{B_r}|^{p0}; NaN where incomputable.
+
+    Both passes run on offset views of the inner box of
+    :func:`_ball_support`.  Sums run over the offsets in
+    :func:`hessvar.grids.node_ball_offsets` (C) order and over the packed
+    components in storage order, as ``symmat.hs_norm_packed`` adds them.
+    """
+    offs = node_ball_offsets(radius, f.h, f.dim)
+    view, computable = _ball_support(f, offs)
+    core = view((0,) * f.dim)
+    ok = computable[core]
     # component-major values, zero off the valid nodes
     vals = np.moveaxis(np.where(f.valid[..., None], f.values, 0.0), -1, 0).copy()
-    ok = np.ones(inner, dtype=bool)
-    total = np.zeros(vals.shape[:1] + inner)
+    total = np.zeros(vals.shape[:1] + ok.shape)
     for off in offs:
-        sl = view(off)
-        ok &= f.valid[sl]
-        total += vals[(slice(None),) + sl]
+        total += vals[(slice(None),) + view(off)]
     avg = np.where(ok, total / len(offs), 0.0)
     w = symmat.duplication_weights(f.dim).reshape((-1,) + (1,) * f.dim)
     dev, term = np.empty(total.shape), np.empty(total.shape)
-    acc, norm = np.zeros(inner), np.empty(inner)
+    acc, norm = np.zeros(ok.shape), np.empty(ok.shape)
     for off in offs:
         np.subtract(vals[(slice(None),) + view(off)], avg, out=dev)
         np.multiply(w, dev, out=term)
@@ -439,12 +470,30 @@ def _oscillation_density(f: SymMatField, radius: float, p0: float):
         np.sqrt(norm, out=norm)
         norm **= p0
         acc += norm
-    core = view((0,) * f.dim)
-    computable = np.zeros(f.extents, dtype=bool)
-    computable[core] = ok
     dens = np.full(f.extents, np.nan)
     dens[core] = np.where(ok, f.h**f.dim * acc / radius**f.dim, np.nan)
     return dens, computable
+
+
+def _candidate_density(f: SymMatField, offs, radius: float, p0: float, cand):
+    """The density of :func:`_oscillation_density` at the flat node indices ``cand``.
+
+    Every node in ``cand`` must be computable for the ball offsets ``offs``.
+    The nodes go through :func:`_chunk_deviations` in chunks of about
+    ``BALL_CHUNK`` node-ball pairs, and each node's sum over its ball is
+    numpy's pairwise sum, so a density can differ from the offset-order sum
+    of :func:`_oscillation_density` by round-off.
+    """
+    m = f.values.shape[-1]
+    strides = [m * int(np.prod(f.extents[d + 1:])) for d in range(f.dim)]
+    offsets = np.array(offs) @ strides
+    flat, w = f.values.reshape(-1), symmat.duplication_weights(f.dim)
+    acc, base = np.empty(len(cand)), cand * m
+    step = max(1, grids.BALL_CHUNK // len(offs))
+    for i in range(0, len(cand), step):
+        dev = _chunk_deviations(flat, w, base[i:i + step, None] + offsets, len(offs))
+        acc[i:i + step] = np.add.reduce(dev**p0, axis=1)
+    return f.h**f.dim * acc / radius**f.dim
 
 
 def singular_set(f: SymMatField, p0: float, radii, tau: float) -> SingularMask:
@@ -454,7 +503,17 @@ def singular_set(f: SymMatField, p0: float, radii, tau: float) -> SingularMask:
     ``r^{-n} integral_{B_r} |f - (f)_{B_r}|^{p0}`` exceeds ``tau`` (the
     discrete stand-in for a liminf as r -> 0).  The threshold is explicit;
     there is no default.
+
+    The smaller radius is evaluated on the whole grid.  The larger one is
+    evaluated only at the candidates, the nodes computable at both radii
+    whose smaller-radius density exceeds ``tau``: ``min(d1, d2) > tau``
+    holds exactly when both densities exceed ``tau`` (a NaN exceeds
+    nothing).  A candidate's larger-radius density sums its ball's nodes
+    pairwise rather than in offset order, so it can differ from the
+    full-grid pass by round-off, which moves the mask only where that
+    density lies within round-off of ``tau``.
     """
+    _check_exponent(p0)
     radii = sorted((float(r) for r in radii), reverse=True)
     if len(radii) < 2:
         raise DiagnosticsError("singular-set detection needs >= 2 radii")
@@ -462,13 +521,13 @@ def singular_set(f: SymMatField, p0: float, radii, tau: float) -> SingularMask:
         raise DiagnosticsError(
             f"smallest radius {radii[-1]:g} is under 3h = {3 * f.h:g}"
         )
-    small = radii[-2:]
-    d1, c1 = _oscillation_density(f, small[0], p0)
-    d2, c2 = _oscillation_density(f, small[1], p0)
-    computable = c1 & c2
-    quantity = np.minimum(d1, d2)
+    large, small = radii[-2:]
+    d_small, computable = _oscillation_density(f, small, p0)
+    offs = node_ball_offsets(large, f.h, f.dim)
+    computable &= _ball_support(f, offs)[1]
+    cand = np.flatnonzero(computable & (d_small > tau))
     mask = np.zeros(f.extents, dtype=bool)
-    mask[computable] = quantity[computable] > tau
+    mask.reshape(-1)[cand] = _candidate_density(f, offs, large, p0, cand) > tau
     return SingularMask(mask=mask, computable=computable, p0=p0,
                         radii=tuple(radii), tau=tau)
 

@@ -1,15 +1,16 @@
 """Reference implementations that only the tests use.
 
 Full-grid shifted copies, the nodal hat test functions, a constant-tensor
-double-divergence model, and the previous ``shifted``-copy forms of
+double-divergence model, the previous ``shifted``-copy forms of
 :func:`hessvar.hamstat.laplace_beltrami` and
 :func:`hessvar.grids.difference_quotient`, kept as bit-level oracles for the
-view-based library versions.
+view-based library versions, and the two-full-pass singular-set detector,
+the oracle for the screened :func:`hessvar.diagnostics.singular_set`.
 """
 
 import numpy as np
 
-from hessvar import grids, hamstat, models
+from hessvar import diagnostics, grids, hamstat, models
 from hessvar.grids import GridError, ScalarGrid, SymMatField, TestFunctionSet
 
 
@@ -112,3 +113,15 @@ def laplace_beltrami(scalar, metric):
             valid &= shifted(metric.valid, d, False)
     out[~valid] = np.nan
     return out, valid
+
+
+def singular_set(f, p0, radii, tau):
+    """``(mask, computable)`` from both small-radius densities on the whole grid."""
+    radii = sorted((float(r) for r in radii), reverse=True)
+    d1, c1 = diagnostics._oscillation_density(f, radii[-2], p0)
+    d2, c2 = diagnostics._oscillation_density(f, radii[-1], p0)
+    computable = c1 & c2
+    quantity = np.minimum(d1, d2)
+    mask = np.zeros(f.extents, dtype=bool)
+    mask[computable] = quantity[computable] > tau
+    return mask, computable

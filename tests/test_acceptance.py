@@ -8,7 +8,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from hessvar import diagnostics as diag
 from hessvar import fixtures, grids, gridio, hamstat, models, solver, symmat

@@ -172,6 +172,8 @@ def _with_setting(text, section, key, value):
     ("diagnose", "diagnostics", "sigma_p0", "-1"),
     ("diagnose", "diagnostics", "sigma_p0", "0.5"),
     ("diagnose", "diagnostics", "tau_sigma", "-0.5"),
+    ("diagnose", "diagnostics", "p", "0.5"),
+    ("diagnose", "diagnostics", "p", "nan"),
     ("hamstat", "hamstat", "bump_scale", "0"),
 ])
 def test_out_of_range_config_value_exits_64(tmp_path, capsys, command,

@@ -560,10 +560,8 @@ def shifted_oscillation_density(f, radius, p0):
     return dens, computable
 
 
-@pytest.mark.parametrize("dim, nodes, reaches", [(2, 41, (3, 4, 8)), (3, 19, (3, 4))],
-                         ids=["2d", "3d"])
-def test_oscillation_density_equals_shifted_copy_oracle(dim, nodes, reaches):
-    # a jump plus noise, NaN in a hole block and at scattered invalid nodes
+def _density_field(dim, nodes):
+    """A jump plus noise, NaN in a hole block and at scattered invalid nodes."""
     rng = np.random.default_rng(90 + dim)
     g = grids.make_grid(dim, nodes, 1.0)
     m = symmat.packed_size(dim)
@@ -573,15 +571,81 @@ def test_oscillation_density_equals_shifted_copy_oracle(dim, nodes, reaches):
     valid = rng.random(g.extents) > 0.003
     valid[(slice(nodes - 7, nodes - 4),) * dim] = False
     vals[~valid] = np.nan
-    f = grids.SymMatField(h=g.h, origin=g.origin, values=vals, valid=valid)
+    return grids.SymMatField(h=g.h, origin=g.origin, values=vals, valid=valid)
+
+
+@pytest.mark.parametrize("dim, nodes, reaches", [(2, 41, (3, 4, 8)), (3, 19, (3, 4))],
+                         ids=["2d", "3d"])
+def test_oscillation_density_equals_shifted_copy_oracle(dim, nodes, reaches):
+    f = _density_field(dim, nodes)
     for k in reaches:
         for p0 in (2.5, 4.0):
-            dens, comp = diag._oscillation_density(f, k * g.h, p0)
-            want, want_comp = shifted_oscillation_density(f, k * g.h, p0)
+            dens, comp = diag._oscillation_density(f, k * f.h, p0)
+            want, want_comp = shifted_oscillation_density(f, k * f.h, p0)
             assert np.array_equal(comp, want_comp), (k, p0)
             assert 0 < comp.sum() < (nodes - 2 * k) ** dim  # holes cost nodes
             assert np.array_equal(dens[comp], want[comp]), (k, p0)
             assert np.isnan(dens[~comp]).all()
+
+
+@pytest.mark.parametrize("dim, nodes", [(2, 41), (3, 19)], ids=["2d", "3d"])
+def test_singular_set_equals_two_pass_oracle(dim, nodes):
+    f = _density_field(dim, nodes)
+    h = f.h
+    radii = [8 * h, 4 * h, 3 * h]           # the two smallest count
+    for p0 in (2.5, 4.0):
+        dens = [diag._oscillation_density(f, r, p0)[0] for r in radii[1:]]
+        top = max(np.nanmax(d) for d in dens)
+        mid = float(np.nanmedian(dens[1]))
+        for tau in (0.0, mid, 2.0 * top):
+            want_mask, want_comp = oracles.singular_set(f, p0, radii, tau)
+            got = diag.singular_set(f, p0, radii, tau)
+            assert np.array_equal(got.computable, want_comp), (p0, tau)
+            assert np.array_equal(got.mask, want_mask), (p0, tau)
+        # tau = 0 flags every computable node, the middle tau some of them
+        assert np.array_equal(diag.singular_set(f, p0, radii, 0.0).mask, want_comp)
+        assert 0 < diag.singular_set(f, p0, radii, mid).mask.sum() < want_comp.sum()
+
+
+def test_singular_set_evaluates_the_larger_radius_at_candidates_only(monkeypatch):
+    pairs = []
+    chunk_deviations = diag._chunk_deviations
+
+    def counting(flat, w, idx, count, holes=None):
+        pairs.append(idx.size)
+        return chunk_deviations(flat, w, idx, count, holes)
+
+    monkeypatch.setattr(diag, "_chunk_deviations", counting)
+    g = grids.make_grid(2, 65, 1.0)
+    f = jump_field(g, np.eye(2))
+    h, p0 = g.h, 2.5
+    small, c_small = diag._oscillation_density(f, 3 * h, p0)
+    c_large = diag._oscillation_density(f, 4 * h, p0)[1]
+    computable = c_small & c_large
+    res = diag.singular_set(f, p0, [4 * h, 3 * h], tau=1.01 * small[computable].max())
+    assert pairs == [] and not res.mask.any() and res.computable.sum() > 0
+    tau = 0.5 * np.pi
+    candidates = int((computable & (small > tau)).sum())
+    assert 0 < candidates < computable.sum()
+    res = diag.singular_set(f, p0, [4 * h, 3 * h], tau)
+    assert sum(pairs) == candidates * len(grids.node_ball_offsets(4 * h, h, 2))
+    assert 0 < res.mask.sum() <= candidates
+
+
+@pytest.mark.parametrize("p", [0.5, np.nan], ids=["below-one", "nan"])
+def test_oscillation_exponents_below_one_or_nan_are_rejected(p):
+    g = grids.make_grid(2, 33, 1.0)
+    f = linear_field(g, np.eye(2))
+    fam = grids.ball_family(g, center_stride=8, r_min=0.2, r_max=0.4)
+    calls = [
+        lambda: diag.mean_oscillation(f, Ball(center=(0.0, 0.0), radius=0.3), p),
+        lambda: diag.john_nirenberg_ratio(f, fam, p),
+        lambda: diag.campanato_decay(f, (0.0, 0.0), [0.4, 0.2, 0.1], p),
+        lambda: diag.singular_set(f, p, [4 * g.h, 3 * g.h], tau=1.0),
+    ]
+    for call in calls:
+        with pytest.raises(diag.DiagnosticsError, match="exponent must be >= 1"):
+            call()
 
 
 @pytest.mark.parametrize("rows", [2, 3, 4, 5])

@@ -5,7 +5,6 @@ import pytest
 import sympy
 
 from hessvar import grids, hamstat, models, solver, symmat
-from hessvar.solver import ClampedBoundaryData
 
 import oracles
 

@@ -7,7 +7,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hessvar import grids, models, solver, symmat
-from hessvar.grids import Ball
 from hessvar.models import AdmissibilityError
 from hessvar.solver import ClampedBoundaryData
 
