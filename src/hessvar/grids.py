@@ -613,13 +613,14 @@ def bump_tests(grid: ScalarGrid, centers, scale: float) -> TestFunctionSet:
     fns, labels = [], []
     for c in centers:
         c = np.asarray(c, dtype=float)
+        at = tuple(float(v) for v in c)
         if np.any(c - scale < lo) or np.any(c + scale > hi):
-            raise GridError(f"bump at {tuple(c)} with scale {scale} leaves the interior")
+            raise GridError(f"bump at {at} with scale {scale} leaves the interior")
         t2 = sum((X[a] - c[a]) ** 2 for a in range(grid.dim)) / scale**2
         with np.errstate(divide="ignore", over="ignore"):
             f = np.where(t2 < 1.0, np.exp(1.0 - 1.0 / np.maximum(1.0 - t2, 1e-300)), 0.0)
         f[~grid.interior] = 0.0
         fns.append(f)
-        labels.append(f"bump@{tuple(round(v, 6) for v in c)}")
+        labels.append(f"bump@{tuple(round(v, 6) for v in at)}")
     TestFunctionSet.validate_against(grid, fns)
     return TestFunctionSet(functions=tuple(fns), labels=tuple(labels))

@@ -9,8 +9,8 @@ fourth-order equation
 
     sum_x sqrt(det g) g^{ij} delta^{kl} u_{ik} eta_{jl} = 0,
 
-which this module evaluates both as a double-divergence residual and through
-the area-model energy gradient (the two agree identically).  The geometric
+which this module evaluates by pairing sqrt(det g) g^{-1} D^2 u, the area
+integrand's first derivative, with the tests' Hessians.  The geometric
 counterpart, vanishing of the Laplace-Beltrami operator applied to the
 phase, is measured by a conservative flux discretization.
 """
@@ -28,10 +28,11 @@ from .grids import (
     ScalarGrid,
     SymMatField,
     TestFunctionSet,
+    hessian_field,
     inner_box_nodes,
     offset_slices,
 )
-from .solver import dd_weak_residual
+from .solver import _pair_with_tests
 
 
 class PhaseError(RuntimeError):
@@ -125,7 +126,9 @@ def lagrangian_phase(field: SymMatField) -> PhaseField:
 
 def hamstat_dd_model(n: int) -> models.DoubleDivergenceModel:
     """Coefficient a^{(ik),(jl)} = sqrt(det g) g^{ij} delta^{kl} of the
-    volume functional's weak equation, as a double-divergence model."""
+    volume functional's weak equation, as a double-divergence model for
+    :func:`hessvar.models.linearized_coefficients_dd`.  The residual does not
+    build it: :func:`hamstat_residual` uses the contraction's closed form."""
     eye = np.eye(n)
 
     def coeff(M):
@@ -138,11 +141,15 @@ def hamstat_dd_model(n: int) -> models.DoubleDivergenceModel:
 def hamstat_residual(u: ScalarGrid, tests: TestFunctionSet) -> np.ndarray:
     """Weak volume-criticality residual per test function.
 
-    Identical (to round-off) to pairing the area-model energy gradient with
-    the test functions: the coefficient contraction
-    sqrt(det g) g^{ij} u_{ik} equals the area integrand's first derivative.
+    Pairs sqrt(det g) g^{-1} D^2 u, the contraction of the coefficient of
+    :func:`hamstat_dd_model` with D^2 u, with the tests' Hessians.  Identical
+    (to round-off) to pairing the area-model energy gradient with the tests:
+    the same matrix is the area integrand's first derivative.
     """
-    return dd_weak_residual(u, hamstat_dd_model(u.dim), tests)
+    H = hessian_field(u)
+    M = H.matrices()[H.valid]
+    _, ginv, sd = models.graph_metric(M)
+    return _pair_with_tests(sd[..., None, None] * (ginv @ M), H.valid, u.h, tests)
 
 
 # -------------------------------------------------------- Laplace-Beltrami

@@ -5,12 +5,14 @@ double-divergence model, the previous ``shifted``-copy forms of
 :func:`hessvar.hamstat.laplace_beltrami` and
 :func:`hessvar.grids.difference_quotient`, kept as bit-level oracles for the
 view-based library versions, and the two-full-pass singular-set detector,
-the oracle for the screened :func:`hessvar.diagnostics.singular_set`.
+the oracle for the screened :func:`hessvar.diagnostics.singular_set`, and
+the double-divergence form of the volume-criticality residual, the oracle
+for the closed form :func:`hessvar.hamstat.hamstat_residual`.
 """
 
 import numpy as np
 
-from hessvar import diagnostics, grids, hamstat, models
+from hessvar import diagnostics, grids, hamstat, models, solver
 from hessvar.grids import GridError, ScalarGrid, SymMatField, TestFunctionSet
 
 
@@ -125,3 +127,9 @@ def singular_set(f, p0, radii, tau):
     mask = np.zeros(f.extents, dtype=bool)
     mask[computable] = quantity[computable] > tau
     return mask, computable
+
+
+def hamstat_residual(u, tests):
+    """Volume-criticality residual through the per-node coefficient tensor of
+    :func:`hessvar.hamstat.hamstat_dd_model`, symmetrized and contracted with D^2 u."""
+    return solver.dd_weak_residual(u, hamstat.hamstat_dd_model(u.dim), tests)

@@ -447,6 +447,34 @@ seed = 4
     assert rep["certificate"]["diagonal_check"] == "pass"
 
 
+def test_hamstat_bump_outside_interior_exits_65(tmp_path, capsys):
+    text = """
+[model]
+kind = area
+eta = 0.1
+
+[grid]
+dim = 2
+nodes = 17
+half_width = 0.5
+
+[boundary]
+kind = cubic_harmonic
+amplitude = 0.2
+
+[hamstat]
+bump_scale = 5.0
+
+[run]
+seed = 0
+"""
+    cfg = write_config(tmp_path / "h.cfg", text)
+    assert run(["hamstat", "--config", cfg, "--out", str(tmp_path / "o")]) == 65
+    err = capsys.readouterr().err
+    assert "bump at (0.0, 0.0) with scale 5.0 leaves the interior" in err
+    assert "np.float64" not in err
+
+
 def test_hamstat_invalid_eta_exits_64(tmp_path):
     text = "[model]\nkind = area\neta = 0.1\n[run]\nseed = 0\n"
     bad = text.replace("eta = 0.1", "eta = 1.2")

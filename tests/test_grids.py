@@ -443,6 +443,18 @@ def test_bump_must_fit_interior():
         grids.bump_tests(g, centers=[(0.5, 0.5)], scale=0.8)
 
 
+def test_bump_label_and_error_print_plain_floats():
+    # numpy scalars would print as np.float64(...) under numpy 2
+    g = grids.make_grid(2, 21, 1.0)
+    centre = np.array([0.0, 0.1])
+    bset = grids.bump_tests(g, centers=[centre], scale=0.5)
+    assert bset.labels == ("bump@(0.0, 0.1)",)
+    with pytest.raises(GridError) as err:
+        grids.bump_tests(g, centers=[centre], scale=5.0)
+    assert "bump at (0.0, 0.1) with scale 5.0" in str(err.value)
+    assert "np.float64" not in str(err.value)
+
+
 def test_bounding_box_matches_node_extremes():
     rng = np.random.default_rng(7)
     mask = np.zeros((9, 11, 7), dtype=bool)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -118,14 +119,44 @@ def test_hamstat_residual_zero_for_constant_hessian():
 
 def test_hamstat_residual_equals_area_gradient_pairing():
     rng = np.random.default_rng(74)
-    g = grids.make_grid(2, 17, 1.0)
-    tests = grids.bump_tests(g, [(0.0, 0.0), (0.15, 0.1)], scale=0.35)
-    for _ in range(5):
+    for dim, nodes in ((2, 17), (3, 11)):
+        g = grids.make_grid(dim, nodes, 1.0)
+        tests = grids.bump_tests(g, [(0.0,) * dim, (0.15, 0.1) + (0.0,) * (dim - 2)],
+                                 scale=0.35)
+        for _ in range(5):
+            u = g.with_values(0.2 * rng.standard_normal(g.extents))
+            res = hamstat.hamstat_residual(u, tests)
+            grad = solver.energy_gradient(u, models.area_model(dim))
+            want = np.array([float((grad * eta).sum()) for eta in tests])
+            np.testing.assert_allclose(res, want, rtol=1e-11, atol=1e-13)
+
+
+@pytest.mark.parametrize("dim, nodes", [(2, 17), (3, 11)])
+def test_hamstat_residual_equals_double_divergence_oracle(dim, nodes):
+    # sqrt(det g) g^{-1} D^2 u is the coefficient tensor contracted with D^2 u
+    rng = np.random.default_rng(81 + dim)
+    g = grids.make_grid(dim, nodes, 1.0)
+    tests = grids.bump_tests(g, [(0.0,) * dim, (-0.1,) * dim], scale=0.3)
+    for _ in range(3):
         u = g.with_values(0.2 * rng.standard_normal(g.extents))
-        res = hamstat.hamstat_residual(u, tests)
-        grad = solver.energy_gradient(u, models.area_model(2))
-        want = np.array([float((grad * eta).sum()) for eta in tests])
-        np.testing.assert_allclose(res, want, rtol=1e-11, atol=1e-13)
+        np.testing.assert_allclose(hamstat.hamstat_residual(u, tests),
+                                   oracles.hamstat_residual(u, tests), rtol=1e-12)
+
+
+def test_hamstat_residual_memory_stays_a_few_matrix_fields():
+    # the per-node (n, n, n, n) coefficient tensor alone is 9 (K, 3, 3) arrays
+    rng = np.random.default_rng(83)
+    g = grids.make_grid(3, 17, 1.0)
+    u = g.with_values(0.2 * rng.standard_normal(g.extents))
+    tests = grids.bump_tests(g, [(0.0, 0.0, 0.0)], scale=0.5)
+    K = int(grids.hessian_field(u).valid.sum())
+    tracemalloc.start()
+    try:
+        hamstat.hamstat_residual(u, tests)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * np.zeros((K, 3, 3)).nbytes
 
 
 def test_hamstat_residual_roundoff_on_harmonic_cubic():
