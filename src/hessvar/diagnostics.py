@@ -55,14 +55,20 @@ def _ball_values(f: SymMatField, ball: Ball) -> np.ndarray:
 
 
 def _check_exponent(p: float) -> None:
-    if not p >= 1.0:                        # NaN fails too
-        raise DiagnosticsError(f"oscillation exponent must be >= 1, got {p}")
+    if not 1.0 <= p < np.inf:               # NaN fails too
+        raise DiagnosticsError(f"oscillation exponent must be >= 1 and finite, got {p}")
+
+
+def _component_major(f: SymMatField) -> np.ndarray:
+    """The packed components as a C-contiguous ``(m,) + extents`` array, 0 off valid nodes."""
+    return np.moveaxis(np.where(f.valid[..., None], f.values, 0.0), -1, 0).copy()
 
 
 def _deviations(f: SymMatField, ball: Ball) -> np.ndarray:
-    """|f - (f)_B| at the valid nodes of the ball."""
+    """|f - (f)_B| at the valid nodes of the ball, through :func:`_chunk_deviations`."""
     vals = _ball_values(f, ball)
-    return symmat.hs_norm_packed(vals - vals.mean(axis=0), f.dim)
+    return _chunk_deviations(np.ascontiguousarray(vals.T), symmat.duplication_weights(f.dim),
+                             np.arange(len(vals))[None], len(vals))[0]
 
 
 def mean_oscillation(f: SymMatField, ball: Ball, p: float = 1.0) -> float:
@@ -113,52 +119,55 @@ class JNEstimate:
         return {"p": self.p, "cbar": self.cbar, "degenerate": self.degenerate}
 
 
-def _chunk_deviations(flat, w, idx, count, holes=None):
+def _chunk_deviations(vals, w, idx, count, valid=None):
     """|f - (f)_B| on a chunk of balls, one ball per row of ``idx``.
 
-    ``flat`` is the field's values raveled (packed components last) and
-    ``idx`` the index in ``flat`` of component 0 of each ball node, (balls,
+    ``vals`` holds the packed components by row, ``(m, nodes)`` and
+    C-contiguous, and ``idx`` the node indices of each ball, (balls,
     nodes); ``w`` are the duplication weights, ``count`` the valid nodes per
-    ball (a scalar or a column) and ``holes`` the invalid entries of
-    ``idx``, zeroed before the mean (None when there are none).  The
-    arithmetic of :func:`_deviations` row by row: each component is
-    gathered as (balls, nodes), the mean adds the nodes in order
-    (``add.accumulate``, which never sums pairwise), and the norm adds the
-    weighted squares in component storage order.  Hole entries get a
-    deviation too, which the caller drops.  Called by
-    :func:`_family_oscillations` (for :func:`john_nirenberg_ratio`) and by
-    :func:`_candidate_density` (for :func:`singular_set`).
+    ball (a scalar or a column) and ``valid`` the valid entries of ``idx``
+    (None when all are).  Each component is gathered as (balls, nodes), a
+    ball's mean is numpy's pairwise sum of its row (of its valid entries
+    alone, for a row with holes) over ``count``, and the norm adds the
+    weighted squares in component storage order.  A ball gets the same bits
+    alone, as the one compacted row of :func:`_deviations`, as in a chunk of
+    :func:`_family_oscillations` or :func:`_candidate_density`.  Hole
+    entries get a deviation too, which the caller drops.
     """
-    dev = np.zeros(idx.shape)
+    holed = () if valid is None else np.flatnonzero(~valid.all(axis=1))
+    dev, tmp = np.zeros(idx.shape), np.empty(idx.shape)
     for a in range(len(w)):
-        x = flat[a:].take(idx)
-        if holes is not None:
-            x[holes] = 0.0
-        x -= np.add.accumulate(x, axis=1)[:, -1:] / count
-        dev += (w[a] * x) * x
-    return np.sqrt(dev)
+        x = vals[a].take(idx)
+        mean = np.add.reduce(x, axis=1, keepdims=True)
+        for b in holed:
+            mean[b] = np.add.reduce(x[b][valid[b]])
+        x -= mean / count
+        np.multiply(w[a], x, out=tmp)
+        tmp *= x
+        dev += tmp
+    return np.sqrt(dev, out=dev)
 
 
 def _family_oscillations(f: SymMatField, balls, p: float):
     """L^1 and L^p mean oscillation of every ball, in ``balls`` order.
 
-    Each chunk of :func:`ball_chunks` goes through :func:`_chunk_deviations`,
-    and the L^1 and L^p sums are numpy's pairwise sums over each ball's row
-    of valid nodes (a row with holes is compacted first).  Every value thus
-    equals the per-ball one bit for bit.
+    Each chunk of :func:`ball_chunks` goes through :func:`_chunk_deviations`
+    on one component-major copy of the field, and the L^1 and L^p sums are
+    numpy's pairwise sums over each ball's row of valid nodes (a row with
+    holes is compacted first).  Every value thus equals the per-ball one
+    from :func:`_deviations` bit for bit.
     """
-    flat, valid = f.values.reshape(-1), f.valid.reshape(-1)
     w = symmat.duplication_weights(f.dim)
+    vals, valid = _component_major(f).reshape(len(w), -1), f.valid.reshape(-1)
     osc1, oscp, empty = np.empty(len(balls)), np.empty(len(balls)), []
     for members, nodes in ball_chunks(f, balls):
-        ok = valid[nodes]
+        ok = valid.take(nodes)
         count = ok.sum(axis=1)
         if not count.all():
             empty.append(members[count == 0][0])
             continue
         holed = np.flatnonzero(count < nodes.shape[1])
-        dev = _chunk_deviations(flat, w, nodes * len(w), count[:, None],
-                                ~ok if len(holed) else None)
+        dev = _chunk_deviations(vals, w, nodes, count[:, None], ok if len(holed) else None)
         s1, sp = np.add.reduce(dev, axis=1), np.add.reduce(dev**p, axis=1)
         for b in holed:
             row = dev[b][ok[b]]
@@ -441,11 +450,12 @@ def _ball_support(f: SymMatField, offs):
     return view, computable
 
 
-def _oscillation_density(f: SymMatField, radius: float, p0: float):
+def _oscillation_density(f: SymMatField, vals, radius: float, p0: float):
     """Per-node r^{-n} integral of |f - (f)_{B_r}|^{p0}; NaN where incomputable.
 
-    Both passes run on offset views of the inner box of
-    :func:`_ball_support`.  Sums run over the offsets in
+    ``vals`` is the field's :func:`_component_major` copy.  Both passes run
+    on offset views of the inner box of :func:`_ball_support`.  Sums run
+    over the offsets in
     :func:`hessvar.grids.node_ball_offsets` (C) order and over the packed
     components in storage order, as ``symmat.hs_norm_packed`` adds them.
     """
@@ -453,8 +463,6 @@ def _oscillation_density(f: SymMatField, radius: float, p0: float):
     view, computable = _ball_support(f, offs)
     core = view((0,) * f.dim)
     ok = computable[core]
-    # component-major values, zero off the valid nodes
-    vals = np.moveaxis(np.where(f.valid[..., None], f.values, 0.0), -1, 0).copy()
     total = np.zeros(vals.shape[:1] + ok.shape)
     for off in offs:
         total += vals[(slice(None),) + view(off)]
@@ -475,23 +483,23 @@ def _oscillation_density(f: SymMatField, radius: float, p0: float):
     return dens, computable
 
 
-def _candidate_density(f: SymMatField, offs, radius: float, p0: float, cand):
+def _candidate_density(f: SymMatField, vals, offs, radius: float, p0: float, cand):
     """The density of :func:`_oscillation_density` at the flat node indices ``cand``.
 
-    Every node in ``cand`` must be computable for the ball offsets ``offs``.
-    The nodes go through :func:`_chunk_deviations` in chunks of about
-    ``BALL_CHUNK`` node-ball pairs, and each node's sum over its ball is
-    numpy's pairwise sum, so a density can differ from the offset-order sum
-    of :func:`_oscillation_density` by round-off.
+    ``vals`` is the field's :func:`_component_major` copy, and every node in
+    ``cand`` must be computable for the ball offsets ``offs``, so its ball
+    has no holes.  The nodes go through :func:`_chunk_deviations` in chunks
+    of about ``BALL_CHUNK`` node-ball pairs, and each node's mean and sum
+    over its ball are numpy's pairwise sums, so a density can differ from
+    the offset-order sums of :func:`_oscillation_density` by round-off.
     """
-    m = f.values.shape[-1]
-    strides = [m * int(np.prod(f.extents[d + 1:])) for d in range(f.dim)]
+    strides = [int(np.prod(f.extents[d + 1:])) for d in range(f.dim)]
     offsets = np.array(offs) @ strides
-    flat, w = f.values.reshape(-1), symmat.duplication_weights(f.dim)
-    acc, base = np.empty(len(cand)), cand * m
+    w = symmat.duplication_weights(f.dim)
+    vals, acc = vals.reshape(len(w), -1), np.empty(len(cand))
     step = max(1, grids.BALL_CHUNK // len(offs))
     for i in range(0, len(cand), step):
-        dev = _chunk_deviations(flat, w, base[i:i + step, None] + offsets, len(offs))
+        dev = _chunk_deviations(vals, w, cand[i:i + step, None] + offsets, len(offs))
         acc[i:i + step] = np.add.reduce(dev**p0, axis=1)
     return f.h**f.dim * acc / radius**f.dim
 
@@ -522,12 +530,13 @@ def singular_set(f: SymMatField, p0: float, radii, tau: float) -> SingularMask:
             f"smallest radius {radii[-1]:g} is under 3h = {3 * f.h:g}"
         )
     large, small = radii[-2:]
-    d_small, computable = _oscillation_density(f, small, p0)
+    vals = _component_major(f)
+    d_small, computable = _oscillation_density(f, vals, small, p0)
     offs = node_ball_offsets(large, f.h, f.dim)
     computable &= _ball_support(f, offs)[1]
     cand = np.flatnonzero(computable & (d_small > tau))
     mask = np.zeros(f.extents, dtype=bool)
-    mask.reshape(-1)[cand] = _candidate_density(f, offs, large, p0, cand) > tau
+    mask.reshape(-1)[cand] = _candidate_density(f, vals, offs, large, p0, cand) > tau
     return SingularMask(mask=mask, computable=computable, p0=p0,
                         radii=tuple(radii), tau=tau)
 

@@ -120,8 +120,9 @@ def laplace_beltrami(scalar, metric):
 def singular_set(f, p0, radii, tau):
     """``(mask, computable)`` from both small-radius densities on the whole grid."""
     radii = sorted((float(r) for r in radii), reverse=True)
-    d1, c1 = diagnostics._oscillation_density(f, radii[-2], p0)
-    d2, c2 = diagnostics._oscillation_density(f, radii[-1], p0)
+    vals = diagnostics._component_major(f)
+    d1, c1 = diagnostics._oscillation_density(f, vals, radii[-2], p0)
+    d2, c2 = diagnostics._oscillation_density(f, vals, radii[-1], p0)
     computable = c1 & c2
     quantity = np.minimum(d1, d2)
     mask = np.zeros(f.extents, dtype=bool)

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -213,6 +214,43 @@ def test_grouped_oscillations_equal_per_ball_oracle(dim, nodes, stride, reach, m
             assert diag.bmo_modulus(f, family) == jn.bmo
 
 
+def _fsum_deviations(vals, w):
+    """Oracle: |f - (f)_B| at the rows ``vals``, each component's mean a ``math.fsum``."""
+    mean = [math.fsum(col) / len(vals) for col in vals.T.tolist()]
+    return [math.sqrt(math.fsum(wa * (v - c) ** 2 for wa, v, c in zip(w, row, mean)))
+            for row in vals.tolist()]
+
+
+@pytest.mark.parametrize("dim, nodes, stride, reach", [(2, 41, 2, 8), (3, 19, 2, 6)],
+                         ids=["2d", "3d"])
+def test_oscillations_match_fsum_reference(dim, nodes, stride, reach):
+    # every sum of the reference is correctly rounded, so the values are
+    # pinned whatever order the library sums in
+    f = _holed_field(dim, nodes, 80 + dim)
+    h, w = f.h, symmat.duplication_weights(dim).tolist()
+    fam = grids.ball_family(f, stride, r_min=3 * h, r_max=reach * h)
+    devs = [_fsum_deviations(_reference_ball_values(f, ball), w) for ball in fam]
+    for p in (1.0, 2.5, 4.0):
+        got1, gotp = diag._family_oscillations(f, fam.balls, p)
+        np.testing.assert_allclose(got1, [math.fsum(d) / len(d) for d in devs], rtol=1e-12)
+        np.testing.assert_allclose(gotp, [math.fsum(x**p for x in d) / len(d) for d in devs],
+                                   rtol=1e-12)
+
+    center, radii, p = (0.05,) * dim, [0.8, 0.6, 0.4, 0.25], 2.5
+    curve, _ = diag.campanato_decay(f, center, radii, p)
+    want = [math.fsum(x**p for x in _fsum_deviations(
+        _reference_ball_values(f, Ball(center=center, radius=r)), w)) * h**dim for r in radii]
+    np.testing.assert_allclose(curve.integrals, want, rtol=1e-12)
+
+    r = 3 * h
+    offs = grids.node_ball_offsets(r, h, dim)
+    cand = np.flatnonzero(diag._ball_support(f, offs)[1])[::2]
+    got = diag._candidate_density(f, diag._component_major(f), offs, r, p, cand)
+    want = [math.fsum(x**p for x in _fsum_deviations(f.values[tuple((node + offs).T)], w))
+            * h**dim / r**dim for node in np.transpose(np.unravel_index(cand, f.extents))]
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
 def test_grouped_oscillations_raise_for_the_first_empty_ball():
     f = _holed_field(2, 41, 83)
     h = f.h
@@ -394,8 +432,9 @@ def _reference_ball_values(f, ball):
 
 
 def _reference_deviations(f, ball):
+    """Deviations from the ball mean, each component summed pairwise on its own."""
     vals = _reference_ball_values(f, ball)
-    return symmat.hs_norm_packed(vals - vals.mean(axis=0), f.dim)
+    return symmat.hs_norm_packed(vals - vals.T.copy().sum(axis=1) / len(vals), f.dim)
 
 
 def _reference_mean_power(f, ball, p):
@@ -578,9 +617,10 @@ def _density_field(dim, nodes):
                          ids=["2d", "3d"])
 def test_oscillation_density_equals_shifted_copy_oracle(dim, nodes, reaches):
     f = _density_field(dim, nodes)
+    vals = diag._component_major(f)
     for k in reaches:
         for p0 in (2.5, 4.0):
-            dens, comp = diag._oscillation_density(f, k * f.h, p0)
+            dens, comp = diag._oscillation_density(f, vals, k * f.h, p0)
             want, want_comp = shifted_oscillation_density(f, k * f.h, p0)
             assert np.array_equal(comp, want_comp), (k, p0)
             assert 0 < comp.sum() < (nodes - 2 * k) ** dim  # holes cost nodes
@@ -593,8 +633,9 @@ def test_singular_set_equals_two_pass_oracle(dim, nodes):
     f = _density_field(dim, nodes)
     h = f.h
     radii = [8 * h, 4 * h, 3 * h]           # the two smallest count
+    vals = diag._component_major(f)
     for p0 in (2.5, 4.0):
-        dens = [diag._oscillation_density(f, r, p0)[0] for r in radii[1:]]
+        dens = [diag._oscillation_density(f, vals, r, p0)[0] for r in radii[1:]]
         top = max(np.nanmax(d) for d in dens)
         mid = float(np.nanmedian(dens[1]))
         for tau in (0.0, mid, 2.0 * top):
@@ -611,16 +652,17 @@ def test_singular_set_evaluates_the_larger_radius_at_candidates_only(monkeypatch
     pairs = []
     chunk_deviations = diag._chunk_deviations
 
-    def counting(flat, w, idx, count, holes=None):
+    def counting(vals, w, idx, count, valid=None):
         pairs.append(idx.size)
-        return chunk_deviations(flat, w, idx, count, holes)
+        return chunk_deviations(vals, w, idx, count, valid)
 
     monkeypatch.setattr(diag, "_chunk_deviations", counting)
     g = grids.make_grid(2, 65, 1.0)
     f = jump_field(g, np.eye(2))
     h, p0 = g.h, 2.5
-    small, c_small = diag._oscillation_density(f, 3 * h, p0)
-    c_large = diag._oscillation_density(f, 4 * h, p0)[1]
+    vals = diag._component_major(f)
+    small, c_small = diag._oscillation_density(f, vals, 3 * h, p0)
+    c_large = diag._oscillation_density(f, vals, 4 * h, p0)[1]
     computable = c_small & c_large
     res = diag.singular_set(f, p0, [4 * h, 3 * h], tau=1.01 * small[computable].max())
     assert pairs == [] and not res.mask.any() and res.computable.sum() > 0
@@ -632,7 +674,7 @@ def test_singular_set_evaluates_the_larger_radius_at_candidates_only(monkeypatch
     assert 0 < res.mask.sum() <= candidates
 
 
-@pytest.mark.parametrize("p", [0.5, np.nan], ids=["below-one", "nan"])
+@pytest.mark.parametrize("p", [0.5, np.nan, np.inf], ids=["below-one", "nan", "inf"])
 def test_oscillation_exponents_below_one_or_nan_are_rejected(p):
     g = grids.make_grid(2, 33, 1.0)
     f = linear_field(g, np.eye(2))
