@@ -1,10 +1,10 @@
 """Finite-difference toolkit for Hessian-dependent variational integrals.
 
-Clamped minimization of convex integrands F(D^2 u) on uniform grids,
-double-divergence weak residuals, and the oscillation/integrability
-diagnostics of elliptic regularity theory (BMO modulus, Campanato decay,
-reverse-Hoelder constants, singular-set detection), with the gradient-graph
-volume functional as the flagship model.
+Clamped minimization of convex integrands F(D^2 u) on uniform grids, weak
+residuals, and the oscillation/integrability diagnostics of elliptic
+regularity theory (BMO modulus, Campanato decay, reverse-Hoelder constants,
+singular-set detection), with the gradient-graph volume functional as the
+flagship model.
 """
 
 from .grids import (
@@ -21,7 +21,6 @@ from .grids import (
     sample,
 )
 from .models import (
-    DoubleDivergenceModel,
     EnergyModel,
     Tensor4,
     area_model,
@@ -31,7 +30,6 @@ from .models import (
     eval_dF,
     eval_d2F,
     linearized_coefficients,
-    linearized_coefficients_dd,
     load_table_model,
     quadratic_model,
 )
@@ -39,7 +37,6 @@ from .solver import (
     ClampedBoundaryData,
     SolveReport,
     assemble_energy,
-    dd_weak_residual,
     energy_gradient,
     linearized_residual,
     minimize_clamped,
@@ -60,9 +57,8 @@ from .diagnostics import (
 from .hamstat import (
     closed_form_dV,
     convexity_certificate,
+    graph_geometry,
     hamstat_residual,
-    induced_metric,
-    lagrangian_phase,
     laplace_beltrami,
     phase_harmonicity_residual,
     volume_integrand,

@@ -35,9 +35,8 @@ from . import gridio
 from .hamstat import (
     PhaseError,
     convexity_certificate,
+    graph_geometry,
     hamstat_residual,
-    induced_metric,
-    lagrangian_phase,
     phase_harmonicity_residual,
 )
 from .models import AdmissibilityError, ModelError
@@ -110,17 +109,25 @@ def build_model(cfg: RunConfig, base: str = ".") -> models.EnergyModel:
     return table
 
 
+def _potential_file(cfg: RunConfig, grid: ScalarGrid, base: str) -> ScalarGrid:
+    """The [boundary] file potential, on the configured grid and finite."""
+    path = os.path.join(base, cfg.boundary_file)
+    u = gridio.read_grid(path)
+    if u.extents != grid.extents:
+        raise GridError(f"boundary file extents {u.extents} do not match the "
+                        f"configured grid {grid.extents}")
+    bad = np.argwhere(~np.isfinite(u.values))
+    if len(bad):
+        raise GridError(f"{path}: non-finite potential value at node "
+                        f"{tuple(bad[0].tolist())}")
+    return u
+
+
 def _boundary_and_init(cfg: RunConfig, grid: ScalarGrid, base: str):
     if cfg.boundary_kind == "file":
-        bgrid = gridio.read_grid(os.path.join(base, cfg.boundary_file))
-        if bgrid.extents != grid.extents:
-            raise GridError(
-                f"boundary file extents {bgrid.extents} do not match the "
-                f"configured grid {grid.extents}"
-            )
-        bc = ClampedBoundaryData.from_grid(bgrid)
-        init = bgrid if cfg.init == "boundary" else grid
-        return bc, init
+        bgrid = _potential_file(cfg, grid, base)
+        return (ClampedBoundaryData.from_grid(bgrid),
+                bgrid if cfg.init == "boundary" else grid)
     fn = potential(cfg.boundary_kind, cfg.amplitude)
     bc = ClampedBoundaryData.from_potential(grid, fn)
     init = sample(grid, fn) if cfg.init == "boundary" else grid
@@ -260,31 +267,23 @@ def cmd_hamstat(cfg: RunConfig, out: str, seed: int, base: str = ".") -> int:
         raise ConfigError("hamstat needs [model] eta in (0, 1)")
     os.makedirs(out, exist_ok=True)
     grid = make_grid(cfg.dim, cfg.nodes, cfg.half_width)
-    if cfg.boundary_kind == "file":
-        u = gridio.read_grid(os.path.join(base, cfg.boundary_file))
-    else:
-        u = sample(grid, potential(cfg.boundary_kind, cfg.amplitude))
+    u = (_potential_file(cfg, grid, base) if cfg.boundary_kind == "file"
+         else sample(grid, potential(cfg.boundary_kind, cfg.amplitude)))
 
-    H = hessian_field(u)
-    phase = lagrangian_phase(H)
-    phase_grid = ScalarGrid(h=u.h, origin=u.origin, values=phase.theta,
-                            boundary_width=u.boundary_width, valid=phase.valid)
+    geom = graph_geometry(hessian_field(u))
     phase_file = "phase.hvgf"
-    gridio.write_binary(os.path.join(out, phase_file), phase_grid)
-
-    metric = induced_metric(H)
-    metric_vals = np.where(metric.valid[..., None], metric.g, np.nan)
-    metric_field = SymMatField(h=u.h, origin=u.origin, values=metric_vals,
-                               valid=metric.valid)
+    gridio.write_binary(os.path.join(out, phase_file), ScalarGrid(
+        h=u.h, origin=u.origin, values=geom.theta,
+        boundary_width=u.boundary_width, valid=geom.valid))
     metric_file = "metric.hvgf"
-    gridio.write_binary(os.path.join(out, metric_file), metric_field)
+    gridio.write_binary(os.path.join(out, metric_file), SymMatField(
+        h=u.h, origin=u.origin, valid=geom.valid,
+        values=np.where(geom.valid[..., None], geom.g, np.nan)))
 
-    center = tuple(
-        u.origin[d] + u.h * 0.5 * (u.extents[d] - 1) for d in range(u.dim)
-    )
+    center = tuple(o + u.h * 0.5 * (N - 1) for o, N in zip(u.origin, u.extents))
     tests = bump_tests(u, [center], scale=cfg.bump_scale)
-    vres = hamstat_residual(u, tests)
-    pres = phase_harmonicity_residual(phase, metric, cfg.inner_fraction)
+    vres = hamstat_residual(geom, tests)
+    pres = phase_harmonicity_residual(geom, cfg.inner_fraction)
     cert = convexity_certificate(cfg.eta, cfg.dim, cfg.hs_samples, seed=seed)
 
     payload = {
@@ -294,7 +293,7 @@ def cmd_hamstat(cfg: RunConfig, out: str, seed: int, base: str = ".") -> int:
         "seed": seed,
         "phase": {
             "file": phase_file,
-            "sup_abs": float(np.abs(phase.theta[phase.valid]).max()),
+            "sup_abs": float(np.abs(geom.theta[geom.valid]).max()),
         },
         "metric": {"file": metric_file},
         "residuals": {

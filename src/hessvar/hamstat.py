@@ -12,7 +12,8 @@ fourth-order equation
 which this module evaluates by pairing sqrt(det g) g^{-1} D^2 u, the area
 integrand's first derivative, with the tests' Hessians.  The geometric
 counterpart, vanishing of the Laplace-Beltrami operator applied to the
-phase, is measured by a conservative flux discretization.
+phase, is measured by a conservative flux discretization.  Both read one
+:class:`GraphGeometry` record, built once per Hessian field.
 """
 
 from __future__ import annotations
@@ -25,10 +26,8 @@ import numpy as np
 from . import models, symmat
 from .grids import (
     GridError,
-    ScalarGrid,
     SymMatField,
     TestFunctionSet,
-    hessian_field,
     inner_box_nodes,
     offset_slices,
 )
@@ -39,35 +38,59 @@ class PhaseError(RuntimeError):
     """Phase or metric construction failed an invariant."""
 
 
-# ------------------------------------------------------------------ metric
+# ------------------------------------------------------- graph geometry
 
 @dataclass(frozen=True)
-class MetricField:
-    """Per-node induced metric, its inverse, and volume density."""
+class GraphGeometry:
+    """The geometry of the gradient graph of one Hessian field.
 
-    h: float
-    origin: np.ndarray
+    ``g`` and ``g_inv`` are the packed induced metric ``I + H^2`` and its
+    inverse, ``sqrt_det`` the volume density, ``theta`` the Lagrangian phase
+    (NaN off ``valid``) and ``eigenvalues`` the ascending Hessian eigenvalues
+    it sums over (zero off ``valid``).
+    """
+
+    H: SymMatField
     g: np.ndarray            # packed (..., m)
     g_inv: np.ndarray        # packed (..., m)
     sqrt_det: np.ndarray     # (...)
-    valid: np.ndarray
+    theta: np.ndarray        # (...)
+    eigenvalues: np.ndarray  # (..., n)
+
+    @property
+    def h(self) -> float:
+        return self.H.h
 
     @property
     def dim(self) -> int:
-        return symmat.dim_from_packed(self.g.shape[-1])
+        return self.H.dim
+
+    @property
+    def valid(self) -> np.ndarray:
+        return self.H.valid
 
 
-def induced_metric(field: SymMatField) -> MetricField:
-    """g = I + M^2 node-wise, with adjugate inverse and closed-form density.
+def graph_geometry(H: SymMatField) -> GraphGeometry:
+    """Metric, inverse, volume density and phase of the graph of Du.
 
-    The metric is symmetric positive definite with g >= I structurally; the
-    inverse identity ``g g^{-1} = I`` is verified to 1e-12 on valid nodes.
+    Theta = sum_i arctan(lambda_i) over the closed-form Hessian eigenvalues
+    of :func:`hessvar.symmat.sym_eigvals`, |Theta| < n pi / 2 strictly for
+    finite fields; g = I + H^2 with the adjugate inverse and the closed-form
+    density of :func:`hessvar.models.graph_metric`.  On valid nodes
+    ``g g^{-1} = I`` is verified to 1e-12, ``sqrt(det g) >= 1`` and g >= I.
     """
-    n = field.dim
-    g, ginv, sd = models.graph_metric(field.matrices())
-    ok = field.valid
+    n = H.dim
+    ok = H.valid
+    lam = np.zeros(H.extents + (n,))
     if ok.any():
-        resid = np.abs((g @ ginv)[ok] - np.eye(n)).max()
+        lam[ok] = symmat.sym_eigvals(symmat.unpack(H.values[ok], n))
+    theta = np.arctan(lam).sum(axis=-1)
+    theta[~ok] = np.nan
+    if ok.any() and np.abs(theta[ok]).max() >= n * np.pi / 2:
+        raise PhaseError("phase reached the n pi / 2 bound on finite data")
+    g, ginv, sd = models.graph_metric(H.matrices())
+    if ok.any():
+        resid = np.abs(g[ok] @ ginv[ok] - np.eye(n)).max()
         if resid > 1e-12:
             raise PhaseError(f"metric inverse off by {resid:g}")
         if sd[ok].min() < 1.0 - 1e-12:
@@ -75,9 +98,8 @@ def induced_metric(field: SymMatField) -> MetricField:
         lam_min = symmat.sym_eigvals(g[ok])[..., 0].min()
         if lam_min < 1.0 - 1e-10:
             raise PhaseError(f"metric lost g >= I (min eigenvalue {lam_min:g})")
-    return MetricField(h=field.h, origin=np.array(field.origin),
-                       g=symmat.pack(g), g_inv=symmat.pack(ginv),
-                       sqrt_det=sd, valid=np.array(field.valid))
+    return GraphGeometry(H=H, g=symmat.pack(g), g_inv=symmat.pack(ginv),
+                         sqrt_det=sd, theta=theta, eigenvalues=lam)
 
 
 def volume_integrand(M: np.ndarray) -> np.ndarray:
@@ -85,95 +107,41 @@ def volume_integrand(M: np.ndarray) -> np.ndarray:
     return models.eval_F(models.area_model(np.asarray(M).shape[-1]), M)
 
 
-# ------------------------------------------------------------------- phase
-
-@dataclass(frozen=True)
-class PhaseField:
-    """Lagrangian phase and the Hessian eigenvalues it is built from."""
-
-    h: float
-    origin: np.ndarray
-    theta: np.ndarray            # (...)
-    eigenvalues: np.ndarray      # (..., n), ascending
-    valid: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[-1]
-
-
-def lagrangian_phase(field: SymMatField) -> PhaseField:
-    """Theta = sum_i arctan(lambda_i) over the per-node Hessian eigenvalues.
-
-    Eigenvalues come from :func:`hessvar.symmat.sym_eigvals`, closed forms
-    with no iteration for n = 2 and n = 3, within a few ulps of the largest
-    eigenvalue; |Theta| < n pi / 2 strictly for finite fields.
-    """
-    n = field.dim
-    lam = np.zeros(field.extents + (n,))
-    ok = field.valid
-    if ok.any():
-        lam[ok] = symmat.sym_eigvals(field.matrices()[ok])
-    theta = np.arctan(lam).sum(axis=-1)
-    theta[~ok] = np.nan
-    if ok.any() and np.abs(theta[ok]).max() >= n * np.pi / 2:
-        raise PhaseError("phase reached the n pi / 2 bound on finite data")
-    return PhaseField(h=field.h, origin=np.array(field.origin), theta=theta,
-                      eigenvalues=lam, valid=np.array(field.valid))
-
-
 # ------------------------------------------------- variational residual
 
-def hamstat_dd_model(n: int) -> models.DoubleDivergenceModel:
-    """Coefficient a^{(ik),(jl)} = sqrt(det g) g^{ij} delta^{kl} of the
-    volume functional's weak equation, as a double-divergence model for
-    :func:`hessvar.models.linearized_coefficients_dd`.  The residual does not
-    build it: :func:`hamstat_residual` uses the contraction's closed form."""
-    eye = np.eye(n)
-
-    def coeff(M):
-        _, ginv, sd = models.graph_metric(M)
-        return np.einsum("...,...ij,kl->...ikjl", sd, ginv, eye)
-
-    return models.DoubleDivergenceModel(n=n, coeff=coeff, name="hamstat")
-
-
-def hamstat_residual(u: ScalarGrid, tests: TestFunctionSet) -> np.ndarray:
+def hamstat_residual(geom: GraphGeometry, tests: TestFunctionSet) -> np.ndarray:
     """Weak volume-criticality residual per test function.
 
-    Pairs sqrt(det g) g^{-1} D^2 u, the contraction of the coefficient of
-    :func:`hamstat_dd_model` with D^2 u, with the tests' Hessians.  Identical
-    (to round-off) to pairing the area-model energy gradient with the tests:
-    the same matrix is the area integrand's first derivative.
+    Pairs sqrt(det g) g^{-1} D^2 u, the contraction of the coefficient
+    sqrt(det g) g^{ij} delta^{kl} with D^2 u, with the tests' Hessians.
+    Identical (to round-off) to pairing the area-model energy gradient with
+    the tests: the same matrix is the area integrand's first derivative.
     """
-    H = hessian_field(u)
-    M = H.matrices()[H.valid]
-    _, ginv, sd = models.graph_metric(M)
-    return _pair_with_tests(sd[..., None, None] * (ginv @ M), H.valid, u.h, tests)
+    ok = geom.valid
+    M = symmat.unpack(geom.H.values[ok], geom.dim)
+    ginv = symmat.unpack(geom.g_inv[ok], geom.dim)
+    return _pair_with_tests(geom.sqrt_det[ok][..., None, None] * (ginv @ M), ok,
+                            geom.h, tests)
 
 
 # -------------------------------------------------------- Laplace-Beltrami
 
-def _metric_coef(metric: MetricField) -> np.ndarray:
-    """sqrt(det g) * g^{ij} per node, full matrix layout."""
-    return metric.sqrt_det[..., None, None] * symmat.unpack(metric.g_inv, metric.dim)
-
-
-def laplace_beltrami(scalar: np.ndarray, metric: MetricField):
+def laplace_beltrami(scalar: np.ndarray, geom: GraphGeometry):
     """Conservative flux discretization of (1/sqrt g) d_i(sqrt g g^{ij} d_j).
 
     Face coefficients are arithmetic averages of ``sqrt(det g) g^{ij}`` at
-    the two adjacent nodes; normal first differences are exact at the face,
-    tangential ones are averaged central differences.  Returns ``(values,
-    valid)`` on the region shrunk by one ring.  Neighbour values are views
-    of the scalars padded by one ring of NaN (False for the mask).
+    the two adjacent nodes, each axis's from one row of it; normal first
+    differences are exact at the face, tangential ones are averaged central
+    differences.  Returns ``(values, valid)`` on the region shrunk by one
+    ring.  Neighbour values are views of the scalars padded by one ring of
+    NaN (False for the mask).
     """
     phi = np.asarray(scalar, dtype=float)
-    n = metric.dim
-    if phi.shape != metric.valid.shape:
+    n = geom.dim
+    if phi.shape != geom.valid.shape:
         raise GridError("scalar and metric live on different lattices")
-    h = metric.h
-    C = _metric_coef(metric)
+    h = geom.h
+    slot = {pair: a for a, pair in enumerate(symmat.PACKED_PAIRS[n])}
 
     def at(pad, off):   # values at x + off, the padding off the grid
         return pad[tuple(slice(1 + o, 1 + o + s) for o, s in zip(off, phi.shape))]
@@ -182,10 +150,12 @@ def laplace_beltrami(scalar: np.ndarray, metric: MetricField):
     pphi = np.pad(phi, 1, constant_values=np.nan)
     div = np.zeros(phi.shape)
     for i, ei in enumerate(unit):
-        # row i of the face coefficient between x and x + e_i
+        # row i of sqrt(det g) g^{-1}, averaged onto the face between x and x + e_i
+        cols = [slot[min(i, j), max(i, j)] for j in range(n)]
+        row = geom.sqrt_det[..., None] * geom.g_inv[..., cols]
         face = np.full(phi.shape + (n,), np.nan)
         src, dst = offset_slices(ei, phi.shape)
-        face[dst] = 0.5 * (C[dst + (i,)] + C[src + (i,)])
+        face[dst] = 0.5 * (row[dst] + row[src])
         flux = face[..., i] * (at(pphi, ei) - phi) / h
         for j, ej in enumerate(unit):
             if j != i:
@@ -193,8 +163,8 @@ def laplace_beltrami(scalar: np.ndarray, metric: MetricField):
                 dj_there = (at(pphi, ei + ej) - at(pphi, ei - ej)) / (2 * h)
                 flux += face[..., j] * 0.5 * (dj_here + dj_there)
         div += (flux - at(np.pad(flux, 1, constant_values=np.nan), -ei)) / h
-    out = div / metric.sqrt_det
-    pvalid = np.pad(metric.valid, 1)
+    out = div / geom.sqrt_det
+    pvalid = np.pad(geom.valid, 1)
     valid = np.logical_and.reduce([at(pvalid, d) for d in itertools.product((-1, 0, 1), repeat=n)])
     out[~valid] = np.nan
     return out, valid
@@ -210,23 +180,22 @@ class ResidualSummary:
         return {"sup": self.sup, "l2": self.l2, "nodes": self.nodes}
 
 
-def phase_harmonicity_residual(phase: PhaseField, metric: MetricField,
+def phase_harmonicity_residual(geom: GraphGeometry,
                                inner_fraction: float = 0.5) -> ResidualSummary:
     """Sup and L^2 norms of the Laplace-Beltrami operator applied to the phase.
 
-    ``phase`` and ``metric`` come from the same Hessian field.  Evaluated on
-    the concentric ``inner_fraction`` sub-box of the region where the
-    discrete operator is defined, which keeps clamped-boundary layers of
-    solver output out of the measurement.
+    Evaluated on the concentric ``inner_fraction`` sub-box of the region
+    where the discrete operator is defined, which keeps clamped-boundary
+    layers of solver output out of the measurement.
     """
-    vals, valid = laplace_beltrami(phase.theta, metric)
+    vals, valid = laplace_beltrami(geom.theta, geom)
     nodes = inner_box_nodes(valid, inner_fraction)
     if len(nodes) == 0:
         raise GridError("inner region is empty")
     r = vals[tuple(nodes.T)]
     return ResidualSummary(
         sup=float(np.abs(r).max()),
-        l2=float(np.sqrt(metric.h**metric.dim * (r**2).sum())),
+        l2=float(np.sqrt(geom.h**geom.dim * (r**2).sum())),
         nodes=len(nodes),
     )
 

@@ -517,59 +517,6 @@ def linearized_coefficients(
     return symmetrize_tensor(out)
 
 
-@dataclass(frozen=True)
-class DoubleDivergenceModel:
-    """Coefficient model a(M) for weak forms pairing u_ij against eta_kl."""
-
-    n: int
-    coeff: object              # callable M (..., n, n) -> (..., n, n, n, n)
-    rho_U: float = np.inf
-    fd_step: float = 1e-5
-    name: str = "custom"
-
-    def __call__(self, M: np.ndarray) -> np.ndarray:
-        return symmetrize_tensor(np.asarray(self.coeff(np.asarray(M, dtype=float))))
-
-
-def linearized_coefficients_dd(
-    model: DoubleDivergenceModel, M: np.ndarray, M_shift: np.ndarray,
-    quad_nodes: int = 8,
-) -> np.ndarray:
-    """Linearized leading coefficient of a double-divergence equation.
-
-    Along the segment A(t) = M + t (M_shift - M),
-
-        b^{ij,kl} = integral_0^1 [ a^{ij,kl}(A(t))
-                                   + (da^{pq,kl}/dM_ij)(A(t)) M_pq ] dt
-
-    with the base Hessian M frozen in the contraction.  The inner derivative
-    of ``a`` uses central matrix finite differences (symmetric-variable
-    convention) unless a closed form is registered on the model.
-    """
-    M = np.asarray(M, dtype=float)
-    M_shift = np.asarray(M_shift, dtype=float)
-    _require_segment(model.rho_U, M, M_shift)
-    n = model.n
-    t, w = _gauss_legendre_01(quad_nodes)
-    dirs = _packed_directions(n)
-    out = None
-    for tq, wq in zip(t, w):
-        A = M + tq * (M_shift - M)
-        term = np.array(model(A))
-        eps = model.fd_step * (1.0 + symmat.hs_norm(A))
-        for a_idx, (i, j) in enumerate(symmat.PACKED_PAIRS[n]):
-            D = dirs[a_idx]
-            da = _richardson_central(model, A, D, eps)
-            scale = 1.0 if i == j else 0.5
-            # contract the first pair of da with the frozen base Hessian
-            contrib = scale * np.einsum("...pqkl,...pq->...kl", da, M)
-            term[..., i, j, :, :] += contrib
-            if i != j:
-                term[..., j, i, :, :] += contrib
-        out = wq * term if out is None else out + wq * term
-    return symmetrize_tensor(out)
-
-
 # ---------------------------------------------------------------- tables
 
 def load_table_model(path, n: int, rho_U: float | None = None,

@@ -42,7 +42,7 @@ from .grids import (
     hessian_field,
     _hessian_stencil,
 )
-from .models import AdmissibilityError, DoubleDivergenceModel, EnergyModel
+from .models import AdmissibilityError, EnergyModel
 
 ADMISSIBILITY_MARGIN = 1e-6
 
@@ -538,16 +538,6 @@ def weak_residual(u: ScalarGrid, model: EnergyModel,
     H = hessian_field(u)
     G = _eval_on(partial(models.eval_dF, model), H.matrices()[H.valid], H.valid)
     return _pair_with_tests(G, H.valid, u.h, tests)
-
-
-def dd_weak_residual(u: ScalarGrid, model: DoubleDivergenceModel,
-                     tests: TestFunctionSet) -> np.ndarray:
-    """Per test: h^n sum_x a^{ij,kl}(D^2 u) u_ij eta_kl."""
-    H = hessian_field(u)
-    region = H.valid
-    M = H.matrices()[region]
-    AM = models.tensor_apply(model(M), M)   # a^{ij,kl} u_ij as a matrix in (k,l)
-    return _pair_with_tests(AM, region, u.h, tests)
 
 
 def linearized_residual(f: ScalarGrid, b_field: np.ndarray,

@@ -1,18 +1,24 @@
 """Reference implementations that only the tests use.
 
-Full-grid shifted copies, the nodal hat test functions, a constant-tensor
-double-divergence model, the previous ``shifted``-copy forms of
-:func:`hessvar.hamstat.laplace_beltrami` and
-:func:`hessvar.grids.difference_quotient`, kept as bit-level oracles for the
-view-based library versions, and the two-full-pass singular-set detector,
-the oracle for the screened :func:`hessvar.diagnostics.singular_set`, and
-the double-divergence form of the volume-criticality residual, the oracle
-for the closed form :func:`hessvar.hamstat.hamstat_residual`.
+- full-grid shifted copies and the nodal hat test functions;
+- the double-divergence family: a coefficient model, its linearization
+  along a segment, its weak residual, a constant-tensor model and the
+  volume functional's coefficient ``sqrt(det g) g^{ij} delta^{kl}``, whose
+  residual is the oracle for the closed form
+  :func:`hessvar.hamstat.hamstat_residual`;
+- the previous ``shifted``-copy forms of
+  :func:`hessvar.hamstat.laplace_beltrami` (on the full-matrix face
+  coefficient) and :func:`hessvar.grids.difference_quotient`, bit-level
+  oracles for the view-based library versions;
+- the two-full-pass singular-set detector, the oracle for the screened
+  :func:`hessvar.diagnostics.singular_set`.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from hessvar import diagnostics, grids, hamstat, models, solver
+from hessvar import diagnostics, grids, models, solver, symmat
 from hessvar.grids import GridError, ScalarGrid, SymMatField, TestFunctionSet
 
 
@@ -38,6 +44,76 @@ def nodal_tests(grid, stride=1):
     return TestFunctionSet(functions=tuple(fns), labels=tuple(labels))
 
 
+@dataclass(frozen=True)
+class DoubleDivergenceModel:
+    """Coefficient model a(M) for weak forms pairing u_ij against eta_kl."""
+
+    n: int
+    coeff: object              # callable M (..., n, n) -> (..., n, n, n, n)
+    rho_U: float = np.inf
+    fd_step: float = 1e-5
+    name: str = "custom"
+
+    def __call__(self, M):
+        return models.symmetrize_tensor(np.asarray(self.coeff(np.asarray(M, dtype=float))))
+
+
+def linearized_coefficients_dd(model, M, M_shift, quad_nodes=8):
+    """Linearized leading coefficient of a double-divergence equation.
+
+    Along the segment A(t) = M + t (M_shift - M),
+
+        b^{ij,kl} = integral_0^1 [ a^{ij,kl}(A(t))
+                                   + (da^{pq,kl}/dM_ij)(A(t)) M_pq ] dt
+
+    with the base Hessian M frozen in the contraction.  The inner derivative
+    of ``a`` uses central matrix finite differences (symmetric-variable
+    convention).
+    """
+    M = np.asarray(M, dtype=float)
+    M_shift = np.asarray(M_shift, dtype=float)
+    models._require_segment(model.rho_U, M, M_shift)
+    n = model.n
+    t, w = models._gauss_legendre_01(quad_nodes)
+    dirs = models._packed_directions(n)
+    out = None
+    for tq, wq in zip(t, w):
+        A = M + tq * (M_shift - M)
+        term = np.array(model(A))
+        eps = model.fd_step * (1.0 + symmat.hs_norm(A))
+        for a_idx, (i, j) in enumerate(symmat.PACKED_PAIRS[n]):
+            da = models._richardson_central(model, A, dirs[a_idx], eps)
+            scale = 1.0 if i == j else 0.5
+            # contract the first pair of da with the frozen base Hessian
+            contrib = scale * np.einsum("...pqkl,...pq->...kl", da, M)
+            term[..., i, j, :, :] += contrib
+            if i != j:
+                term[..., j, i, :, :] += contrib
+        out = wq * term if out is None else out + wq * term
+    return models.symmetrize_tensor(out)
+
+
+def dd_weak_residual(u, model, tests):
+    """Per test: h^n sum_x a^{ij,kl}(D^2 u) u_ij eta_kl."""
+    H = grids.hessian_field(u)
+    region = H.valid
+    M = H.matrices()[region]
+    AM = models.tensor_apply(model(M), M)   # a^{ij,kl} u_ij as a matrix in (k,l)
+    return solver._pair_with_tests(AM, region, u.h, tests)
+
+
+def hamstat_dd_model(n):
+    """Coefficient a^{(ik),(jl)} = sqrt(det g) g^{ij} delta^{kl} of the
+    volume functional's weak equation, as a double-divergence model."""
+    eye = np.eye(n)
+
+    def coeff(M):
+        _, ginv, sd = models.graph_metric(M)
+        return np.einsum("...,...ij,kl->...ikjl", sd, ginv, eye)
+
+    return DoubleDivergenceModel(n=n, coeff=coeff, name="hamstat")
+
+
 def constant_dd_model(n, tensor, name="constant"):
     """Double-divergence model whose coefficient is the constant ``tensor``."""
     T = tensor.entries if isinstance(tensor, models.Tensor4) else models.symmetrize_tensor(
@@ -47,7 +123,7 @@ def constant_dd_model(n, tensor, name="constant"):
     def coeff(M):
         return np.broadcast_to(T, M.shape[:-2] + T.shape).copy()
 
-    return models.DoubleDivergenceModel(n=n, coeff=coeff, name=name)
+    return DoubleDivergenceModel(n=n, coeff=coeff, name=name)
 
 
 def field_difference_quotient(f, direction, step=1):
@@ -81,14 +157,20 @@ def difference_quotient(u, direction, step=1):
     )
 
 
-def laplace_beltrami(scalar, metric):
-    """Conservative flux Laplace-Beltrami operator from full-grid shifted copies."""
+def metric_coef(geom):
+    """sqrt(det g) * g^{ij} per node, full matrix layout."""
+    return geom.sqrt_det[..., None, None] * symmat.unpack(geom.g_inv, geom.dim)
+
+
+def laplace_beltrami(scalar, geom):
+    """Conservative flux Laplace-Beltrami operator from full-grid shifted
+    copies of the full-matrix face coefficient."""
     phi = np.asarray(scalar, dtype=float)
-    n = metric.dim
-    if phi.shape != metric.valid.shape:
+    n = geom.dim
+    if phi.shape != geom.valid.shape:
         raise GridError("scalar and metric live on different lattices")
-    h = metric.h
-    C = hamstat._metric_coef(metric)
+    h = geom.h
+    C = metric_coef(geom)
     div = np.zeros(phi.shape)
     for i in range(n):
         ei = [0] * n
@@ -107,12 +189,12 @@ def laplace_beltrami(scalar, metric):
                         ) / (2 * h)
             flux += face[..., i, j] * 0.5 * (dj_here + dj_there)
         div += (flux - shifted(flux, tuple(-v for v in ei), np.nan)) / h
-    out = div / metric.sqrt_det
-    valid = np.array(metric.valid)
+    out = div / geom.sqrt_det
+    valid = np.array(geom.valid)
     for off in np.ndindex(*(3,) * n):
         d = tuple(int(v) - 1 for v in off)
         if any(d):
-            valid &= shifted(metric.valid, d, False)
+            valid &= shifted(geom.valid, d, False)
     out[~valid] = np.nan
     return out, valid
 
@@ -132,5 +214,5 @@ def singular_set(f, p0, radii, tau):
 
 def hamstat_residual(u, tests):
     """Volume-criticality residual through the per-node coefficient tensor of
-    :func:`hessvar.hamstat.hamstat_dd_model`, symmetrized and contracted with D^2 u."""
-    return solver.dd_weak_residual(u, hamstat.hamstat_dd_model(u.dim), tests)
+    :func:`hamstat_dd_model`, symmetrized and contracted with D^2 u."""
+    return dd_weak_residual(u, hamstat_dd_model(u.dim), tests)

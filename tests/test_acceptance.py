@@ -245,10 +245,9 @@ def test_criterion_7_hamstat_residuals():
     g = grids.make_grid(2, 33, 0.5)
     uq = grids.sample(g, lambda x, y: 0.08 * x**2 - 0.03 * x * y + 0.05 * y**2)
     tests = grids.bump_tests(g, [(0.0, 0.0)], scale=0.2)
-    ra = np.abs(hamstat.hamstat_residual(uq, tests)).max()
-    Hq = grids.hessian_field(uq)
-    pa = hamstat.phase_harmonicity_residual(hamstat.lagrangian_phase(Hq),
-                                            hamstat.induced_metric(Hq)).sup
+    geom_q = hamstat.graph_geometry(grids.hessian_field(uq))
+    ra = np.abs(hamstat.hamstat_residual(geom_q, tests)).max()
+    pa = hamstat.phase_harmonicity_residual(geom_q).sup
     ok_a = ra < 1e-13 and pa < 1e-10
 
     # (b) harmonic cubic: phase at round-off; the residual is identically
@@ -259,10 +258,9 @@ def test_criterion_7_hamstat_residuals():
         gb = grids.make_grid(2, nodes, 0.5)
         ub = grids.sample(gb, fixtures.potential("cubic_harmonic", 0.3))
         tb = grids.bump_tests(gb, [(0.0, 0.0)], scale=0.2)
-        res_b[nodes] = np.abs(hamstat.hamstat_residual(ub, tb)).max()
-        theta_sup = np.abs(
-            hamstat.lagrangian_phase(grids.hessian_field(ub)).theta[
-                grids.hessian_field(ub).valid]).max()
+        geom_b = hamstat.graph_geometry(grids.hessian_field(ub))
+        res_b[nodes] = np.abs(hamstat.hamstat_residual(geom_b, tb)).max()
+        theta_sup = np.abs(geom_b.theta[geom_b.valid]).max()
         ok_a &= theta_sup <= 1e-12
     floor = 1e-12
     if max(res_b.values()) <= floor:
@@ -285,7 +283,7 @@ def test_criterion_7_hamstat_residuals():
         opn = symmat.op_norm(H.matrices()[H.valid]).max()
         assert opn <= 0.2
         sups[nodes] = hamstat.phase_harmonicity_residual(
-            hamstat.lagrangian_phase(H), hamstat.induced_metric(H)).sup
+            hamstat.graph_geometry(H)).sup
     rate = np.log2(sups[33] / sups[65])
     ok_c = rate >= 1.0
     print(f"  (a) roundoff {ra:.2e}/{pa:.2e}; (b) residuals {res_b}; "
@@ -302,7 +300,8 @@ def test_criterion_8_euler_lagrange_identity():
     worst = 0.0
     for _ in range(20):
         u = g.with_values(0.2 * rng.standard_normal(g.extents))
-        res = hamstat.hamstat_residual(u, tests)
+        res = hamstat.hamstat_residual(
+            hamstat.graph_geometry(grids.hessian_field(u)), tests)
         grad = solver.energy_gradient(u, models.area_model(2))
         want = np.array([float((grad * eta).sum()) for eta in tests])
         scale = max(np.abs(want).max(), 1e-14)

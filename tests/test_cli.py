@@ -1,10 +1,11 @@
 import json
 import struct
+import sys
 
 import numpy as np
 import pytest
 
-from hessvar import fixtures, gridio, grids
+from hessvar import fixtures, gridio, grids, models
 from hessvar.cli import run
 from hessvar.config import ConfigError, parse_config
 
@@ -473,6 +474,88 @@ seed = 0
     err = capsys.readouterr().err
     assert "bump at (0.0, 0.0) with scale 5.0 leaves the interior" in err
     assert "np.float64" not in err
+
+
+HAMSTAT_FILE = """
+[model]
+kind = area
+eta = 0.1
+
+[grid]
+dim = {dim}
+nodes = {nodes}
+half_width = 0.5
+
+[boundary]
+kind = file
+file = {file}
+
+[hamstat]
+samples = 50
+bump_scale = 0.25
+
+[run]
+seed = 0
+"""
+
+
+def test_hamstat_builds_hessian_and_metric_once(tmp_path, monkeypatch):
+    hess_calls, metric_shapes = [], []
+    orig_hess, orig_metric = grids.hessian_field, models.graph_metric
+
+    def counting_hessian(u):
+        hess_calls.append(u.extents)
+        return orig_hess(u)
+
+    def counting_metric(M):
+        metric_shapes.append(M.shape[:-2])
+        return orig_metric(M)
+
+    # the function is imported by name into several modules
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "hessvar" and getattr(mod, "hessian_field", None) is orig_hess:
+            monkeypatch.setattr(mod, "hessian_field", counting_hessian)
+    monkeypatch.setattr(models, "graph_metric", counting_metric)
+    g = grids.make_grid(2, 33, 0.5)
+    gridio.write_binary(tmp_path / "u.hvgf",
+                        grids.sample(g, fixtures.potential("cubic_biharmonic", 0.3)))
+    cfg = write_config(tmp_path / "h.cfg",
+                       HAMSTAT_FILE.format(dim=2, nodes=33, file="u.hvgf"))
+    assert run(["hamstat", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert hess_calls == [(33, 33)]
+    # the convexity certificate evaluates the area model on its 50 samples
+    assert [s for s in metric_shapes if s != (50,)] == [(33, 33)]
+
+
+def test_hamstat_potential_extents_mismatch_exits_65(tmp_path, capsys):
+    g = grids.make_grid(2, 33, 0.5)
+    gridio.write_binary(tmp_path / "u.hvgf",
+                        grids.sample(g, fixtures.potential("cubic_harmonic", 0.2)))
+    cfg = write_config(tmp_path / "h.cfg",
+                       HAMSTAT_FILE.format(dim=3, nodes=17, file="u.hvgf"))
+    out = tmp_path / "o"
+    assert run(["hamstat", "--config", cfg, "--out", str(out)]) == 65
+    err = capsys.readouterr().err
+    assert "(33, 33) do not match the configured grid (17, 17, 17)" in err
+    assert not (out / "hamstat_report.json").exists()
+
+
+@pytest.mark.parametrize("fmt, bad", [("hvgf", np.nan), ("csv", np.inf)],
+                         ids=["hvgf-nan", "csv-inf"])
+def test_hamstat_nonfinite_potential_exits_65(tmp_path, capsys, fmt, bad):
+    g = grids.make_grid(2, 33, 0.5)
+    vals = np.array(grids.sample(g, fixtures.potential("cubic_harmonic", 0.2)).values)
+    vals[10:20, 12:22] = bad
+    path = tmp_path / f"u.{fmt}"
+    (gridio.write_binary if fmt == "hvgf" else gridio.write_csv)(
+        path, g.with_values(vals))
+    cfg = write_config(tmp_path / "h.cfg",
+                       HAMSTAT_FILE.format(dim=2, nodes=33, file=path.name))
+    for command in ("hamstat", "solve"):
+        assert run([command, "--config", cfg, "--out", str(tmp_path / command)]) == 65
+        err = capsys.readouterr().err
+        assert f"u.{fmt}: non-finite potential value at node (10, 12)" in err
+    assert not (tmp_path / "hamstat" / "hamstat_report.json").exists()
 
 
 def test_hamstat_invalid_eta_exits_64(tmp_path):

@@ -19,20 +19,24 @@ def harmonic_cubic(x, y):
     return x**3 - 3.0 * x * y**2
 
 
+def geometry(u):
+    return hamstat.graph_geometry(grids.hessian_field(u))
+
+
 # ------------------------------------------------------------------ metric
 
 def test_induced_metric_flat_and_diagonal():
     g = grids.make_grid(2, 17, 1.0)
     zero = grids.SymMatField(h=g.h, origin=g.origin,
                              values=np.zeros(g.extents + (3,)))
-    met = hamstat.induced_metric(zero)
+    met = hamstat.graph_geometry(zero)
     np.testing.assert_allclose(met.sqrt_det, 1.0)
     np.testing.assert_allclose(symmat.unpack(met.g, 2),
                                np.broadcast_to(np.eye(2), g.extents + (2, 2)))
     a, b = 0.8, -0.4
     diag = zero.with_values(np.broadcast_to(
         symmat.pack(np.diag([a, b])), g.extents + (3,)).copy())
-    met = hamstat.induced_metric(diag)
+    met = hamstat.graph_geometry(diag)
     want = np.sqrt((1 + a**2) * (1 + b**2))
     np.testing.assert_allclose(met.sqrt_det, want, rtol=1e-14)
 
@@ -42,7 +46,7 @@ def test_induced_metric_against_lapack_oracle():
     g = grids.make_grid(2, 13, 1.0)
     vals = rng.standard_normal(g.extents + (3,))
     f = grids.SymMatField(h=g.h, origin=g.origin, values=vals)
-    met = hamstat.induced_metric(f)
+    met = hamstat.graph_geometry(f)
     M = f.matrices()
     G = np.broadcast_to(np.eye(2), M.shape) + M @ M
     np.testing.assert_allclose(symmat.unpack(met.g_inv, 2), np.linalg.inv(G),
@@ -80,17 +84,16 @@ def test_phase_simple_values():
     g = grids.make_grid(2, 17, 1.0)
     zeros = grids.SymMatField(h=g.h, origin=g.origin,
                               values=np.zeros(g.extents + (3,)))
-    assert np.all(hamstat.lagrangian_phase(zeros).theta == 0.0)
+    assert np.all(hamstat.graph_geometry(zeros).theta == 0.0)
     ident = zeros.with_values(np.broadcast_to(
         symmat.pack(np.eye(2)), g.extents + (3,)).copy())
-    np.testing.assert_allclose(hamstat.lagrangian_phase(ident).theta,
+    np.testing.assert_allclose(hamstat.graph_geometry(ident).theta,
                                np.pi / 2, rtol=1e-14)
 
 
 def test_phase_vanishes_for_harmonic_cubic():
     g = grids.make_grid(2, 33, 1.0)
-    H = grids.hessian_field(grids.sample(g, harmonic_cubic))
-    phase = hamstat.lagrangian_phase(H)
+    phase = geometry(grids.sample(g, harmonic_cubic))
     assert np.abs(phase.theta[phase.valid]).max() < 1e-12
 
 
@@ -99,7 +102,7 @@ def test_phase_strictly_below_bound():
     g = grids.make_grid(2, 13, 1.0)
     f = grids.SymMatField(h=g.h, origin=g.origin,
                           values=20.0 * rng.standard_normal(g.extents + (3,)))
-    phase = hamstat.lagrangian_phase(f)
+    phase = hamstat.graph_geometry(f)
     assert np.abs(phase.theta[phase.valid]).max() < 2 * np.pi / 2
     # recomputable from the stored eigenvalues
     np.testing.assert_allclose(
@@ -113,7 +116,7 @@ def test_hamstat_residual_zero_for_constant_hessian():
     g = grids.make_grid(2, 21, 1.0)
     u = grids.sample(g, lambda x, y: 0.2 * x**2 - 0.1 * x * y + 0.3 * y**2)
     tests = grids.bump_tests(g, [(0.0, 0.0), (0.2, -0.1)], scale=0.4)
-    res = hamstat.hamstat_residual(u, tests)
+    res = hamstat.hamstat_residual(geometry(u), tests)
     assert np.abs(res).max() < 1e-13
 
 
@@ -125,7 +128,7 @@ def test_hamstat_residual_equals_area_gradient_pairing():
                                  scale=0.35)
         for _ in range(5):
             u = g.with_values(0.2 * rng.standard_normal(g.extents))
-            res = hamstat.hamstat_residual(u, tests)
+            res = hamstat.hamstat_residual(geometry(u), tests)
             grad = solver.energy_gradient(u, models.area_model(dim))
             want = np.array([float((grad * eta).sum()) for eta in tests])
             np.testing.assert_allclose(res, want, rtol=1e-11, atol=1e-13)
@@ -139,7 +142,7 @@ def test_hamstat_residual_equals_double_divergence_oracle(dim, nodes):
     tests = grids.bump_tests(g, [(0.0,) * dim, (-0.1,) * dim], scale=0.3)
     for _ in range(3):
         u = g.with_values(0.2 * rng.standard_normal(g.extents))
-        np.testing.assert_allclose(hamstat.hamstat_residual(u, tests),
+        np.testing.assert_allclose(hamstat.hamstat_residual(geometry(u), tests),
                                    oracles.hamstat_residual(u, tests), rtol=1e-12)
 
 
@@ -152,7 +155,7 @@ def test_hamstat_residual_memory_stays_a_few_matrix_fields():
     K = int(grids.hessian_field(u).valid.sum())
     tracemalloc.start()
     try:
-        hamstat.hamstat_residual(u, tests)
+        hamstat.hamstat_residual(geometry(u), tests)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -168,7 +171,7 @@ def test_hamstat_residual_roundoff_on_harmonic_cubic():
         g = grids.make_grid(2, nodes, 1.0)
         u = grids.sample(g, lambda x, y: 0.1 * harmonic_cubic(x, y))
         tests = grids.bump_tests(g, [(0.0, 0.0)], scale=0.5)
-        assert np.abs(hamstat.hamstat_residual(u, tests)).max() < 1e-13
+        assert np.abs(hamstat.hamstat_residual(geometry(u), tests)).max() < 1e-13
 
 
 def test_hamstat_residual_hats_match_gradient_nodewise():
@@ -176,7 +179,7 @@ def test_hamstat_residual_hats_match_gradient_nodewise():
     g = grids.make_grid(2, 13, 1.0)
     u = g.with_values(0.3 * rng.standard_normal(g.extents))
     hats = oracles.nodal_tests(g, stride=5)
-    res = hamstat.hamstat_residual(u, hats)
+    res = hamstat.hamstat_residual(geometry(u), hats)
     grad = solver.energy_gradient(u, models.area_model(2))
     picked = np.argwhere(g.interior & g.valid)[::5]
     want = np.array([grad[tuple(node)] for node in picked])
@@ -191,18 +194,18 @@ def test_hamstat_residual_second_order_on_transcendental_harmonic():
         g = grids.make_grid(2, nodes, 1.0)
         u = grids.sample(g, lambda x, y: 0.1 * np.exp(x) * np.cos(y))
         tests = grids.bump_tests(g, [(0.0, 0.0)], scale=0.5)
-        vals[nodes] = np.abs(hamstat.hamstat_residual(u, tests)).max()
+        vals[nodes] = np.abs(hamstat.hamstat_residual(geometry(u), tests)).max()
     order = np.log2(vals[33] / vals[65])
     assert order >= 1.8
 
 
 def test_hamstat_linearization_is_legendre_positive_for_small_hessian():
     rng = np.random.default_rng(75)
-    dd = hamstat.hamstat_dd_model(2)
+    dd = oracles.hamstat_dd_model(2)
     for _ in range(5):
         M = random_sym(rng, 1, 2, scale=0.05)[0]
         Ms = random_sym(rng, 1, 2, scale=0.05)[0]
-        b = models.linearized_coefficients_dd(dd, M, Ms, quad_nodes=4)
+        b = oracles.linearized_coefficients_dd(dd, M, Ms, quad_nodes=4)
         # eigen-solver oracle over sampled directions
         sig = random_sym(rng, 200, 2)
         vals = models.tensor_pair(np.broadcast_to(b, (200,) + b.shape), sig, sig)
@@ -213,9 +216,9 @@ def test_hamstat_linearization_is_legendre_positive_for_small_hessian():
 
 def test_hamstat_linearization_degenerate_segment_matches_area_tensor():
     rng = np.random.default_rng(76)
-    dd = hamstat.hamstat_dd_model(2)
+    dd = oracles.hamstat_dd_model(2)
     M = random_sym(rng, 1, 2, scale=0.2)[0]
-    b = models.linearized_coefficients_dd(dd, M, M, quad_nodes=4)
+    b = oracles.linearized_coefficients_dd(dd, M, M, quad_nodes=4)
     T = models.eval_d2F(models.area_model(2), M)
     np.testing.assert_allclose(b, T, rtol=1e-5, atol=1e-7)
 
@@ -225,7 +228,7 @@ def test_hamstat_linearization_degenerate_segment_matches_area_tensor():
 def flat_metric(g):
     zero = grids.SymMatField(h=g.h, origin=g.origin,
                              values=np.zeros(g.extents + (3,)))
-    return hamstat.induced_metric(zero)
+    return hamstat.graph_geometry(zero)
 
 
 def test_laplace_beltrami_flat_quadratics_exact():
@@ -248,7 +251,7 @@ def test_laplace_beltrami_conformal_metric_symbolic_oracle():
         h=g.h, origin=g.origin,
         values=np.broadcast_to(symmat.pack(np.diag([s, s])),
                                g.extents + (3,)).copy())
-    met = hamstat.induced_metric(conf)
+    met = hamstat.graph_geometry(conf)
 
     xs, ys = sympy.symbols("x y")
     for expr in (xs * ys, xs**2 + xs * ys - 0.5 * ys**2):
@@ -267,11 +270,10 @@ def laplace_beltrami_expanded(phi, u):
     Reference for the conservative form, with central differences for the
     phase gradient and the first derivatives of phi.
     """
-    H = grids.hessian_field(u)
-    metric = hamstat.induced_metric(H)
-    theta = hamstat.lagrangian_phase(H).theta
+    geom = geometry(u)
+    H, theta = geom.H, geom.theta
     n, h = u.dim, u.h
-    ginv = symmat.unpack(metric.g_inv, n)
+    ginv = symmat.unpack(geom.g_inv, n)
     Hphi = grids.hessian_field(u.with_values(phi)).matrices()
     term1 = np.einsum("...ij,...ij->...", ginv, Hphi)
     unit = np.eye(n, dtype=int)
@@ -300,7 +302,7 @@ def test_laplace_beltrami_expanded_form_cross_validates():
         u = grids.sample(g, lambda x, y: 0.2 * np.sin(x) * np.cos(y))
         X, Y = g.coords()
         phi = np.sin(X + 0.5 * Y)
-        met = hamstat.induced_metric(grids.hessian_field(u))
+        met = geometry(u)
         a, va = hamstat.laplace_beltrami(phi, met)
         b, vb = laplace_beltrami_expanded(phi, u)
         both = va & vb
@@ -318,13 +320,12 @@ def test_laplace_beltrami_equals_shifted_copy_reference(dim, nodes, holes):
     if holes:
         valid = rng.random(g.extents) > 0.02
         u = replace(u.with_values(np.where(valid, u.values, np.nan)), valid=valid)
-    H = grids.hessian_field(u)
-    metric = hamstat.induced_metric(H)
-    phi = hamstat.lagrangian_phase(H).theta
-    got, got_valid = hamstat.laplace_beltrami(phi, metric)
-    want, want_valid = oracles.laplace_beltrami(phi, metric)
+    geom = geometry(u)
+    phi = geom.theta
+    got, got_valid = hamstat.laplace_beltrami(phi, geom)
+    want, want_valid = oracles.laplace_beltrami(phi, geom)
     assert np.array_equal(got_valid, want_valid)
-    assert 0 < got_valid.sum() < H.valid.sum()
+    assert 0 < got_valid.sum() < geom.valid.sum()
     assert np.array_equal(got, want, equal_nan=True)
 
 
@@ -333,9 +334,7 @@ def test_laplace_beltrami_equals_shifted_copy_reference(dim, nodes, holes):
 def test_phase_harmonicity_zero_for_quadratic():
     g = grids.make_grid(2, 21, 1.0)
     u = grids.sample(g, lambda x, y: 0.15 * x**2 + 0.05 * x * y - 0.1 * y**2)
-    H = grids.hessian_field(u)
-    res = hamstat.phase_harmonicity_residual(hamstat.lagrangian_phase(H),
-                                             hamstat.induced_metric(H))
+    res = hamstat.phase_harmonicity_residual(geometry(u))
     # constant phase up to round-off, amplified by the 1/h^2 of the operator
     assert res.sup < 1e-11
 
@@ -343,9 +342,7 @@ def test_phase_harmonicity_zero_for_quadratic():
 def test_phase_harmonicity_roundoff_for_harmonic_cubic():
     g = grids.make_grid(2, 33, 1.0)
     u = grids.sample(g, lambda x, y: 0.1 * harmonic_cubic(x, y))
-    H = grids.hessian_field(u)
-    res = hamstat.phase_harmonicity_residual(hamstat.lagrangian_phase(H),
-                                             hamstat.induced_metric(H))
+    res = hamstat.phase_harmonicity_residual(geometry(u))
     assert res.sup < 1e-11  # identically zero phase, not merely O(h^2)
 
 

@@ -12,7 +12,6 @@ from hessvar.models import (
     eval_dF,
     eval_d2F,
     linearized_coefficients,
-    linearized_coefficients_dd,
     quadratic_model,
 )
 
@@ -381,7 +380,7 @@ def test_dd_linearization_constant_coefficient():
     dd = oracles.constant_dd_model(2, T)
     M = random_sym(rng, 1, 2)[0]
     Ms = random_sym(rng, 1, 2)[0]
-    b = linearized_coefficients_dd(dd, M, Ms)
+    b = oracles.linearized_coefficients_dd(dd, M, Ms)
     np.testing.assert_allclose(b, models.symmetrize_tensor(T), atol=1e-10)
 
 
@@ -398,9 +397,9 @@ def test_dd_linearization_degenerate_segment_display():
         extra = np.einsum("...ij,...kl->...ijkl", M, M)
         return base * (1.0 + 0.5 * s)[..., None, None, None, None] + 0.25 * extra
 
-    dd = models.DoubleDivergenceModel(n=n, coeff=coeff)
+    dd = oracles.DoubleDivergenceModel(n=n, coeff=coeff)
     M = random_sym(rng, 1, n, scale=0.6)[0]
-    got = linearized_coefficients_dd(dd, M, M, quad_nodes=4)
+    got = oracles.linearized_coefficients_dd(dd, M, M, quad_nodes=4)
 
     # oracle: plain central differences with a different step
     a0 = models.symmetrize_tensor(coeff(M))
