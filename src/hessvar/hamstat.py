@@ -74,32 +74,41 @@ def graph_geometry(H: SymMatField) -> GraphGeometry:
     """Metric, inverse, volume density and phase of the graph of Du.
 
     Theta = sum_i arctan(lambda_i) over the closed-form Hessian eigenvalues
-    of :func:`hessvar.symmat.sym_eigvals`, |Theta| < n pi / 2 strictly for
-    finite fields; g = I + H^2 with the adjugate inverse and the closed-form
-    density of :func:`hessvar.models.graph_metric`.  On valid nodes
-    ``g g^{-1} = I`` is verified to 1e-12, ``sqrt(det g) >= 1`` and g >= I.
+    of :func:`hessvar.symmat.eigvals_packed`, |Theta| < n pi / 2 strictly
+    for finite fields; g = I + H^2 with the adjugate inverse and the
+    closed-form density of :func:`hessvar.models.graph_metric_packed`.  All
+    are evaluated on the valid nodes only, from one component-major copy of
+    the field, and are NaN elsewhere.  On valid nodes ``g g^{-1} = I`` is
+    verified to 1e-12, ``sqrt(det g) >= 1`` and g >= I.
     """
-    n = H.dim
-    ok = H.valid
+    n, ok = H.dim, H.valid
+    c = np.stack([x[ok] for x in np.moveaxis(H.values, -1, 0)])
     lam = np.zeros(H.extents + (n,))
-    if ok.any():
-        lam[ok] = symmat.sym_eigvals(symmat.unpack(H.values[ok], n))
+    lam[ok] = symmat.eigvals_packed(c)
     theta = np.arctan(lam).sum(axis=-1)
     theta[~ok] = np.nan
-    if ok.any() and np.abs(theta[ok]).max() >= n * np.pi / 2:
-        raise PhaseError("phase reached the n pi / 2 bound on finite data")
-    g, ginv, sd = models.graph_metric(H.matrices())
+    g, ginv, sd = models.graph_metric_packed(c)
     if ok.any():
-        resid = np.abs(g[ok] @ ginv[ok] - np.eye(n)).max()
+        if np.abs(theta[ok]).max() >= n * np.pi / 2:
+            raise PhaseError("phase reached the n pi / 2 bound on finite data")
+        S = symmat.SLOTS[n]
+        resid = max(np.abs(sum(g[S[i][k]] * ginv[S[k][j]] for k in range(n))
+                           - float(i == j)).max() for i in range(n) for j in range(n))
         if resid > 1e-12:
             raise PhaseError(f"metric inverse off by {resid:g}")
-        if sd[ok].min() < 1.0 - 1e-12:
+        if sd.min() < 1.0 - 1e-12:
             raise PhaseError("volume density fell below 1")
-        lam_min = symmat.sym_eigvals(g[ok])[..., 0].min()
+        lam_min = symmat.eigvals_packed(g)[..., 0].min()
         if lam_min < 1.0 - 1e-10:
             raise PhaseError(f"metric lost g >= I (min eigenvalue {lam_min:g})")
-    return GraphGeometry(H=H, g=symmat.pack(g), g_inv=symmat.pack(ginv),
-                         sqrt_det=sd, theta=theta, eigenvalues=lam)
+
+    def on_grid(vals):   # valid-node values -> full grid, NaN elsewhere
+        out = np.full(H.extents + vals.shape[1:], np.nan)
+        out[ok] = vals
+        return out
+
+    return GraphGeometry(H=H, g=on_grid(g.T), g_inv=on_grid(ginv.T),
+                         sqrt_det=on_grid(sd), theta=theta, eigenvalues=lam)
 
 
 def volume_integrand(M: np.ndarray) -> np.ndarray:
@@ -118,10 +127,9 @@ def hamstat_residual(geom: GraphGeometry, tests: TestFunctionSet) -> np.ndarray:
     the tests: the same matrix is the area integrand's first derivative.
     """
     ok = geom.valid
-    M = symmat.unpack(geom.H.values[ok], geom.dim)
-    ginv = symmat.unpack(geom.g_inv[ok], geom.dim)
-    return _pair_with_tests(geom.sqrt_det[ok][..., None, None] * (ginv @ M), ok,
-                            geom.h, tests)
+    G = symmat.sym_product(geom.H.values[ok].T, geom.g_inv[ok].T)
+    G *= geom.sqrt_det[ok]
+    return _pair_with_tests(G, ok, geom.h, tests)
 
 
 # -------------------------------------------------------- Laplace-Beltrami
@@ -141,7 +149,6 @@ def laplace_beltrami(scalar: np.ndarray, geom: GraphGeometry):
     if phi.shape != geom.valid.shape:
         raise GridError("scalar and metric live on different lattices")
     h = geom.h
-    slot = {pair: a for a, pair in enumerate(symmat.PACKED_PAIRS[n])}
 
     def at(pad, off):   # values at x + off, the padding off the grid
         return pad[tuple(slice(1 + o, 1 + o + s) for o, s in zip(off, phi.shape))]
@@ -151,8 +158,7 @@ def laplace_beltrami(scalar: np.ndarray, geom: GraphGeometry):
     div = np.zeros(phi.shape)
     for i, ei in enumerate(unit):
         # row i of sqrt(det g) g^{-1}, averaged onto the face between x and x + e_i
-        cols = [slot[min(i, j), max(i, j)] for j in range(n)]
-        row = geom.sqrt_det[..., None] * geom.g_inv[..., cols]
+        row = geom.sqrt_det[..., None] * geom.g_inv[..., symmat.SLOTS[n][i]]
         face = np.full(phi.shape + (n,), np.nan)
         src, dst = offset_slices(ei, phi.shape)
         face[dst] = 0.5 * (row[dst] + row[src])

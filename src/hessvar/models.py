@@ -15,6 +15,11 @@ this single convention.  The solver takes the second derivative packed:
 packed slots (:func:`pack_tensor`); the area closed form is evaluated
 packed and ``eval_d2F`` unpacks it.
 
+The integrand kernels take and return packed components (see
+:mod:`hessvar.symmat`), as the solver holds its Hessians; ``eval_*`` and
+:func:`graph_metric` are full-matrix adapters passing them the views
+``M[..., i, j]``.  ``custom`` callables always see full matrices.
+
 Built-in kinds:
 
 * ``quadratic``  F(M) = |M|^2 / 2, derivative M, constant identity tensor.
@@ -83,37 +88,19 @@ def pack_tensor(T: np.ndarray) -> np.ndarray:
     With the minor symmetries these m^2 entries determine T; no major
     symmetry is assumed.
     """
-    pairs = symmat.PACKED_PAIRS[T.shape[-1]]
-    P = np.empty((len(pairs),) * 2 + T.shape[:-4])
-    for a, (k, l) in enumerate(pairs):
-        for b, (i, j) in enumerate(pairs):
-            P[a, b] = T[..., i, j, k, l]
-    return P
+    I, J = np.array(symmat.PACKED_PAIRS[T.shape[-1]]).T
+    return np.moveaxis(T[..., I, J, I[:, None], J[:, None]], (-2, -1), (0, 1)).copy()
 
 
 def unpack_tensor(P: np.ndarray) -> np.ndarray:
     """The (..., n, n, n, n) tensor with the minor symmetries of a packed P."""
-    n = symmat.dim_from_packed(P.shape[0])
-    pairs = symmat.PACKED_PAIRS[n]
-    T = np.empty(P.shape[2:] + (n,) * 4)
-    for a, (k, l) in enumerate(pairs):
-        for b, (i, j) in enumerate(pairs):
-            T[..., i, j, k, l] = T[..., j, i, k, l] = P[a, b]
-            T[..., i, j, l, k] = T[..., j, i, l, k] = P[a, b]
-    return T
+    S = np.array(symmat.SLOTS[symmat.dim_from_packed(P.shape[0])])
+    return np.moveaxis(P[S, S[:, :, None, None]], (0, 1, 2, 3), (-4, -3, -2, -1)).copy()
 
 
 def _orthonormal_sym_basis(n: int) -> np.ndarray:
     """(m, n, n) orthonormal basis of symmetric matrices (HS inner product)."""
-    basis = []
-    for i, j in symmat.PACKED_PAIRS[n]:
-        E = np.zeros((n, n))
-        if i == j:
-            E[i, i] = 1.0
-        else:
-            E[i, j] = E[j, i] = 1.0 / np.sqrt(2.0)
-        basis.append(E)
-    return np.stack(basis)
+    return symmat.matrices(np.diag(1.0 / np.sqrt(symmat.duplication_weights(n))))
 
 
 def tensor_form_matrix(T: np.ndarray) -> np.ndarray:
@@ -246,15 +233,7 @@ def require_admissible(model: EnergyModel, M: np.ndarray) -> None:
 
 def _packed_directions(n: int) -> np.ndarray:
     """(m, n, n) perturbations E_ii and E_ij + E_ji."""
-    dirs = []
-    for i, j in symmat.PACKED_PAIRS[n]:
-        D = np.zeros((n, n))
-        D[i, j] += 1.0
-        D[j, i] += 1.0
-        if i == j:
-            D[i, i] = 1.0
-        dirs.append(D)
-    return np.stack(dirs)
+    return symmat.matrices(np.eye(symmat.packed_size(n)))
 
 
 def _richardson_central(f, M: np.ndarray, D: np.ndarray, eps):
@@ -275,54 +254,53 @@ def _richardson_central(f, M: np.ndarray, D: np.ndarray, eps):
     return (4.0 * central(eps / 2.0) - central(eps)) / 3.0
 
 
-def _fd_dF(F, M: np.ndarray, step: float) -> np.ndarray:
+def _fd_dF(F, M: np.ndarray, step: float) -> list:
+    """Packed components of the derivative of F (scalar or matrix valued) at M."""
     n = M.shape[-1]
     eps = step * (1.0 + symmat.hs_norm(M))
-    dirs = _packed_directions(n)
-    out = np.zeros(M.shape)
-    for a, (i, j) in enumerate(symmat.PACKED_PAIRS[n]):
-        d = _richardson_central(F, M, dirs[a], eps)
-        g = d if i == j else 0.5 * d
-        out[..., i, j] = g
-        out[..., j, i] = g
-    return out
+    return [_richardson_central(F, M, D, eps) / w
+            for D, w in zip(_packed_directions(n), symmat.duplication_weights(n))]
 
 
 def _fd_d2F(dF, M: np.ndarray, step: float) -> np.ndarray:
-    n = M.shape[-1]
-    T = np.zeros(M.shape[:-2] + (n, n, n, n))
-    eps = step * (1.0 + symmat.hs_norm(M))
-    for a, (k, l) in enumerate(symmat.PACKED_PAIRS[n]):
-        D = _packed_directions(n)[a]
-        dG = _richardson_central(dF, M, D, eps)
-        slab = dG if k == l else 0.5 * dG
-        T[..., :, :, k, l] = slab
-        T[..., :, :, l, k] = slab
-    T = 0.5 * (T + np.swapaxes(np.swapaxes(T, -4, -2), -3, -1))
-    return symmetrize_tensor(T)
+    T = symmat.matrices(_fd_dF(dF, M, step))
+    return symmetrize_tensor(0.5 * (T + np.swapaxes(np.swapaxes(T, -4, -2), -3, -1)))
 
 
-# ---- area closed forms
+# ---- area closed forms, on packed components (see :mod:`hessvar.symmat`)
+
+def _metric(c) -> np.ndarray:
+    """g = I + M^2 as an (m, ...) array, M^2 from :func:`symmat.sym_product`."""
+    n = symmat.dim_from_packed(len(c))
+    g = symmat.sym_product(c, c)
+    g[[symmat.SLOTS[n][i][i] for i in range(n)]] += 1.0
+    return g
+
+
+def graph_metric_packed(c):
+    """``(g, B, F)``: the metric g = I + M^2, its inverse B (both (m, ...)) and
+    F = sqrt(det g)."""
+    g = _metric(c)
+    det = symmat.det_packed(g)
+    return g, symmat.inv_packed(g, det), np.sqrt(det)
+
 
 def graph_metric(M: np.ndarray):
-    """``(g, B, F)``: the metric g = I + M^2, its inverse B and F = sqrt(det g)."""
-    n = M.shape[-1]
-    g = np.broadcast_to(np.eye(n), M.shape) + M @ M
-    return g, symmat.inv_sym(g), np.sqrt(symmat.det_sym(g))
+    """Full-matrix ``(g, B, F)`` of :func:`graph_metric_packed`."""
+    g, B, F = graph_metric_packed(symmat.components(M))
+    return symmat.matrices(g), symmat.matrices(B), F
 
 
-def _area_F(M: np.ndarray) -> np.ndarray:
-    n = M.shape[-1]
-    return np.sqrt(symmat.det_sym(np.broadcast_to(np.eye(n), M.shape) + M @ M))
+def _area_F(c) -> np.ndarray:
+    return np.sqrt(symmat.det_packed(_metric(c)))
 
 
-def _area_dF(M: np.ndarray) -> np.ndarray:
-    _, B, F = graph_metric(M)
-    G = F[..., None, None] * (M @ B)
-    return 0.5 * (G + np.swapaxes(G, -1, -2))
+def _area_dF(c) -> np.ndarray:
+    _, B, F = graph_metric_packed(c)
+    return F * symmat.sym_product(c, B)
 
 
-def _area_d2F_packed(M: np.ndarray) -> np.ndarray:
+def _area_d2F_packed(c) -> np.ndarray:
     """Packed second derivative of the volume integrand, in closed form.
 
     With B = g^-1 and A = B M (B commutes with M): dF[tau] = F tr(A tau), so
@@ -333,70 +311,68 @@ def _area_d2F_packed(M: np.ndarray) -> np.ndarray:
                                  - (A_ik A_jl + A_il A_jk) / 2].
 
     Returns P (m, m, ...) as :func:`pack_tensor` does.  Each packed pair
-    ((ij), (kl)) is evaluated once, on component-major copies of A and B,
-    and written to P[a, b] and P[b, a], so P is exactly symmetric.
+    ((ij), (kl)) is evaluated once, on the packed B and A = M B
+    (:func:`symmat.sym_product`), and written to P[a, b] and P[b, a], so P is
+    exactly symmetric.
     """
-    n = M.shape[-1]
-    _, B, F = graph_metric(M)
-    A = M @ B
-    A, B = (np.moveaxis(X, (-2, -1), (0, 1)).copy() for X in (A, B))
-    pairs = symmat.PACKED_PAIRS[n]
-    P = np.empty((len(pairs),) * 2 + M.shape[:-2])
+    _, B, F = graph_metric_packed(c)
+    A = symmat.sym_product(c, B)
+    n = symmat.dim_from_packed(len(c))
+    S, pairs = symmat.SLOTS[n], symmat.PACKED_PAIRS[n]
+    P = np.empty((len(pairs),) * 2 + F.shape)
     for a, (i, j) in enumerate(pairs):
         for b, (k, l) in enumerate(pairs[a:], a):
-            np.multiply(F, A[i, j] * A[k, l]
-                        + 0.5 * (B[i, k] * B[j, l] + B[i, l] * B[j, k]
-                                 - A[i, k] * A[j, l] - A[i, l] * A[j, k]),
+            np.multiply(F, A[a] * A[b]
+                        + 0.5 * (B[S[i][k]] * B[S[j][l]] + B[S[i][l]] * B[S[j][k]]
+                                 - A[S[i][k]] * A[S[j][l]] - A[S[i][l]] * A[S[j][k]]),
                         out=P[a, b, ...])
             P[b, a] = P[a, b]
     return P
 
 
-def _area_d2F(M: np.ndarray) -> np.ndarray:
-    """Second derivative tensor of the volume integrand: the unpacked closed form."""
-    return unpack_tensor(_area_d2F_packed(M))
-
-
 # ---- integrand bodies and public evaluators
 #
-# The bodies skip the admissibility check: the solver calls them on Hessians
-# whose operator norms it has already bounded.  The public evaluators check,
-# then call the body.
+# The bodies take packed components and skip the admissibility check: the
+# solver calls them on Hessians whose operator norms it has already bounded.
+# The public evaluators check, then pass the body their argument's views.
 
-def _F_body(model: EnergyModel, M: np.ndarray) -> np.ndarray:
+def _F_body(model: EnergyModel, c) -> np.ndarray:
     if model.kind == "quadratic":
-        return 0.5 * symmat.hs_inner(M, M)
+        w = symmat.duplication_weights(model.n)
+        return 0.5 * sum(wa * x * x for wa, x in zip(w, c))
     if model.kind == "area":
-        return _area_F(M)
+        return _area_F(c)
     if model.kind == "custom":
-        return np.asarray(model._F(M), dtype=float)
+        return np.asarray(model._F(symmat.matrices(c)), dtype=float)
     raise ModelError(f"unknown model kind {model.kind!r}")
 
 
-def _dF_body(model: EnergyModel, M: np.ndarray) -> np.ndarray:
+def _dF_body(model: EnergyModel, c):
     if model.kind == "quadratic":
-        return M.copy()
+        return c
     if model.kind == "area":
-        return _area_dF(M)
+        return _area_dF(c)
+    M = symmat.matrices(c)
     if model._dF is not None:
-        return np.asarray(model._dF(M), dtype=float)
+        return symmat.components(np.asarray(model._dF(M), dtype=float))
     return _fd_dF(model._F, M, model.fd_step)
 
 
-def _d2F_body(model: EnergyModel, M: np.ndarray) -> np.ndarray:
+def _d2F_body(model: EnergyModel, c) -> np.ndarray:
     if model.kind == "quadratic":
-        return np.broadcast_to(identity_tensor(model.n), M.shape[:-2] + (model.n,) * 4).copy()
+        T = identity_tensor(model.n)
+        return np.broadcast_to(T, np.shape(c[0]) + T.shape).copy()
     if model.kind == "area":
-        return _area_d2F(M)
+        return unpack_tensor(_area_d2F_packed(c))
+    M = symmat.matrices(c)
     if model._d2F is not None:
         return np.asarray(model._d2F(M), dtype=float)
     dF = model._dF if model._dF is not None else (
-        lambda X: _fd_dF(model._F, X, model.fd_step)
-    )
+        lambda X: symmat.matrices(_fd_dF(model._F, X, model.fd_step)))
     return _fd_d2F(dF, M, model.fd_step)
 
 
-def _d2F_packed_body(model: EnergyModel, M: np.ndarray) -> np.ndarray:
+def _d2F_packed_body(model: EnergyModel, c) -> np.ndarray:
     """The second derivative packed as by :func:`pack_tensor`, shape (m, m, ...).
 
     The quadratic integrand gets a read-only broadcast view of the packed
@@ -404,32 +380,32 @@ def _d2F_packed_body(model: EnergyModel, M: np.ndarray) -> np.ndarray:
     """
     if model.kind == "quadratic":
         P = pack_tensor(identity_tensor(model.n))
-        return np.broadcast_to(P.reshape(P.shape + (1,) * (M.ndim - 2)),
-                               P.shape + M.shape[:-2])
+        shape = np.shape(c[0])
+        return np.broadcast_to(P.reshape(P.shape + (1,) * len(shape)), P.shape + shape)
     if model.kind == "area":
-        return _area_d2F_packed(M)
-    return pack_tensor(_d2F_body(model, M))
+        return _area_d2F_packed(c)
+    return pack_tensor(_d2F_body(model, c))
 
 
 def eval_F(model: EnergyModel, M: np.ndarray) -> np.ndarray:
     """Integrand value; raises AdmissibilityError off the admissible set."""
     M = np.asarray(M, dtype=float)
     require_admissible(model, M)
-    return _F_body(model, M)
+    return _F_body(model, symmat.components(M))
 
 
 def eval_dF(model: EnergyModel, M: np.ndarray) -> np.ndarray:
     """First derivative: symmetric matrix G with <G, sigma> = D_sigma F."""
     M = np.asarray(M, dtype=float)
     require_admissible(model, M)
-    return _dF_body(model, M)
+    return symmat.matrices(_dF_body(model, symmat.components(M)))
 
 
 def eval_d2F(model: EnergyModel, M: np.ndarray) -> np.ndarray:
     """Second derivative tensor (..., n, n, n, n) with full symmetries."""
     M = np.asarray(M, dtype=float)
     require_admissible(model, M)
-    return _d2F_body(model, M)
+    return _d2F_body(model, symmat.components(M))
 
 
 # ---------------------------------------------------------------- ellipticity

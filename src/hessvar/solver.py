@@ -17,9 +17,11 @@ conjugate gradients preconditioned by the exact inverse of the squared
 Dirichlet Laplacian on the box of the unknowns, applied as products with
 dense DST-I sine matrices, one per box axis.  Steps are shortened until every
 node Hessian stays inside the model's admissible set (margin 1e-6).  Each
-iterate is evaluated once (:class:`_Iterate`): its Hessian field and
-operator-norm peak serve the admissibility test, the energy, the gradient and
-the Newton operator.  The Newton operator is matrix-free, ``h^n 1_U S^T (P :
+iterate is evaluated once (:class:`_Iterate`): one component-major copy of
+its Hessian field, which the packed integrand kernels read (custom callables
+get full matrices), and its operator-norm peak, screened by row and Frobenius
+norms, serve the admissibility test, the energy, the gradient and the Newton
+operator.  The Newton operator is matrix-free, ``h^n 1_U S^T (P :
 S v)`` on the one Hessian stencil S, with the packed second derivative P of
 the integrand (:func:`models.pack_tensor`) folded into one coefficient array
 per nonzero (output, input) slot pair.
@@ -135,7 +137,7 @@ def _eval_on(model_fn, M: np.ndarray, region: np.ndarray):
         raise
 
 
-def _gradient(u: ScalarGrid, G: np.ndarray, region: np.ndarray) -> np.ndarray:
+def _gradient(u: ScalarGrid, G, region: np.ndarray) -> np.ndarray:
     grad = _weighted_adjoint(G, region, u.h)
     grad[~(u.interior & u.valid)] = 0.0
     return grad
@@ -156,13 +158,13 @@ def energy_gradient(u: ScalarGrid, model: EnergyModel) -> np.ndarray:
     """
     H = hessian_field(u)
     G = _eval_on(partial(models.eval_dF, model), H.matrices()[H.valid], H.valid)
-    return _gradient(u, G, H.valid)
+    return _gradient(u, symmat.components(G), H.valid)
 
 
-def _weighted_adjoint(G: np.ndarray, region: np.ndarray, h: float) -> np.ndarray:
-    """h^n S^T G for symmetric matrices G (K, n, n) given on the region nodes."""
-    packed = np.zeros(region.shape + (symmat.packed_size(region.ndim),))
-    packed[region] = symmat.pack(G)
+def _weighted_adjoint(G, region: np.ndarray, h: float) -> np.ndarray:
+    """h^n S^T G for symmetric matrices G, packed components on the region nodes."""
+    packed = np.zeros(region.shape + (len(G),))
+    packed[region] = np.transpose(G)
     return h**region.ndim * hessian_adjoint(packed, region, h)
 
 
@@ -362,49 +364,53 @@ def conjugate_gradient(matvec, b: np.ndarray, x0: np.ndarray, rtol: float,
 
 def check_admissible(u: ScalarGrid, model: EnergyModel) -> None:
     """Raise AdmissibilityError naming the first offending node, if any."""
-    if np.isfinite(model.rho_U):
-        H = hessian_field(u)
-        _name_inadmissible(symmat.op_norm(H.matrices()[H.valid]), H.valid,
-                           model.rho_U)
+    _Iterate(u, model).require_admissible()
 
 
-def _name_inadmissible(norms: np.ndarray, region: np.ndarray, rho_U: float) -> None:
-    """Raise at the first region node (C order) whose norm reaches rho_U."""
-    bad = norms >= rho_U
-    if bad.any():
-        node = tuple(int(v) for v in np.argwhere(region)[np.argmax(bad)])
-        raise AdmissibilityError(
-            f"Hessian operator norm >= rho_U = {rho_U:g} at node {node}",
-            index=node,
-        )
+def _screened_peak(c: np.ndarray) -> float:
+    """max ||M||_op over the packed components c (m, K), bit for bit.
+
+    A node's row 2-norms bound its operator norm from below and its
+    Frobenius norm from above, so :func:`symmat.op_norm` runs only where the
+    Frobenius norm reaches the region's largest row norm, less a relative
+    1e-8 far above rounding, or is non-finite (a NaN, inf or overflow)."""
+    n = symmat.dim_from_packed(len(c))
+    S = symmat.SLOTS[n]
+    with np.errstate(over="ignore"):
+        sq = c * c
+        fro = symmat.duplication_weights(n) @ sq
+    lower = max(sum(sq[S[i][j]] for j in range(n)).max(initial=0.0) for i in range(n))
+    cand = ~(fro < (1.0 - 1e-8) * lower)
+    return float(symmat.op_norm(symmat.matrices(c[:, cand])).max(initial=0.0))
 
 
 class _Iterate:
     """One iterate of the clamped minimization, evaluated once.
 
-    Holds ``u``, the quadrature region (the Hessian-valid nodes), ``M`` =
-    D^2 u on the region and ``peak`` = max ||M||_op (0.0 when rho_U is
-    infinite).  The solver tests ``peak`` against rho_U before it asks for
-    the energy, the gradient or the Newton operator, so those call the
-    unchecked integrand bodies.
+    Holds ``u``, the quadrature region (the Hessian-valid nodes), ``c``, one
+    contiguous component-major (m, K) copy of D^2 u on the region, and
+    ``peak`` = max ||D^2 u||_op (0.0 when rho_U is infinite).  The solver
+    tests ``peak`` against rho_U before it asks for the energy, the gradient
+    or the Newton operator, so those run the unchecked integrand bodies on c.
     """
 
     def __init__(self, u: ScalarGrid, model: EnergyModel):
         H = hessian_field(u)
         self.u, self.model, self.region = u, model, H.valid
-        self.M = H.matrices()[H.valid]
-        self.peak = (float(symmat.op_norm(self.M).max(initial=0.0))
-                     if np.isfinite(model.rho_U) else 0.0)
+        self.c = np.stack([x[H.valid] for x in np.moveaxis(H.values, -1, 0)])
+        self.peak = _screened_peak(self.c) if np.isfinite(model.rho_U) else 0.0
 
     def require_admissible(self) -> None:
-        """Raise what check_admissible and eval_F raise on an inadmissible u."""
+        """Raise at the first region node (C order) whose operator norm is not
+        below rho_U; a non-finite Hessian entry gives a NaN norm, which is not."""
         if not self.peak < self.model.rho_U:
-            _name_inadmissible(symmat.op_norm(self.M), self.region, self.model.rho_U)
-            # a NaN norm reaches no threshold; eval_F rejects it
-            _eval_on(partial(models.eval_F, self.model), self.M, self.region)
+            bad = ~(symmat.op_norm(symmat.matrices(self.c)) < self.model.rho_U)
+            node = tuple(int(v) for v in np.argwhere(self.region)[np.argmax(bad)])
+            raise AdmissibilityError(f"Hessian operator norm not below rho_U = "
+                                     f"{self.model.rho_U:g} at node {node}", index=node)
 
     def _on_region(self, body):
-        return _eval_on(partial(body, self.model), self.M, self.region)
+        return _eval_on(partial(body, self.model), self.c, self.region)
 
     def energy(self) -> float:
         return float(self.u.h**self.u.dim * self._on_region(models._F_body).sum())
@@ -520,15 +526,15 @@ def minimize_clamped(
 
 # -------------------------------------------------------------- weak forms
 
-def _pair_with_tests(G: np.ndarray, region: np.ndarray, h: float,
+def _pair_with_tests(G, region: np.ndarray, h: float,
                      tests: TestFunctionSet) -> np.ndarray:
     """Per test eta: h^n sum_x <G(x), D^2 eta(x)> over the region nodes.
 
-    The Hessian stencil moves onto G once (summation by parts); each test
-    then costs one dot product.  Only the symmetric part of G pairs with the
-    symmetric D^2 eta.
+    ``G`` holds the packed components of symmetric matrices; the Hessian
+    stencil moves onto G once (summation by parts), and each test then costs
+    one dot product.
     """
-    dual = _weighted_adjoint(0.5 * (G + np.swapaxes(G, -1, -2)), region, h)
+    dual = _weighted_adjoint(G, region, h)
     return np.array([float(np.vdot(dual, eta)) for eta in tests])
 
 
@@ -537,7 +543,7 @@ def weak_residual(u: ScalarGrid, model: EnergyModel,
     """Per test function: h^n sum_x <F^{ij}(D^2 u), D^2 eta> over the region."""
     H = hessian_field(u)
     G = _eval_on(partial(models.eval_dF, model), H.matrices()[H.valid], H.valid)
-    return _pair_with_tests(G, H.valid, u.h, tests)
+    return _pair_with_tests(symmat.components(G), H.valid, u.h, tests)
 
 
 def linearized_residual(f: ScalarGrid, b_field: np.ndarray,
@@ -556,7 +562,9 @@ def linearized_residual(f: ScalarGrid, b_field: np.ndarray,
     if not region.any():
         raise GridError("no common valid region between f and the coefficients")
     Bf = models.tensor_apply(b_field[region], H.matrices()[region])
-    return _pair_with_tests(Bf, region, f.h, tests)
+    # only the symmetric part of Bf pairs with the symmetric D^2 eta
+    return _pair_with_tests(symmat.components(0.5 * (Bf + np.swapaxes(Bf, -1, -2))),
+                            region, f.h, tests)
 
 
 # -------------------------------------------------------------- linear BVP

@@ -7,7 +7,11 @@ row-major: (0,0), (0,1), (1,1) for n = 2 and (0,0), (0,1), (0,2), (1,1),
 Hilbert-Schmidt contractions of packed data need the duplication weights from
 :func:`duplication_weights`.
 
-All routines are batched: leading axes are broadcast untouched.  Eigenvalues
+All routines are batched: leading axes are broadcast untouched.  Each
+operation has one kernel (``*_packed``, :func:`sym_product`) over a sequence
+``c`` of packed component arrays, ``c[a]`` slot a of every matrix: a
+contiguous component-major ``(m, K)`` array, or the views ``M[..., i, j]`` of
+:func:`components`, which the full-matrix functions pass.  Eigenvalues
 (no eigenvectors) come in closed form with no iteration: ``mid -+ rad`` for
 n = 2, and for n = 3 the trigonometric root of the characteristic cubic
 (Smith, CACM 4(4):168, 1961) for the isolated extreme eigenvalue, followed by
@@ -22,6 +26,8 @@ bit-reproducible across BLAS builds.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # upper-triangle index pairs, row-major
@@ -29,6 +35,9 @@ PACKED_PAIRS = {
     2: ((0, 0), (0, 1), (1, 1)),
     3: ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)),
 }
+# SLOTS[n][i][j]: the packed slot holding entry (i, j)
+SLOTS = {n: [[p.index((min(i, j), max(i, j))) for j in range(n)] for i in range(n)]
+         for n, p in PACKED_PAIRS.items()}
 
 def packed_size(n: int) -> int:
     return n * (n + 1) // 2
@@ -46,24 +55,28 @@ def duplication_weights(n: int) -> np.ndarray:
     return np.array([1.0 if i == j else 2.0 for i, j in PACKED_PAIRS[n]])
 
 
-def pack(mats: np.ndarray) -> np.ndarray:
-    """Full symmetric ``(..., n, n)`` -> packed ``(..., m)``."""
-    n = mats.shape[-1]
-    pairs = PACKED_PAIRS[n]
-    out = np.empty(mats.shape[:-2] + (len(pairs),), dtype=mats.dtype)
-    for a, (i, j) in enumerate(pairs):
-        out[..., a] = mats[..., i, j]
+def components(M: np.ndarray) -> list:
+    """The packed components of full ``(..., n, n)`` matrices, as views."""
+    return [M[..., i, j] for i, j in PACKED_PAIRS[M.shape[-1]]]
+
+
+def matrices(c) -> np.ndarray:
+    """Full symmetric ``(..., n, n)`` matrices from packed components ``c``."""
+    n = dim_from_packed(len(c))
+    out = np.empty(np.shape(c[0]) + (n, n), dtype=np.asarray(c[0]).dtype)
+    for a, (i, j) in enumerate(PACKED_PAIRS[n]):
+        out[..., i, j] = out[..., j, i] = c[a]
     return out
 
+
+def pack(mats: np.ndarray) -> np.ndarray:
+    """Full symmetric ``(..., n, n)`` -> packed ``(..., m)``."""
+    return np.stack(components(mats), axis=-1)
+
+
 def unpack(packed: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Packed ``(..., m)`` -> full symmetric ``(..., n, n)``."""
-    if n is None:
-        n = dim_from_packed(packed.shape[-1])
-    out = np.empty(packed.shape[:-1] + (n, n), dtype=packed.dtype)
-    for a, (i, j) in enumerate(PACKED_PAIRS[n]):
-        out[..., i, j] = packed[..., a]
-        out[..., j, i] = packed[..., a]
-    return out
+    """Packed ``(..., m)`` -> full symmetric ``(..., n, n)``; m determines n."""
+    return matrices(np.moveaxis(packed, -1, 0))
 
 
 def hs_inner(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -82,55 +95,42 @@ def hs_norm_packed(packed: np.ndarray, n: int | None = None) -> np.ndarray:
     return np.sqrt(np.sum(w * packed * packed, axis=-1))
 
 
-def det_sym(M: np.ndarray) -> np.ndarray:
-    """Determinant of symmetric 2x2 / 3x3 matrices, expanded by cofactors."""
-    n = M.shape[-1]
-    if n == 2:
-        return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    if n == 3:
-        a, b, c = M[..., 0, 0], M[..., 0, 1], M[..., 0, 2]
-        d, e, f = M[..., 1, 1], M[..., 1, 2], M[..., 2, 2]
-        return a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c)
-    raise ValueError(f"dimension {n} not supported")
+def det_packed(c) -> np.ndarray:
+    """Determinant, expanded by cofactors."""
+    if len(c) == 3:
+        a, b, d = c
+        return a * d - b * b
+    a, b, c_, d, e, f = c
+    return a * (d * f - e * e) - b * (b * f - e * c_) + c_ * (b * e - d * c_)
 
 
-def inv_sym(M: np.ndarray) -> np.ndarray:
-    """Adjugate inverse of symmetric 2x2 / 3x3 matrices."""
-    n = M.shape[-1]
-    det = det_sym(M)
-    out = np.empty_like(M)
-    if n == 2:
-        out[..., 0, 0] = M[..., 1, 1]
-        out[..., 1, 1] = M[..., 0, 0]
-        out[..., 0, 1] = -M[..., 0, 1]
-        out[..., 1, 0] = -M[..., 1, 0]
-    elif n == 3:
-        a, b, c = M[..., 0, 0], M[..., 0, 1], M[..., 0, 2]
-        d, e, f = M[..., 1, 1], M[..., 1, 2], M[..., 2, 2]
-        out[..., 0, 0] = d * f - e * e
-        out[..., 0, 1] = out[..., 1, 0] = c * e - b * f
-        out[..., 0, 2] = out[..., 2, 0] = b * e - c * d
-        out[..., 1, 1] = a * f - c * c
-        out[..., 1, 2] = out[..., 2, 1] = b * c - a * e
-        out[..., 2, 2] = a * d - b * b
-    else:
-        raise ValueError(f"dimension {n} not supported")
-    return out / det[..., None, None]
+def inv_packed(c, det=None) -> np.ndarray:
+    """Adjugate inverse as an (m, ...) array; ``det`` of ``c`` if known."""
+    det = det_packed(c) if det is None else det
+    if len(c) == 3:
+        a, b, d = c
+        return np.stack([d / det, -b / det, a / det])
+    a, b, c_, d, e, f = c
+    return np.stack([x / det for x in (d * f - e * e, c_ * e - b * f, b * e - c_ * d,
+                                       a * f - c_ * c_, b * c_ - a * e, a * d - b * b)])
 
 
-def _eigvals_2x2(M: np.ndarray) -> np.ndarray:
-    a = M[..., 0, 0]
-    b = M[..., 0, 1]
-    c = M[..., 1, 1]
-    mid = 0.5 * (a + c)
-    rad = np.sqrt(0.25 * (a - c) ** 2 + b * b)
-    return np.stack([mid - rad, mid + rad], axis=-1)
+def sym_product(c, d) -> np.ndarray:
+    """Packed ``C D`` of commuting symmetric matrices, (m, ...): each upper
+    entry is ``sum_k C_ik D_kj`` in ascending k (the product is symmetric)."""
+    n = dim_from_packed(len(c))
+    S, out = SLOTS[n], np.empty((len(c),) + np.shape(c[0]))
+    for a, (i, j) in enumerate(PACKED_PAIRS[n]):
+        np.multiply(c[S[i][0]], d[S[0][j]], out=out[a, ...])
+        for k in range(1, n):
+            out[a, ...] += c[S[i][k]] * d[S[k][j]]
+    return out
 
 
-def _eigvals_3x3(M: np.ndarray) -> np.ndarray:
-    """Trigonometric root of the isolated eigenvalue, then 2x2 deflation.
+def eigvals_packed(c) -> np.ndarray:
+    """Ascending eigenvalues ``(..., n)``, in closed form.
 
-    With ``A = M / max|M_ij|``, ``q = tr A / 3`` and ``B = (A - q I) / p``
+    n = 3: with ``A = M / max|M_ij|``, ``q = tr A / 3`` and ``B = (A - q I) / p``
     scaled to ``tr B^2 = 6``, the roots of B are ``2 cos(phi + 2 pi k / 3)``
     with ``cos 3 phi = det(B) / 2``.  The extreme root on the side of
     ``det B`` (``beta``, sign of det B times ``2 cos(arccos|det B / 2| / 3)``)
@@ -141,13 +141,17 @@ def _eigvals_3x3(M: np.ndarray) -> np.ndarray:
     to the orthogonal complement: ``mid = (tr B - beta) / 2`` and
     ``2 rad^2 = |B - mid I - (beta - mid) P|_F^2``.
     """
-    scale = np.abs(M).max(axis=(-2, -1))
     # an infinite entry gives NaN eigenvalues, like a NaN entry
+    if len(c) == 3:
+        a, b, d = c
+        with np.errstate(invalid="ignore"):
+            mid, rad = 0.5 * (a + d), np.sqrt(0.25 * (a - d) ** 2 + b * b)
+            return np.stack([mid - rad, mid + rad], axis=-1)
+    scale = functools.reduce(np.maximum, (np.abs(x) for x in c))
     with np.errstate(invalid="ignore"):
-        A = M / np.where(scale > 0.0, scale, 1.0)[..., None, None]
-    q = (A[..., 0, 0] + A[..., 1, 1] + A[..., 2, 2]) / 3.0
-    b00, b11, b22 = A[..., 0, 0] - q, A[..., 1, 1] - q, A[..., 2, 2] - q
-    b01, b02, b12 = A[..., 0, 1], A[..., 0, 2], A[..., 1, 2]
+        a00, a01, a02, a11, a12, a22 = (x / np.where(scale > 0.0, scale, 1.0) for x in c)
+    q = (a00 + a11 + a22) / 3.0
+    b00, b11, b22, b01, b02, b12 = a00 - q, a11 - q, a22 - q, a01, a02, a12
     p = np.sqrt((b00 * b00 + b11 * b11 + b22 * b22
                  + 2.0 * (b01 * b01 + b02 * b02 + b12 * b12)) / 6.0)
     s = 1.0 / np.where(p > 0.0, p, 1.0)   # p = 0: A = qI, any B will do
@@ -169,15 +173,19 @@ def _eigvals_3x3(M: np.ndarray) -> np.ndarray:
     return np.sort((q * scale)[..., None] + (p * scale)[..., None] * mu, axis=-1)
 
 
+def det_sym(M: np.ndarray) -> np.ndarray:
+    """Determinant of symmetric 2x2 / 3x3 matrices."""
+    return det_packed(components(M))
+
+
+def inv_sym(M: np.ndarray) -> np.ndarray:
+    """Adjugate inverse of symmetric 2x2 / 3x3 matrices."""
+    return matrices(inv_packed(components(M)))
+
+
 def sym_eigvals(M: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of symmetric 2x2 / 3x3 matrices, in closed form."""
-    M = np.asarray(M, dtype=float)
-    n = M.shape[-1]
-    if n == 2:
-        return _eigvals_2x2(M)
-    if n == 3:
-        return _eigvals_3x3(M)
-    raise ValueError(f"dimension {n} not supported")
+    return eigvals_packed(components(np.asarray(M, dtype=float)))
 
 
 def op_norm(M: np.ndarray) -> np.ndarray:

@@ -11,7 +11,11 @@
   coefficient) and :func:`hessvar.grids.difference_quotient`, bit-level
   oracles for the view-based library versions;
 - the two-full-pass singular-set detector, the oracle for the screened
-  :func:`hessvar.diagnostics.singular_set`.
+  :func:`hessvar.diagnostics.singular_set`;
+- the node-major area closed forms on full ``(..., n, n)`` matrices with
+  batched ``@`` (the metric triple ``(g, B, F)`` and the first derivative
+  ``F M B``), oracles for the packed-component kernels of
+  :mod:`hessvar.models`, which sum each product entry in a fixed order.
 """
 
 from dataclasses import dataclass
@@ -99,7 +103,8 @@ def dd_weak_residual(u, model, tests):
     region = H.valid
     M = H.matrices()[region]
     AM = models.tensor_apply(model(M), M)   # a^{ij,kl} u_ij as a matrix in (k,l)
-    return solver._pair_with_tests(AM, region, u.h, tests)
+    sym = symmat.components(0.5 * (AM + np.swapaxes(AM, -1, -2)))
+    return solver._pair_with_tests(sym, region, u.h, tests)
 
 
 def hamstat_dd_model(n):
@@ -216,3 +221,17 @@ def hamstat_residual(u, tests):
     """Volume-criticality residual through the per-node coefficient tensor of
     :func:`hamstat_dd_model`, symmetrized and contracted with D^2 u."""
     return dd_weak_residual(u, hamstat_dd_model(u.dim), tests)
+
+
+def area_graph_metric(M):
+    """``(g, B, F)`` with g = I + M @ M, B its adjugate inverse, F = sqrt(det g)."""
+    n = M.shape[-1]
+    g = np.broadcast_to(np.eye(n), M.shape) + M @ M
+    return g, symmat.inv_sym(g), np.sqrt(symmat.det_sym(g))
+
+
+def area_dF(M):
+    """First derivative ``F M B`` of the volume integrand, symmetrized."""
+    _, B, F = area_graph_metric(M)
+    G = F[..., None, None] * (M @ B)
+    return 0.5 * (G + np.swapaxes(G, -1, -2))

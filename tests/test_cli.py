@@ -501,21 +501,21 @@ seed = 0
 
 def test_hamstat_builds_hessian_and_metric_once(tmp_path, monkeypatch):
     hess_calls, metric_shapes = [], []
-    orig_hess, orig_metric = grids.hessian_field, models.graph_metric
+    orig_hess, orig_metric = grids.hessian_field, models.graph_metric_packed
 
     def counting_hessian(u):
         hess_calls.append(u.extents)
         return orig_hess(u)
 
-    def counting_metric(M):
-        metric_shapes.append(M.shape[:-2])
-        return orig_metric(M)
+    def counting_metric(c):
+        metric_shapes.append(np.shape(c[0]))
+        return orig_metric(c)
 
     # the function is imported by name into several modules
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "hessvar" and getattr(mod, "hessian_field", None) is orig_hess:
             monkeypatch.setattr(mod, "hessian_field", counting_hessian)
-    monkeypatch.setattr(models, "graph_metric", counting_metric)
+    monkeypatch.setattr(models, "graph_metric_packed", counting_metric)
     g = grids.make_grid(2, 33, 0.5)
     gridio.write_binary(tmp_path / "u.hvgf",
                         grids.sample(g, fixtures.potential("cubic_biharmonic", 0.3)))
@@ -523,8 +523,9 @@ def test_hamstat_builds_hessian_and_metric_once(tmp_path, monkeypatch):
                        HAMSTAT_FILE.format(dim=2, nodes=33, file="u.hvgf"))
     assert run(["hamstat", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert hess_calls == [(33, 33)]
-    # the convexity certificate evaluates the area model on its 50 samples
-    assert [s for s in metric_shapes if s != (50,)] == [(33, 33)]
+    # the metric is built on the 31^2 valid nodes only; the convexity
+    # certificate evaluates the area model on its 50 samples
+    assert [s for s in metric_shapes if s != (50,)] == [(31 * 31,)]
 
 
 def test_hamstat_potential_extents_mismatch_exits_65(tmp_path, capsys):

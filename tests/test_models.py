@@ -147,10 +147,15 @@ def test_area_second_derivative_matches_spectral_oracle(n):
 
 
 def slot_filling_area_d2F(M):
-    """Oracle: the full-tensor closed form, each packed pair written to its eight slots."""
+    """Oracle: the full-tensor closed form, each packed pair written to its eight slots.
+
+    A = M B is formed in the kernel's order (:func:`symmat.sym_product`: each
+    upper entry summed in ascending k, the lower triangle mirrored), which
+    ``einsum`` follows bit for bit and batched ``@`` does not.
+    """
     n = M.shape[-1]
     _, B, F = models.graph_metric(M)
-    A = M @ B
+    A = symmat.unpack(symmat.pack(np.einsum("...ik,...kj->...ij", M, B)))
     T = np.empty(M.shape[:-2] + (n, n, n, n))
     pairs = symmat.PACKED_PAIRS[n]
     for a, (i, j) in enumerate(pairs):
@@ -171,7 +176,7 @@ def test_packed_area_d2F_equals_slot_filling_oracle(n):
     M = np.concatenate([random_sym(rng, 600, n, scale=1.5),
                         np.zeros((1, n, n)), 0.7 * np.eye(n)[None]])
     ref = slot_filling_area_d2F(M)
-    P = models._area_d2F_packed(M)
+    P = models._area_d2F_packed(symmat.components(M))
     m = symmat.packed_size(n)
     assert P.shape == (m, m, len(M))
     assert np.array_equal(models.unpack_tensor(P), ref)
@@ -182,14 +187,41 @@ def test_packed_area_d2F_equals_slot_filling_oracle(n):
 
 
 @pytest.mark.parametrize("n", [2, 3])
+def test_area_component_kernels_match_node_major_oracles(n):
+    rng = np.random.default_rng(38)
+    M = np.concatenate([symmat.random_sym_opnorm_ball(rng, 500, n, 0.999),
+                        np.zeros((1, n, n)), 0.9 * np.eye(n)[None]])
+    c = np.ascontiguousarray(symmat.pack(M).T)
+
+    def close(got, want):   # relative to each matrix's largest entry
+        scale = np.abs(want).reshape(len(M), -1).max(axis=1)
+        err = np.abs(got - want).reshape(len(M), -1).max(axis=1)
+        assert np.all(err <= 1e-13 * scale)
+
+    g, B, F = models.graph_metric_packed(c)
+    g_ref, B_ref, F_ref = oracles.area_graph_metric(M)
+    close(symmat.unpack(g.T), g_ref)
+    close(symmat.unpack(B.T), B_ref)
+    close(F, F_ref)
+    close(models._area_F(c), F_ref)
+    close(symmat.unpack(models._area_dF(c).T), oracles.area_dF(M))
+    # the full-matrix adapters are the same kernels on strided views
+    for got, want in zip(models.graph_metric(M), (symmat.unpack(g.T), symmat.unpack(B.T), F)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(eval_dF(area_model(n), M), symmat.unpack(models._area_dF(c).T))
+    assert np.array_equal(eval_F(area_model(n), M), models._area_F(c))
+
+
+@pytest.mark.parametrize("n", [2, 3])
 def test_packed_body_matches_full_body_for_every_kind(n):
     rng = np.random.default_rng(37)
     M = random_sym(rng, 40, n, scale=0.4)
     bumpy = lambda X: (0.5 * symmat.hs_inner(X, X)
                        + 0.1 * np.exp(0.3 * np.einsum("...ii->...", X)))
     for model in (quadratic_model(n), area_model(n), custom_model(n, bumpy)):
-        P = models._d2F_packed_body(model, M)
-        assert np.array_equal(P, models.pack_tensor(models._d2F_body(model, M)))
+        c = symmat.components(M)
+        P = models._d2F_packed_body(model, c)
+        assert np.array_equal(P, models.pack_tensor(models._d2F_body(model, c)))
     # pack/unpack keep a field without major symmetry
     T = models.symmetrize_tensor(rng.standard_normal((5,) + (n,) * 4))
     assert np.abs(T - T.transpose(0, 3, 4, 1, 2)).max() > 0.1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from hessvar import grids, models, solver, symmat
 from hessvar.models import AdmissibilityError
@@ -301,6 +302,72 @@ def test_iterate_record_matches_public_evaluators(dim):
         v = rng.standard_normal(u.extents)
         assert np.array_equal(op.matvec(v), ref.matvec(v))
     assert solver._Iterate(u, replace(model, rho_U=np.inf)).peak == 0.0
+
+
+# ------------------------------------------------------ screened peak
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_iterate_rejects_a_non_finite_entry_at_its_node(dim, bad, monkeypatch):
+    # a NaN compares false with every bound, so the screen must keep the node
+    u, model = _area_field(dim)
+    H = grids.hessian_field(u)
+    region = np.argwhere(H.valid)
+    fro = symmat.hs_norm_packed(H.values[H.valid])
+    node = tuple(int(v) for v in region[np.argmin(fro)])   # far below the peak
+    vals = np.array(H.values)
+    vals[node + (symmat.packed_size(dim) - 1,)] = bad
+    monkeypatch.setattr(solver, "hessian_field", lambda _: replace(H, values=vals))
+    it = solver._Iterate(u, model)
+    assert not it.peak < model.rho_U
+    with pytest.raises(AdmissibilityError) as err:
+        it.require_admissible()
+    assert err.value.index == node
+    with pytest.raises(AdmissibilityError) as direct:
+        solver.check_admissible(u, model)
+    assert str(direct.value) == str(err.value)
+    # the nodewise public evaluator rejects the same node
+    with pytest.raises(AdmissibilityError) as nodewise:
+        models.eval_F(model, symmat.unpack(vals[H.valid]))
+    assert tuple(region[nodewise.value.index[0]]) == node
+
+
+@st.composite
+def packed_fields(draw):
+    """(m, K) packed Hessians: random, all zero, with exact ties at the
+    argmax, or rank-one nodes whose norms agree to 1e-12 or a few ulps."""
+    n = draw(st.sampled_from([2, 3]))
+    K = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "zero", "ties", "rank one"]))
+    M = draw(st.sampled_from([1e-3, 1.0, 1e3])) * rng.standard_normal((K, n, n))
+    M = 0.5 * (M + np.swapaxes(M, -1, -2))
+    if kind == "zero":
+        M[:] = 0.0
+    elif kind == "ties":
+        top = M[np.argmax(symmat.op_norm(M))]
+        picks = rng.integers(0, K, size=draw(st.integers(1, 3)))
+        M[picks] = top * rng.choice([-1.0, 1.0], size=(len(picks), 1, 1))
+    elif kind == "rank one":
+        v = rng.standard_normal((K, n))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        step = draw(st.sampled_from([1e-12, np.finfo(float).eps]))
+        M = (1.0 + step * rng.integers(-4, 5, size=(K, 1, 1))) * v[:, :, None] * v[:, None, :]
+        M[0] = np.diag([1.0] + [0.0] * (n - 1))
+    return np.ascontiguousarray(symmat.pack(M).T)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(packed_fields())
+def test_screened_peak_keeps_the_bits_of_the_full_op_norm(c):
+    n = symmat.dim_from_packed(len(c))
+    H = grids.SymMatField(h=1.0, origin=np.zeros(n),
+                          values=c.T.reshape((c.shape[1],) + (1,) * (n - 1) + (len(c),)))
+    u = grids.make_grid(n, 11, 1.0)   # only its spacing is read
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "hessian_field", lambda _: H)
+        it = solver._Iterate(u, models.area_model(n, rho_U=0.9))
+    assert it.peak == symmat.op_norm(symmat.unpack(c.T)).max()
 
 
 def test_newton_operator_holds_at_most_m_squared_grid_arrays():

@@ -26,6 +26,23 @@ def test_packed_norm_matches_full_norm():
 
 
 @pytest.mark.parametrize("n", [2, 3])
+def test_component_major_layout_gives_the_full_matrix_bits(n):
+    rng = np.random.default_rng(3)
+    M = np.concatenate([random_sym(rng, 300, n, scale=2.0), np.zeros((1, n, n)),
+                        np.round(random_sym(rng, 50, n, scale=3.0))])
+    c = np.ascontiguousarray(symmat.pack(M).T)
+    assert np.array_equal(symmat.eigvals_packed(c), symmat.sym_eigvals(M))
+    assert np.array_equal(np.abs(symmat.eigvals_packed(c)).max(axis=-1), symmat.op_norm(M))
+    assert np.array_equal(symmat.det_packed(c), symmat.det_sym(M))
+    g = np.eye(n) + M @ M
+    B = symmat.inv_sym(g)
+    assert np.array_equal(symmat.unpack(symmat.inv_packed(symmat.pack(g).T).T), B)
+    # each upper entry of the product is summed in ascending k, as einsum does
+    assert np.array_equal(symmat.sym_product(c, symmat.pack(B).T),
+                          symmat.pack(np.einsum("...ik,...kj->...ij", M, B)).T)
+
+
+@pytest.mark.parametrize("n", [2, 3])
 def test_eigenvalues_match_lapack(n):
     rng = np.random.default_rng(2)
     M = random_sym(rng, 200, n, scale=3.0)
