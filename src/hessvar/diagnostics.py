@@ -29,7 +29,6 @@ from .grids import (
     SymMatField,
     ball_chunks,
     balls_fit,
-    ball_window,
     inner_box_nodes,
     node_ball_offsets,
 )
@@ -46,14 +45,6 @@ def sobolev_dual_exponent(n: int) -> float:
 
 # -------------------------------------------------------------- oscillation
 
-def _ball_values(f: SymMatField, ball: Ball) -> np.ndarray:
-    box, inside = ball_window(f, ball)
-    vals = f.values[box][inside & f.valid[box]]
-    if len(vals) == 0:
-        raise EmptyRegionError(f"ball {ball} contains no valid nodes")
-    return vals
-
-
 def _check_exponent(p: float) -> None:
     if not 1.0 <= p < np.inf:               # NaN fails too
         raise DiagnosticsError(f"oscillation exponent must be >= 1 and finite, got {p}")
@@ -64,27 +55,76 @@ def _component_major(f: SymMatField) -> np.ndarray:
     return np.moveaxis(np.where(f.valid[..., None], f.values, 0.0), -1, 0).copy()
 
 
-def _deviations(f: SymMatField, ball: Ball) -> np.ndarray:
-    """|f - (f)_B| at the valid nodes of the ball, through :func:`_chunk_deviations`."""
-    vals = _ball_values(f, ball)
-    return _chunk_deviations(np.ascontiguousarray(vals.T), symmat.duplication_weights(f.dim),
-                             np.arange(len(vals))[None], len(vals))[0]
+def _chunk_deviations(vals, w, idx, count=None, valid=None):
+    """|f - (f)_B| on a chunk of balls, one ball per row of ``idx``; |f| when ``count`` is None.
+
+    ``vals`` holds the packed components by row, ``(m, nodes)`` and
+    C-contiguous, and ``idx`` the node indices of each ball, (balls,
+    nodes); ``w`` are the duplication weights, ``count`` the valid nodes per
+    ball (a scalar or a column) and ``valid`` the valid entries of ``idx``
+    (None when all are).  Each component is gathered as (balls, nodes), a
+    ball's mean is numpy's pairwise sum of its row (of its valid entries
+    alone, for a row with holes) over ``count``, and the norm adds the
+    weighted squares in component storage order, as
+    ``symmat.hs_norm_packed`` does.  A ball gets the same bits alone as in
+    any chunk of :func:`_ball_means` or :func:`_candidate_density`.  Hole
+    entries get a value too, which the caller drops.
+    """
+    holed = () if valid is None else np.flatnonzero(~valid.all(axis=1))
+    dev, tmp = np.zeros(idx.shape), np.empty(idx.shape)
+    for a in range(len(w)):
+        x = vals[a].take(idx)
+        if count is not None:
+            mean = np.add.reduce(x, axis=1, keepdims=True)
+            for b in holed:
+                mean[b] = np.add.reduce(x[b][valid[b]])
+            x -= mean / count
+        np.multiply(w[a], x, out=tmp)
+        tmp *= x
+        dev += tmp
+    return np.sqrt(dev, out=dev)
+
+
+def _ball_means(f: SymMatField, balls, exponents, centred: bool = True):
+    """Per exponent q, each ball's mean of |f - (f)_B|^q over its valid nodes.
+
+    Returns ``(means, counts)``: ``means[i, k]`` belongs to ``exponents[i]``
+    and ``balls[k]``, and ``counts[k]`` is the number of valid nodes of
+    ``balls[k]``.  Uncentred, the means are of |f|^q.  Each chunk of
+    :func:`ball_chunks` goes through :func:`_chunk_deviations` on one
+    component-major copy of the field, and each sum is numpy's pairwise sum
+    over a ball's row of valid nodes (a row with holes is compacted first),
+    so a ball's values do not depend on the other balls or on the chunking.
+    The first ball in ``balls`` order without a valid node raises
+    :class:`EmptyRegionError`.
+    """
+    w = symmat.duplication_weights(f.dim)
+    vals, valid = _component_major(f).reshape(len(w), -1), f.valid.reshape(-1)
+    means, counts, empty = np.empty((len(exponents), len(balls))), np.empty(len(balls), int), []
+    for members, nodes in ball_chunks(f, balls):
+        ok = valid.take(nodes)
+        count = ok.sum(axis=1)
+        if not count.all():
+            empty.append(members[count == 0][0])
+            continue
+        holed = np.flatnonzero(count < nodes.shape[1])
+        dev = _chunk_deviations(vals, w, nodes, count[:, None] if centred else None,
+                                ok if len(holed) else None)
+        for i, q in enumerate(exponents):
+            sums = np.add.reduce(dev**q, axis=1)
+            for b in holed:
+                sums[b] = (dev[b][ok[b]] ** q).sum()
+            means[i, members] = sums / count
+        counts[members] = count
+    if empty:
+        raise EmptyRegionError(f"ball {balls[min(empty)]} contains no valid nodes")
+    return means, counts
 
 
 def mean_oscillation(f: SymMatField, ball: Ball, p: float = 1.0) -> float:
     """Normalized p-oscillation: mean over the ball of |f - (f)_B|^p."""
     _check_exponent(p)
-    return float((_deviations(f, ball) ** p).mean())
-
-
-def _ball_norms(f: SymMatField, ball: Ball) -> np.ndarray:
-    """|f| at the valid nodes of the ball."""
-    return symmat.hs_norm_packed(_ball_values(f, ball), f.dim)
-
-
-def mean_power(f: SymMatField, ball: Ball, p: float) -> float:
-    """Mean over the ball of |f|^p (no average subtracted)."""
-    return float((_ball_norms(f, ball) ** p).mean())
+    return float(_ball_means(f, [ball], (p,))[0][0, 0])
 
 
 @dataclass(frozen=True)
@@ -119,65 +159,6 @@ class JNEstimate:
         return {"p": self.p, "cbar": self.cbar, "degenerate": self.degenerate}
 
 
-def _chunk_deviations(vals, w, idx, count, valid=None):
-    """|f - (f)_B| on a chunk of balls, one ball per row of ``idx``.
-
-    ``vals`` holds the packed components by row, ``(m, nodes)`` and
-    C-contiguous, and ``idx`` the node indices of each ball, (balls,
-    nodes); ``w`` are the duplication weights, ``count`` the valid nodes per
-    ball (a scalar or a column) and ``valid`` the valid entries of ``idx``
-    (None when all are).  Each component is gathered as (balls, nodes), a
-    ball's mean is numpy's pairwise sum of its row (of its valid entries
-    alone, for a row with holes) over ``count``, and the norm adds the
-    weighted squares in component storage order.  A ball gets the same bits
-    alone, as the one compacted row of :func:`_deviations`, as in a chunk of
-    :func:`_family_oscillations` or :func:`_candidate_density`.  Hole
-    entries get a deviation too, which the caller drops.
-    """
-    holed = () if valid is None else np.flatnonzero(~valid.all(axis=1))
-    dev, tmp = np.zeros(idx.shape), np.empty(idx.shape)
-    for a in range(len(w)):
-        x = vals[a].take(idx)
-        mean = np.add.reduce(x, axis=1, keepdims=True)
-        for b in holed:
-            mean[b] = np.add.reduce(x[b][valid[b]])
-        x -= mean / count
-        np.multiply(w[a], x, out=tmp)
-        tmp *= x
-        dev += tmp
-    return np.sqrt(dev, out=dev)
-
-
-def _family_oscillations(f: SymMatField, balls, p: float):
-    """L^1 and L^p mean oscillation of every ball, in ``balls`` order.
-
-    Each chunk of :func:`ball_chunks` goes through :func:`_chunk_deviations`
-    on one component-major copy of the field, and the L^1 and L^p sums are
-    numpy's pairwise sums over each ball's row of valid nodes (a row with
-    holes is compacted first).  Every value thus equals the per-ball one
-    from :func:`_deviations` bit for bit.
-    """
-    w = symmat.duplication_weights(f.dim)
-    vals, valid = _component_major(f).reshape(len(w), -1), f.valid.reshape(-1)
-    osc1, oscp, empty = np.empty(len(balls)), np.empty(len(balls)), []
-    for members, nodes in ball_chunks(f, balls):
-        ok = valid.take(nodes)
-        count = ok.sum(axis=1)
-        if not count.all():
-            empty.append(members[count == 0][0])
-            continue
-        holed = np.flatnonzero(count < nodes.shape[1])
-        dev = _chunk_deviations(vals, w, nodes, count[:, None], ok if len(holed) else None)
-        s1, sp = np.add.reduce(dev, axis=1), np.add.reduce(dev**p, axis=1)
-        for b in holed:
-            row = dev[b][ok[b]]
-            s1[b], sp[b] = row.sum(), (row**p).sum()
-        osc1[members], oscp[members] = s1 / count, sp / count
-    if empty:
-        raise EmptyRegionError(f"ball {balls[min(empty)]} contains no valid nodes")
-    return osc1, oscp
-
-
 def john_nirenberg_ratio(f: SymMatField, family: BallFamily, p: float) -> JNEstimate:
     """Max over the family of osc_p / omega; degenerate when omega = 0.
 
@@ -185,11 +166,11 @@ def john_nirenberg_ratio(f: SymMatField, family: BallFamily, p: float) -> JNEsti
     oscillation.  One grouped pass yields both the L^1 and the L^p
     oscillation of every ball: the balls of one radius about family
     centres on the node lattice share one node pattern and are evaluated
-    together, in chunks (see :func:`_family_oscillations`), with the same
-    values as ball-by-ball evaluation.
+    together, in chunks (see :func:`_ball_means`), with the same values as
+    ball-by-ball evaluation.
     """
     _check_exponent(p)
-    osc1, oscp = _family_oscillations(f, family.balls, p)
+    (osc1, oscp), _ = _ball_means(f, family.balls, (1.0, p))
     omega, omega_ball = -1.0, None
     for ball, osc in zip(family, osc1.tolist()):
         if osc > omega:
@@ -256,12 +237,9 @@ def campanato_decay(f: SymMatField, center, radii, p: float = 2.0):
         raise DiagnosticsError("radii must be strictly decreasing")
     _check_exponent(p)
     center = tuple(float(c) for c in center)
-    values, integrals = [], []
-    for r in radii:
-        dev = _deviations(f, Ball(center=center, radius=r))
-        osc = float((dev**p).mean())
-        values.append(osc)
-        integrals.append(osc * f.h**f.dim * len(dev))
+    means, counts = _ball_means(f, [Ball(center=center, radius=r) for r in radii], (p,))
+    values = means[0].tolist()
+    integrals = [osc * f.h**f.dim * k for osc, k in zip(values, counts.tolist())]
     curve = OscillationCurve(center=center, radii=tuple(radii),
                              values=tuple(values), integrals=tuple(integrals), p=p)
     floor = 1e-280
@@ -322,24 +300,21 @@ def reverse_holder_check(f: SymMatField, centers, scales) -> ReverseHolderResult
         raise GridError(
             f"doubled ball B_{2 * scales[k]:g}({centers[i]}) leaves the valid region"
         )
-    constants, degenerate = [], []
-    for c in centers:
-        row, drow = [], []
-        for s in scales:
-            outer = Ball(center=c, radius=2.0 * s)
-            num = mean_power(f, Ball(center=c, radius=s), 2.0) ** 0.5
-            den = mean_power(f, outer, pbar) ** (1.0 / pbar)
-            if den == 0.0:
-                row.append(np.nan)
-                drow.append(True)
-            else:
-                row.append(num / den)
-                drow.append(False)
-        constants.append(tuple(row))
-        degenerate.append(tuple(drow))
+    pairs = [(c, s) for c in centers for s in scales]
+    (inner,), _ = _ball_means(f, [Ball(center=c, radius=s) for c, s in pairs], (2.0,),
+                              centred=False)
+    (outer,), _ = _ball_means(f, [Ball(center=c, radius=2.0 * s) for c, s in pairs], (pbar,),
+                              centred=False)
+    ratios = []
+    for num, den in zip(inner.tolist(), outer.tolist()):
+        den = den ** (1.0 / pbar)
+        ratios.append((np.nan, True) if den == 0.0 else (num**0.5 / den, False))
+    rows = [ratios[i * len(scales):(i + 1) * len(scales)] for i in range(len(centers))]
+    constants = tuple(tuple(v for v, _ in row) for row in rows)
+    degenerate = tuple(tuple(d for _, d in row) for row in rows)
     return ReverseHolderResult(pbar=pbar, centers=tuple(centers),
-                               scales=tuple(scales), constants=tuple(constants),
-                               degenerate=tuple(degenerate))
+                               scales=tuple(scales), constants=constants,
+                               degenerate=degenerate)
 
 
 # ------------------------------------------------------- higher integrability
@@ -385,11 +360,13 @@ def fit_p0(f: SymMatField, center, radii, K_max: float = 10.0,
     if len(radii) < 3:
         raise DiagnosticsError("higher-integrability scan needs >= 3 radii")
     center = tuple(float(c) for c in center)
-    norms = [_ball_norms(f, Ball(center=center, radius=r)) for r in radii]
-    rhs = [float((nrm**2.0).mean()) ** 0.5 for nrm in norms]
+    means, _ = _ball_means(f, [Ball(center=center, radius=r) for r in radii],
+                           (2.0,) + tuple(scan), centred=False)
+    means = means.tolist()
+    rhs = [m**0.5 for m in means[0]]
     required = []
-    for p in scan:
-        lhs = [float((nrm**p).mean()) ** (1.0 / p) for nrm in norms]
+    for p, row in zip(scan, means[1:]):
+        lhs = [m ** (1.0 / p) for m in row]
         worst = 0.0
         for jr, r in enumerate(radii):
             for jp in range(jr + 1, len(radii)):
@@ -625,7 +602,7 @@ def holder_seminorm(f: SymMatField, alpha: float, pair_budget: int = 2000,
     # scalar pow per distance: numpy's vectorized pow can differ from it in
     # the last bit, and the ratios keep the bits of a per-pair evaluation
     scale = np.array([d**alpha for d in dist.tolist()])
-    vals = symmat.hs_norm_packed(diff, f.dim) / scale
+    vals = symmat.hs_norm_packed(diff) / scale
     # the first pair attaining the largest positive ratio (NaN never counts)
     vals = np.where(vals > 0.0, vals, 0.0)
     k = int(np.argmax(vals))

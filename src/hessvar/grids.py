@@ -200,7 +200,7 @@ class SymMatField:
 
     def matrices(self) -> np.ndarray:
         """Full (N1, ..., Nn, n, n) view of the field."""
-        return symmat.unpack(self.values, self.dim)
+        return symmat.unpack(self.values)
 
     def with_values(self, values: np.ndarray) -> "SymMatField":
         return replace(self, values=values)
@@ -424,20 +424,6 @@ def _r2(radius: float) -> float:
     return radius**2 * (1.0 + 1e-12)
 
 
-def ball_window(grid_like, ball: Ball):
-    """Bounding-box window ``(box, mask)`` of the nodes with ``|x - center| <= radius``.
-
-    ``box`` is a tuple of slices; ``mask`` is the distance test on that box, so
-    ``values[box][mask]`` lists the ball's nodes in C order.  A ball that
-    misses the grid gives an empty window.
-    """
-    # a node inside the ball passes the per-axis test, so the box holds it
-    r2 = _r2(ball.radius)
-    box, rows = zip(*(_axis_window(grid_like.axis_coords(axis), ball.center[axis], r2)
-                      for axis in range(grid_like.dim)))
-    return box, _window_mask(rows, r2)
-
-
 # node-ball pairs per chunk of ball_chunks, so a float64 temporary over a
 # chunk is 256 KB; chunks of 128 KB-1 MB run equally fast on a 257^2 family
 BALL_CHUNK = 1 << 15
@@ -446,13 +432,15 @@ BALL_CHUNK = 1 << 15
 def ball_chunks(grid_like, balls):
     """Yield ``(members, nodes)`` over ``balls``, in groups that share one window mask.
 
-    ``members`` indexes ``balls``; row ``i`` of ``nodes`` holds the flat C-order
-    node indices of ball ``members[i]``, in :func:`ball_window` order.  Balls
-    whose windows have the same shape and mask share a group, so a family of
-    node-centred balls forms one group per radius, and a ball with a window of
-    its own (an off-node centre, a window cut by the grid edge) forms a group
-    of one.  A group is cut into chunks of about ``BALL_CHUNK`` node-ball
-    pairs, one ball at least.
+    ``members`` indexes ``balls``; row ``i`` of ``nodes`` holds, in C order,
+    the flat indices of the nodes ``x`` with ``|x - center|^2 <= radius^2 (1 +
+    1e-12)`` of ball ``members[i]`` (no nodes for a ball that misses the
+    grid).  Each ball's nodes lie in its window, the box of nodes that pass
+    the distance test axis by axis.  Balls whose windows have the same shape
+    and mask share a group, so a family of node-centred balls forms one group
+    per radius, and a ball with a window of its own (an off-node centre, a
+    window cut by the grid edge) forms a group of one.  A group is cut into
+    chunks of about ``BALL_CHUNK`` node-ball pairs, one ball at least.
     """
     coords = [grid_like.axis_coords(axis) for axis in range(grid_like.dim)]
     # each ball's group and window start, in arrays: per-ball lists would be
@@ -488,7 +476,9 @@ def ball_chunks(grid_like, balls):
 def node_ball_offsets(radius: float, h: float, dim: int) -> list:
     """Offsets, in C order, of the lattice nodes within ``radius`` of a node.
 
-    The :func:`ball_window` of the ball about node 0 of the lattice ``h Z^dim``.
+    The nodes of the ball about node 0 of the lattice ``h Z^dim``, by the
+    distance test of :func:`ball_chunks`, so a node-centred ball's row of
+    :func:`ball_chunks` is its centre plus these offsets.
     """
     reach = int(radius / h) + 1
     r2 = _r2(radius)
@@ -506,8 +496,8 @@ def integrate(values: np.ndarray, grid_like, region=None) -> float:
     if region is None:
         picked = vals[usable]
     elif isinstance(region, Ball):
-        box, inside = ball_window(grid_like, region)
-        picked = vals[box][inside & usable[box]]
+        (_, nodes), = ball_chunks(grid_like, [region])
+        picked = vals.reshape(-1)[nodes[0]][usable.reshape(-1)[nodes[0]]]
     else:
         raise GridError(f"unsupported region spec {region!r}")
     if picked.size == 0:

@@ -582,7 +582,7 @@ def write_table_model(path, model: EnergyModel, lo: float, hi: float,
     m = symmat.packed_size(n)
     axes = [np.linspace(lo, hi, count)] * m
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
-    vals = eval_F(model, symmat.unpack(mesh, n))
+    vals = eval_F(model, symmat.unpack(mesh))
     lines = ["packed_dim,m,lo,hi,count",
              f"{n},{m},{repr(float(lo))},{repr(float(hi))},{count}",
              "flat_index,value"]

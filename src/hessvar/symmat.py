@@ -74,7 +74,7 @@ def pack(mats: np.ndarray) -> np.ndarray:
     return np.stack(components(mats), axis=-1)
 
 
-def unpack(packed: np.ndarray, n: int | None = None) -> np.ndarray:
+def unpack(packed: np.ndarray) -> np.ndarray:
     """Packed ``(..., m)`` -> full symmetric ``(..., n, n)``; m determines n."""
     return matrices(np.moveaxis(packed, -1, 0))
 
@@ -88,10 +88,8 @@ def hs_norm(A: np.ndarray) -> np.ndarray:
     return np.sqrt(hs_inner(A, A))
 
 
-def hs_norm_packed(packed: np.ndarray, n: int | None = None) -> np.ndarray:
-    if n is None:
-        n = dim_from_packed(packed.shape[-1])
-    w = duplication_weights(n)
+def hs_norm_packed(packed: np.ndarray) -> np.ndarray:
+    w = duplication_weights(dim_from_packed(packed.shape[-1]))
     return np.sqrt(np.sum(w * packed * packed, axis=-1))
 
 

@@ -164,7 +164,7 @@ def difference_quotient(u, direction, step=1):
 
 def metric_coef(geom):
     """sqrt(det g) * g^{ij} per node, full matrix layout."""
-    return geom.sqrt_det[..., None, None] * symmat.unpack(geom.g_inv, geom.dim)
+    return geom.sqrt_det[..., None, None] * symmat.unpack(geom.g_inv)
 
 
 def laplace_beltrami(scalar, geom):

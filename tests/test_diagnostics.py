@@ -155,11 +155,11 @@ def test_jn_linear_field_stable_under_refinement():
 
 
 def _per_ball_jn(f, balls, p):
-    """Oracle: ball-by-ball L^1/L^p oscillations from ``_deviations``, and (omega, ball, cbar)."""
+    """Oracle: ball-by-ball L^1/L^p oscillations and (omega, ball, cbar), on the full grid."""
     osc1, oscp = [], []
     omega, omega_ball = -1.0, None
     for ball in balls:
-        dev = diag._deviations(f, ball)
+        dev = _reference_deviations(f, ball)
         osc1.append(float(dev.mean()))
         oscp.append(float((dev**p).mean()))
         if osc1[-1] > omega:
@@ -195,8 +195,7 @@ def test_grouped_oscillations_equal_per_ball_oracle(dim, nodes, stride, reach, m
         "midpoint": grids.ball_family(f, 0, r_min=3 * h, r_max=reach * h),
         "mixed": grids.BallFamily(off_node + fam.balls[::5] + off_node[:1]),
     }
-    holes = [not f.valid[box][mask].all() for box, mask in
-             (grids.ball_window(f, b) for b in fam)]
+    holes = [not f.valid[_reference_ball_mask(f, b)].all() for b in fam]
     assert any(holes) and not all(holes)   # both the compacted and the plain rows run
     # the strided family spans more chunks than it has groups (one per radius)
     assert len(list(grids.ball_chunks(f, fam.balls))) > len({b.radius for b in fam})
@@ -205,7 +204,7 @@ def test_grouped_oscillations_equal_per_ball_oracle(dim, nodes, stride, reach, m
         for name, family in families.items():
             for p in (1.0, 2.5, 4.0):
                 osc1, oscp, (omega, ball, cbar) = _per_ball_jn(f, family.balls, p)
-                got1, gotp = diag._family_oscillations(f, family.balls, p)
+                (got1, gotp), _ = diag._ball_means(f, family.balls, (1.0, p))
                 assert got1.tolist() == osc1, (name, p, chunk)
                 assert gotp.tolist() == oscp, (name, p, chunk)
                 jn = diag.john_nirenberg_ratio(f, family, p)
@@ -231,7 +230,7 @@ def test_oscillations_match_fsum_reference(dim, nodes, stride, reach):
     fam = grids.ball_family(f, stride, r_min=3 * h, r_max=reach * h)
     devs = [_fsum_deviations(_reference_ball_values(f, ball), w) for ball in fam]
     for p in (1.0, 2.5, 4.0):
-        got1, gotp = diag._family_oscillations(f, fam.balls, p)
+        (got1, gotp), _ = diag._ball_means(f, fam.balls, (1.0, p))
         np.testing.assert_allclose(got1, [math.fsum(d) / len(d) for d in devs], rtol=1e-12)
         np.testing.assert_allclose(gotp, [math.fsum(x**p for x in d) / len(d) for d in devs],
                                    rtol=1e-12)
@@ -241,6 +240,30 @@ def test_oscillations_match_fsum_reference(dim, nodes, stride, reach):
     want = [math.fsum(x**p for x in _fsum_deviations(
         _reference_ball_values(f, Ball(center=center, radius=r)), w)) * h**dim for r in radii]
     np.testing.assert_allclose(curve.integrals, want, rtol=1e-12)
+
+    # the uncentred means of fit_p0 and reverse_holder_check, on balls with holes
+    def power_mean(ball, q):
+        norms = [math.sqrt(math.fsum(wa * v * v for wa, v in zip(w, row)))
+                 for row in _reference_ball_values(f, ball).tolist()]
+        return math.fsum(x**q for x in norms) / len(norms)
+
+    balls = [Ball(center=center, radius=r) for r in radii]
+    rhs = [power_mean(b, 2.0) ** 0.5 for b in balls]
+    want = [max(power_mean(balls[j], q) ** (1.0 / q) / rhs[i]
+                for i in range(len(balls)) for j in range(i + 1, len(balls)))
+            for q in diag.DEFAULT_P_SCAN]
+    np.testing.assert_allclose(diag.fit_p0(f, center, radii).required_constants, want,
+                               rtol=1e-12)
+    centers, scales = [center, (-0.1,) * dim], [0.4, 0.15]
+    pbar = diag.sobolev_dual_exponent(dim)
+    want = [[power_mean(Ball(center=c, radius=s), 2.0) ** 0.5
+             / power_mean(Ball(center=c, radius=2 * s), pbar) ** (1.0 / pbar) for s in scales]
+            for c in centers]
+    np.testing.assert_allclose(diag.reverse_holder_check(f, centers, scales).constants, want,
+                               rtol=1e-12)
+    doubled = [Ball(center=c, radius=k * s) for c in centers for s in scales for k in (1, 2)]
+    for family in (balls, doubled):
+        assert any(not f.valid[_reference_ball_mask(f, b)].all() for b in family)
 
     r = 3 * h
     offs = grids.node_ball_offsets(r, h, dim)
@@ -259,10 +282,19 @@ def test_grouped_oscillations_raise_for_the_first_empty_ball():
     balls = (Ball(center=(0.0, 0.0), radius=1.5 * h), first_empty,
              Ball(center=(hole[0] - 0.5 * h,) * 2, radius=1.5 * h))
     for ball in balls[1:]:
-        with pytest.raises(EmptyRegionError):
-            diag._deviations(f, ball)
-    with pytest.raises(EmptyRegionError, match=re.escape(f"ball {first_empty} ")):
+        with pytest.raises(EmptyRegionError, match=re.escape(f"ball {ball} ")):
+            diag.mean_oscillation(f, ball)
+    named = re.escape(f"ball {first_empty} contains no valid nodes")
+    with pytest.raises(EmptyRegionError, match=named):
         diag.john_nirenberg_ratio(f, grids.BallFamily(balls), 2.0)
+    # every per-ball entry point names the first empty ball of its own
+    radii = [h, 0.9 * h, 0.8 * h]
+    with pytest.raises(EmptyRegionError, match=named):
+        diag.campanato_decay(f, hole, radii)
+    with pytest.raises(EmptyRegionError, match=named):
+        diag.fit_p0(f, hole, radii)
+    with pytest.raises(EmptyRegionError, match=named):
+        diag.reverse_holder_check(f, [hole], [h])
 
 
 # -------------------------------------------------------------- Campanato
@@ -421,24 +453,29 @@ def test_fit_p0_no_certification_verdict():
 
 # ------------------------------------------------ full-grid mask reference
 
-def _reference_ball_values(f, ball):
-    """Valid values of the ball, selected by a distance test on the whole grid."""
+def _reference_ball_mask(f, ball):
+    """The nodes of the ball, selected by a distance test on the whole grid."""
     dist2 = np.zeros(f.extents)
     for axis in range(f.dim):
         shape = [1] * f.dim
         shape[axis] = -1
         dist2 = dist2 + ((f.axis_coords(axis) - ball.center[axis]) ** 2).reshape(shape)
-    return f.values[(dist2 <= ball.radius**2 * (1.0 + 1e-12)) & f.valid]
+    return dist2 <= ball.radius**2 * (1.0 + 1e-12)
+
+
+def _reference_ball_values(f, ball):
+    """Valid values of the ball, in C order."""
+    return f.values[_reference_ball_mask(f, ball) & f.valid]
 
 
 def _reference_deviations(f, ball):
     """Deviations from the ball mean, each component summed pairwise on its own."""
     vals = _reference_ball_values(f, ball)
-    return symmat.hs_norm_packed(vals - vals.T.copy().sum(axis=1) / len(vals), f.dim)
+    return symmat.hs_norm_packed(vals - vals.T.copy().sum(axis=1) / len(vals))
 
 
 def _reference_mean_power(f, ball, p):
-    return float((symmat.hs_norm_packed(_reference_ball_values(f, ball), f.dim) ** p).mean())
+    return float((symmat.hs_norm_packed(_reference_ball_values(f, ball)) ** p).mean())
 
 
 def test_ball_diagnostics_equal_full_grid_mask_reference():
@@ -592,7 +629,7 @@ def shifted_oscillation_density(f, radius, p0):
     acc = np.zeros(f.extents)
     for off in offs:
         dev = oracles.shifted(f.values, off + (0,), np.nan) - avg
-        normp = symmat.hs_norm_packed(np.where(computable[..., None], dev, 0.0), f.dim)
+        normp = symmat.hs_norm_packed(np.where(computable[..., None], dev, 0.0))
         acc += normp**p0
     dens = f.h**f.dim * acc / radius**f.dim
     dens[~computable] = np.nan
@@ -740,7 +777,7 @@ def test_holder_linear_field_vs_exhaustive_oracle():
             a, b = nodes[i], nodes[j]
             dist = g.h * np.sqrt(((a - b) ** 2).sum())
             val = float(symmat.hs_norm_packed(
-                f.values[tuple(a)] - f.values[tuple(b)], 2)) / dist**0.5
+                f.values[tuple(a)] - f.values[tuple(b)])) / dist**0.5
             best = max(best, val)
     assert est.value <= best * (1 + 1e-12)
     assert est.value >= 0.9 * best
@@ -781,7 +818,7 @@ def _holder_pair_loop(f, alpha, pair_budget, seed, region_fraction=0.75):
     for a, b in pairs:
         dist = f.h * float(np.sqrt(((a - b) ** 2).sum()))
         val = float(symmat.hs_norm_packed(
-            f.values[tuple(a)] - f.values[tuple(b)], f.dim)) / dist**alpha
+            f.values[tuple(a)] - f.values[tuple(b)])) / dist**alpha
         if val > best:
             best = val
             best_pair = tuple(tuple(f.origin[d] + f.h * x[d] for d in range(f.dim))

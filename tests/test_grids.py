@@ -325,17 +325,14 @@ def test_ball_window_selects_full_grid_ball_nodes_in_order(dim, nodes):
     edge = np.array([[-1.0] * dim, [1.0 - 0.3 * h] * dim])
     centers = np.concatenate([node, off_node, edge])
     radii = [k * h for k in (1, 2, 3, 5, 8)] + [0.37, 1.3, 4.0]
-    for c in centers:
-        for r in radii:
-            ball = Ball(center=tuple(c), radius=r)
-            box, mask = grids.ball_window(g, ball)
-            start = np.array([sl.start for sl in box])
-            want = _full_grid_ball_nodes(g, ball)
-            np.testing.assert_array_equal(np.argwhere(mask) + start, want)
-            assert np.array_equal(g.values[box][mask], g.values[tuple(want.T)])
     outside = Ball(center=(3.0,) * dim, radius=0.5)
-    box, mask = grids.ball_window(g, outside)
-    assert mask.size == 0 and len(_full_grid_ball_nodes(g, outside)) == 0
+    for ball in [Ball(center=tuple(c), radius=r) for c in centers for r in radii] + [outside]:
+        (members, rows), = grids.ball_chunks(g, [ball])
+        want = _full_grid_ball_nodes(g, ball)
+        assert members.tolist() == [0] and rows.shape == (1, len(want))
+        np.testing.assert_array_equal(rows[0], np.ravel_multi_index(tuple(want.T), g.extents))
+        assert np.array_equal(g.values.reshape(-1)[rows[0]], g.values[tuple(want.T)])
+    assert len(_full_grid_ball_nodes(g, outside)) == 0
     with pytest.raises(EmptyRegionError):
         grids.integrate(np.ones(g.extents), g, outside)
 
@@ -357,9 +354,7 @@ def test_ball_chunks_list_ball_window_nodes(dim, nodes, half_width, monkeypatch)
     for members, nodes_ in grids.ball_chunks(g, balls):
         assert len(members) == 1 or nodes_.size <= grids.BALL_CHUNK
         for k, row in zip(members, nodes_):
-            box, mask = grids.ball_window(g, balls[k])
-            start = [sl.start for sl in box]
-            want = np.ravel_multi_index(tuple((np.argwhere(mask) + start).T), g.extents)
+            want = np.ravel_multi_index(tuple(_full_grid_ball_nodes(g, balls[k]).T), g.extents)
             np.testing.assert_array_equal(row, want)
             seen[k] += 1
     assert (seen == 1).all()
@@ -369,9 +364,8 @@ def test_ball_chunks_list_ball_window_nodes(dim, nodes, half_width, monkeypatch)
         assert len(list(grids.ball_chunks(g, fam))) == len({b.radius for b in fam})
     for r in (3 * h, 4 * h, 3.3 * h, 5.55 * h):
         c = (nodes // 2,) * dim
-        box, mask = grids.ball_window(g, Ball(center=tuple(g.origin + h * np.array(c)),
-                                              radius=r))
-        want = np.argwhere(mask) + [sl.start for sl in box] - c
+        want = _full_grid_ball_nodes(g, Ball(center=tuple(g.origin + h * np.array(c)),
+                                             radius=r)) - c
         assert grids.node_ball_offsets(r, h, dim) == [tuple(o) for o in want.tolist()]
 
 

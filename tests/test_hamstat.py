@@ -31,7 +31,7 @@ def test_induced_metric_flat_and_diagonal():
                              values=np.zeros(g.extents + (3,)))
     met = hamstat.graph_geometry(zero)
     np.testing.assert_allclose(met.sqrt_det, 1.0)
-    np.testing.assert_allclose(symmat.unpack(met.g, 2),
+    np.testing.assert_allclose(symmat.unpack(met.g),
                                np.broadcast_to(np.eye(2), g.extents + (2, 2)))
     a, b = 0.8, -0.4
     diag = zero.with_values(np.broadcast_to(
@@ -49,7 +49,7 @@ def test_induced_metric_against_lapack_oracle():
     met = hamstat.graph_geometry(f)
     M = f.matrices()
     G = np.broadcast_to(np.eye(2), M.shape) + M @ M
-    np.testing.assert_allclose(symmat.unpack(met.g_inv, 2), np.linalg.inv(G),
+    np.testing.assert_allclose(symmat.unpack(met.g_inv), np.linalg.inv(G),
                                rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(met.sqrt_det, np.sqrt(np.linalg.det(G)),
                                rtol=1e-12)
@@ -273,7 +273,7 @@ def laplace_beltrami_expanded(phi, u):
     geom = geometry(u)
     H, theta = geom.H, geom.theta
     n, h = u.dim, u.h
-    ginv = symmat.unpack(geom.g_inv, n)
+    ginv = symmat.unpack(geom.g_inv)
     Hphi = grids.hessian_field(u.with_values(phi)).matrices()
     term1 = np.einsum("...ij,...ij->...", ginv, Hphi)
     unit = np.eye(n, dtype=int)

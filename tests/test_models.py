@@ -478,10 +478,10 @@ def test_table_model_roundtrip(tmp_path):
     models.write_table_model(path, quadratic_model(2), lo=-1.0, hi=1.0, count=9)
     tm = models.load_table_model(path, 2)
     # exact at lattice points
-    M = symmat.unpack(np.array([0.5, -0.25, 0.75]), 2)
+    M = symmat.unpack(np.array([0.5, -0.25, 0.75]))
     assert eval_F(tm, M) == pytest.approx(eval_F(quadratic_model(2), M), rel=1e-12)
     # multilinear interpolation error O(step^2) off-lattice
-    M = symmat.unpack(np.array([0.3, 0.1, -0.2]), 2)
+    M = symmat.unpack(np.array([0.3, 0.1, -0.2]))
     step = 0.25
     assert abs(eval_F(tm, M) - eval_F(quadratic_model(2), M)) <= 3 * step**2
 

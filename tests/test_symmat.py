@@ -13,7 +13,7 @@ def test_pack_unpack_roundtrip():
     rng = np.random.default_rng(0)
     for n in (2, 3):
         M = random_sym(rng, 7, n)
-        assert np.array_equal(symmat.unpack(symmat.pack(M), n), M)
+        assert np.array_equal(symmat.unpack(symmat.pack(M)), M)
 
 
 def test_packed_norm_matches_full_norm():
