@@ -111,9 +111,10 @@ def _ball_means(f: SymMatField, balls, exponents, centred: bool = True):
         dev = _chunk_deviations(vals, w, nodes, count[:, None] if centred else None,
                                 ok if len(holed) else None)
         for i, q in enumerate(exponents):
-            sums = np.add.reduce(dev**q, axis=1)
+            powered = dev if q == 1.0 else dev**q
+            sums = np.add.reduce(powered, axis=1)
             for b in holed:
-                sums[b] = (dev[b][ok[b]] ** q).sum()
+                sums[b] = powered[b][ok[b]].sum()
             means[i, members] = sums / count
         counts[members] = count
     if empty:

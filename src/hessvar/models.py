@@ -10,10 +10,11 @@ Derivative convention: off-diagonal entries M_ij and M_ji are one variable.
 sigma)`` for every symmetric ``sigma`` (Hilbert-Schmidt pairing with the full
 index sum), and ``eval_d2F`` returns the tensor T with ``T^{ij,kl} sigma_ij
 sigma_kl = d^2/dt^2 F(M + t sigma)``.  All contractions in the package use
-this single convention.  The solver takes the second derivative packed:
-``P[a, b] = T^{ij,kl}``, shape (m, m, ...), with a = (k, l) and b = (i, j)
-packed slots (:func:`pack_tensor`); the area closed form is evaluated
-packed and ``eval_d2F`` unpacks it.
+this single convention.  The solver takes the second derivative packed,
+``P[a, b] = T^{ij,kl}`` with a = (k, l) and b = (i, j) packed slots
+(:func:`pack_tensor`), pair by pair: one item per a <= b, which stands for
+(b, a) too where P is major-symmetric (:func:`tensor_pairs`).  The area
+closed form yields its pairs one at a time; ``eval_d2F`` unpacks them.
 
 The integrand kernels take and return packed components (see
 :mod:`hessvar.symmat`), as the solver holds its Hessians; ``eval_*`` and
@@ -27,7 +28,7 @@ Built-in kinds:
   gradient graph ``x -> (x, Du)``.  With the metric g = I + M^2, B = g^-1
   and A = B M, the derivatives are G = F A and
   T^{ij,kl} = F [A_ij A_kl + (B_ik B_jl + B_il B_jk)/2 - (A_ik A_jl + A_il A_jk)/2]
-  (derived at ``_area_d2F_packed``); no eigen-decomposition is needed.
+  (derived at ``_area_d2F_pairs``); no eigen-decomposition is needed.
 * ``custom``     user callables, with matrix finite differences (Richardson
   extrapolated, step ``delta * (1 + |M|)``) filling in missing derivatives.
 
@@ -90,6 +91,19 @@ def pack_tensor(T: np.ndarray) -> np.ndarray:
     """
     I, J = np.array(symmat.PACKED_PAIRS[T.shape[-1]]).T
     return np.moveaxis(T[..., I, J, I[:, None], J[:, None]], (-2, -1), (0, 1)).copy()
+
+
+def tensor_pairs(P: np.ndarray):
+    """Items ``(a, b, P[a, b], mirror)`` of a packed P (m, m, ...), slots a <= b
+    in lexicographic order: ``mirror`` is None where P[b, a] has the bits of
+    P[a, b], else P[b, a].  All-zero pairs are left out."""
+    m = len(P)
+    for a in range(m):
+        for b in range(a, m):
+            if not np.array_equal(P[a, b], P[b, a]):
+                yield a, b, P[a, b], P[b, a]
+            elif P[a, b].any():
+                yield a, b, P[a, b], None
 
 
 def unpack_tensor(P: np.ndarray) -> np.ndarray:
@@ -300,8 +314,8 @@ def _area_dF(c) -> np.ndarray:
     return F * symmat.sym_product(c, B)
 
 
-def _area_d2F_packed(c) -> np.ndarray:
-    """Packed second derivative of the volume integrand, in closed form.
+def _area_d2F_pairs(c):
+    """The packed pairs of the volume integrand's second derivative, in closed form.
 
     With B = g^-1 and A = B M (B commutes with M): dF[tau] = F tr(A tau), so
     G = F A; dB[tau] = -B (M tau + tau M) B and M B M = I - B give
@@ -310,23 +324,35 @@ def _area_d2F_packed(c) -> np.ndarray:
         T^{ij,kl} = F [A_ij A_kl + (B_ik B_jl + B_il B_jk) / 2
                                  - (A_ik A_jl + A_il A_jk) / 2].
 
-    Returns P (m, m, ...) as :func:`pack_tensor` does.  Each packed pair
-    ((ij), (kl)) is evaluated once, on the packed B and A = M B
-    (:func:`symmat.sym_product`), and written to P[a, b] and P[b, a], so P is
-    exactly symmetric.
+    Yields ``(a, b, T_ab, None)`` for every packed slot pair a <= b in
+    lexicographic order, the items of :func:`tensor_pairs` for this
+    major-symmetric tensor.  Each pair is evaluated on the packed B and
+    A = M B (:func:`symmat.sym_product`) into one of three buffers
+    allocated once, which the next pair overwrites.
     """
     _, B, F = graph_metric_packed(c)
     A = symmat.sym_product(c, B)
     n = symmat.dim_from_packed(len(c))
     S, pairs = symmat.SLOTS[n], symmat.PACKED_PAIRS[n]
-    P = np.empty((len(pairs),) * 2 + F.shape)
+    T, acc, tmp = (np.empty(np.shape(F)) for _ in range(3))
     for a, (i, j) in enumerate(pairs):
         for b, (k, l) in enumerate(pairs[a:], a):
-            np.multiply(F, A[a] * A[b]
-                        + 0.5 * (B[S[i][k]] * B[S[j][l]] + B[S[i][l]] * B[S[j][k]]
-                                 - A[S[i][k]] * A[S[j][l]] - A[S[i][l]] * A[S[j][k]]),
-                        out=P[a, b, ...])
-            P[b, a] = P[a, b]
+            np.multiply(B[S[i][k]], B[S[j][l]], out=acc)
+            acc += np.multiply(B[S[i][l]], B[S[j][k]], out=tmp)
+            acc -= np.multiply(A[S[i][k]], A[S[j][l]], out=tmp)
+            acc -= np.multiply(A[S[i][l]], A[S[j][k]], out=tmp)
+            acc *= 0.5
+            acc += np.multiply(A[a], A[b], out=T)
+            yield a, b, np.multiply(F, acc, out=T), None
+
+
+def _area_d2F_packed(c) -> np.ndarray:
+    """P (m, m, ...) of :func:`pack_tensor` from :func:`_area_d2F_pairs`;
+    P[a, b] and P[b, a] get the same bits."""
+    m = len(c)
+    P = np.empty((m, m) + np.shape(c[0]))
+    for a, b, T, _ in _area_d2F_pairs(c):
+        P[a, b] = P[b, a] = T
     return P
 
 
@@ -376,15 +402,21 @@ def _d2F_packed_body(model: EnergyModel, c) -> np.ndarray:
     """The second derivative packed as by :func:`pack_tensor`, shape (m, m, ...).
 
     The quadratic integrand gets a read-only broadcast view of the packed
-    identity; only ``custom`` models build the full tensor first.
+    identity; the other kinds pack the full tensor.
     """
     if model.kind == "quadratic":
         P = pack_tensor(identity_tensor(model.n))
         shape = np.shape(c[0])
         return np.broadcast_to(P.reshape(P.shape + (1,) * len(shape)), P.shape + shape)
-    if model.kind == "area":
-        return _area_d2F_packed(c)
     return pack_tensor(_d2F_body(model, c))
+
+
+def _d2F_pairs(model: EnergyModel, c):
+    """The second derivative as :func:`tensor_pairs` items; the area ones are
+    evaluated one at a time, with no (m, m, ...) array."""
+    if model.kind == "area":
+        return _area_d2F_pairs(c)
+    return tensor_pairs(_d2F_packed_body(model, c))
 
 
 def eval_F(model: EnergyModel, M: np.ndarray) -> np.ndarray:

@@ -23,8 +23,9 @@ get full matrices), and its operator-norm peak, screened by row and Frobenius
 norms, serve the admissibility test, the energy, the gradient and the Newton
 operator.  The Newton operator is matrix-free, ``h^n 1_U S^T (P :
 S v)`` on the one Hessian stencil S, with the packed second derivative P of
-the integrand (:func:`models.pack_tensor`) folded into one coefficient array
-per nonzero (output, input) slot pair.
+the integrand (:func:`models.pack_tensor`) taken pair by pair
+(:func:`models.tensor_pairs`) and folded into one coefficient array per slot
+pair a <= b, which also serves the mirror (b, a) where P is major-symmetric.
 """
 
 from __future__ import annotations
@@ -176,18 +177,23 @@ class NewtonOperator:
     on the unknown nodes U, and zero elsewhere.  S is the packed Hessian
     stencil of :func:`grids._hessian_stencil` and T the per-node tensor of
     second derivatives of the integrand on the quadrature region (zero off
-    it), packed as by :func:`models.pack_tensor`: ``P[a, b] = T^{ij,kl}``
-    pairs input slot b = (i, j) of S v with output slot a = (k, l), as in
-    :func:`models.tensor_apply`; P has shape (m, m, K) for the K region
-    nodes.  Each slot's stencil is kept as flat C-order offsets of weight
-    +-1 (the centre weight -2 as two -1 entries); h^n dup[a] dup[b] and both
-    slots' stencil scales are folded into one coefficient array per nonzero
-    (a, b).  The arrays span the unknowns' flat index range widened by the
-    stencil reach; the unknowns must lie off the two outer node rings.
+    it), given as the packed pairs of :func:`models.tensor_pairs`: items
+    ``(a, b, T_ab, mirror)`` with a <= b in lexicographic order, where
+    ``T_ab = T^{ij,kl}`` over the K region nodes pairs input slot b = (i, j)
+    of S v with output slot a = (k, l), as in :func:`models.tensor_apply`,
+    and ``mirror`` is ``T_ba``, or None when T_ba = T_ab.  Each slot's
+    stencil is kept as flat C-order offsets of weight +-1 (the centre weight
+    -2 as two -1 entries); h^n dup[a] dup[b] and both slots' stencil scales
+    are folded into ``terms``, one ``(a, b, c, c_ba)`` per pair, applied as
+    ``W[a] += c Sv[b]`` and, off the diagonal, ``W[b] += c_ba Sv[a]``; a
+    shared pair has ``c_ba is c``.  In that order every row of W adds its
+    terms in ascending input slot.  The scales differ by powers of two, so
+    a shared array has the bits of both one-sided ones.  The arrays span
+    the unknowns' flat index range widened by the stencil reach; the
+    unknowns must lie off the two outer node rings.
     """
 
-    def __init__(self, P: np.ndarray, region: np.ndarray,
-                 unknowns: np.ndarray, h: float):
+    def __init__(self, pairs, region: np.ndarray, unknowns: np.ndarray, h: float):
         n = region.ndim
         hessian = _hessian_stencil(n, h)
         strides = [int(np.prod(region.shape[k + 1:])) for k in range(n)]
@@ -203,12 +209,17 @@ class NewtonOperator:
         k0, k1 = np.searchsorted(nodes, (self.lo, self.hi))
         at = nodes[k0:k1] - self.lo
         scale = symmat.duplication_weights(n) * [st[0][1] for st in hessian]
+
+        def coefficients(a, b, T):
+            c = np.zeros(self.hi - self.lo)
+            c[at] = h**n * scale[a] * scale[b] * T[k0:k1]
+            return c
+
         self.terms = []
-        for a, b in np.ndindex(P.shape[:2]):
-            if P[a, b].any():
-                c = np.zeros(self.hi - self.lo)
-                c[at] = h**n * scale[a] * scale[b] * P[a, b, k0:k1]
-                self.terms.append((a, b, c))
+        for a, b, T, mirror in pairs:
+            c = coefficients(a, b, T)
+            self.terms.append((a, b, c, None if a == b else
+                               c if mirror is None else coefficients(b, a, mirror)))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         vflat = np.ravel(v)
@@ -217,8 +228,10 @@ class NewtonOperator:
             _add_unit_stencil(row, vflat, self.lo, st)
         W = np.zeros_like(Sv)
         tmp = np.empty(self.hi - self.lo)
-        for a, b, c in self.terms:
+        for a, b, c, c_ba in self.terms:
             W[a] += np.multiply(c, Sv[b], out=tmp)
+            if c_ba is not None:
+                W[b] += np.multiply(c_ba, Sv[a], out=tmp)
         out = np.zeros(vflat.size)
         acc = out[self.start:self.stop]
         for row, st in zip(W, self.stencils):
@@ -420,11 +433,11 @@ class _Iterate:
 
     def newton_operator(self) -> NewtonOperator:
         u = self.u
-        return NewtonOperator(self._on_region(models._d2F_packed_body),
+        return NewtonOperator(self._on_region(models._d2F_pairs),
                               self.region, u.interior & u.valid, u.h)
 
 
-def _newton_direction(it: _Iterate, grad: np.ndarray, cg_rtol: float,
+def _newton_direction(it: _Iterate, grad: np.ndarray, precond, cg_rtol: float,
                       cg_maxiter: int, atol: float):
     """CG solve of the Newton system at ``it``; returns conjugate_gradient's triple.
 
@@ -432,10 +445,8 @@ def _newton_direction(it: _Iterate, grad: np.ndarray, cg_rtol: float,
     freed before the line search and before the next step's operator is built.
     """
     op = it.newton_operator()
-    unknowns = it.u.interior & it.u.valid
-    return conjugate_gradient(
-        op.matvec, -grad, np.zeros_like(grad), cg_rtol, cg_maxiter,
-        precond=squared_laplacian_preconditioner(unknowns, it.u.h), atol=atol)
+    return conjugate_gradient(op.matvec, -grad, np.zeros_like(grad), cg_rtol,
+                              cg_maxiter, precond=precond, atol=atol)
 
 
 def _default_cg_maxiter(unknowns: np.ndarray) -> int:
@@ -466,6 +477,7 @@ def minimize_clamped(
     unknowns = it.u.interior & it.u.valid
     if cg_maxiter is None:
         cg_maxiter = _default_cg_maxiter(unknowns)
+    precond = squared_laplacian_preconditioner(unknowns, it.u.h)
 
     report = SolveReport()
     energy = it.energy()
@@ -483,7 +495,7 @@ def minimize_clamped(
         # the post-step gradient equals the CG residual for linear problems,
         # so solving past the Newton tolerance buys nothing
         delta, cg_iters, cg_residual = _newton_direction(
-            it, grad, cg_rtol, cg_maxiter, atol=0.4 * report.grad_tol)
+            it, grad, precond, cg_rtol, cg_maxiter, atol=0.4 * report.grad_tol)
         report.cg_iterations.append(cg_iters)
         report.cg_residuals.append(cg_residual)
         slope = float(np.vdot(grad, delta))
@@ -593,7 +605,7 @@ def solve_constant_coeff_bvp(
     unknowns = u0.interior & u0.valid
     P0 = models.pack_tensor(T0)
     P = np.broadcast_to(P0[..., None], P0.shape + (int(region.sum()),))
-    op = NewtonOperator(P, region, unknowns, u0.h)
+    op = NewtonOperator(models.tensor_pairs(P), region, unknowns, u0.h)
     grad = op.matvec(np.array(u0.values))
 
     if cg_maxiter is None:

@@ -15,7 +15,10 @@
 - the node-major area closed forms on full ``(..., n, n)`` matrices with
   batched ``@`` (the metric triple ``(g, B, F)`` and the first derivative
   ``F M B``), oracles for the packed-component kernels of
-  :mod:`hessvar.models`, which sum each product entry in a fixed order.
+  :mod:`hessvar.models`, which sum each product entry in a fixed order;
+- the Newton operator with one coefficient array per nonzero packed slot
+  pair (a, b), the oracle for the shared pairs of
+  :class:`hessvar.solver.NewtonOperator`.
 """
 
 from dataclasses import dataclass
@@ -235,3 +238,41 @@ def area_dF(M):
     _, B, F = area_graph_metric(M)
     G = F[..., None, None] * (M @ B)
     return 0.5 * (G + np.swapaxes(G, -1, -2))
+
+
+class PerSlotNewtonOperator(solver.NewtonOperator):
+    """The Newton operator built from a full packed P (m, m, K): one
+    coefficient array per nonzero (a, b), applied as ``W[a] += c Sv[b]`` in
+    lexicographic (a, b) order.  The builder and product before the pairs of
+    :func:`hessvar.models.tensor_pairs`, and their bit-level oracle; only the
+    stencils and index ranges come from the library class."""
+
+    def __init__(self, P, region, unknowns, h):
+        super().__init__((), region, unknowns, h)
+        n = region.ndim
+        nodes = np.flatnonzero(region)
+        k0, k1 = np.searchsorted(nodes, (self.lo, self.hi))
+        at = nodes[k0:k1] - self.lo
+        scale = symmat.duplication_weights(n) * [
+            st[0][1] for st in grids._hessian_stencil(n, h)]
+        for a, b in np.ndindex(P.shape[:2]):
+            if P[a, b].any():
+                c = np.zeros(self.hi - self.lo)
+                c[at] = h**n * scale[a] * scale[b] * P[a, b, k0:k1]
+                self.terms.append((a, b, c))
+
+    def matvec(self, v):
+        vflat = np.ravel(v)
+        Sv = np.zeros((len(self.stencils), self.hi - self.lo))
+        for row, st in zip(Sv, self.stencils):
+            solver._add_unit_stencil(row, vflat, self.lo, st)
+        W = np.zeros_like(Sv)
+        tmp = np.empty(self.hi - self.lo)
+        for a, b, c in self.terms:
+            W[a] += np.multiply(c, Sv[b], out=tmp)
+        out = np.zeros(vflat.size)
+        acc = out[self.start:self.stop]
+        for row, st in zip(W, self.stencils):
+            solver._add_unit_stencil(acc, row, self.start - self.lo, st)
+        acc *= np.ravel(self.unknowns)[self.start:self.stop]
+        return out.reshape(v.shape)

@@ -270,6 +270,21 @@ def test_minimize_max_iter_zero_judges_the_start_point():
 
 # ------------------------------------------------------ iterate record
 
+def tensor_field_operator(Tfield, region, unknowns, h):
+    """The Newton operator of a full (K, n, n, n, n) tensor field on the region."""
+    return solver.NewtonOperator(models.tensor_pairs(models.pack_tensor(Tfield)),
+                                 region, unknowns, h)
+
+
+def _area_iterate(dim, nodes):
+    """An admissible area iterate on a grid of half-width 0.5."""
+    g = grids.make_grid(dim, nodes, 0.5)
+    f = (lambda x, y: 0.3 * cubic_biharmonic(x, y)) if dim == 2 else (
+        lambda x, y, z: 0.3 * (x**3 * y + x * y**3) + 0.2 * np.sin(2 * z) * x)
+    u = ClampedBoundaryData.from_potential(g, f).apply(grids.sample(g, f))
+    return solver._Iterate(u, models.area_model(dim, rho_U=0.9))
+
+
 def _area_field(dim):
     if dim == 2:
         g = grids.make_grid(2, 21, 0.5)
@@ -294,9 +309,8 @@ def test_iterate_record_matches_public_evaluators(dim):
     assert it.energy() == solver.assemble_energy(u, model)
     assert np.array_equal(it.gradient(), solver.energy_gradient(u, model))
     op = it.newton_operator()
-    ref = solver.NewtonOperator(
-        models.pack_tensor(models.eval_d2F(model, H.matrices()[H.valid])),
-        H.valid, u.interior & u.valid, u.h)
+    ref = tensor_field_operator(models.eval_d2F(model, H.matrices()[H.valid]),
+                                H.valid, u.interior & u.valid, u.h)
     rng = np.random.default_rng(57)
     for _ in range(3):
         v = rng.standard_normal(u.extents)
@@ -370,27 +384,41 @@ def test_screened_peak_keeps_the_bits_of_the_full_op_norm(c):
     assert it.peak == symmat.op_norm(symmat.unpack(c.T)).max()
 
 
-def test_newton_operator_holds_at_most_m_squared_grid_arrays():
-    # matrix-free: at most one coefficient array per packed (a, b) pair of
-    # the 3D tensor, m^2 = 36, and no coefficient row per stencil offset
-    g = grids.make_grid(3, 17, 0.5)
-    f = lambda x, y, z: 0.3 * (x**3 * y + x * y**3)
-    u = ClampedBoundaryData.from_potential(g, f).apply(grids.sample(g, f))
-    it = solver._Iterate(u, models.area_model(3, rho_U=0.9))
-    P = it._on_region(models._d2F_packed_body)
-    assert all(P[a, b].any() for a in range(6) for b in range(6))
+def _traced_area_newton_operator_3d():
+    """(op, held, peak, K): the Newton operator of a 17^3 area iterate, with
+    the bytes it holds and the peak bytes its build allocated."""
+    it = _area_iterate(3, 17)
     tracemalloc.start()
     try:
-        op = solver.NewtonOperator(P, it.region, u.interior & u.valid, u.h)
-        held, _ = tracemalloc.get_traced_memory()
+        op = it.newton_operator()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(op.terms) == 36     # one array per nonzero (a, b)
-    assert held <= 36 * u.values.nbytes
+    return op, held, peak, it.c.shape[1]
+
+
+def test_newton_operator_holds_at_most_m_squared_grid_arrays():
+    # matrix-free and major-symmetric: one coefficient array per packed pair
+    # a <= b of the 3D tensor, m (m + 1) / 2 = 21, shared with its mirror,
+    # and no coefficient row per stencil offset
+    op, held, _, _ = _traced_area_newton_operator_3d()
+    assert len(op.terms) == 21
+    assert [(a, b) for a, b, _, _ in op.terms] == [
+        (a, b) for a in range(6) for b in range(a, 6)]
+    assert all(mirror is (None if a == b else c) for a, b, c, mirror in op.terms)
+    assert all(c.any() for _, _, c, _ in op.terms)
+    assert held <= 21 * op.unknowns.size * 8      # 21 float64 grid arrays
+
+
+def test_newton_operator_build_allocates_no_full_packed_tensor():
+    # the area pairs are evaluated one at a time: the build's transient
+    # memory stays below one (m, m, K) array of the 3D packed tensor
+    _, held, peak, K = _traced_area_newton_operator_3d()
+    assert peak - held < 36 * K * 8
 
 
 def test_minimize_runs_op_norm_once_per_evaluated_iterate(monkeypatch):
-    calls = {"op_norm": 0, "hessian_field": 0}
+    calls = {"op_norm": 0, "hessian_field": 0, "preconditioner": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -401,15 +429,19 @@ def test_minimize_runs_op_norm_once_per_evaluated_iterate(monkeypatch):
     monkeypatch.setattr(symmat, "op_norm", counted("op_norm", symmat.op_norm))
     monkeypatch.setattr(solver, "hessian_field",
                         counted("hessian_field", solver.hessian_field))
+    monkeypatch.setattr(solver, "squared_laplacian_preconditioner",
+                        counted("preconditioner", solver.squared_laplacian_preconditioner))
     g = grids.make_grid(2, 21, 0.5)
     f = lambda x, y: 0.15 * np.sin(2 * x) * y
     bc = ClampedBoundaryData.from_potential(g, f)
     _, rep = solver.minimize_clamped(models.area_model(2, rho_U=0.9), bc,
                                      grids.sample(g, f), grad_tol=1e-12)
-    assert rep.converged and rep.iterations >= 1
-    # the start point, then one iterate per line-search trial
+    assert rep.converged and rep.iterations >= 2
+    # the start point, then one iterate per line-search trial; one
+    # preconditioner serves every Newton step
     iterates = 1 + sum(round(-np.log2(t)) + 1 for t in rep.steps)
-    assert calls == {"op_norm": iterates, "hessian_field": iterates}
+    assert calls == {"op_norm": iterates, "hessian_field": iterates,
+                     "preconditioner": 1}
 
 
 def _flattening_model():
@@ -512,6 +544,16 @@ def test_newton_rows_equal_full_tensor_assembly_for_every_kind(dim):
                                        atol=1e-12 * np.abs(want).max())
 
 
+def tensor_chain(Tfield, g, region, unknowns, v):
+    """h^n 1_U S^T [T : S v] from hessian_field, tensor_apply and hessian_adjoint."""
+    sig = grids.hessian_field(g.with_values(v)).matrices()[region]
+    W = np.zeros(g.extents + (symmat.packed_size(g.dim),))
+    W[region] = symmat.pack(models.tensor_apply(Tfield, sig))
+    want = g.h**g.dim * grids.hessian_adjoint(W, region, g.h)
+    want[~unknowns] = 0.0
+    return want
+
+
 def test_newton_operator_matches_independent_tensor_chain():
     # the assembled operator against S^T [T : S v] built from hessian_field,
     # tensor_apply and hessian_adjoint, on a tensor field without major
@@ -530,14 +572,10 @@ def test_newton_operator_matches_independent_tensor_chain():
             2.0 * models.identity_tensor(dim)
             + 0.3 * rng.standard_normal((K,) + (dim,) * 4))
         assert np.abs(Tfield - Tfield.transpose(0, 3, 4, 1, 2)).max() > 0.1
-        op = solver.NewtonOperator(models.pack_tensor(Tfield), region, unknowns, g.h)
+        op = tensor_field_operator(Tfield, region, unknowns, g.h)
 
         v = rng.standard_normal(g.extents)
-        sig = grids.hessian_field(g.with_values(v)).matrices()[region]
-        W = np.zeros(g.extents + (symmat.packed_size(dim),))
-        W[region] = symmat.pack(models.tensor_apply(Tfield, sig))
-        want = g.h**dim * grids.hessian_adjoint(W, region, g.h)
-        want[~unknowns] = 0.0
+        want = tensor_chain(Tfield, g, region, unknowns, v)
         np.testing.assert_allclose(op.matvec(v), want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
 
@@ -550,18 +588,72 @@ def test_newton_operator_matches_independent_tensor_chain():
             assert diag[y] == op.matvec(e)[y]
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pair_built_newton_operator_equals_per_slot_builder(dim):
+    # h = 1/16 or 1/32: shared pairs give the per-(a, b) builder's bits,
+    # for the closed-form area pairs and the broadcast quadratic identity
+    rng = np.random.default_rng(61)
+    it = _area_iterate(dim, 33 if dim == 2 else 17)
+    u = it.u
+    unknowns = u.interior & u.valid
+    for model in (it.model, models.quadratic_model(dim)):
+        op = solver._Iterate(u, model).newton_operator()
+        ref = oracles.PerSlotNewtonOperator(models._d2F_packed_body(model, it.c),
+                                            it.region, unknowns, u.h)
+        for _ in range(3):
+            v = rng.standard_normal(u.extents)
+            assert np.array_equal(op.matvec(v), ref.matvec(v))
+        assert np.array_equal(op.jacobi_diagonal(), ref.jacobi_diagonal())
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pair_built_newton_operator_on_a_20_node_grid(dim):
+    # h = 1/19, not a power of two: the bound leaves room for h^n s_a s_b
+    # and h^n s_b s_a to round one ulp apart
+    rng = np.random.default_rng(62)
+    it = _area_iterate(dim, 20)
+    u = it.u
+    unknowns = u.interior & u.valid
+    op = it.newton_operator()
+    ref = oracles.PerSlotNewtonOperator(models._d2F_packed_body(it.model, it.c),
+                                        it.region, unknowns, u.h)
+    for _ in range(3):
+        v = rng.standard_normal(u.extents)
+        want = ref.matvec(v)
+        assert np.abs(op.matvec(v) - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_custom_model_without_major_symmetry_keeps_one_sided_arrays():
+    rng = np.random.default_rng(63)
+    T0 = models.symmetrize_tensor(2.0 * models.identity_tensor(3)
+                                  + 0.3 * rng.standard_normal((3,) * 4))
+    assert np.abs(T0 - T0.transpose(2, 3, 0, 1)).max() > 0.1
+    d2F = lambda M: T0 + 0.1 * np.einsum("...ij,...kl->...ijkl", M, M)
+    model = models.custom_model(3, lambda M: 0.5 * symmat.hs_inner(M, M), d2F=d2F)
+    u = _area_iterate(3, 11).u
+    it = solver._Iterate(u, model)
+    op = it.newton_operator()
+    assert len(op.terms) == 21
+    assert all(mirror is None if a == b else mirror is not None and mirror is not c
+               for a, b, c, mirror in op.terms)
+    region, unknowns = it.region, u.interior & u.valid
+    Tfield = d2F(grids.hessian_field(u).matrices()[region])
+    for _ in range(3):
+        v = rng.standard_normal(u.extents)
+        want = tensor_chain(Tfield, u, region, unknowns, v)
+        np.testing.assert_allclose(op.matvec(v), want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+
 def _area_newton_point_3d():
     """A non-trivial admissible 3D area iterate and its assembled Newton operator."""
-    g = grids.make_grid(3, 11, 0.5)
-    f = lambda x, y, z: 0.3 * (x**3 * y + x * y**3) + 0.2 * np.sin(2 * z) * x
-    u = ClampedBoundaryData.from_potential(g, f).apply(grids.sample(g, f))
-    model = models.area_model(3, rho_U=0.9)
+    it = _area_iterate(3, 11)
+    u, model = it.u, it.model
     H = grids.hessian_field(u)
     M = H.matrices()[H.valid]
     assert 0.05 < symmat.op_norm(M).max() < 0.9
     unknowns = u.interior & u.valid
-    op = solver.NewtonOperator(models.pack_tensor(models.eval_d2F(model, M)),
-                               H.valid, unknowns, u.h)
+    op = tensor_field_operator(models.eval_d2F(model, M), H.valid, unknowns, u.h)
     return u, model, unknowns, op
 
 
@@ -699,9 +791,11 @@ def test_preconditioned_cg_iterations_grow_slowly_on_area_newton_system():
     iters = {}
     for nodes in (65, 129):
         u, model, grad = _area_newton_system(grids.make_grid(2, nodes, 0.5))
+        unknowns = u.interior & u.valid
         _, iters[nodes], res = solver._newton_direction(
-            solver._Iterate(u, model), grad, cg_rtol=1e-10, cg_maxiter=10_000,
-            atol=0.0)
+            solver._Iterate(u, model), grad,
+            solver.squared_laplacian_preconditioner(unknowns, u.h),
+            cg_rtol=1e-10, cg_maxiter=10_000, atol=0.0)
         assert res <= 1e-10
     assert max(iters.values()) < 150
     assert iters[129] < 2 * iters[65]
@@ -714,9 +808,8 @@ def test_preconditioner_beats_jacobi_on_masked_l_shape():
     u, model, grad = _area_newton_system(replace(g, valid=valid))
     H = grids.hessian_field(u)
     unknowns = u.interior & u.valid
-    op = solver.NewtonOperator(
-        models.pack_tensor(models.eval_d2F(model, H.matrices()[H.valid])),
-        H.valid, unknowns, u.h)
+    op = tensor_field_operator(models.eval_d2F(model, H.matrices()[H.valid]),
+                               H.valid, unknowns, u.h)
     diag = op.jacobi_diagonal()
     iters = {}
     for name, precond in (
