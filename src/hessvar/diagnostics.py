@@ -52,7 +52,9 @@ def _check_exponent(p: float) -> None:
 
 def _component_major(f: SymMatField) -> np.ndarray:
     """The packed components as a C-contiguous ``(m,) + extents`` array, 0 off valid nodes."""
-    return np.moveaxis(np.where(f.valid[..., None], f.values, 0.0), -1, 0).copy()
+    vals = np.moveaxis(f.values, -1, 0).copy()
+    np.copyto(vals, 0.0, where=~f.valid)
+    return vals
 
 
 def _chunk_deviations(vals, w, idx, count=None, valid=None):
@@ -67,7 +69,7 @@ def _chunk_deviations(vals, w, idx, count=None, valid=None):
     alone, for a row with holes) over ``count``, and the norm adds the
     weighted squares in component storage order, as
     ``symmat.hs_norm_packed`` does.  A ball gets the same bits alone as in
-    any chunk of :func:`_ball_means` or :func:`_candidate_density`.  Hole
+    any chunk of :func:`_ball_means` or :func:`_density`.  Hole
     entries get a value too, which the caller drops.
     """
     holed = () if valid is None else np.flatnonzero(~valid.all(axis=1))
@@ -390,7 +392,7 @@ def fit_p0(f: SymMatField, center, radii, K_max: float = 10.0,
 @dataclass(frozen=True)
 class SingularMask:
     mask: np.ndarray         # bool; True = flagged singular
-    computable: np.ndarray   # bool; where the smallest balls fit
+    computable: np.ndarray   # bool; where the two smallest balls lie on valid nodes
     p0: float
     radii: tuple
     tau: float
@@ -405,79 +407,42 @@ class SingularMask:
         }
 
 
-def _ball_support(f: SymMatField, offs):
-    """``(view, computable)`` for the ball offsets ``offs`` about every node.
+def _computable(f: SymMatField, offs) -> np.ndarray:
+    """Mask of the nodes whose every ball offset in ``offs`` lands on a valid node.
 
-    A node is computable when every offset lands on a valid node, so the
-    computable nodes lie in the inner box ``[reach, N - reach)`` of each
-    axis (``reach`` the largest offset along it), which is empty on an axis
-    with fewer than ``2 reach + 1`` nodes.  ``view(off)`` is that box
-    shifted by ``off``; ``computable`` is the full-grid mask.
+    Such nodes lie in the inner box ``[reach, N - reach)`` of each axis
+    (``reach`` the largest offset along it), which is empty on an axis with
+    fewer than ``2 reach + 1`` nodes.
     """
     reach = np.abs(np.array(offs)).max(axis=0)
     inner = tuple(max(0, s - 2 * r) for s, r in zip(f.extents, reach))
-
-    def view(off):
-        return tuple(slice(r + o, r + o + k) for r, o, k in zip(reach, off, inner))
-
     ok = np.ones(inner, dtype=bool)
     for off in offs:
-        ok &= f.valid[view(off)]
+        ok &= f.valid[tuple(slice(r + o, r + o + k) for r, o, k in zip(reach, off, inner))]
     computable = np.zeros(f.extents, dtype=bool)
-    computable[view((0,) * f.dim)] = ok
-    return view, computable
+    computable[tuple(slice(r, r + k) for r, k in zip(reach, inner))] = ok
+    return computable
 
 
-def _oscillation_density(f: SymMatField, vals, radius: float, p0: float):
-    """Per-node r^{-n} integral of |f - (f)_{B_r}|^{p0}; NaN where incomputable.
+def _density(f: SymMatField, vals, radius: float, p0: float, nodes):
+    """r^{-n} integral of |f - (f)_{B_r}|^{p0} about each flat node index in ``nodes``.
 
-    ``vals`` is the field's :func:`_component_major` copy.  Both passes run
-    on offset views of the inner box of :func:`_ball_support`.  Sums run
-    over the offsets in
-    :func:`hessvar.grids.node_ball_offsets` (C) order and over the packed
-    components in storage order, as ``symmat.hs_norm_packed`` adds them.
+    ``vals`` is the field's :func:`_component_major` copy, and every node
+    must be computable (see :func:`_computable`) for the offsets of
+    :func:`hessvar.grids.node_ball_offsets`, so its ball has no holes.  The
+    nodes go through :func:`_chunk_deviations` in chunks of about
+    ``BALL_CHUNK`` node-ball pairs, and each node's mean and sum over its
+    ball are numpy's pairwise sums, so a node's density does not depend on
+    the other nodes or on the chunking.
     """
     offs = node_ball_offsets(radius, f.h, f.dim)
-    view, computable = _ball_support(f, offs)
-    core = view((0,) * f.dim)
-    ok = computable[core]
-    total = np.zeros(vals.shape[:1] + ok.shape)
-    for off in offs:
-        total += vals[(slice(None),) + view(off)]
-    avg = np.where(ok, total / len(offs), 0.0)
-    w = symmat.duplication_weights(f.dim).reshape((-1,) + (1,) * f.dim)
-    dev, term = np.empty(total.shape), np.empty(total.shape)
-    acc, norm = np.zeros(ok.shape), np.empty(ok.shape)
-    for off in offs:
-        np.subtract(vals[(slice(None),) + view(off)], avg, out=dev)
-        np.multiply(w, dev, out=term)
-        term *= dev
-        np.add.reduce(term, axis=0, out=norm)
-        np.sqrt(norm, out=norm)
-        norm **= p0
-        acc += norm
-    dens = np.full(f.extents, np.nan)
-    dens[core] = np.where(ok, f.h**f.dim * acc / radius**f.dim, np.nan)
-    return dens, computable
-
-
-def _candidate_density(f: SymMatField, vals, offs, radius: float, p0: float, cand):
-    """The density of :func:`_oscillation_density` at the flat node indices ``cand``.
-
-    ``vals`` is the field's :func:`_component_major` copy, and every node in
-    ``cand`` must be computable for the ball offsets ``offs``, so its ball
-    has no holes.  The nodes go through :func:`_chunk_deviations` in chunks
-    of about ``BALL_CHUNK`` node-ball pairs, and each node's mean and sum
-    over its ball are numpy's pairwise sums, so a density can differ from
-    the offset-order sums of :func:`_oscillation_density` by round-off.
-    """
     strides = [int(np.prod(f.extents[d + 1:])) for d in range(f.dim)]
     offsets = np.array(offs) @ strides
     w = symmat.duplication_weights(f.dim)
-    vals, acc = vals.reshape(len(w), -1), np.empty(len(cand))
+    vals, acc = vals.reshape(len(w), -1), np.empty(len(nodes))
     step = max(1, grids.BALL_CHUNK // len(offs))
-    for i in range(0, len(cand), step):
-        dev = _chunk_deviations(vals, w, cand[i:i + step, None] + offsets, len(offs))
+    for i in range(0, len(nodes), step):
+        dev = _chunk_deviations(vals, w, nodes[i:i + step, None] + offsets, len(offs))
         acc[i:i + step] = np.add.reduce(dev**p0, axis=1)
     return f.h**f.dim * acc / radius**f.dim
 
@@ -490,14 +455,12 @@ def singular_set(f: SymMatField, p0: float, radii, tau: float) -> SingularMask:
     discrete stand-in for a liminf as r -> 0).  The threshold is explicit;
     there is no default.
 
-    The smaller radius is evaluated on the whole grid.  The larger one is
-    evaluated only at the candidates, the nodes computable at both radii
-    whose smaller-radius density exceeds ``tau``: ``min(d1, d2) > tau``
-    holds exactly when both densities exceed ``tau`` (a NaN exceeds
-    nothing).  A candidate's larger-radius density sums its ball's nodes
-    pairwise rather than in offset order, so it can differ from the
-    full-grid pass by round-off, which moves the mask only where that
-    density lies within round-off of ``tau``.
+    Both densities come from :func:`_density`.  The computable nodes are
+    those whose larger ball lies on valid nodes, which holds the smaller
+    ball too.  They are screened radius by radius, smaller first, since
+    ``min(d1, d2) > tau`` holds exactly when both densities exceed ``tau``
+    (a NaN exceeds nothing): the larger radius is evaluated only at the
+    candidates, the nodes whose smaller-radius density exceeds ``tau``.
     """
     _check_exponent(p0)
     radii = sorted((float(r) for r in radii), reverse=True)
@@ -508,13 +471,12 @@ def singular_set(f: SymMatField, p0: float, radii, tau: float) -> SingularMask:
             f"smallest radius {radii[-1]:g} is under 3h = {3 * f.h:g}"
         )
     large, small = radii[-2:]
-    vals = _component_major(f)
-    d_small, computable = _oscillation_density(f, vals, small, p0)
-    offs = node_ball_offsets(large, f.h, f.dim)
-    computable &= _ball_support(f, offs)[1]
-    cand = np.flatnonzero(computable & (d_small > tau))
+    computable = _computable(f, node_ball_offsets(large, f.h, f.dim))
+    vals, cand = _component_major(f), np.flatnonzero(computable)
+    for radius in (small, large):
+        cand = cand[_density(f, vals, radius, p0, cand) > tau]
     mask = np.zeros(f.extents, dtype=bool)
-    mask.reshape(-1)[cand] = _candidate_density(f, vals, offs, large, p0, cand) > tau
+    mask.reshape(-1)[cand] = True
     return SingularMask(mask=mask, computable=computable, p0=p0,
                         radii=tuple(radii), tau=tau)
 

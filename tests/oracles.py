@@ -10,7 +10,9 @@
   :func:`hessvar.hamstat.laplace_beltrami` (on the full-matrix face
   coefficient) and :func:`hessvar.grids.difference_quotient`, bit-level
   oracles for the view-based library versions;
-- the two-full-pass singular-set detector, the oracle for the screened
+- the oscillation density from full-grid shifted copies, one per ball
+  offset, and the two-full-pass singular-set detector built on it, the
+  oracles for the chunked density and the screened
   :func:`hessvar.diagnostics.singular_set`;
 - the node-major area closed forms on full ``(..., n, n)`` matrices with
   batched ``@`` (the metric triple ``(g, B, F)`` and the first derivative
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hessvar import diagnostics, grids, models, solver, symmat
+from hessvar import grids, models, solver, symmat
 from hessvar.grids import GridError, ScalarGrid, SymMatField, TestFunctionSet
 
 
@@ -207,12 +209,44 @@ def laplace_beltrami(scalar, geom):
     return out, valid
 
 
+def integer_ball_offsets(radius, h, dim):
+    """Offsets d in C order with |d|^2 h^2 <= r^2 (1 + 1e-12), in integers."""
+    reach = int(np.floor(radius / h + 1e-12))
+    offs = []
+    for off in np.ndindex(*(2 * reach + 1,) * dim):
+        d = np.array(off) - reach
+        if (d * d).sum() * h * h <= radius * radius * (1.0 + 1e-12):
+            offs.append(tuple(int(v) for v in d))
+    return offs
+
+
+def shifted_oscillation_density(f, radius, p0):
+    """``(density, computable)`` on the whole grid from one shifted copy per ball offset.
+
+    The copies of each component stack along a trailing offsets axis, and
+    every sum over a ball is ``np.add.reduce`` along that axis (numpy's
+    pairwise sum); the weighted squares add in component storage order.
+    A node is computable when its whole ball lies on valid nodes; the
+    density is NaN elsewhere.
+    """
+    offs = integer_ball_offsets(radius, f.h, f.dim)
+    computable = np.logical_and.reduce([shifted(f.valid, off, False) for off in offs])
+    w = symmat.duplication_weights(f.dim)
+    norm2 = np.zeros(f.extents + (len(offs),))
+    for a in range(len(w)):
+        ball = np.stack([shifted(f.values[..., a], off, np.nan) for off in offs], axis=-1)
+        ball -= (np.add.reduce(ball, axis=-1) / len(offs))[..., None]
+        norm2 += w[a] * ball * ball
+    dens = f.h**f.dim * np.add.reduce(np.sqrt(norm2) ** p0, axis=-1) / radius**f.dim
+    dens[~computable] = np.nan
+    return dens, computable
+
+
 def singular_set(f, p0, radii, tau):
     """``(mask, computable)`` from both small-radius densities on the whole grid."""
     radii = sorted((float(r) for r in radii), reverse=True)
-    vals = diagnostics._component_major(f)
-    d1, c1 = diagnostics._oscillation_density(f, vals, radii[-2], p0)
-    d2, c2 = diagnostics._oscillation_density(f, vals, radii[-1], p0)
+    d1, c1 = shifted_oscillation_density(f, radii[-2], p0)
+    d2, c2 = shifted_oscillation_density(f, radii[-1], p0)
     computable = c1 & c2
     quantity = np.minimum(d1, d2)
     mask = np.zeros(f.extents, dtype=bool)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -267,8 +268,8 @@ def test_oscillations_match_fsum_reference(dim, nodes, stride, reach):
 
     r = 3 * h
     offs = grids.node_ball_offsets(r, h, dim)
-    cand = np.flatnonzero(diag._ball_support(f, offs)[1])[::2]
-    got = diag._candidate_density(f, diag._component_major(f), offs, r, p, cand)
+    cand = np.flatnonzero(diag._computable(f, offs))[::2]
+    got = diag._density(f, diag._component_major(f), r, p, cand)
     want = [math.fsum(x**p for x in _fsum_deviations(f.values[tuple((node + offs).T)], w))
             * h**dim / r**dim for node in np.transpose(np.unravel_index(cand, f.extents))]
     np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -604,38 +605,6 @@ def test_singular_set_radius_validation():
         diag.singular_set(f, 2.5, [4 * g.h, 2 * g.h], tau=1.0)
 
 
-def integer_ball_offsets(radius, h, dim):
-    """Oracle: offsets d in C order with |d|^2 h^2 <= r^2 (1 + 1e-12), in integers."""
-    reach = int(np.floor(radius / h + 1e-12))
-    offs = []
-    for off in np.ndindex(*(2 * reach + 1,) * dim):
-        d = np.array(off) - reach
-        if (d * d).sum() * h * h <= radius * radius * (1.0 + 1e-12):
-            offs.append(tuple(int(v) for v in d))
-    return offs
-
-
-def shifted_oscillation_density(f, radius, p0):
-    """Oracle: the density from three full-grid shifted copies per ball offset."""
-    offs = integer_ball_offsets(radius, f.h, f.dim)
-    count = np.zeros(f.extents)
-    total = np.zeros(f.extents + (f.values.shape[-1],))
-    for off in offs:
-        ok = oracles.shifted(f.valid, off, False)
-        count += ok
-        total += np.where(ok[..., None], oracles.shifted(f.values, off + (0,), 0.0), 0.0)
-    computable = count == len(offs)
-    avg = np.where(computable[..., None], total / np.maximum(count, 1.0)[..., None], 0.0)
-    acc = np.zeros(f.extents)
-    for off in offs:
-        dev = oracles.shifted(f.values, off + (0,), np.nan) - avg
-        normp = symmat.hs_norm_packed(np.where(computable[..., None], dev, 0.0))
-        acc += normp**p0
-    dens = f.h**f.dim * acc / radius**f.dim
-    dens[~computable] = np.nan
-    return dens, computable
-
-
 def _density_field(dim, nodes):
     """A jump plus noise, NaN in a hole block and at scattered invalid nodes."""
     rng = np.random.default_rng(90 + dim)
@@ -656,59 +625,95 @@ def test_oscillation_density_equals_shifted_copy_oracle(dim, nodes, reaches):
     f = _density_field(dim, nodes)
     vals = diag._component_major(f)
     for k in reaches:
+        comp = diag._computable(f, grids.node_ball_offsets(k * f.h, f.h, dim))
+        nodes_in = np.flatnonzero(comp)
         for p0 in (2.5, 4.0):
-            dens, comp = diag._oscillation_density(f, vals, k * f.h, p0)
-            want, want_comp = shifted_oscillation_density(f, k * f.h, p0)
+            dens = diag._density(f, vals, k * f.h, p0, nodes_in)
+            want, want_comp = oracles.shifted_oscillation_density(f, k * f.h, p0)
             assert np.array_equal(comp, want_comp), (k, p0)
             assert 0 < comp.sum() < (nodes - 2 * k) ** dim  # holes cost nodes
-            assert np.array_equal(dens[comp], want[comp]), (k, p0)
-            assert np.isnan(dens[~comp]).all()
+            assert np.array_equal(dens, want.reshape(-1)[nodes_in]), (k, p0)
+            assert np.isnan(want[~comp]).all()
 
 
 @pytest.mark.parametrize("dim, nodes", [(2, 41), (3, 19)], ids=["2d", "3d"])
-def test_singular_set_equals_two_pass_oracle(dim, nodes):
+def test_singular_set_equals_two_pass_oracle(dim, nodes, monkeypatch):
     f = _density_field(dim, nodes)
     h = f.h
     radii = [8 * h, 4 * h, 3 * h]           # the two smallest count
-    vals = diag._component_major(f)
     for p0 in (2.5, 4.0):
-        dens = [diag._oscillation_density(f, vals, r, p0)[0] for r in radii[1:]]
+        dens = [oracles.shifted_oscillation_density(f, r, p0)[0] for r in radii[1:]]
         top = max(np.nanmax(d) for d in dens)
         mid = float(np.nanmedian(dens[1]))
         for tau in (0.0, mid, 2.0 * top):
             want_mask, want_comp = oracles.singular_set(f, p0, radii, tau)
-            got = diag.singular_set(f, p0, radii, tau)
-            assert np.array_equal(got.computable, want_comp), (p0, tau)
-            assert np.array_equal(got.mask, want_mask), (p0, tau)
+            # a node's densities keep their bits at any chunk size
+            for chunk in (grids.BALL_CHUNK, 7):
+                with monkeypatch.context() as m:
+                    m.setattr(grids, "BALL_CHUNK", chunk)
+                    got = diag.singular_set(f, p0, radii, tau)
+                assert np.array_equal(got.computable, want_comp), (p0, tau, chunk)
+                assert np.array_equal(got.mask, want_mask), (p0, tau, chunk)
         # tau = 0 flags every computable node, the middle tau some of them
         assert np.array_equal(diag.singular_set(f, p0, radii, 0.0).mask, want_comp)
         assert 0 < diag.singular_set(f, p0, radii, mid).mask.sum() < want_comp.sum()
 
 
 def test_singular_set_evaluates_the_larger_radius_at_candidates_only(monkeypatch):
-    pairs = []
+    pairs = {}                              # node-ball pairs per ball size
     chunk_deviations = diag._chunk_deviations
 
     def counting(vals, w, idx, count, valid=None):
-        pairs.append(idx.size)
+        pairs[idx.shape[1]] = pairs.get(idx.shape[1], 0) + idx.size
         return chunk_deviations(vals, w, idx, count, valid)
 
     monkeypatch.setattr(diag, "_chunk_deviations", counting)
     g = grids.make_grid(2, 65, 1.0)
     f = jump_field(g, np.eye(2))
     h, p0 = g.h, 2.5
-    vals = diag._component_major(f)
-    small, c_small = diag._oscillation_density(f, vals, 3 * h, p0)
-    c_large = diag._oscillation_density(f, vals, 4 * h, p0)[1]
+    small, c_small = oracles.shifted_oscillation_density(f, 3 * h, p0)
+    c_large = oracles.shifted_oscillation_density(f, 4 * h, p0)[1]
     computable = c_small & c_large
+    k_small, k_large = (len(grids.node_ball_offsets(r, h, 2)) for r in (3 * h, 4 * h))
     res = diag.singular_set(f, p0, [4 * h, 3 * h], tau=1.01 * small[computable].max())
-    assert pairs == [] and not res.mask.any() and res.computable.sum() > 0
+    assert np.array_equal(res.computable, computable) and not res.mask.any()
+    assert pairs == {k_small: computable.sum() * k_small}
     tau = 0.5 * np.pi
     candidates = int((computable & (small > tau)).sum())
     assert 0 < candidates < computable.sum()
+    pairs.clear()
     res = diag.singular_set(f, p0, [4 * h, 3 * h], tau)
-    assert sum(pairs) == candidates * len(grids.node_ball_offsets(4 * h, h, 2))
+    assert pairs == {k_small: computable.sum() * k_small, k_large: candidates * k_large}
     assert 0 < res.mask.sum() <= candidates
+
+
+def test_singular_set_peak_memory_is_within_three_field_copies():
+    # the component-major copy, the computable mask and the screened node lists
+    g = grids.make_grid(2, 257, 1.0)
+    f = jump_field(g, np.eye(2))
+    h = g.h
+    tracemalloc.start()
+    try:
+        mask = diag.singular_set(f, 2.5, [8 * h, 4 * h, 3 * h], tau=0.5 * np.pi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.mask.any()
+    assert peak <= 3 * f.values.nbytes, peak / f.values.nbytes
+
+
+@pytest.mark.parametrize("dim, nodes", [(2, 129), (3, 33)], ids=["2d", "3d"])
+def test_component_major_copy_is_the_only_full_size_allocation(dim, nodes):
+    f = _density_field(dim, nodes)          # NaN at the invalid nodes
+    tracemalloc.start()
+    try:
+        vals = diag._component_major(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = np.moveaxis(np.where(f.valid[..., None], f.values, 0.0), -1, 0)
+    assert vals.flags.c_contiguous and np.array_equal(vals, want)
+    assert peak <= 1.1 * f.values.nbytes, peak / f.values.nbytes
 
 
 @pytest.mark.parametrize("p", [0.5, np.nan, np.inf], ids=["below-one", "nan", "inf"])
