@@ -22,7 +22,6 @@ from .grids import (
 )
 from .models import (
     EnergyModel,
-    Tensor4,
     area_model,
     custom_model,
     ellipticity_constant,

@@ -278,9 +278,10 @@ def convexity_certificate(eta: float, n: int, sample_count: int,
     """Sample the admissible ball and measure volume-integrand convexity.
 
     Eigenvalues are drawn uniformly from [-(1-eta), 1-eta] and frames Haar
-    rotated; the full second-derivative form of the area model is
-    eigen-decomposed per sample.  The diagonal-direction bound is checked
-    exactly through :func:`closed_form_dV` on the drawn eigenvalues.
+    rotated; the packed second-derivative form of the area model is
+    eigen-decomposed per sample (:func:`models.packed_min_eig`).  The
+    diagonal-direction bound is checked exactly through
+    :func:`closed_form_dV` on the drawn eigenvalues.
     """
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta must lie in (0, 1), got {eta}")
@@ -293,8 +294,8 @@ def convexity_certificate(eta: float, n: int, sample_count: int,
     lam = rng.uniform(-radius, radius, size=(sample_count, n))
     Q = symmat.haar_rotations(rng, sample_count, n)
     M = np.einsum("bij,bj,bkj->bik", Q, lam, Q)
-    area = models.area_model(n)
-    min_eig = float(models.tensor_min_eig(models.eval_d2F(area, M)).min())
+    min_eig = float(models.packed_min_eig(
+        models._area_d2F_packed(symmat.components(M))).min())
 
     dv = closed_form_dV(lam)
     pointwise = (1.0 - lam * lam) / (1.0 + lam * lam) ** 2

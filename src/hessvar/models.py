@@ -8,13 +8,17 @@ together with its first derivative (a symmetric matrix) and second derivative
 Derivative convention: off-diagonal entries M_ij and M_ji are one variable.
 ``eval_dF`` returns the symmetric matrix G with ``<G, sigma> = d/dt F(M + t
 sigma)`` for every symmetric ``sigma`` (Hilbert-Schmidt pairing with the full
-index sum), and ``eval_d2F`` returns the tensor T with ``T^{ij,kl} sigma_ij
-sigma_kl = d^2/dt^2 F(M + t sigma)``.  All contractions in the package use
-this single convention.  The solver takes the second derivative packed,
-``P[a, b] = T^{ij,kl}`` with a = (k, l) and b = (i, j) packed slots
-(:func:`pack_tensor`), pair by pair: one item per a <= b, which stands for
-(b, a) too where P is major-symmetric (:func:`tensor_pairs`).  The area
-closed form yields its pairs one at a time; ``eval_d2F`` unpacks them.
+index sum), and the second derivative is the tensor T with ``T^{ij,kl}
+sigma_ij sigma_kl = d^2/dt^2 F(M + t sigma)``.  All contractions in the
+package use this single convention.  Inside the package T exists only
+packed, ``P[a, b] = T^{ij,kl}`` with a = (k, l) and b = (i, j) packed slots,
+an (m, m, ...) array (:func:`pack_tensor`): the ellipticity estimate
+(:func:`packed_min_eig`), the linearized coefficients and the solver read
+it.  The solver takes it pair by pair, one item per a <= b, which stands
+for (b, a) too where P is major-symmetric (:func:`tensor_pairs`); the area
+closed form yields its pairs one at a time.  ``eval_d2F`` is the full-tensor
+adapter (:func:`unpack_tensor`), and a custom ``d2F`` callback's full tensor
+is packed once.
 
 The integrand kernels take and return packed components (see
 :mod:`hessvar.symmat`), as the solver holds its Hessians; ``eval_*`` and
@@ -23,7 +27,8 @@ The integrand kernels take and return packed components (see
 
 Built-in kinds:
 
-* ``quadratic``  F(M) = |M|^2 / 2, derivative M, constant identity tensor.
+* ``quadratic``  F(M) = |M|^2 / 2, derivative M, constant identity form
+  (:func:`packed_identity`).
 * ``area``       F(M) = sqrt(det(I + M^2)), the volume integrand of the
   gradient graph ``x -> (x, Du)``.  With the metric g = I + M^2, B = g^-1
   and A = B M, the derivatives are G = F A and
@@ -59,28 +64,6 @@ class ModelError(ValueError):
 
 # ---------------------------------------------------------------- tensors
 
-def identity_tensor(n: int) -> np.ndarray:
-    """T with <T sigma, sigma> = |sigma|^2 on symmetric matrices."""
-    I = np.eye(n)
-    return 0.5 * (np.einsum("ik,jl->ijkl", I, I) + np.einsum("il,jk->ijkl", I, I))
-
-
-def symmetrize_tensor(T: np.ndarray) -> np.ndarray:
-    """Enforce T^{ij,kl} = T^{ji,kl} = T^{ij,lk} on the trailing 4 axes."""
-    T = 0.5 * (T + np.swapaxes(T, -4, -3))
-    return 0.5 * (T + np.swapaxes(T, -2, -1))
-
-
-def tensor_apply(T: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """(T sigma)_kl = T^{ij,kl} sigma_ij (full index sum)."""
-    return np.einsum("...ijkl,...ij->...kl", T, sigma)
-
-
-def tensor_pair(T: np.ndarray, sigma: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """T^{ij,kl} sigma_ij tau_kl (full index sum)."""
-    return np.einsum("...ijkl,...ij,...kl->...", T, sigma, tau)
-
-
 def pack_tensor(T: np.ndarray) -> np.ndarray:
     """Component-major packed copy P (m, m, ...) of a (..., n, n, n, n) tensor.
 
@@ -112,62 +95,24 @@ def unpack_tensor(P: np.ndarray) -> np.ndarray:
     return np.moveaxis(P[S, S[:, :, None, None]], (0, 1, 2, 3), (-4, -3, -2, -1)).copy()
 
 
-def _orthonormal_sym_basis(n: int) -> np.ndarray:
-    """(m, n, n) orthonormal basis of symmetric matrices (HS inner product)."""
-    return symmat.matrices(np.diag(1.0 / np.sqrt(symmat.duplication_weights(n))))
+def packed_identity(n: int) -> np.ndarray:
+    """Packed (m, m) form sigma -> |sigma|^2: diag(1 / dup), dup the duplication
+    weights."""
+    return np.diag(1.0 / symmat.duplication_weights(n))
 
 
-def tensor_form_matrix(T: np.ndarray) -> np.ndarray:
-    """The (..., m, m) matrix of the quadratic form in an orthonormal basis."""
-    n = T.shape[-1]
-    B = _orthonormal_sym_basis(n)
-    G = np.einsum("...ijkl,aij,bkl->...ab", T, B, B)
-    return 0.5 * (G + np.swapaxes(G, -1, -2))
+def packed_min_eig(P: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the form sigma -> <T sigma, sigma> over |sigma| = 1,
+    for each packed P (m, m, ...).
 
-
-def tensor_min_eig(T: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the form sigma -> <T sigma, sigma> over |sigma| = 1."""
-    return np.linalg.eigvalsh(tensor_form_matrix(T))[..., 0]
-
-
-@dataclass(frozen=True)
-class Tensor4:
-    """A fourth-order coefficient tensor with double-divergence symmetries."""
-
-    entries: np.ndarray  # (n, n, n, n)
-
-    def __post_init__(self):
-        E = np.asarray(self.entries, dtype=float)
-        if E.ndim != 4 or len(set(E.shape)) != 1:
-            raise ModelError(f"tensor must be (n,n,n,n), got shape {E.shape}")
-        if not np.all(np.isfinite(E)):
-            raise ModelError("tensor entries must be finite")
-        dev = max(
-            np.abs(E - np.swapaxes(E, 0, 1)).max(),
-            np.abs(E - np.swapaxes(E, 2, 3)).max(),
-        )
-        if dev > 1e-10 * max(1.0, np.abs(E).max()):
-            raise ModelError(f"tensor violates pair symmetries (dev {dev:g})")
-        E = symmetrize_tensor(E)
-        E.flags.writeable = False
-        object.__setattr__(self, "entries", E)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def apply(self, sigma: np.ndarray) -> np.ndarray:
-        return tensor_apply(self.entries, sigma)
-
-    def pair(self, sigma: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        return tensor_pair(self.entries, sigma, tau)
-
-    def min_eigenvalue(self) -> float:
-        return float(tensor_min_eig(self.entries))
-
-    @staticmethod
-    def identity(n: int) -> "Tensor4":
-        return Tensor4(identity_tensor(n))
+    In the coordinates sqrt(dup_a) sigma_a, orthonormal for the Hilbert-Schmidt
+    product, the form's matrix is the symmetric part of D^1/2 P D^1/2, D the
+    duplication weights; :func:`packed_identity` gives exactly I.
+    """
+    w = symmat.duplication_weights(symmat.dim_from_packed(len(P)))
+    s = np.sqrt(np.outer(w, w))
+    G = np.moveaxis(s.reshape(s.shape + (1,) * (P.ndim - 2)) * P, (0, 1), (-2, -1))
+    return np.linalg.eigvalsh(0.5 * (G + np.swapaxes(G, -1, -2)))[..., 0]
 
 
 # ---------------------------------------------------------------- models
@@ -277,8 +222,9 @@ def _fd_dF(F, M: np.ndarray, step: float) -> list:
 
 
 def _fd_d2F(dF, M: np.ndarray, step: float) -> np.ndarray:
-    T = symmat.matrices(_fd_dF(dF, M, step))
-    return symmetrize_tensor(0.5 * (T + np.swapaxes(np.swapaxes(T, -4, -2), -3, -1)))
+    """Packed P (m, m, ...) from finite differences of dF, major-symmetrized."""
+    D = np.array([symmat.components(col) for col in _fd_dF(dF, M, step)])
+    return 0.5 * (D + np.swapaxes(D, 0, 1))
 
 
 # ---- area closed forms, on packed components (see :mod:`hessvar.symmat`)
@@ -384,31 +330,25 @@ def _dF_body(model: EnergyModel, c):
     return _fd_dF(model._F, M, model.fd_step)
 
 
-def _d2F_body(model: EnergyModel, c) -> np.ndarray:
-    if model.kind == "quadratic":
-        T = identity_tensor(model.n)
-        return np.broadcast_to(T, np.shape(c[0]) + T.shape).copy()
-    if model.kind == "area":
-        return unpack_tensor(_area_d2F_packed(c))
-    M = symmat.matrices(c)
-    if model._d2F is not None:
-        return np.asarray(model._d2F(M), dtype=float)
-    dF = model._dF if model._dF is not None else (
-        lambda X: symmat.matrices(_fd_dF(model._F, X, model.fd_step)))
-    return _fd_d2F(dF, M, model.fd_step)
-
-
 def _d2F_packed_body(model: EnergyModel, c) -> np.ndarray:
     """The second derivative packed as by :func:`pack_tensor`, shape (m, m, ...).
 
-    The quadratic integrand gets a read-only broadcast view of the packed
-    identity; the other kinds pack the full tensor.
+    The quadratic integrand gets a read-only broadcast view of
+    :func:`packed_identity`; a custom ``d2F`` callback's full tensor is packed
+    once, and without one the derivative is a finite difference of dF.
     """
     if model.kind == "quadratic":
-        P = pack_tensor(identity_tensor(model.n))
+        P = packed_identity(model.n)
         shape = np.shape(c[0])
         return np.broadcast_to(P.reshape(P.shape + (1,) * len(shape)), P.shape + shape)
-    return pack_tensor(_d2F_body(model, c))
+    if model.kind == "area":
+        return _area_d2F_packed(c)
+    M = symmat.matrices(c)
+    if model._d2F is not None:
+        return pack_tensor(np.asarray(model._d2F(M), dtype=float))
+    dF = model._dF if model._dF is not None else (
+        lambda X: symmat.matrices(_fd_dF(model._F, X, model.fd_step)))
+    return _fd_d2F(dF, M, model.fd_step)
 
 
 def _d2F_pairs(model: EnergyModel, c):
@@ -434,10 +374,11 @@ def eval_dF(model: EnergyModel, M: np.ndarray) -> np.ndarray:
 
 
 def eval_d2F(model: EnergyModel, M: np.ndarray) -> np.ndarray:
-    """Second derivative tensor (..., n, n, n, n) with full symmetries."""
+    """Second derivative tensor (..., n, n, n, n) with the minor symmetries:
+    the full-tensor adapter, unpacking the packed body."""
     M = np.asarray(M, dtype=float)
     require_admissible(model, M)
-    return _d2F_body(model, symmat.components(M))
+    return unpack_tensor(_d2F_packed_body(model, symmat.components(M)))
 
 
 # ---------------------------------------------------------------- ellipticity
@@ -475,7 +416,7 @@ def ellipticity_constant(
     radius = model.rho_U if np.isfinite(model.rho_U) else 1.0
     xi = symmat.random_sym_opnorm_ball(rng, sample_count, n, radius * (1.0 - 1e-12))
     xi = np.concatenate([np.zeros((1, n, n)), xi], axis=0)
-    eigs = tensor_min_eig(eval_d2F(model, xi))
+    eigs = packed_min_eig(_d2F_packed_body(model, symmat.components(xi)))
     k = int(np.argmin(eigs))
     value = float(eigs[k])
     return EllipticityEstimate(
@@ -508,11 +449,14 @@ def _require_segment(model_rho: float, M: np.ndarray, M_shift: np.ndarray) -> No
 def linearized_coefficients(
     model: EnergyModel, M: np.ndarray, M_shift: np.ndarray, quad_nodes: int = 8
 ) -> np.ndarray:
-    """Average of the second-derivative tensor along the segment [M, M_shift].
+    """Average of the second derivative along the segment [M, M_shift], packed.
 
     Gauss-Legendre quadrature in the segment parameter; this is the leading
     coefficient of the equation satisfied by a difference quotient of a
-    critical point, with M and M_shift the Hessians at the two sample points.
+    critical point, with M and M_shift the (..., n, n) Hessians at the two
+    sample points.  Returns P (m, m, ...) of :func:`pack_tensor`, symmetrized
+    as (P + P^T) / 2 over the slot axes.  The operator norm is convex, so the
+    segment lies in U when both ends do.
     """
     M = np.asarray(M, dtype=float)
     M_shift = np.asarray(M_shift, dtype=float)
@@ -520,9 +464,9 @@ def linearized_coefficients(
     t, w = _gauss_legendre_01(quad_nodes)
     out = None
     for tq, wq in zip(t, w):
-        term = wq * eval_d2F(model, M + tq * (M_shift - M))
+        term = wq * _d2F_packed_body(model, symmat.components(M + tq * (M_shift - M)))
         out = term if out is None else out + term
-    return symmetrize_tensor(out)
+    return 0.5 * (out + np.swapaxes(out, 0, 1))
 
 
 # ---------------------------------------------------------------- tables

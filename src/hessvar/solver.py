@@ -180,7 +180,7 @@ class NewtonOperator:
     it), given as the packed pairs of :func:`models.tensor_pairs`: items
     ``(a, b, T_ab, mirror)`` with a <= b in lexicographic order, where
     ``T_ab = T^{ij,kl}`` over the K region nodes pairs input slot b = (i, j)
-    of S v with output slot a = (k, l), as in :func:`models.tensor_apply`,
+    of S v with output slot a = (k, l), as in :func:`models.pack_tensor`,
     and ``mirror`` is ``T_ba``, or None when T_ba = T_ab.  Each slot's
     stencil is kept as flat C-order offsets of weight +-1 (the centre weight
     -2 as two -1 entries); h^n dup[a] dup[b] and both slots' stencil scales
@@ -563,20 +563,25 @@ def linearized_residual(f: ScalarGrid, b_field: np.ndarray,
                         b_valid: np.ndarray | None = None) -> np.ndarray:
     """Per test: h^n sum_x b^{ij,kl}(x) f_ij eta_kl.
 
-    ``b_field`` has shape ``extents + (n, n, n, n)`` and must be sampled on
-    the same lattice as ``f``; the sum runs over nodes where both the Hessian
-    of ``f`` and ``b`` are valid.
+    ``b_field`` is the packed coefficient ``b[a, b] = b^{ij,kl}`` of
+    :func:`models.pack_tensor` (a = (k, l), b = (i, j)) per node, shape
+    ``(m, m) + f.extents``, sampled on the same lattice as ``f``; the sum
+    runs over nodes where both the Hessian of ``f`` and ``b`` are valid.
     """
-    if b_field.shape[: f.dim] != f.extents:
-        raise GridError("coefficient field extents do not match the grid")
+    m = symmat.packed_size(f.dim)
+    b_field = np.asarray(b_field, dtype=float)
+    if b_field.shape != (m, m) + f.extents:
+        raise GridError(f"coefficient field has shape {b_field.shape}, "
+                        f"expected {(m, m) + f.extents}")
     H = hessian_field(f)
     region = H.valid if b_valid is None else (H.valid & b_valid)
     if not region.any():
         raise GridError("no common valid region between f and the coefficients")
-    Bf = models.tensor_apply(b_field[region], H.matrices()[region])
-    # only the symmetric part of Bf pairs with the symmetric D^2 eta
-    return _pair_with_tests(symmat.components(0.5 * (Bf + np.swapaxes(Bf, -1, -2))),
-                            region, f.h, tests)
+    w = symmat.duplication_weights(f.dim)
+    c = [w[b] * H.values[..., b][region] for b in range(m)]
+    # (b f)_kl = b^{ij,kl} f_ij, packed by its output slot (k, l)
+    return _pair_with_tests([sum(b_field[a, b][region] * c[b] for b in range(m))
+                             for a in range(m)], region, f.h, tests)
 
 
 # -------------------------------------------------------------- linear BVP
@@ -588,13 +593,19 @@ def solve_constant_coeff_bvp(
     """Clamped solve of the constant-coefficient double-divergence equation.
 
     Minimizes the quadratic energy (1/2) h^n sum <c0 D^2 w, D^2 w> subject to
-    the two prescribed rings; the normal equations are SPD when ``c0`` passes
-    the Legendre positivity check, and are solved by conjugate gradients.
+    the two prescribed rings.  ``c0`` is the packed (m, m) coefficient of
+    :func:`models.pack_tensor` for ``grid.dim`` (``models.packed_identity``
+    for the bi-Laplacian), symmetrized as (c0 + c0^T) / 2; the normal
+    equations are SPD when it passes the Legendre positivity check
+    (:func:`models.packed_min_eig`), and are solved by conjugate gradients.
     """
-    T0 = c0.entries if isinstance(c0, models.Tensor4) else models.symmetrize_tensor(
-        np.asarray(c0, dtype=float)
-    )
-    lam_min = float(models.tensor_min_eig(T0))
+    m = symmat.packed_size(grid.dim)
+    P0 = np.asarray(c0, dtype=float)
+    if P0.shape != (m, m) or not np.all(np.isfinite(P0)):
+        raise models.ModelError(f"coefficient must be a finite packed ({m}, {m}) "
+                                f"array in dimension {grid.dim}, got shape {P0.shape}")
+    P0 = 0.5 * (P0 + P0.T)
+    lam_min = float(models.packed_min_eig(P0))
     if lam_min <= 0.0:
         raise models.ModelError(
             f"coefficient tensor fails the Legendre check (min eigenvalue "
@@ -603,7 +614,6 @@ def solve_constant_coeff_bvp(
     u0 = bc.apply(grid)
     region = hessian_field(u0).valid
     unknowns = u0.interior & u0.valid
-    P0 = models.pack_tensor(T0)
     P = np.broadcast_to(P0[..., None], P0.shape + (int(region.sum()),))
     op = NewtonOperator(models.tensor_pairs(P), region, unknowns, u0.h)
     grad = op.matvec(np.array(u0.values))

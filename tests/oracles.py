@@ -1,5 +1,11 @@
 """Reference implementations that only the tests use.
 
+- the full (..., n, n, n, n) tensor family of the second derivative: the
+  identity tensor, the minor symmetrization, the contractions with one and
+  two matrices, the least eigenvalue of the form in an orthonormal basis of
+  symmetric matrices, and the second derivative of every model kind built
+  as a full tensor, oracles for the packed ``(m, m, ...)`` arrays of
+  :mod:`hessvar.models`;
 - full-grid shifted copies and the nodal hat test functions;
 - the double-divergence family: a coefficient model, its linearization
   along a segment, its weak residual, a constant-tensor model and the
@@ -29,6 +35,60 @@ import numpy as np
 
 from hessvar import grids, models, solver, symmat
 from hessvar.grids import GridError, ScalarGrid, SymMatField, TestFunctionSet
+
+
+def identity_tensor(n):
+    """T with <T sigma, sigma> = |sigma|^2 on symmetric matrices."""
+    I = np.eye(n)
+    return 0.5 * (np.einsum("ik,jl->ijkl", I, I) + np.einsum("il,jk->ijkl", I, I))
+
+
+def symmetrize_tensor(T):
+    """Enforce T^{ij,kl} = T^{ji,kl} = T^{ij,lk} on the trailing 4 axes."""
+    T = 0.5 * (T + np.swapaxes(T, -4, -3))
+    return 0.5 * (T + np.swapaxes(T, -2, -1))
+
+
+def tensor_apply(T, sigma):
+    """(T sigma)_kl = T^{ij,kl} sigma_ij (full index sum)."""
+    return np.einsum("...ijkl,...ij->...kl", T, sigma)
+
+
+def tensor_pair(T, sigma, tau):
+    """T^{ij,kl} sigma_ij tau_kl (full index sum)."""
+    return np.einsum("...ijkl,...ij,...kl->...", T, sigma, tau)
+
+
+def orthonormal_sym_basis(n):
+    """(m, n, n) orthonormal basis of symmetric matrices (HS inner product)."""
+    return symmat.matrices(np.diag(1.0 / np.sqrt(symmat.duplication_weights(n))))
+
+
+def tensor_min_eig(T):
+    """Smallest eigenvalue of the form sigma -> <T sigma, sigma> over |sigma| = 1,
+    from its matrix in :func:`orthonormal_sym_basis`."""
+    B = orthonormal_sym_basis(T.shape[-1])
+    G = np.einsum("...ijkl,aij,bkl->...ab", T, B, B)
+    return np.linalg.eigvalsh(0.5 * (G + np.swapaxes(G, -1, -2)))[..., 0]
+
+
+def full_d2F(model, c):
+    """The second derivative at packed components c as a full (..., n, n, n, n)
+    tensor: the identity tensor, the unpacked area closed form, a custom
+    callback's tensor, or the finite difference of dF with both the major and
+    the minor symmetries enforced."""
+    if model.kind == "quadratic":
+        T = identity_tensor(model.n)
+        return np.broadcast_to(T, np.shape(c[0]) + T.shape).copy()
+    if model.kind == "area":
+        return models.unpack_tensor(models._area_d2F_packed(c))
+    M = symmat.matrices(c)
+    if model._d2F is not None:
+        return np.asarray(model._d2F(M), dtype=float)
+    dF = model._dF if model._dF is not None else (
+        lambda X: symmat.matrices(models._fd_dF(model._F, X, model.fd_step)))
+    T = symmat.matrices(models._fd_dF(dF, M, model.fd_step))
+    return symmetrize_tensor(0.5 * (T + np.swapaxes(np.swapaxes(T, -4, -2), -3, -1)))
 
 
 def shifted(a, off, fill):
@@ -64,7 +124,7 @@ class DoubleDivergenceModel:
     name: str = "custom"
 
     def __call__(self, M):
-        return models.symmetrize_tensor(np.asarray(self.coeff(np.asarray(M, dtype=float))))
+        return symmetrize_tensor(np.asarray(self.coeff(np.asarray(M, dtype=float))))
 
 
 def linearized_coefficients_dd(model, M, M_shift, quad_nodes=8):
@@ -99,7 +159,7 @@ def linearized_coefficients_dd(model, M, M_shift, quad_nodes=8):
             if i != j:
                 term[..., j, i, :, :] += contrib
         out = wq * term if out is None else out + wq * term
-    return models.symmetrize_tensor(out)
+    return symmetrize_tensor(out)
 
 
 def dd_weak_residual(u, model, tests):
@@ -107,7 +167,7 @@ def dd_weak_residual(u, model, tests):
     H = grids.hessian_field(u)
     region = H.valid
     M = H.matrices()[region]
-    AM = models.tensor_apply(model(M), M)   # a^{ij,kl} u_ij as a matrix in (k,l)
+    AM = tensor_apply(model(M), M)   # a^{ij,kl} u_ij as a matrix in (k,l)
     sym = symmat.components(0.5 * (AM + np.swapaxes(AM, -1, -2)))
     return solver._pair_with_tests(sym, region, u.h, tests)
 
@@ -126,9 +186,7 @@ def hamstat_dd_model(n):
 
 def constant_dd_model(n, tensor, name="constant"):
     """Double-divergence model whose coefficient is the constant ``tensor``."""
-    T = tensor.entries if isinstance(tensor, models.Tensor4) else models.symmetrize_tensor(
-        np.asarray(tensor, dtype=float)
-    )
+    T = symmetrize_tensor(np.asarray(tensor, dtype=float))
 
     def coeff(M):
         return np.broadcast_to(T, M.shape[:-2] + T.shape).copy()

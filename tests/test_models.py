@@ -4,7 +4,6 @@ import pytest
 from hessvar import models, symmat
 from hessvar.models import (
     AdmissibilityError,
-    Tensor4,
     area_model,
     custom_model,
     ellipticity_constant,
@@ -80,7 +79,7 @@ def test_area_second_derivative_diagonal_closed_form():
     E = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     for i in range(2):
         for j in range(2):
-            got = models.tensor_pair(T, E[i], E[j])
+            got = oracles.tensor_pair(T, E[i], E[j])
             want = V / (1 + lams[i] ** 2) ** 2 if i == j else V * e[i] * e[j]
             np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13)
 
@@ -218,12 +217,17 @@ def test_packed_body_matches_full_body_for_every_kind(n):
     M = random_sym(rng, 40, n, scale=0.4)
     bumpy = lambda X: (0.5 * symmat.hs_inner(X, X)
                        + 0.1 * np.exp(0.3 * np.einsum("...ii->...", X)))
-    for model in (quadratic_model(n), area_model(n), custom_model(n, bumpy)):
+    # a dF whose values are symmetric bit for bit, as the full oracle's
+    # minor symmetrization then changes no bit
+    bumpy_dF = lambda X: X + 0.03 * np.exp(0.3 * np.einsum("...ii->...", X))[
+        ..., None, None] * np.eye(n)
+    for model in (quadratic_model(n), area_model(n), custom_model(n, bumpy),
+                  custom_model(n, bumpy, bumpy_dF)):
         c = symmat.components(M)
         P = models._d2F_packed_body(model, c)
-        assert np.array_equal(P, models.pack_tensor(models._d2F_body(model, c)))
+        assert np.array_equal(P, models.pack_tensor(oracles.full_d2F(model, c)))
     # pack/unpack keep a field without major symmetry
-    T = models.symmetrize_tensor(rng.standard_normal((5,) + (n,) * 4))
+    T = oracles.symmetrize_tensor(rng.standard_normal((5,) + (n,) * 4))
     assert np.abs(T - T.transpose(0, 3, 4, 1, 2)).max() > 0.1
     assert np.array_equal(models.unpack_tensor(models.pack_tensor(T)), T)
 
@@ -259,7 +263,7 @@ def test_second_derivative_matches_fd_of_gradient(n):
         sigma = random_sym(rng, 20, n)
         tau = random_sym(rng, 20, n)
         T = eval_d2F(model, M)
-        got = models.tensor_pair(T, sigma, tau)
+        got = oracles.tensor_pair(T, sigma, tau)
         dGd = fd_directional(lambda X: eval_dF(model, X), M, tau, eps=1e-5)
         want = symmat.hs_inner(dGd, sigma)
         np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-8)
@@ -273,8 +277,8 @@ def test_second_derivative_is_symmetric_bilinear_form():
         sigma = random_sym(rng, 25, n)
         tau = random_sym(rng, 25, n)
         T = eval_d2F(m, M)
-        a = models.tensor_pair(T, sigma, tau)
-        b = models.tensor_pair(T, tau, sigma)
+        a = oracles.tensor_pair(T, sigma, tau)
+        b = oracles.tensor_pair(T, tau, sigma)
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
 
@@ -299,22 +303,39 @@ def test_quadratic_second_derivative_is_identity_form():
     m = quadratic_model(3)
     sigma = random_sym(rng, 20, 3)
     T = eval_d2F(m, np.zeros((20, 3, 3)))
-    got = models.tensor_pair(T, sigma, sigma)
+    got = oracles.tensor_pair(T, sigma, sigma)
     np.testing.assert_allclose(got, symmat.hs_inner(sigma, sigma), rtol=1e-13)
 
 
 # ------------------------------------------------------------- ellipticity
 
 def test_ellipticity_quadratic_is_one():
+    # the packed identity is exactly I in orthonormal coordinates
     est = ellipticity_constant(quadratic_model(2), 50, seed=1)
     assert est.convex
-    assert est.value == pytest.approx(1.0, abs=1e-12)
+    assert est.value == 1.0
 
 
 def test_area_form_minimum_at_zero_matrix():
     # at M = 0 the second-derivative form is the identity: min eigenvalue 1
-    T = eval_d2F(area_model(2), np.zeros((2, 2)))
-    assert models.tensor_min_eig(T) == pytest.approx(1.0, abs=1e-12)
+    P = models.pack_tensor(eval_d2F(area_model(2), np.zeros((2, 2))))
+    assert np.array_equal(P, models.packed_identity(2))
+    assert models.packed_min_eig(P) == 1.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_packed_min_eig_matches_full_tensor_oracle(n):
+    # relative to each tensor's largest entry: eigvalsh errs by a few ulps
+    # of the form's norm, not of its least eigenvalue
+    rng = np.random.default_rng(41)
+    M = symmat.random_sym_opnorm_ball(rng, 500, n, 0.9)
+    c = symmat.components(M)
+    for model in (area_model(n, rho_U=0.95), quadratic_model(n)):
+        got = models.packed_min_eig(models._d2F_packed_body(model, c))
+        T = oracles.full_d2F(model, c)
+        assert got.shape == (500,)
+        scale = np.abs(T).max(axis=(-4, -3, -2, -1))
+        assert np.all(np.abs(got - oracles.tensor_min_eig(T)) <= 2e-15 * scale)
 
 
 def test_area_ellipticity_sampled_vs_diagonal_sweep():
@@ -330,7 +351,7 @@ def test_area_ellipticity_sampled_vs_diagonal_sweep():
     lams = np.linspace(-rho, rho, 41)
     F = lambda M: eval_F(area_model(2), M)
     sweep_min = np.inf
-    B = models._orthonormal_sym_basis(2)
+    B = oracles.orthonormal_sym_basis(2)
     for l1 in lams:
         for l2 in lams:
             M = np.diag([l1, l2])
@@ -378,7 +399,7 @@ def test_linearized_coefficients_quadratic_constant():
     M = random_sym(rng, 1, 2)[0]
     Ms = random_sym(rng, 1, 2)[0]
     beta = linearized_coefficients(m, M, Ms)
-    np.testing.assert_allclose(beta, models.identity_tensor(2), atol=1e-13)
+    np.testing.assert_allclose(beta, models.packed_identity(2), atol=1e-13)
 
 
 def test_linearized_coefficients_degenerate_segment():
@@ -386,7 +407,8 @@ def test_linearized_coefficients_degenerate_segment():
     m = area_model(2)
     M = random_sym(rng, 1, 2, scale=0.5)[0]
     beta = linearized_coefficients(m, M, M)
-    np.testing.assert_allclose(beta, eval_d2F(m, M), rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(beta, models.pack_tensor(eval_d2F(m, M)),
+                               rtol=1e-12, atol=1e-14)
 
 
 def test_linearized_coefficients_quadrature_refinement():
@@ -408,12 +430,12 @@ def test_linearized_coefficients_segment_leaves_ball():
 
 def test_dd_linearization_constant_coefficient():
     rng = np.random.default_rng(39)
-    T = models.identity_tensor(2) * 3.0
+    T = oracles.identity_tensor(2) * 3.0
     dd = oracles.constant_dd_model(2, T)
     M = random_sym(rng, 1, 2)[0]
     Ms = random_sym(rng, 1, 2)[0]
     b = oracles.linearized_coefficients_dd(dd, M, Ms)
-    np.testing.assert_allclose(b, models.symmetrize_tensor(T), atol=1e-10)
+    np.testing.assert_allclose(b, oracles.symmetrize_tensor(T), atol=1e-10)
 
 
 def test_dd_linearization_degenerate_segment_display():
@@ -425,7 +447,7 @@ def test_dd_linearization_degenerate_segment_display():
     def coeff(M):
         # smooth nonconstant test coefficient
         s = symmat.hs_inner(M, M)
-        base = models.identity_tensor(n)
+        base = oracles.identity_tensor(n)
         extra = np.einsum("...ij,...kl->...ijkl", M, M)
         return base * (1.0 + 0.5 * s)[..., None, None, None, None] + 0.25 * extra
 
@@ -434,7 +456,7 @@ def test_dd_linearization_degenerate_segment_display():
     got = oracles.linearized_coefficients_dd(dd, M, M, quad_nodes=4)
 
     # oracle: plain central differences with a different step
-    a0 = models.symmetrize_tensor(coeff(M))
+    a0 = oracles.symmetrize_tensor(coeff(M))
     wantT = np.array(a0)
     e = 1e-6
     for i in range(n):
@@ -444,24 +466,12 @@ def test_dd_linearization_degenerate_segment_display():
                 D[i, i] = 1.0
             else:
                 D[i, j] = D[j, i] = 1.0
-            da = (models.symmetrize_tensor(coeff(M + e * D))
-                  - models.symmetrize_tensor(coeff(M - e * D))) / (2 * e)
+            da = (oracles.symmetrize_tensor(coeff(M + e * D))
+                  - oracles.symmetrize_tensor(coeff(M - e * D))) / (2 * e)
             scale = 1.0 if i == j else 0.5
             wantT[i, j] += scale * np.einsum("pqkl,pq->kl", da, M)
-    wantT = models.symmetrize_tensor(wantT)
+    wantT = oracles.symmetrize_tensor(wantT)
     np.testing.assert_allclose(got, wantT, rtol=1e-6, atol=1e-8)
-
-
-# ------------------------------------------------------------- Tensor4 type
-
-def test_tensor4_invariants():
-    T = Tensor4.identity(2)
-    assert T.n == 2
-    assert T.min_eigenvalue() == pytest.approx(1.0)
-    with pytest.raises(models.ModelError):
-        bad = np.zeros((2, 2, 2, 2))
-        bad[0, 1, 0, 0] = 1.0  # breaks first-pair symmetry
-        Tensor4(bad)
 
 
 def test_negated_custom_model():

@@ -455,7 +455,7 @@ def _flattening_model():
     def d2F(M):
         s = F(M)[..., None, None, None, None]
         MM = np.einsum("...ij,...kl->...ijkl", M, M)
-        return 25.0 * models.identity_tensor(M.shape[-1]) / s - 625.0 * MM / s**3
+        return 25.0 * oracles.identity_tensor(M.shape[-1]) / s - 625.0 * MM / s**3
 
     return models.custom_model(2, F, dF, d2F, rho_U=0.99)
 
@@ -548,7 +548,7 @@ def tensor_chain(Tfield, g, region, unknowns, v):
     """h^n 1_U S^T [T : S v] from hessian_field, tensor_apply and hessian_adjoint."""
     sig = grids.hessian_field(g.with_values(v)).matrices()[region]
     W = np.zeros(g.extents + (symmat.packed_size(g.dim),))
-    W[region] = symmat.pack(models.tensor_apply(Tfield, sig))
+    W[region] = symmat.pack(oracles.tensor_apply(Tfield, sig))
     want = g.h**g.dim * grids.hessian_adjoint(W, region, g.h)
     want[~unknowns] = 0.0
     return want
@@ -568,8 +568,8 @@ def test_newton_operator_matches_independent_tensor_chain():
         region = grids.hessian_field(g).valid
         unknowns = g.interior & g.valid
         K = int(region.sum())
-        Tfield = models.symmetrize_tensor(
-            2.0 * models.identity_tensor(dim)
+        Tfield = oracles.symmetrize_tensor(
+            2.0 * oracles.identity_tensor(dim)
             + 0.3 * rng.standard_normal((K,) + (dim,) * 4))
         assert np.abs(Tfield - Tfield.transpose(0, 3, 4, 1, 2)).max() > 0.1
         op = tensor_field_operator(Tfield, region, unknowns, g.h)
@@ -625,8 +625,8 @@ def test_pair_built_newton_operator_on_a_20_node_grid(dim):
 
 def test_custom_model_without_major_symmetry_keeps_one_sided_arrays():
     rng = np.random.default_rng(63)
-    T0 = models.symmetrize_tensor(2.0 * models.identity_tensor(3)
-                                  + 0.3 * rng.standard_normal((3,) * 4))
+    T0 = oracles.symmetrize_tensor(2.0 * oracles.identity_tensor(3)
+                                   + 0.3 * rng.standard_normal((3,) * 4))
     assert np.abs(T0 - T0.transpose(2, 3, 0, 1)).max() > 0.1
     d2F = lambda M: T0 + 0.1 * np.einsum("...ij,...kl->...ijkl", M, M)
     model = models.custom_model(3, lambda M: 0.5 * symmat.hs_inner(M, M), d2F=d2F)
@@ -851,7 +851,7 @@ def test_constant_coeff_bvp_second_order_on_transcendental_solution():
         g = grids.make_grid(2, nodes, 0.5)
         f = lambda x, y: np.exp(x) * np.cos(y)
         bc = ClampedBoundaryData.from_potential(g, f)
-        w = solver.solve_constant_coeff_bvp(models.Tensor4.identity(2), bc, g)
+        w = solver.solve_constant_coeff_bvp(models.packed_identity(2), bc, g)
         errs[nodes] = np.abs(w.values - grids.sample(g, f).values).max()
     order1 = np.log2(errs[17] / errs[33])
     order2 = np.log2(errs[33] / errs[65])
@@ -861,16 +861,16 @@ def test_constant_coeff_bvp_second_order_on_transcendental_solution():
 def test_constant_coeff_bvp_examples():
     g = grids.make_grid(2, 33, 0.5)
     bc = ClampedBoundaryData.from_potential(g, cubic_biharmonic)
-    w = solver.solve_constant_coeff_bvp(models.Tensor4.identity(2), bc, g)
+    w = solver.solve_constant_coeff_bvp(models.packed_identity(2), bc, g)
     exact = grids.sample(g, cubic_biharmonic)
     assert np.abs(w.values - exact.values).max() < 1e-9
 
     zero_bc = ClampedBoundaryData.from_potential(g, lambda x, y: 0.0 * x)
-    w0 = solver.solve_constant_coeff_bvp(models.Tensor4.identity(2), zero_bc, g)
+    w0 = solver.solve_constant_coeff_bvp(models.packed_identity(2), zero_bc, g)
     assert np.abs(w0.values).max() == 0.0
 
     # positive scaling of the coefficient leaves the minimizer unchanged
-    w5 = solver.solve_constant_coeff_bvp(5.0 * models.identity_tensor(2), bc, g)
+    w5 = solver.solve_constant_coeff_bvp(5.0 * models.packed_identity(2), bc, g)
     np.testing.assert_allclose(w5.values, w.values, atol=1e-9)
 
 
@@ -878,7 +878,19 @@ def test_constant_coeff_bvp_rejects_indefinite_tensor():
     g = grids.make_grid(2, 17, 1.0)
     bc = ClampedBoundaryData.from_potential(g, lambda x, y: 0.0 * x)
     with pytest.raises(models.ModelError):
-        solver.solve_constant_coeff_bvp(-models.identity_tensor(2), bc, g)
+        solver.solve_constant_coeff_bvp(-models.packed_identity(2), bc, g)
+
+
+def test_constant_coeff_bvp_rejects_a_coefficient_that_is_not_finite_packed():
+    g = grids.make_grid(2, 17, 1.0)
+    bc = ClampedBoundaryData.from_potential(g, lambda x, y: 0.0 * x)
+    nan_id, inf_id = models.packed_identity(2), models.packed_identity(2)
+    nan_id[0, 1] = nan_id[1, 0] = np.nan
+    inf_id[2, 2] = np.inf
+    for bad in (oracles.identity_tensor(2), oracles.identity_tensor(3),
+                models.packed_identity(3), np.ones((2, 2, 2)), nan_id, inf_id):
+        with pytest.raises(models.ModelError, match="finite packed"):
+            solver.solve_constant_coeff_bvp(bad, bc, g)
 
 
 def test_minimize_agrees_with_bvp_for_quadratic_model():
@@ -886,7 +898,7 @@ def test_minimize_agrees_with_bvp_for_quadratic_model():
     bc = ClampedBoundaryData.from_potential(g, cubic_biharmonic)
     u, _ = solver.minimize_clamped(models.quadratic_model(2), bc, g,
                                    grad_tol=1e-13)
-    w = solver.solve_constant_coeff_bvp(models.Tensor4.identity(2), bc, g)
+    w = solver.solve_constant_coeff_bvp(models.packed_identity(2), bc, g)
     assert np.abs(u.values - w.values).max() < 1e-10
 
 
@@ -935,7 +947,7 @@ def test_dd_residual_identity_matches_weak_residual():
     g = grids.make_grid(2, 15, 1.0)
     u = g.with_values(rng.standard_normal(g.extents))
     tests = grids.bump_tests(g, [(0.0, 0.0)], scale=0.5)
-    dd = oracles.constant_dd_model(2, models.Tensor4.identity(2))
+    dd = oracles.constant_dd_model(2, oracles.identity_tensor(2))
     a = oracles.dd_weak_residual(u, dd, tests)
     b = solver.weak_residual(u, models.quadratic_model(2), tests)
     np.testing.assert_allclose(a, b, rtol=1e-12)
@@ -948,7 +960,7 @@ def test_dd_residual_vanishes_for_constant_hessian():
 
     def coeff(M):
         s = symmat.hs_inner(M, M)
-        return models.identity_tensor(2) * (1.0 + s)[..., None, None, None, None]
+        return oracles.identity_tensor(2) * (1.0 + s)[..., None, None, None, None]
 
     dd = oracles.DoubleDivergenceModel(n=2, coeff=coeff)
     res = oracles.dd_weak_residual(u, dd, tests)
@@ -962,7 +974,7 @@ def test_summation_by_parts_moves_derivatives_onto_test_function():
     g = grids.make_grid(2, 17, 1.0)
     u = g.with_values(rng.standard_normal(g.extents))
     eta = grids.bump_tests(g, [(0.0, 0.0)], scale=0.4).functions[0]
-    T = models.identity_tensor(2) * 2.5
+    T = oracles.identity_tensor(2) * 2.5
     dd = oracles.constant_dd_model(2, T)
     lhs = oracles.dd_weak_residual(u, dd, grids.TestFunctionSet((eta,)))[0]
     Seta = 2.5 * g.h**2 * apply_13point(eta, g.h)
@@ -974,8 +986,8 @@ def test_linearized_residual_constant_identity_quadratic_f():
     g = grids.make_grid(2, 17, 1.0)
     f = grids.sample(g, lambda x, y: 0.5 * x**2 - 0.25 * x * y)
     tests = grids.bump_tests(g, [(0.0, 0.0)], scale=0.5)
-    b = np.broadcast_to(models.identity_tensor(2), g.extents + (2, 2, 2, 2)).copy()
-    res = solver.linearized_residual(f, b, tests)
+    b = np.broadcast_to(oracles.identity_tensor(2), g.extents + (2, 2, 2, 2))
+    res = solver.linearized_residual(f, models.pack_tensor(b), tests)
     assert np.abs(res).max() < 1e-13
 
 
@@ -985,8 +997,9 @@ def test_linearized_residual_matches_triple_loop():
     f = g.with_values(rng.standard_normal(g.extents))
     eta = grids.bump_tests(g, [(0.0, 0.0)], scale=0.4).functions[0]
     b = rng.standard_normal(g.extents + (2, 2, 2, 2))
-    b = models.symmetrize_tensor(b)
-    res = solver.linearized_residual(f, b, grids.TestFunctionSet((eta,)))[0]
+    b = oracles.symmetrize_tensor(b)
+    res = solver.linearized_residual(f, models.pack_tensor(b),
+                                     grids.TestFunctionSet((eta,)))[0]
 
     # naive summation oracle
     H = grids.hessian_field(f)
@@ -1005,6 +1018,16 @@ def test_linearized_residual_matches_triple_loop():
     assert res == pytest.approx(total, rel=1e-12)
 
 
+def test_linearized_residual_rejects_a_field_that_is_not_packed_on_the_grid():
+    g = grids.make_grid(2, 13, 1.0)
+    f = grids.sample(g, lambda x, y: x * y)
+    tests = grids.bump_tests(g, [(0.0, 0.0)], scale=0.4)
+    for shape in (g.extents + (2, 2, 2, 2), (3, 3, 12, 13), (3, 2) + g.extents,
+                  (3, 3) + g.extents + (1,)):
+        with pytest.raises(grids.GridError, match="coefficient field has shape"):
+            solver.linearized_residual(f, np.ones(shape), tests)
+
+
 def test_linearized_residual_of_difference_quotient():
     # one difference quotient of a converged critical point solves the
     # linearized equation up to solver tolerance scaled by 1/h
@@ -1015,9 +1038,42 @@ def test_linearized_residual_of_difference_quotient():
     f = grids.difference_quotient(u, 0)
     quad = models.quadratic_model(2)
     beta = models.linearized_coefficients(quad, np.zeros((2, 2)), np.zeros((2, 2)))
-    b = np.broadcast_to(beta, g.extents + (2, 2, 2, 2)).copy()
+    b = np.broadcast_to(beta[..., None, None], beta.shape + g.extents)
     tests = grids.bump_tests(g, [(0.0, 0.0)], scale=0.2)
     res = solver.linearized_residual(f, b, tests)
     eta = tests.functions[0]
     bound = 2.0 * tol / g.h * np.abs(eta).max() * 4.0
     assert np.abs(res).max() <= bound
+
+
+@pytest.mark.parametrize("dim, nodes", [(2, 33), (3, 17)])
+def test_difference_quotient_of_area_minimizer_solves_the_segment_equation(dim, nodes):
+    # the paper's linearization: with b(x) the average of D^2F along the
+    # segment [D^2u(x), D^2u(x + h e_0)], b (D^2u(x + h e_0) - D^2u(x)) =
+    # DF(D^2u(x + h e_0)) - DF(D^2u(x)), so the difference quotient of a
+    # critical point pairs to the gradient at two shifted tests; the frozen
+    # coefficient D^2F(D^2u(x)) leaves an O(h) remainder.  The bump is off
+    # centre: a centred one cancels by symmetry.
+    g = grids.make_grid(dim, nodes, 0.5)
+    data = (lambda x, y: 0.3 * (x**3 * y + x * y**3)) if dim == 2 else (
+        lambda x, y, z: 0.3 * (x**3 * y + x * y**3) + 0.2 * x * y * z)
+    model = models.area_model(dim, rho_U=0.9)
+    u, rep = solver.minimize_clamped(model, ClampedBoundaryData.from_potential(g, data),
+                                     grids.sample(g, data), grad_tol=1e-12)
+    assert rep.converged
+    H = grids.hessian_field(u)
+    M = H.matrices()
+    both = np.zeros_like(H.valid)
+    both[:-1] = H.valid[:-1] & H.valid[1:]
+    M_shift = np.zeros_like(M)
+    M_shift[:-1] = M[1:]
+    tests = grids.bump_tests(g, [(0.1, 0.05, 0.02)[:dim]], scale=0.2)
+    f = grids.difference_quotient(u, 0)
+    m = symmat.packed_size(dim)
+    res = {}
+    for name, end in (("segment", M_shift), ("frozen", M)):
+        b = np.zeros((m, m) + g.extents)
+        b[:, :, both] = models.linearized_coefficients(model, M[both], end[both])
+        res[name] = abs(solver.linearized_residual(f, b, tests, b_valid=both)[0])
+    assert res["segment"] <= 1e-11
+    assert res["frozen"] >= 1e-4
