@@ -163,12 +163,15 @@ def cmd_solve(cfg: RunConfig, out: str, seed: int, base: str = ".") -> int:
 
 # ---------------------------------------------------------------- diagnose
 
-def _usable_geometry(field):
+def _usable_geometry(field, cfg: RunConfig):
+    """Centre and width of the valid box, and the config's radii or defaults."""
     box = bounding_box(field.valid)
     center = tuple(field.origin[d] + field.h * 0.5 * (s.start + s.stop - 1)
                    for d, s in enumerate(box))
     width = field.h * float(min(s.stop - 1 - s.start for s in box))
-    return center, width
+    r_max = cfg.r_max if cfg.r_max is not None else width / 4.0
+    r_min = cfg.r_min if cfg.r_min is not None else max(3.0 * field.h, r_max / 8.0)
+    return center, width, r_max, r_min
 
 
 def cmd_diagnose(cfg: RunConfig, field_file: str, out: str, seed: int) -> int:
@@ -179,9 +182,7 @@ def cmd_diagnose(cfg: RunConfig, field_file: str, out: str, seed: int) -> int:
     os.makedirs(out, exist_ok=True)
     field = gridio.read_field(field_file)
     h = field.h
-    center, width = _usable_geometry(field)
-    r_max = cfg.r_max if cfg.r_max is not None else width / 4.0
-    r_min = cfg.r_min if cfg.r_min is not None else max(3.0 * h, r_max / 8.0)
+    center, width, r_max, r_min = _usable_geometry(field, cfg)
 
     fam = ball_family(field, cfg.ball_stride, r_min, r_max)
     jn = diag.john_nirenberg_ratio(field, fam, cfg.osc_p)
@@ -311,9 +312,7 @@ def cmd_hamstat(cfg: RunConfig, out: str, seed: int, base: str = ".") -> int:
 def cmd_campanato(cfg: RunConfig, field_file: str, out: str, seed: int) -> int:
     os.makedirs(out, exist_ok=True)
     field = gridio.read_field(field_file)
-    center, width = _usable_geometry(field)
-    r_max = cfg.r_max if cfg.r_max is not None else width / 4.0
-    r_min = cfg.r_min if cfg.r_min is not None else max(3.0 * field.h, r_max / 8.0)
+    center, _, r_max, r_min = _usable_geometry(field, cfg)
     radii = dyadic_radii(r_max, r_min)
     curve, fit = diag.campanato_decay(field, center, radii, cfg.osc_p)
     lemma = None

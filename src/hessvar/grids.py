@@ -59,8 +59,9 @@ def offset_slices(off, shape):
     ``a[src]`` holds the values at ``x + off`` for the nodes ``x`` in
     ``a[dst]``: the nodes whose shifted position stays on the grid.  Offsets
     are clamped to the extents, so ``|off| >= extent`` on some axis gives empty
-    slices.  Axes of ``shape`` past ``len(off)`` are left whole.  Stencil sums
-    read their neighbours through these views, with no full-grid copy.
+    slices.  Axes of ``shape`` past ``len(off)`` are left whole.  Difference
+    quotients read their neighbours through these views, with no full-grid
+    copy.
     """
     src, dst = [], []
     for o, s in zip(off, shape):
@@ -297,75 +298,90 @@ def sample(grid: ScalarGrid, fn) -> ScalarGrid:
     return grid.with_values(np.asarray(fn(*grid.coords()), dtype=float))
 
 
-def _hessian_stencil(n: int, h: float):
-    """Per packed component: list of (offset, weight) — all self-adjoint."""
-    stencils = []
-    for i, j in symmat.PACKED_PAIRS[n]:
+def hessian_stencil(extents, h: float):
+    """The packed Hessian stencil on a lattice of ``extents``: ``(scales, stencils)``.
+
+    Slot a of ``S u`` at flat node x is ``scales[a] * sum(sign * u[x + delta])``
+    over the C-order flat offsets and signs +-1 ``(delta, sign)`` of
+    ``stencils[a]``: the three-point second difference (scale 1/h^2, the
+    centre as two -1 entries) or the four-point cross (scale 1/(4h^2)).  Each
+    stencil is its own negation, so it is also the adjoint's stencil.  An
+    offset from a node of the outer ring wraps to the next row.
+    """
+    strides = [int(np.prod(extents[k + 1:])) for k in range(len(extents))]
+    scales, stencils = [], []
+    for i, j in symmat.PACKED_PAIRS[len(extents)]:
+        si, sj = strides[i], strides[j]
         if i == j:
-            e = np.zeros(n, dtype=int)
-            e[i] = 1
-            stencils.append([(tuple(e), 1.0 / h**2),
-                             (tuple(-e), 1.0 / h**2),
-                             ((0,) * n, -2.0 / h**2)])
+            scales.append(1.0 / h**2)
+            stencils.append([(si, 1), (-si, 1), (0, -1), (0, -1)])
         else:
-            ei = np.zeros(n, dtype=int)
-            ej = np.zeros(n, dtype=int)
-            ei[i] = 1
-            ej[j] = 1
-            w = 1.0 / (4.0 * h**2)
-            stencils.append([(tuple(ei + ej), w),
-                             (tuple(-ei - ej), w),
-                             (tuple(ei - ej), -w),
-                             (tuple(-ei + ej), -w)])
-    return stencils
+            scales.append(1.0 / (4.0 * h**2))
+            stencils.append([(si + sj, 1), (-si - sj, 1), (si - sj, -1), (sj - si, -1)])
+    return np.array(scales), stencils
+
+
+def add_stencil(out: np.ndarray, src: np.ndarray, first: int, stencil) -> None:
+    """``out += stencil(src)`` at the flat nodes ``first, first + 1, ...``.
+
+    ``stencil`` is a list of (flat offset, sign) pairs, each a weight of +-1.
+    """
+    for delta, sign in stencil:
+        piece = src[first + delta:first + delta + out.size]
+        (np.add if sign > 0 else np.subtract)(out, piece, out=out)
 
 
 def hessian_field(u: ScalarGrid) -> SymMatField:
-    """Second-order central-difference Hessian of ``u``.
+    """Second-order central-difference Hessian of ``u`` by :func:`hessian_stencil`.
 
-    Diagonal entries use the three-point second difference, mixed entries the
-    four-point cross stencil; the result is symmetric by packed storage.  The
-    output is valid where the whole stencil footprint lies in ``u.valid``.
+    The result is symmetric by packed storage.  It is valid off the outer
+    ring, where the whole stencil footprint lies in ``u.valid``.
     """
-    n = u.dim
-    stencils = _hessian_stencil(n, u.h)
-    m = symmat.packed_size(n)
-    out = np.empty(u.extents + (m,))
-    # every stencil offset has |off_i| <= 1 and the diagonal stencils reach
-    # both neighbours on every axis, so the outer ring is never valid
-    ring_free = (slice(1, -1),) * n
+    scales, stencils = hessian_stencil(u.extents, u.h)
+    footprint = sorted({d for st in stencils for d, _ in st})
+    size, reach = u.values.size, footprint[-1]
+    vals, ok = np.ravel(u.values), np.ravel(u.valid)
+    out = np.empty((size, len(stencils)))
+    # a full-size buffer: the inner range of a 129^2 grid is 24 B under glibc's
+    # 128 KiB mmap threshold, and on the brk heap raised a solve's peak RSS
+    acc = np.empty(size)[reach:size - reach]
+    for a, st in enumerate(stencils):
+        acc[:] = 0.0
+        add_stencil(acc, vals, reach, st)
+        np.multiply(acc, scales[a], out=out[reach:size - reach, a])
     valid = np.zeros(u.extents, dtype=bool)
-    valid[ring_free] = u.valid[ring_free]
-    for a, st in enumerate(stencils):
-        acc = np.zeros(u.extents)
-        for off, w in st:
-            src, dst = offset_slices(off, u.extents)
-            acc[dst] += w * u.values[src]
-            valid[dst] &= u.valid[src]
-        out[..., a] = acc
-    out[~valid] = np.nan
-    return SymMatField(h=u.h, origin=u.origin, values=out, valid=valid)
+    valid[(slice(1, -1),) * u.dim] = True   # offsets from the ring wrap
+    inner = valid.reshape(-1)[reach:size - reach]
+    for d in footprint:
+        inner &= ok[reach + d:size - reach + d]
+    out[~valid.reshape(-1)] = np.nan
+    return SymMatField(h=u.h, origin=u.origin, values=out.reshape(u.extents + (-1,)),
+                       valid=valid)
 
 
-def hessian_adjoint(G: np.ndarray, mask: np.ndarray, h: float) -> np.ndarray:
-    """Adjoint of the Hessian stencil map restricted to ``mask`` nodes.
+def hessian_adjoint(G, region: np.ndarray, h: float) -> np.ndarray:
+    """Adjoint of the Hessian stencil map restricted to the ``region`` nodes.
 
-    Given packed matrix data ``G`` supported on ``mask`` (zeros assumed
-    elsewhere), returns the scalar node field ``y -> sum_x <G(x), dH(x)/du(y)>``
-    with off-diagonal slots weighted twice.  Every stencil is symmetric under
-    offset negation, so the adjoint is the same stencil applied to the
-    zero-padded data.
+    ``G`` holds packed components on the K region nodes (C order), shape
+    ``(m, K)``.  Returns the node field ``y -> sum_x <G(x), dS u(x)/du(y)>``,
+    off-diagonal slots weighted twice: each slot scattered once into a
+    zero-padded flat buffer and gathered through its stencil.  The region
+    must lie off the outer ring, where flat offsets wrap.
     """
-    n = G.ndim - 1
-    stencils = _hessian_stencil(n, h)
-    dup = symmat.duplication_weights(n)
-    out = np.zeros(G.shape[:-1])
+    nodes = np.flatnonzero(region)
+    want = (symmat.packed_size(region.ndim), nodes.size)
+    if np.shape(G) != want:
+        raise GridError(f"adjoint input has shape {np.shape(G)}, expected {want}")
+    if region[(slice(1, -1),) * region.ndim].sum() != nodes.size:
+        raise GridError("adjoint region touches the outer node ring")
+    scales, stencils = hessian_stencil(region.shape, h)
+    scales = scales * symmat.duplication_weights(region.ndim)
+    reach = max(abs(d) for st in stencils for d, _ in st)
+    buf, out = np.zeros(region.size + 2 * reach), np.zeros(region.size)
     for a, st in enumerate(stencils):
-        comp = np.where(mask, G[..., a], 0.0)
-        for off, w in st:
-            src, dst = offset_slices(off, out.shape)
-            out[dst] += (dup[a] * w) * comp[src]
-    return out
+        buf[reach + nodes] = scales[a] * G[a]
+        add_stencil(out, buf, reach, st)
+    return out.reshape(region.shape)
 
 
 def difference_quotient(u: ScalarGrid, direction: int, step: int = 1) -> ScalarGrid:

@@ -26,6 +26,8 @@ S v)`` on the one Hessian stencil S, with the packed second derivative P of
 the integrand (:func:`models.pack_tensor`) taken pair by pair
 (:func:`models.tensor_pairs`) and folded into one coefficient array per slot
 pair a <= b, which also serves the mirror (b, a) where P is major-symmetric.
+S and S^T run one kernel, :func:`grids.add_stencil`, over the flat unit-sign
+stencil of :func:`grids.hessian_stencil`.
 """
 
 from __future__ import annotations
@@ -40,10 +42,11 @@ from .grids import (
     GridError,
     ScalarGrid,
     TestFunctionSet,
+    add_stencil,
     bounding_box,
     hessian_adjoint,
     hessian_field,
-    _hessian_stencil,
+    hessian_stencil,
 )
 from .models import AdmissibilityError, EnergyModel
 
@@ -139,7 +142,7 @@ def _eval_on(model_fn, M: np.ndarray, region: np.ndarray):
 
 
 def _gradient(u: ScalarGrid, G, region: np.ndarray) -> np.ndarray:
-    grad = _weighted_adjoint(G, region, u.h)
+    grad = u.h**u.dim * hessian_adjoint(G, region, u.h)
     grad[~(u.interior & u.valid)] = 0.0
     return grad
 
@@ -162,31 +165,23 @@ def energy_gradient(u: ScalarGrid, model: EnergyModel) -> np.ndarray:
     return _gradient(u, symmat.components(G), H.valid)
 
 
-def _weighted_adjoint(G, region: np.ndarray, h: float) -> np.ndarray:
-    """h^n S^T G for symmetric matrices G, packed components on the region nodes."""
-    packed = np.zeros(region.shape + (len(G),))
-    packed[region] = np.transpose(G)
-    return h**region.ndim * hessian_adjoint(packed, region, h)
-
-
 class NewtonOperator:
     """Matrix-free second-derivative (stiffness) operator of one Newton step.
 
         A v = h^n 1_U S^T [T : S v]
 
     on the unknown nodes U, and zero elsewhere.  S is the packed Hessian
-    stencil of :func:`grids._hessian_stencil` and T the per-node tensor of
+    stencil of :func:`grids.hessian_stencil` and T the per-node tensor of
     second derivatives of the integrand on the quadrature region (zero off
     it), given as the packed pairs of :func:`models.tensor_pairs`: items
     ``(a, b, T_ab, mirror)`` with a <= b in lexicographic order, where
     ``T_ab = T^{ij,kl}`` over the K region nodes pairs input slot b = (i, j)
     of S v with output slot a = (k, l), as in :func:`models.pack_tensor`,
-    and ``mirror`` is ``T_ba``, or None when T_ba = T_ab.  Each slot's
-    stencil is kept as flat C-order offsets of weight +-1 (the centre weight
-    -2 as two -1 entries); h^n dup[a] dup[b] and both slots' stencil scales
-    are folded into ``terms``, one ``(a, b, c, c_ba)`` per pair, applied as
-    ``W[a] += c Sv[b]`` and, off the diagonal, ``W[b] += c_ba Sv[a]``; a
-    shared pair has ``c_ba is c``.  In that order every row of W adds its
+    and ``mirror`` is ``T_ba``, or None when T_ba = T_ab.  Each slot keeps
+    its flat unit-sign stencil; h^n dup[a] dup[b] and both slots' stencil
+    scales are folded into ``terms``, one ``(a, b, c, c_ba)`` per pair,
+    applied as ``W[a] += c Sv[b]`` and, off the diagonal, ``W[b] += c_ba
+    Sv[a]``; a shared pair has ``c_ba is c``.  In that order every row of W adds its
     terms in ascending input slot.  The scales differ by powers of two, so
     a shared array has the bits of both one-sided ones.  The arrays span
     the unknowns' flat index range widened by the stencil reach; the
@@ -195,11 +190,7 @@ class NewtonOperator:
 
     def __init__(self, pairs, region: np.ndarray, unknowns: np.ndarray, h: float):
         n = region.ndim
-        hessian = _hessian_stencil(n, h)
-        strides = [int(np.prod(region.shape[k + 1:])) for k in range(n)]
-        self.stencils = [[(int(np.dot(off, strides)), 1 if w > 0 else -1)
-                          for off, w in st for _ in range(round(abs(w / st[0][1])))]
-                         for st in hessian]
+        scales, self.stencils = hessian_stencil(region.shape, h)
         reach = max(abs(d) for st in self.stencils for d, _ in st)
         rows = np.flatnonzero(unknowns)
         self.unknowns = unknowns
@@ -208,7 +199,7 @@ class NewtonOperator:
         nodes = np.flatnonzero(region)
         k0, k1 = np.searchsorted(nodes, (self.lo, self.hi))
         at = nodes[k0:k1] - self.lo
-        scale = symmat.duplication_weights(n) * [st[0][1] for st in hessian]
+        scale = symmat.duplication_weights(n) * scales
 
         def coefficients(a, b, T):
             c = np.zeros(self.hi - self.lo)
@@ -225,7 +216,7 @@ class NewtonOperator:
         vflat = np.ravel(v)
         Sv = np.zeros((len(self.stencils), self.hi - self.lo))
         for row, st in zip(Sv, self.stencils):
-            _add_unit_stencil(row, vflat, self.lo, st)
+            add_stencil(row, vflat, self.lo, st)
         W = np.zeros_like(Sv)
         tmp = np.empty(self.hi - self.lo)
         for a, b, c, c_ba in self.terms:
@@ -235,7 +226,7 @@ class NewtonOperator:
         out = np.zeros(vflat.size)
         acc = out[self.start:self.stop]
         for row, st in zip(W, self.stencils):
-            _add_unit_stencil(acc, row, self.start - self.lo, st)
+            add_stencil(acc, row, self.start - self.lo, st)
         acc *= np.ravel(self.unknowns)[self.start:self.stop]
         return out.reshape(v.shape)
 
@@ -252,19 +243,6 @@ class NewtonOperator:
             e[cls] = 1.0
             diag[cls] = self.matvec(e)[cls]
         return np.where(self.unknowns, diag, 1.0)
-
-
-def _add_unit_stencil(out: np.ndarray, src: np.ndarray, first: int, stencil) -> None:
-    """``out += stencil(src)`` at the flat nodes ``first, first + 1, ...``.
-
-    ``stencil`` is a list of (flat offset, sign) pairs, each a weight of +-1.
-    """
-    for delta, sign in stencil:
-        piece = src[first + delta:first + delta + out.size]
-        if sign > 0:
-            out += piece
-        else:
-            out -= piece
 
 
 def _sine_matrix(m: int) -> np.ndarray:
@@ -546,7 +524,7 @@ def _pair_with_tests(G, region: np.ndarray, h: float,
     stencil moves onto G once (summation by parts), and each test then costs
     one dot product.
     """
-    dual = _weighted_adjoint(G, region, h)
+    dual = h**region.ndim * hessian_adjoint(G, region, h)
     return np.array([float(np.vdot(dual, eta)) for eta in tests])
 
 
@@ -573,6 +551,9 @@ def linearized_residual(f: ScalarGrid, b_field: np.ndarray,
     if b_field.shape != (m, m) + f.extents:
         raise GridError(f"coefficient field has shape {b_field.shape}, "
                         f"expected {(m, m) + f.extents}")
+    if b_valid is not None and np.shape(b_valid) != f.extents:
+        raise GridError(f"coefficient valid mask has shape {np.shape(b_valid)}, "
+                        f"expected {f.extents}")
     H = hessian_field(f)
     region = H.valid if b_valid is None else (H.valid & b_valid)
     if not region.any():

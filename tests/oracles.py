@@ -6,6 +6,9 @@
   symmetric matrices, and the second derivative of every model kind built
   as a full tensor, oracles for the packed ``(m, m, ...)`` arrays of
   :mod:`hessvar.models`;
+- the weighted Hessian stencil (N-d offsets with weights +-1/h^2, -2/h^2
+  and +-1/(4h^2)), the oracle for the flat unit-sign
+  :func:`hessvar.grids.hessian_stencil`;
 - full-grid shifted copies and the nodal hat test functions;
 - the double-divergence family: a coefficient model, its linearization
   along a segment, its weak residual, a constant-tensor model and the
@@ -89,6 +92,29 @@ def full_d2F(model, c):
         lambda X: symmat.matrices(models._fd_dF(model._F, X, model.fd_step)))
     T = symmat.matrices(models._fd_dF(dF, M, model.fd_step))
     return symmetrize_tensor(0.5 * (T + np.swapaxes(np.swapaxes(T, -4, -2), -3, -1)))
+
+
+def weighted_hessian_stencil(n, h):
+    """Per packed component: list of (offset, weight) — all self-adjoint."""
+    stencils = []
+    for i, j in symmat.PACKED_PAIRS[n]:
+        if i == j:
+            e = np.zeros(n, dtype=int)
+            e[i] = 1
+            stencils.append([(tuple(e), 1.0 / h**2),
+                             (tuple(-e), 1.0 / h**2),
+                             ((0,) * n, -2.0 / h**2)])
+        else:
+            ei = np.zeros(n, dtype=int)
+            ej = np.zeros(n, dtype=int)
+            ei[i] = 1
+            ej[j] = 1
+            w = 1.0 / (4.0 * h**2)
+            stencils.append([(tuple(ei + ej), w),
+                             (tuple(-ei - ej), w),
+                             (tuple(ei - ej), -w),
+                             (tuple(-ei + ej), -w)])
+    return stencils
 
 
 def shifted(a, off, fill):
@@ -346,7 +372,7 @@ class PerSlotNewtonOperator(solver.NewtonOperator):
         k0, k1 = np.searchsorted(nodes, (self.lo, self.hi))
         at = nodes[k0:k1] - self.lo
         scale = symmat.duplication_weights(n) * [
-            st[0][1] for st in grids._hessian_stencil(n, h)]
+            st[0][1] for st in weighted_hessian_stencil(n, h)]
         for a, b in np.ndindex(P.shape[:2]):
             if P[a, b].any():
                 c = np.zeros(self.hi - self.lo)
@@ -357,7 +383,7 @@ class PerSlotNewtonOperator(solver.NewtonOperator):
         vflat = np.ravel(v)
         Sv = np.zeros((len(self.stencils), self.hi - self.lo))
         for row, st in zip(Sv, self.stencils):
-            solver._add_unit_stencil(row, vflat, self.lo, st)
+            grids.add_stencil(row, vflat, self.lo, st)
         W = np.zeros_like(Sv)
         tmp = np.empty(self.hi - self.lo)
         for a, b, c in self.terms:
@@ -365,6 +391,6 @@ class PerSlotNewtonOperator(solver.NewtonOperator):
         out = np.zeros(vflat.size)
         acc = out[self.start:self.stop]
         for row, st in zip(W, self.stencils):
-            solver._add_unit_stencil(acc, row, self.start - self.lo, st)
+            grids.add_stencil(acc, row, self.start - self.lo, st)
         acc *= np.ravel(self.unknowns)[self.start:self.stop]
         return out.reshape(v.shape)

@@ -97,55 +97,127 @@ def test_hessian_adjoint_identity_on_masked_region_with_holes(dim, nodes):
     mask = H.valid
     assert 0 < mask.sum() < (nodes - 2) ** dim
     G = rng.standard_normal(H.values.shape)
-    adj = grids.hessian_adjoint(G, mask, g.h)
+    adj = grids.hessian_adjoint(G[mask].T, mask, g.h)
     assert np.all(adj[~valid] == 0.0)
     lhs = np.sum(symmat.duplication_weights(dim) * H.values[mask] * G[mask])
     rhs = np.vdot(u.values[valid], adj[valid])
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def _shifted_copy_hessian(u):
-    """Reference: the stencil sums over full-grid shifted copies, NaN off the grid."""
-    stencils = grids._hessian_stencil(u.dim, u.h)
-    out = np.empty(u.extents + (len(stencils),))
+def _unit_sign_stencils(n, h):
+    """The weighted oracle stencil as (scale, [(offset, +-1), ...]) per slot, in
+    the kernel's order: each weight repeated |w / scale| times."""
+    return [(st[0][1], [(off, 1 if w > 0 else -1)
+                        for off, w in st for _ in range(round(abs(w / st[0][1])))])
+            for st in oracles.weighted_hessian_stencil(n, h)]
+
+
+def _shifted_copy_hessian(u, unit=True):
+    """Reference: the stencil sums over full-grid shifted copies, NaN off the
+    grid; the unit signs summed in the kernel's order and scaled once, or
+    (``unit=False``) the weighted terms summed."""
+    weighted = oracles.weighted_hessian_stencil(u.dim, u.h)
+    out = np.empty(u.extents + (len(weighted),))
     valid = np.array(u.valid, copy=True)
-    for a, st in enumerate(stencils):
-        acc = np.zeros(u.extents)
-        for off, w in st:
-            acc += w * oracles.shifted(u.values, off, np.nan)
+    for a, (st, (scale, unit_st)) in enumerate(
+            zip(weighted, _unit_sign_stencils(u.dim, u.h))):
+        for off, _ in st:
             if any(off):
                 valid &= oracles.shifted(u.valid, off, False)
-        out[..., a] = acc
+        if unit:
+            out[..., a] = scale * sum(sign * oracles.shifted(u.values, off, np.nan)
+                                      for off, sign in unit_st)
+        else:
+            out[..., a] = sum(w * oracles.shifted(u.values, off, np.nan) for off, w in st)
     out[~valid] = np.nan
     return out, valid
 
 
-def _shifted_copy_adjoint(G, mask, h):
-    stencils = grids._hessian_stencil(G.ndim - 1, h)
-    dup = symmat.duplication_weights(G.ndim - 1)
-    out = np.zeros(G.shape[:-1])
-    for a, st in enumerate(stencils):
-        comp = np.where(mask, G[..., a], 0.0)
-        for off, w in st:
-            out += (dup[a] * w) * oracles.shifted(comp, off, 0.0)
+def _shifted_copy_adjoint(G, mask, h, unit=True):
+    """Reference adjoint of packed data ``G`` (m, K) on the ``mask`` nodes,
+    zero-padded and shifted; unit signs as the kernel, or weighted terms."""
+    n = mask.ndim
+    dup = symmat.duplication_weights(n)
+    out = np.zeros(mask.shape)
+    for a, (st, (scale, unit_st)) in enumerate(
+            zip(oracles.weighted_hessian_stencil(n, h), _unit_sign_stencils(n, h))):
+        comp = np.zeros(mask.shape)
+        if unit:
+            comp[mask] = (scale * dup[a]) * G[a]
+            for off, sign in unit_st:
+                out += sign * oracles.shifted(comp, off, 0.0)
+        else:
+            comp[mask] = G[a]
+            for off, w in st:
+                out += (dup[a] * w) * oracles.shifted(comp, off, 0.0)
     return out
 
 
-@pytest.mark.parametrize("dim, nodes", [(2, 15), (3, 11)])
-def test_hessian_stencils_equal_shifted_copy_reference(dim, nodes):
-    # in-place accumulation over offset views keeps every bit, holes included
-    rng = np.random.default_rng(70 + dim)
+def _holed_potential(dim, nodes, seed):
+    rng = np.random.default_rng(seed)
     g = grids.make_grid(dim, nodes, 1.0)
     valid = rng.random(g.extents) > 0.05
     u = replace(g.with_values(np.where(valid, rng.standard_normal(g.extents), np.nan)),
                 valid=valid)
+    return u, rng
+
+
+@pytest.mark.parametrize("dim, nodes", [(2, 15), (3, 11)])
+def test_hessian_stencils_equal_shifted_copy_reference(dim, nodes):
+    # the flat kernel over unit signs keeps every bit of the shifted-copy
+    # sums in the same order, holes included
+    u, rng = _holed_potential(dim, nodes, 70 + dim)
     H = grids.hessian_field(u)
     want, want_valid = _shifted_copy_hessian(u)
     assert np.array_equal(H.valid, want_valid) and 0 < H.valid.sum()
     assert np.array_equal(H.values, want, equal_nan=True)
-    G = rng.standard_normal(H.values.shape)
-    assert np.array_equal(grids.hessian_adjoint(G, H.valid, g.h),
-                          _shifted_copy_adjoint(G, H.valid, g.h))
+    G = rng.standard_normal((H.values.shape[-1], int(H.valid.sum())))
+    assert np.array_equal(grids.hessian_adjoint(G, H.valid, u.h),
+                          _shifted_copy_adjoint(G, H.valid, u.h))
+
+
+@pytest.mark.parametrize("dim, nodes", [(2, 15), (3, 11)])
+def test_flat_hessian_stencil_matches_weighted_oracle(dim, nodes):
+    # the flat unit-sign stencil against the weighted one (weights +-1/h^2,
+    # -2/h^2, +-1/(4h^2) per N-d offset): only the summation order differs
+    u, rng = _holed_potential(dim, nodes, 90 + dim)
+    H = grids.hessian_field(u)
+    want, want_valid = _shifted_copy_hessian(u, unit=False)
+    assert np.array_equal(H.valid, want_valid) and 0 < H.valid.sum()
+    assert np.array_equal(np.isnan(H.values), np.isnan(want))
+    ok = H.valid
+    assert np.abs(H.values[ok] - want[ok]).max() <= 1e-15 * np.abs(want[ok]).max()
+    G = rng.standard_normal((H.values.shape[-1], int(ok.sum())))
+    got = grids.hessian_adjoint(G, ok, u.h)
+    want = _shifted_copy_adjoint(G, ok, u.h, unit=False)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    # and stencil by stencil: the weights summed per flat offset agree
+    scales, stencils = grids.hessian_stencil(u.extents, u.h)
+    strides = np.array(H.valid.strides) // H.valid.itemsize
+    for scale, st, weighted in zip(scales, stencils,
+                                   oracles.weighted_hessian_stencil(dim, u.h)):
+        flat = {}
+        for d, sign in st:
+            flat[d] = flat.get(d, 0.0) + scale * sign
+        assert flat == {int(np.dot(off, strides)): w for off, w in weighted}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_hessian_adjoint_rejects_bad_shape_and_ring_region(dim):
+    g = grids.make_grid(dim, 11, 1.0)
+    region = grids.hessian_field(g).valid
+    m, K = symmat.packed_size(dim), int(region.sum())
+    assert grids.hessian_adjoint(np.ones((m, K)), region, g.h).shape == g.extents
+    for shape in [(m, K - 1), (K, m), (m - 1, K), (m, K, 1), (m * K,)]:
+        with pytest.raises(GridError, match="shape"):
+            grids.hessian_adjoint(np.ones(shape), region, g.h)
+    # a flat offset from a ring node wraps to the next row
+    for node in [(0,) * dim, (g.extents[0] - 1,) + (3,) * (dim - 1),
+                 (3,) * (dim - 1) + (0,)]:
+        ring = region.copy()
+        ring[node] = True
+        with pytest.raises(GridError, match="ring"):
+            grids.hessian_adjoint(np.ones((m, K + 1)), ring, g.h)
 
 
 def _per_node_shift(a, off):

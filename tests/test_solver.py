@@ -487,7 +487,7 @@ def full_tensor_newton_rows(Tfield, region, unknowns, h):
     The assembly scans the 36 (3D) or 9 (2D) packed slots of the full tensor.
     """
     n = region.ndim
-    stencils = grids._hessian_stencil(n, h)
+    stencils = oracles.weighted_hessian_stencil(n, h)
     dup = symmat.duplication_weights(n)
     pairs = symmat.PACKED_PAIRS[n]
     strides = [int(np.prod(region.shape[k + 1:])) for k in range(n)]
@@ -547,8 +547,7 @@ def test_newton_rows_equal_full_tensor_assembly_for_every_kind(dim):
 def tensor_chain(Tfield, g, region, unknowns, v):
     """h^n 1_U S^T [T : S v] from hessian_field, tensor_apply and hessian_adjoint."""
     sig = grids.hessian_field(g.with_values(v)).matrices()[region]
-    W = np.zeros(g.extents + (symmat.packed_size(g.dim),))
-    W[region] = symmat.pack(oracles.tensor_apply(Tfield, sig))
+    W = symmat.pack(oracles.tensor_apply(Tfield, sig)).T
     want = g.h**g.dim * grids.hessian_adjoint(W, region, g.h)
     want[~unknowns] = 0.0
     return want
@@ -1026,6 +1025,16 @@ def test_linearized_residual_rejects_a_field_that_is_not_packed_on_the_grid():
                   (3, 3) + g.extents + (1,)):
         with pytest.raises(grids.GridError, match="coefficient field has shape"):
             solver.linearized_residual(f, np.ones(shape), tests)
+
+
+def test_linearized_residual_rejects_a_valid_mask_off_the_grid():
+    g = grids.make_grid(2, 13, 1.0)
+    f = grids.sample(g, lambda x, y: x * y)
+    tests = grids.bump_tests(g, [(0.0, 0.0)], scale=0.4)
+    b = np.ones((3, 3) + g.extents)
+    for shape in ((12, 13), (13, 12), (13, 13, 1), (13,)):
+        with pytest.raises(grids.GridError, match="valid mask has shape"):
+            solver.linearized_residual(f, b, tests, b_valid=np.ones(shape, dtype=bool))
 
 
 def test_linearized_residual_of_difference_quotient():
