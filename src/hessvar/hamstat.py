@@ -78,8 +78,9 @@ def graph_geometry(H: SymMatField) -> GraphGeometry:
     for finite fields; g = I + H^2 with the adjugate inverse and the
     closed-form density of :func:`hessvar.models.graph_metric_packed`.  All
     are evaluated on the valid nodes only, from one component-major copy of
-    the field, and are NaN elsewhere.  On valid nodes ``g g^{-1} = I`` is
-    verified to 1e-12, ``sqrt(det g) >= 1`` and g >= I.
+    the field, by node blocks (:func:`hessvar.symmat.blockwise`), and are NaN
+    elsewhere.  On valid nodes ``g g^{-1} = I`` is verified to 1e-12,
+    ``sqrt(det g) >= 1`` and g >= I.
     """
     n, ok = H.dim, H.valid
     c = np.stack([x[ok] for x in np.moveaxis(H.values, -1, 0)])
@@ -87,7 +88,7 @@ def graph_geometry(H: SymMatField) -> GraphGeometry:
     lam[ok] = symmat.eigvals_packed(c)
     theta = np.arctan(lam).sum(axis=-1)
     theta[~ok] = np.nan
-    g, ginv, sd = models.graph_metric_packed(c)
+    g, ginv, sd = symmat.blockwise(models.graph_metric_packed, c)
     if ok.any():
         if np.abs(theta[ok]).max() >= n * np.pi / 2:
             raise PhaseError("phase reached the n pi / 2 bound on finite data")

@@ -255,9 +255,15 @@ def _area_F(c) -> np.ndarray:
     return np.sqrt(symmat.det_packed(_metric(c)))
 
 
-def _area_dF(c) -> np.ndarray:
+def _area_BFA(c):
+    """``(B, F, A)``: the inverse metric B, F = sqrt(det g) and A = M B."""
     _, B, F = graph_metric_packed(c)
-    return F * symmat.sym_product(c, B)
+    return B, F, symmat.sym_product(c, B)
+
+
+def _area_dF(c) -> np.ndarray:
+    _, F, A = _area_BFA(c)
+    return F * A
 
 
 def _area_d2F_pairs(c):
@@ -272,12 +278,11 @@ def _area_d2F_pairs(c):
 
     Yields ``(a, b, T_ab, None)`` for every packed slot pair a <= b in
     lexicographic order, the items of :func:`tensor_pairs` for this
-    major-symmetric tensor.  Each pair is evaluated on the packed B and
-    A = M B (:func:`symmat.sym_product`) into one of three buffers
-    allocated once, which the next pair overwrites.
+    major-symmetric tensor.  Each pair is evaluated on the packed B, F and
+    A = M B (:func:`_area_BFA`, by :func:`symmat.blockwise`) into one of
+    three buffers allocated once, which the next pair overwrites.
     """
-    _, B, F = graph_metric_packed(c)
-    A = symmat.sym_product(c, B)
+    B, F, A = symmat.blockwise(_area_BFA, c)
     n = symmat.dim_from_packed(len(c))
     S, pairs = symmat.SLOTS[n], symmat.PACKED_PAIRS[n]
     T, acc, tmp = (np.empty(np.shape(F)) for _ in range(3))
@@ -307,13 +312,14 @@ def _area_d2F_packed(c) -> np.ndarray:
 # The bodies take packed components and skip the admissibility check: the
 # solver calls them on Hessians whose operator norms it has already bounded.
 # The public evaluators check, then pass the body their argument's views.
+# The area closed forms run by node blocks (:func:`symmat.blockwise`).
 
 def _F_body(model: EnergyModel, c) -> np.ndarray:
     if model.kind == "quadratic":
         w = symmat.duplication_weights(model.n)
         return 0.5 * sum(wa * x * x for wa, x in zip(w, c))
     if model.kind == "area":
-        return _area_F(c)
+        return symmat.blockwise(_area_F, c)
     if model.kind == "custom":
         return np.asarray(model._F(symmat.matrices(c)), dtype=float)
     raise ModelError(f"unknown model kind {model.kind!r}")
@@ -323,7 +329,7 @@ def _dF_body(model: EnergyModel, c):
     if model.kind == "quadratic":
         return c
     if model.kind == "area":
-        return _area_dF(c)
+        return symmat.blockwise(_area_dF, c)
     M = symmat.matrices(c)
     if model._dF is not None:
         return symmat.components(np.asarray(model._dF(M), dtype=float))

@@ -33,7 +33,7 @@ stencil of :func:`grids.hessian_stencil`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -212,13 +212,21 @@ class NewtonOperator:
             self.terms.append((a, b, c, None if a == b else
                                c if mirror is None else coefficients(b, a, mirror)))
 
+    @cached_property
+    def _work(self):
+        """``(Sv, W, tmp)`` of :meth:`matvec`, made at its first call and reused
+        by every later one; the operator as built holds only its terms."""
+        span = self.hi - self.lo
+        return (np.empty((len(self.stencils), span)),
+                np.empty((len(self.stencils), span)), np.empty(span))
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         vflat = np.ravel(v)
-        Sv = np.zeros((len(self.stencils), self.hi - self.lo))
+        Sv, W, tmp = self._work
+        Sv.fill(0.0)
         for row, st in zip(Sv, self.stencils):
             add_stencil(row, vflat, self.lo, st)
-        W = np.zeros_like(Sv)
-        tmp = np.empty(self.hi - self.lo)
+        W.fill(0.0)
         for a, b, c, c_ba in self.terms:
             W[a] += np.multiply(c, Sv[b], out=tmp)
             if c_ba is not None:
@@ -329,6 +337,7 @@ def conjugate_gradient(matvec, b: np.ndarray, x0: np.ndarray, rtol: float,
     z = precond(r)
     p = np.array(z)
     rz = float(np.vdot(r, z))
+    tmp = np.empty_like(x)    # the one work vector of the in-place updates
     for it in range(1, maxiter + 1):
         Ap = matvec(p)
         pAp = float(np.vdot(p, Ap))
@@ -338,14 +347,15 @@ def conjugate_gradient(matvec, b: np.ndarray, x0: np.ndarray, rtol: float,
                 f"(p^T A p = {pAp:g}); the operator is not positive definite"
             )
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        x += np.multiply(alpha, p, out=tmp)
+        r -= np.multiply(alpha, Ap, out=tmp)
         res = float(np.sqrt(np.vdot(r, r)))
         if res <= target:
             return x, it, res / bnorm
         z = precond(r)
         rz_new = float(np.vdot(r, z))
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise SolverError(
         f"conjugate gradients stagnated: {maxiter} iterations, relative "

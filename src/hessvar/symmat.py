@@ -11,7 +11,11 @@ All routines are batched: leading axes are broadcast untouched.  Each
 operation has one kernel (``*_packed``, :func:`sym_product`) over a sequence
 ``c`` of packed component arrays, ``c[a]`` slot a of every matrix: a
 contiguous component-major ``(m, K)`` array, or the views ``M[..., i, j]`` of
-:func:`components`, which the full-matrix functions pass.  Eigenvalues
+:func:`components`, which the full-matrix functions pass.  The closed-form
+kernels with many temporaries (the eigenvalues here, and the metric triple
+and area integrand of :mod:`hessvar.models`) run through :func:`blockwise`,
+``NODE_BLOCK`` matrices at a time, so each temporary is a block, not a field;
+every matrix gets the bits of one unblocked call.  Eigenvalues
 (no eigenvectors) come in closed form with no iteration: ``mid -+ rad`` for
 n = 2, and for n = 3 the trigonometric root of the characteristic cubic
 (Smith, CACM 4(4):168, 1961) for the isolated extreme eigenvalue, followed by
@@ -27,6 +31,7 @@ bit-reproducible across BLAS builds.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -38,6 +43,11 @@ PACKED_PAIRS = {
 # SLOTS[n][i][j]: the packed slot holding entry (i, j)
 SLOTS = {n: [[p.index((min(i, j), max(i, j))) for j in range(n)] for i in range(n)]
          for n, p in PACKED_PAIRS.items()}
+
+# matrices per block of :func:`blockwise`: a float64 temporary of one block
+# is 32 KiB, so the dozens a kernel makes fit in a 2 MiB L2 cache
+NODE_BLOCK = 4096
+
 
 def packed_size(n: int) -> int:
     return n * (n + 1) // 2
@@ -125,8 +135,34 @@ def sym_product(c, d) -> np.ndarray:
     return out
 
 
+def blockwise(kernel, c):
+    """``kernel(c)``, evaluated on ``NODE_BLOCK`` matrices at a time.
+
+    ``c`` holds the packed components, all of one shape (the matrices).
+    ``kernel`` maps a sequence of 1-D component blocks to an array, or a
+    tuple of arrays, whose trailing axis runs over the block's matrices.
+    Each output is written block by block into its full-size array, whose
+    trailing axis takes the shape of ``c[0]``, so the kernel's temporaries
+    stay block-sized.  An elementwise kernel gives every matrix the bits of
+    one call on all of them; reductions belong after the call.
+    """
+    shape = np.shape(c[0])
+    K = math.prod(shape)
+    flat = [np.reshape(x, K) for x in c]
+    outs = None
+    for lo in range(0, max(K, 1), NODE_BLOCK):
+        part = kernel([x[lo:lo + NODE_BLOCK] for x in flat])
+        parts = part if isinstance(part, tuple) else (part,)
+        if outs is None:
+            outs = [np.empty(p.shape[:-1] + (K,), p.dtype) for p in parts]
+        for out, p in zip(outs, parts):
+            out[..., lo:lo + NODE_BLOCK] = p
+    outs = tuple(out.reshape(out.shape[:-1] + shape) for out in outs)
+    return outs if isinstance(part, tuple) else outs[0]
+
+
 def eigvals_packed(c) -> np.ndarray:
-    """Ascending eigenvalues ``(..., n)``, in closed form.
+    """Ascending eigenvalues ``(..., n)``, in closed form, by :func:`blockwise`.
 
     n = 3: with ``A = M / max|M_ij|``, ``q = tr A / 3`` and ``B = (A - q I) / p``
     scaled to ``tr B^2 = 6``, the roots of B are ``2 cos(phi + 2 pi k / 3)``
@@ -139,12 +175,17 @@ def eigvals_packed(c) -> np.ndarray:
     to the orthogonal complement: ``mid = (tr B - beta) / 2`` and
     ``2 rad^2 = |B - mid I - (beta - mid) P|_F^2``.
     """
+    return np.moveaxis(blockwise(_eigvals, c), 0, -1)
+
+
+def _eigvals(c) -> np.ndarray:
+    """The kernel of :func:`eigvals_packed`: ascending eigenvalues (n, K)."""
     # an infinite entry gives NaN eigenvalues, like a NaN entry
     if len(c) == 3:
         a, b, d = c
         with np.errstate(invalid="ignore"):
             mid, rad = 0.5 * (a + d), np.sqrt(0.25 * (a - d) ** 2 + b * b)
-            return np.stack([mid - rad, mid + rad], axis=-1)
+            return np.stack([mid - rad, mid + rad])
     scale = functools.reduce(np.maximum, (np.abs(x) for x in c))
     with np.errstate(invalid="ignore"):
         a00, a01, a02, a11, a12, a22 = (x / np.where(scale > 0.0, scale, 1.0) for x in c)
@@ -167,8 +208,8 @@ def eigvals_packed(c) -> np.ndarray:
     d01, d02, d12 = b01 - w * adj[3], b02 - w * adj[4], b12 - w * adj[5]
     rad = np.sqrt(0.5 * (d00 * d00 + d11 * d11 + d22 * d22)
                   + d01 * d01 + d02 * d02 + d12 * d12)
-    mu = np.stack([mid - rad, mid + rad, beta], axis=-1)
-    return np.sort((q * scale)[..., None] + (p * scale)[..., None] * mu, axis=-1)
+    mu = np.stack([mid - rad, mid + rad, beta])
+    return np.sort(q * scale + (p * scale) * mu, axis=0)
 
 
 def det_sym(M: np.ndarray) -> np.ndarray:

@@ -162,6 +162,21 @@ def test_hamstat_residual_memory_stays_a_few_matrix_fields():
     assert peak <= 12 * np.zeros((K, 3, 3)).nbytes
 
 
+def test_graph_geometry_peak_memory_is_within_seven_field_copies():
+    # the record's arrays and the component-major copy; every kernel
+    # temporary is one node block
+    g = grids.make_grid(3, 33, 1.0)
+    H = grids.hessian_field(grids.sample(g, lambda x, y, z: 0.3 * (x**3 * y + x * y**3)))
+    tracemalloc.start()
+    try:
+        geom = hamstat.graph_geometry(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(geom.theta[H.valid]).all()
+    assert peak <= 7 * H.values.nbytes, peak / H.values.nbytes
+
+
 def test_hamstat_residual_roundoff_on_harmonic_cubic():
     # the harmonic cubic has zero phase, hence is volume-critical; its
     # discrete Hessian is exact and trace-free, so the residual sits at

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,70 @@ def test_eigvals_3x3_match_lapack_on_hard_spectra():
         assert w.shape == ref.shape, name
         err = np.abs(w - ref).max(axis=-1)
         assert np.all(err <= 1e-14 * np.abs(ref).max(axis=-1)), (name, err.max())
+
+
+def _awkward_components(rng, n):
+    """Packed (m, K) components of random, zero, tied, 1e+-200-scaled and
+    non-finite matrices; K spans many SIMD bodies and a tail."""
+    Q = symmat.haar_rotations(rng, 20, n)
+    tied = np.einsum("bij,j,bkj->bik", Q, [2.0, 2.0, -1.0][:n], Q)
+    M = np.concatenate([random_sym(rng, 200, n), np.zeros((5, n, n)), tied,
+                        np.broadcast_to(3.0 * np.eye(n), (5, n, n)),
+                        random_sym(rng, 20, n, 1e200), random_sym(rng, 20, n, 1e-200)])
+    c = np.ascontiguousarray(symmat.pack(M).T)
+    c[0, 7], c[1, 8], c[-1, 9] = np.nan, np.inf, -np.inf
+    return c
+
+
+def _same_bits(x, y):
+    """Equal bits, zero signs included, and NaN at the same entries.  Which
+    of two NaN operands propagates is left open by IEEE 754, and numpy's
+    loops for short and long arrays may choose differently."""
+    nan = np.isnan(x)
+    return (np.array_equal(nan, np.isnan(y))
+            and np.array_equal(x[~nan].view(np.uint64), y[~nan].view(np.uint64)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_blocked_kernels_keep_their_bits_at_every_block_size(n, monkeypatch):
+    # every output element sees the same elementwise operations in any block,
+    # so the transcendental ufuncs must agree between SIMD bodies and tails
+    c = _awkward_components(np.random.default_rng(5), n)
+    area = models.area_model(n)
+    kernels = {
+        "eigvals_packed": symmat.eigvals_packed,
+        "sym_eigvals on strided views": lambda c: symmat.sym_eigvals(symmat.unpack(c.T)),
+        "graph_metric_packed": partial(symmat.blockwise, models.graph_metric_packed),
+        "area F": partial(models._F_body, area),
+        "area dF": partial(models._dF_body, area),
+        "area d2F pairs": lambda c: [T.copy() for _, _, T, _ in models._area_d2F_pairs(c)],
+    }
+    K = c.shape[1]
+    for name, kernel in kernels.items():
+        got = {}
+        for block in (1, 7, symmat.NODE_BLOCK, K):
+            monkeypatch.setattr(symmat, "NODE_BLOCK", block)
+            with np.errstate(all="ignore"):
+                out = kernel(c)
+            got[block] = [np.asarray(x) for x in (out if isinstance(out, (tuple, list))
+                                                  else [out])]
+        # one block of K is one call on all matrices
+        for block, outs in got.items():
+            assert len(outs) == len(got[K])
+            for x, y in zip(outs, got[K]):
+                assert x.shape == y.shape and K in x.shape, (name, block)
+                assert _same_bits(x, y), (name, block)
+
+
+def test_blockwise_keeps_the_batch_shape(monkeypatch):
+    monkeypatch.setattr(symmat, "NODE_BLOCK", 7)
+    M = random_sym(np.random.default_rng(6), 60, 3)
+    w = symmat.sym_eigvals(M)
+    assert np.array_equal(symmat.sym_eigvals(M.reshape(5, 12, 3, 3)), w.reshape(5, 12, 3))
+    assert np.array_equal(symmat.sym_eigvals(M[4]), w[4])
+    assert symmat.sym_eigvals(np.zeros((0, 3, 3))).shape == (0, 3)
+    g, B, F = symmat.blockwise(models.graph_metric_packed, symmat.components(M[:50]))
+    assert g.shape == B.shape == (6, 50) and F.shape == (50,)
 
 
 def test_nonfinite_matrix_is_not_admissible():
