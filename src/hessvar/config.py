@@ -72,7 +72,7 @@ class RunConfig:
     # [solver]
     grad_tol: float | None = None
     max_iter: int = 50
-    cg_rtol: float = 1e-12
+    cg_rtol: float = 1e-12               # floor of the CG forcing term
     init: str = "boundary"               # boundary | zero
     # [diagnostics]
     ball_stride: int = 8

@@ -11,9 +11,10 @@ double-divergence stencil application of F^{ij}(D^2 u) — for the quadratic
 integrand it is exactly the 13-point (2D) discrete bi-Laplacian at every
 interior node.
 
-Minimization is damped Newton with Armijo backtracking; the Newton systems
-are symmetric positive definite by uniform convexity and are solved with
-conjugate gradients preconditioned by the exact inverse of the squared
+Minimization is damped inexact Newton with Armijo backtracking; the Newton
+systems are symmetric positive definite by uniform convexity and are solved,
+to the Eisenstat-Walker forcing tolerance of each step, with conjugate
+gradients preconditioned by the exact inverse of the squared
 Dirichlet Laplacian on the box of the unknowns, applied as products with
 dense DST-I sine matrices, one per box axis.  Steps are shortened until every
 node Hessian stays inside the model's admissible set (margin 1e-6).  Each
@@ -51,6 +52,12 @@ from .grids import (
 from .models import AdmissibilityError, EnergyModel
 
 ADMISSIBILITY_MARGIN = 1e-6
+
+# Eisenstat-Walker choice 2 forcing of the Newton solves (see _forcing)
+FORCING_START = 1e-3
+FORCING_GAMMA = 0.9
+FORCING_MAX = 0.9
+FORCING_SAFEGUARD = 0.1
 
 
 class SolverError(RuntimeError):
@@ -105,10 +112,15 @@ class SolveReport:
     energies: list = field(default_factory=list)
     cg_iterations: list = field(default_factory=list)
     cg_residuals: list = field(default_factory=list)
+    # per step: the relative residual its CG solve was asked for
+    cg_forcing: list = field(default_factory=list)
     # per accepted step: max ||D^2 u||_op / rho_U of the new iterate
     # (0.0 when rho_U is infinite); admissible iterates stay below 1
     admissibility_margins: list = field(default_factory=list)
     converged: bool = False
+    # the loop stopped because a step accepted on the Armijo floor (an energy
+    # change at round-off) did not halve ||g||_inf (see minimize_clamped)
+    stagnated: bool = False
     grad_tol: float = np.nan
 
     def to_dict(self) -> dict:
@@ -120,8 +132,10 @@ class SolveReport:
             "energies": list(self.energies),
             "cg_iterations": list(self.cg_iterations),
             "cg_residuals": list(self.cg_residuals),
+            "cg_forcing": list(self.cg_forcing),
             "admissibility_margins": list(self.admissibility_margins),
             "converged": self.converged,
+            "stagnated": self.stagnated,
             "grad_tol": self.grad_tol,
         }
 
@@ -319,8 +333,9 @@ def conjugate_gradient(matvec, b: np.ndarray, x0: np.ndarray, rtol: float,
     """Preconditioned CG for SPD operators on node arrays.
 
     ``precond`` maps a residual to the preconditioned residual and must be
-    symmetric positive definite on the subspace CG works in.  Stops when ``||r||_2 <= max(rtol * ||b||_2, atol)`` (the
-    unpreconditioned residual).  Returns (x, iterations, achieved relative
+    symmetric positive definite on the subspace CG works in.  Stops when
+    ``||r||_2 <= max(rtol * ||b||_2, atol)`` (the unpreconditioned
+    residual).  Returns (x, iterations, achieved relative
     residual); a start that meets the target returns after 0 iterations.
     Raises SolverError on an indefinite direction or stagnation past
     ``maxiter``.
@@ -441,6 +456,25 @@ def _default_cg_maxiter(unknowns: np.ndarray) -> int:
     return max(2000, 12 * int(np.sqrt(unknowns.sum())) ** 2)
 
 
+def _forcing(eta: float | None, gnorm: float, gnorm_prev: float | None) -> float:
+    """Eisenstat-Walker choice 2 forcing term of a Newton step (SIAM J. Sci.
+    Comput. 17, 1996), before the ``cg_rtol`` floor.
+
+    ``eta`` is the previous step's term (None at the first step), ``gnorm``
+    and ``gnorm_prev`` the 2-norms of the gradient now and at the previous
+    step.  The Newton equation of a nonlinear integrand is its minimizer
+    equation only up to a linearization error of order ||g||^2, so the term
+    follows the gradient's decrease; the safeguard keeps it from dropping
+    faster than the previous term while that is large.
+    """
+    if eta is None:
+        return FORCING_START
+    eta_k = min(FORCING_MAX, FORCING_GAMMA * (gnorm / gnorm_prev) ** 2)
+    if FORCING_GAMMA * eta**2 > FORCING_SAFEGUARD:
+        eta_k = max(eta_k, FORCING_GAMMA * eta**2)
+    return eta_k
+
+
 def minimize_clamped(
     model: EnergyModel,
     bc: ClampedBoundaryData,
@@ -453,8 +487,20 @@ def minimize_clamped(
     """Damped Newton minimization of the clamped discrete energy.
 
     Returns ``(solution, SolveReport)``.  Non-convergence inside ``max_iter``
-    is flagged on the report, not raised; line-search and admissibility
-    breakdowns raise :class:`SolverError` / :class:`AdmissibilityError`.
+    is flagged on the report, not raised, and so is stagnation: a step
+    accepted on the Armijo floor (an energy change at round-off) that fails
+    to halve ``||g||_inf``, or to cut it below twice its CG residual when
+    that is looser, ends the loop with ``stagnated`` set.  Line-search
+    and admissibility breakdowns, and an iterate whose energy or gradient is
+    not finite, raise :class:`SolverError` / :class:`AdmissibilityError`.
+
+    Each Newton system is solved by CG to ``max(eta_k, cg_rtol)`` relative,
+    or to ``0.4 grad_tol`` absolute if that is looser: ``eta_k`` is the
+    Eisenstat-Walker forcing term (:func:`_forcing`), and ``cg_rtol`` its
+    floor.  The quadratic model's Newton equation is its exact minimizer
+    equation, with no linearization error to trade against, so its solves
+    run to ``cg_rtol``.  The report records the tolerance of each step in
+    ``cg_forcing``.
 
     The prescribed rings of ``init`` are stamped from ``bc``, so ``init``
     only supplies the interior starting values (and must be admissible once
@@ -470,20 +516,40 @@ def minimize_clamped(
     report = SolveReport()
     energy = it.energy()
     report.energies.append(energy)
+    forced = model.kind != "quadratic"
+    eta = gnorm = None
+    on_floor = False
     while True:
         grad = it.gradient()
-        report.grad_norm = float(np.abs(grad).max())
+        grad_norm = float(np.abs(grad).max())
+        if not (np.isfinite(energy) and np.isfinite(grad_norm)):
+            raise SolverError(
+                f"iterate {report.iterations} has energy {energy:g} and gradient "
+                f"max-norm {grad_norm:g}; both must be finite")
+        # a Newton step cuts the gradient to about its CG residual, so a step
+        # on the Armijo floor that leaves it above half, and above twice that
+        # residual, has met the round-off floor of the gradient
+        stalled = on_floor and grad_norm > max(
+            0.5, 2.0 * report.cg_residuals[-1]) * report.grad_norm
+        report.grad_norm = grad_norm
         report.grad_tol = (grad_tol if grad_tol is not None
                            else 1e-10 * (1.0 + abs(energy)))
         if report.grad_norm <= report.grad_tol:
             report.converged = True
             break
+        if stalled:
+            report.stagnated = True
+            break
         if report.iterations >= max_iter:
             break
+        gnorm_prev, gnorm = gnorm, float(np.sqrt(np.vdot(grad, grad)))
+        eta = (max(_forcing(eta, gnorm, gnorm_prev), cg_rtol) if forced
+               else cg_rtol)
         # the post-step gradient equals the CG residual for linear problems,
         # so solving past the Newton tolerance buys nothing
         delta, cg_iters, cg_residual = _newton_direction(
-            it, grad, precond, cg_rtol, cg_maxiter, atol=0.4 * report.grad_tol)
+            it, grad, precond, eta, cg_maxiter, atol=0.4 * report.grad_tol)
+        report.cg_forcing.append(eta)
         report.cg_iterations.append(cg_iters)
         report.cg_residuals.append(cg_residual)
         slope = float(np.vdot(grad, delta))
@@ -503,7 +569,8 @@ def minimize_clamped(
                 t *= 0.5
                 continue
             trial_energy = trial.energy()
-            if -t * slope <= armijo_floor:
+            on_floor = -t * slope <= armijo_floor
+            if on_floor:
                 accepted = True
                 break
             if trial_energy <= energy + 1e-4 * t * slope:

@@ -221,6 +221,37 @@ def test_solve_max_iter_flag_exit_2(tmp_path):
     assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("dim, nodes, amplitude", [(2, 17, "1e160"), (3, 11, "1e200")])
+def test_solve_overflowing_energy_exits_65(tmp_path, capsys, dim, nodes, amplitude):
+    text = BASE_SOLVE.replace("dim = 2", f"dim = {dim}")
+    text = text.replace("nodes = 33", f"nodes = {nodes}")
+    text = text.replace("amplitude = 1.0", f"amplitude = {amplitude}")
+    text = text.replace("init = zero", "init = boundary")
+    cfg = write_config(tmp_path / "huge.cfg", text)
+    with np.errstate(over="ignore"):
+        assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 65
+    err = capsys.readouterr().err
+    assert "data error" in err and "finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "solve_report.json").exists()
+
+
+def test_solve_stagnated_gradient_exits_2(tmp_path):
+    # grad_tol lies below the round-off floor of this 65^2 area gradient
+    text = BASE_SOLVE.replace("kind = quadratic", "kind = area\nrho_u = 0.9")
+    text = text.replace("nodes = 33", "nodes = 65")
+    text = text.replace("kind = cubic_biharmonic\namplitude = 1.0",
+                        "kind = harmonic_exp\namplitude = 0.3")
+    text = text.replace("init = zero", "init = boundary\ngrad_tol = 1e-12\nmax_iter = 8")
+    cfg = write_config(tmp_path / "stall.cfg", text)
+    out = tmp_path / "o"
+    assert run(["solve", "--config", cfg, "--out", str(out)]) == 2
+    report = json.loads((out / "solve_report.json").read_text())["solver"]
+    assert report["stagnated"] and not report["converged"]
+    assert report["iterations"] < 8
+    assert len(report["cg_forcing"]) == report["iterations"]
+
+
 def test_solve_max_iter_zero_converged_start_exits_0(tmp_path):
     # the sampled cubic is the exact discrete solution: no step is needed
     text = BASE_SOLVE.replace("init = zero", "init = boundary\nmax_iter = 0")

@@ -268,6 +268,94 @@ def test_minimize_max_iter_zero_judges_the_start_point():
     assert rep5.to_dict() == rep.to_dict()
 
 
+# (nodes, potential, energy, total CG iterations, Newton steps) of the library
+# area solves with CG run to cg_rtol = 1e-12 at every step, before forcing
+AREA_LIBRARY_SOLVES = {
+    2: (65, lambda x, y: 0.3 * (x**3 * y + x * y**3), 1.0154852397425085, 55, 3),
+    3: (17, lambda x, y, z: 0.3 * (x**3 * y + x * y**3), 0.8569412233308882, 27, 2),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_forced_area_solve_keeps_its_energy_with_fewer_cg_iterations(dim):
+    nodes, f, energy, cg_total, steps = AREA_LIBRARY_SOLVES[dim]
+    g = grids.make_grid(dim, nodes, 0.5)
+    bc = ClampedBoundaryData.from_potential(g, f)
+    _, rep = solver.minimize_clamped(models.area_model(dim, rho_U=0.9), bc,
+                                     grids.sample(g, f))
+    assert rep.converged and not rep.stagnated
+    assert abs(rep.energy - energy) <= 1e-14 * energy
+    assert sum(rep.cg_iterations) < cg_total
+    assert rep.iterations <= steps
+    assert len(rep.cg_forcing) == rep.iterations
+    assert rep.cg_forcing[0] == solver.FORCING_START
+    assert all(1e-12 <= eta <= 0.9 for eta in rep.cg_forcing)
+    assert rep.to_dict()["cg_forcing"] == rep.cg_forcing
+
+
+@pytest.mark.parametrize("dim, nodes, f, cg_iterations, energy", [
+    (2, 65, lambda x, y: 0.3 * np.exp(x) * np.cos(y), [31, 17], 0.1019879020483895),
+    (3, 17, lambda x, y, z: 0.3 * np.exp(x) * np.cos(y) * np.cos(z), [21, 8],
+     0.12239217429466379),
+], ids=["2d", "3d"])
+def test_quadratic_solve_runs_every_cg_solve_to_cg_rtol(dim, nodes, f,
+                                                        cg_iterations, energy):
+    # its Newton equation is its minimizer equation: forcing has nothing to
+    # trade against, and the counts and energies are those before forcing
+    g = grids.make_grid(dim, nodes, 0.5)
+    bc = ClampedBoundaryData.from_potential(g, f)
+    _, rep = solver.minimize_clamped(models.quadratic_model(dim), bc, g)
+    assert rep.converged
+    assert rep.cg_forcing == [1e-12] * len(cg_iterations)
+    assert rep.cg_iterations == cg_iterations
+    assert rep.energy == energy
+
+
+def test_forcing_term_follows_the_gradient_decrease_with_its_safeguard():
+    assert solver._forcing(None, 1.0, None) == solver.FORCING_START
+    assert solver._forcing(1e-3, 1.0, 1.0) == 0.9
+    assert solver._forcing(0.3, 1.0, 100.0) == 0.9 * 1e-4
+    # 0.9 * 0.5^2 = 0.225 > 0.1: the term may not drop below it
+    assert solver._forcing(0.5, 1.0, 100.0) == 0.9 * 0.5**2
+
+
+def test_forcing_is_floored_at_cg_rtol():
+    nodes, f, energy, _, _ = AREA_LIBRARY_SOLVES[2]
+    g = grids.make_grid(2, nodes, 0.5)
+    bc = ClampedBoundaryData.from_potential(g, f)
+    _, rep = solver.minimize_clamped(models.area_model(2, rho_U=0.9), bc,
+                                     grids.sample(g, f), cg_rtol=1e-2)
+    assert rep.converged
+    assert rep.cg_forcing == [1e-2] * rep.iterations
+    assert abs(rep.energy - energy) <= 1e-14 * energy
+
+
+def test_minimize_stops_when_floor_steps_stop_halving_the_gradient():
+    # grad_tol = 1e-12 lies below the round-off floor of this gradient
+    # (about 3e-12): Armijo-floor steps then move the energy in its last
+    # digits and leave ||g||_inf where it is
+    g = grids.make_grid(2, 65, 0.5)
+    f = lambda x, y: 0.3 * np.exp(x) * np.cos(y)
+    bc = ClampedBoundaryData.from_potential(g, f)
+    _, rep = solver.minimize_clamped(models.area_model(2, rho_U=0.9), bc,
+                                     grids.sample(g, f), grad_tol=1e-12, max_iter=8)
+    assert rep.stagnated and not rep.converged
+    assert rep.iterations < 8
+    assert rep.grad_norm > rep.grad_tol
+    assert rep.to_dict()["stagnated"] is True
+
+
+def test_minimize_keeps_going_while_loose_cg_solves_cut_the_gradient():
+    # CG to 0.5 relative cuts the gradient by about half a step: slow, not
+    # stagnant, so the floor steps run on to grad_tol
+    nodes, f, _, _, _ = AREA_LIBRARY_SOLVES[2]
+    g = grids.make_grid(2, nodes, 0.5)
+    bc = ClampedBoundaryData.from_potential(g, f)
+    _, rep = solver.minimize_clamped(models.area_model(2, rho_U=0.9), bc,
+                                     grids.sample(g, f), cg_rtol=0.5)
+    assert rep.converged and not rep.stagnated
+
+
 # ------------------------------------------------------ iterate record
 
 def tensor_field_operator(Tfield, region, unknowns, h):
