@@ -282,10 +282,6 @@ class ReverseHolderResult:
             "degenerate": [list(row) for row in self.degenerate],
         }
 
-    def finite_constants(self) -> np.ndarray:
-        arr = np.asarray(self.constants, dtype=float)
-        return arr[np.isfinite(arr)]
-
 
 def reverse_holder_check(f: SymMatField, centers, scales) -> ReverseHolderResult:
     """Doubling constants (mean |f|^2 on B_s)^{1/2} / (mean |f|^pbar on B_2s)^{1/pbar}.

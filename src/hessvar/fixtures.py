@@ -1,11 +1,8 @@
-"""Named potentials and synthetic fields used by the CLI and test fixtures."""
+"""Named potentials used by the CLI and test fixtures."""
 
 from __future__ import annotations
 
 import numpy as np
-
-from . import symmat
-from .grids import SymMatField
 
 
 def _zero(*X):
@@ -53,18 +50,3 @@ def potential(name: str, amplitude: float = 1.0):
         return amplitude * fn(*X)
 
     return scaled
-
-
-def hyperplane_jump_field(grid_like, matrix, axis: int = 0,
-                          offset: float | None = None) -> SymMatField:
-    """Field +-A split by the hyperplane {x_axis = offset}.
-
-    The default offset sits just off the node lattice so no node lands on
-    the jump itself.
-    """
-    packed = symmat.pack(np.asarray(matrix, dtype=float))
-    shift = 0.49 * grid_like.h if offset is None else offset
-    X = grid_like.coords()[axis]
-    vals = np.where((X > shift)[..., None], packed, -packed)
-    return SymMatField(h=grid_like.h, origin=np.array(grid_like.origin),
-                       values=vals)

@@ -146,19 +146,6 @@ class ScalarGrid:
     def with_values(self, values: np.ndarray) -> "ScalarGrid":
         return replace(self, values=values)
 
-    def cropped(self) -> "ScalarGrid":
-        """Restrict to the bounding box of the valid region (all-valid result)."""
-        sl = bounding_box(self.valid)
-        if not self.valid[sl].all():
-            raise GridError("valid region is not a box; cannot crop")
-        origin = self.origin + self.h * np.array([s.start for s in sl])
-        return ScalarGrid(
-            h=self.h,
-            origin=origin,
-            values=self.values[sl].copy(),
-            boundary_width=self.boundary_width,
-        )
-
 
 @dataclass(frozen=True)
 class SymMatField:

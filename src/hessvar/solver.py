@@ -18,23 +18,24 @@ gradients preconditioned by the exact inverse of the squared
 Dirichlet Laplacian on the box of the unknowns, applied as products with
 dense DST-I sine matrices, one per box axis.  Steps are shortened until every
 node Hessian stays inside the model's admissible set (margin 1e-6).  Each
-iterate is evaluated once (:class:`_Iterate`): one component-major copy of
-its Hessian field, which the packed integrand kernels read (custom callables
-get full matrices), and its operator-norm peak, screened by row and Frobenius
-norms, serve the admissibility test, the energy, the gradient and the Newton
-operator.  The Newton operator is matrix-free, ``h^n 1_U S^T (P :
-S v)`` on the one Hessian stencil S, with the packed second derivative P of
-the integrand (:func:`models.pack_tensor`) taken pair by pair
-(:func:`models.tensor_pairs`) and folded into one coefficient array per slot
-pair a <= b, which also serves the mirror (b, a) where P is major-symmetric.
-S and S^T run one kernel, :func:`grids.add_stencil`, over the flat unit-sign
-stencil of :func:`grids.hessian_stencil`.
+iterate is evaluated once (:class:`_Iterate`), and so is the argument of the
+public energy, gradient and weak residual: one component-major copy of its
+Hessian field, which the packed integrand kernels read (custom callables get
+full matrices), and its operator-norm peak, screened by row and Frobenius
+norms, serve the admissibility test, the energy, the gradient, the weak
+residual and the Newton operator.  The Newton operator is matrix-free,
+``h^n 1_U S^T (P : S v)`` on the one Hessian stencil S, with the packed
+second derivative P of the integrand (:func:`models.pack_tensor`) taken pair
+by pair (:func:`models.tensor_pairs`) and folded into one coefficient array
+per slot pair a <= b, which also serves the mirror (b, a) where P is
+major-symmetric.  S and S^T run one kernel, :func:`grids.add_stencil`, over
+the flat unit-sign stencil of :func:`grids.hessian_stencil`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -142,30 +143,9 @@ class SolveReport:
 
 # -------------------------------------------------------------- energy
 
-def _eval_on(model_fn, M: np.ndarray, region: np.ndarray):
-    """Evaluate a batched matrix function on the matrices M of the region nodes."""
-    try:
-        return model_fn(M)
-    except AdmissibilityError as err:
-        if err.index is not None:
-            node = tuple(int(v) for v in np.argwhere(region)[err.index[0]])
-            raise AdmissibilityError(
-                f"inadmissible Hessian at node {node}", index=node
-            ) from err
-        raise
-
-
-def _gradient(u: ScalarGrid, G, region: np.ndarray) -> np.ndarray:
-    grad = u.h**u.dim * hessian_adjoint(G, region, u.h)
-    grad[~(u.interior & u.valid)] = 0.0
-    return grad
-
-
 def assemble_energy(u: ScalarGrid, model: EnergyModel) -> float:
     """h^n-weighted sum of F(D^2 u) over the Hessian-valid region."""
-    H = hessian_field(u)
-    vals = _eval_on(partial(models.eval_F, model), H.matrices()[H.valid], H.valid)
-    return float(u.h**u.dim * vals.sum())
+    return _Iterate(u, model).require_admissible().energy()
 
 
 def energy_gradient(u: ScalarGrid, model: EnergyModel) -> np.ndarray:
@@ -174,9 +154,7 @@ def energy_gradient(u: ScalarGrid, model: EnergyModel) -> np.ndarray:
     Returns a full-extents array, zero off the interior.  Entry y equals the
     weak residual against the nodal test function at y.
     """
-    H = hessian_field(u)
-    G = _eval_on(partial(models.eval_dF, model), H.matrices()[H.valid], H.valid)
-    return _gradient(u, symmat.components(G), H.valid)
+    return _Iterate(u, model).require_admissible().gradient()
 
 
 class NewtonOperator:
@@ -378,11 +356,6 @@ def conjugate_gradient(matvec, b: np.ndarray, x0: np.ndarray, rtol: float,
     )
 
 
-def check_admissible(u: ScalarGrid, model: EnergyModel) -> None:
-    """Raise AdmissibilityError naming the first offending node, if any."""
-    _Iterate(u, model).require_admissible()
-
-
 def _screened_peak(c: np.ndarray) -> float:
     """max ||M||_op over the packed components c (m, K), bit for bit.
 
@@ -401,13 +374,16 @@ def _screened_peak(c: np.ndarray) -> float:
 
 
 class _Iterate:
-    """One iterate of the clamped minimization, evaluated once.
+    """One iterate, evaluated once: the one evaluation path of the energy family.
 
     Holds ``u``, the quadrature region (the Hessian-valid nodes), ``c``, one
     contiguous component-major (m, K) copy of D^2 u on the region, and
-    ``peak`` = max ||D^2 u||_op (0.0 when rho_U is infinite).  The solver
-    tests ``peak`` against rho_U before it asks for the energy, the gradient
-    or the Newton operator, so those run the unchecked integrand bodies on c.
+    ``peak`` = max ||D^2 u||_op (0.0 when rho_U is infinite).  The solve and
+    the public :func:`assemble_energy`, :func:`energy_gradient` and
+    :func:`weak_residual` call :meth:`require_admissible` first, so the
+    energy, the gradient, the weak residual and the Newton operator run the
+    unchecked integrand bodies on c.  The energy and the gradient may
+    overflow without a warning; the solve's finite check reports them.
     """
 
     def __init__(self, u: ScalarGrid, model: EnergyModel):
@@ -416,27 +392,32 @@ class _Iterate:
         self.c = np.stack([x[H.valid] for x in np.moveaxis(H.values, -1, 0)])
         self.peak = _screened_peak(self.c) if np.isfinite(model.rho_U) else 0.0
 
-    def require_admissible(self) -> None:
-        """Raise at the first region node (C order) whose operator norm is not
-        below rho_U; a non-finite Hessian entry gives a NaN norm, which is not."""
+    def require_admissible(self) -> "_Iterate":
+        """Return self, or raise at the first region node (C order) whose
+        operator norm is not below rho_U; a non-finite Hessian entry gives a
+        NaN norm, which is not."""
         if not self.peak < self.model.rho_U:
             bad = ~(symmat.op_norm(symmat.matrices(self.c)) < self.model.rho_U)
             node = tuple(int(v) for v in np.argwhere(self.region)[np.argmax(bad)])
             raise AdmissibilityError(f"Hessian operator norm not below rho_U = "
                                      f"{self.model.rho_U:g} at node {node}", index=node)
-
-    def _on_region(self, body):
-        return _eval_on(partial(body, self.model), self.c, self.region)
+        return self
 
     def energy(self) -> float:
-        return float(self.u.h**self.u.dim * self._on_region(models._F_body).sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(self.u.h**self.u.dim * models._F_body(self.model, self.c).sum())
 
     def gradient(self) -> np.ndarray:
-        return _gradient(self.u, self._on_region(models._dF_body), self.region)
+        u = self.u
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = u.h**u.dim * hessian_adjoint(models._dF_body(self.model, self.c),
+                                                self.region, u.h)
+        grad[~(u.interior & u.valid)] = 0.0
+        return grad
 
     def newton_operator(self) -> NewtonOperator:
         u = self.u
-        return NewtonOperator(self._on_region(models._d2F_pairs),
+        return NewtonOperator(models._d2F_pairs(self.model, self.c),
                               self.region, u.interior & u.valid, u.h)
 
 
@@ -506,8 +487,7 @@ def minimize_clamped(
     only supplies the interior starting values (and must be admissible once
     stamped).
     """
-    it = _Iterate(bc.apply(init), model)
-    it.require_admissible()
+    it = _Iterate(bc.apply(init), model).require_admissible()
     unknowns = it.u.interior & it.u.valid
     if cg_maxiter is None:
         cg_maxiter = _default_cg_maxiter(unknowns)
@@ -608,9 +588,8 @@ def _pair_with_tests(G, region: np.ndarray, h: float,
 def weak_residual(u: ScalarGrid, model: EnergyModel,
                   tests: TestFunctionSet) -> np.ndarray:
     """Per test function: h^n sum_x <F^{ij}(D^2 u), D^2 eta> over the region."""
-    H = hessian_field(u)
-    G = _eval_on(partial(models.eval_dF, model), H.matrices()[H.valid], H.valid)
-    return _pair_with_tests(symmat.components(G), H.valid, u.h, tests)
+    it = _Iterate(u, model).require_admissible()
+    return _pair_with_tests(models._dF_body(model, it.c), it.region, u.h, tests)
 
 
 def linearized_residual(f: ScalarGrid, b_field: np.ndarray,

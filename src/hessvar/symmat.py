@@ -212,16 +212,6 @@ def _eigvals(c) -> np.ndarray:
     return np.sort(q * scale + (p * scale) * mu, axis=0)
 
 
-def det_sym(M: np.ndarray) -> np.ndarray:
-    """Determinant of symmetric 2x2 / 3x3 matrices."""
-    return det_packed(components(M))
-
-
-def inv_sym(M: np.ndarray) -> np.ndarray:
-    """Adjugate inverse of symmetric 2x2 / 3x3 matrices."""
-    return matrices(inv_packed(components(M)))
-
-
 def sym_eigvals(M: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of symmetric 2x2 / 3x3 matrices, in closed form."""
     return eigvals_packed(components(np.asarray(M, dtype=float)))

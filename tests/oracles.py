@@ -29,7 +29,14 @@
   :mod:`hessvar.models`, which sum each product entry in a fixed order;
 - the Newton operator with one coefficient array per nonzero packed slot
   pair (a, b), the oracle for the shared pairs of
-  :class:`hessvar.solver.NewtonOperator`.
+  :class:`hessvar.solver.NewtonOperator`;
+- the energy, gradient and weak residual from ``eval_F``/``eval_dF`` on the
+  full ``(K, n, n)`` matrices of the Hessian region, the bit-level oracles
+  for the packed iterate that :func:`hessvar.solver.assemble_energy`,
+  :func:`hessvar.solver.energy_gradient` and
+  :func:`hessvar.solver.weak_residual` run;
+- the full-matrix determinant and adjugate inverse, the crop of a grid to
+  the box of its valid nodes, and the hyperplane jump field.
 """
 
 from dataclasses import dataclass
@@ -348,7 +355,7 @@ def area_graph_metric(M):
     """``(g, B, F)`` with g = I + M @ M, B its adjugate inverse, F = sqrt(det g)."""
     n = M.shape[-1]
     g = np.broadcast_to(np.eye(n), M.shape) + M @ M
-    return g, symmat.inv_sym(g), np.sqrt(symmat.det_sym(g))
+    return g, inv_sym(g), np.sqrt(det_sym(g))
 
 
 def area_dF(M):
@@ -394,3 +401,56 @@ class PerSlotNewtonOperator(solver.NewtonOperator):
             grids.add_stencil(acc, row, self.start - self.lo, st)
         acc *= np.ravel(self.unknowns)[self.start:self.stop]
         return out.reshape(v.shape)
+
+
+def full_matrix_energy(u, model):
+    """h^n sum of ``eval_F`` over the full matrices of the Hessian region."""
+    H = grids.hessian_field(u)
+    return float(u.h**u.dim * models.eval_F(model, H.matrices()[H.valid]).sum())
+
+
+def _full_matrix_dF(u, model):
+    H = grids.hessian_field(u)
+    return symmat.components(models.eval_dF(model, H.matrices()[H.valid])), H.valid
+
+
+def full_matrix_gradient(u, model):
+    """``h^n S^T eval_dF`` on the full matrices, zero off the interior."""
+    G, region = _full_matrix_dF(u, model)
+    grad = u.h**u.dim * grids.hessian_adjoint(G, region, u.h)
+    grad[~(u.interior & u.valid)] = 0.0
+    return grad
+
+
+def full_matrix_weak_residual(u, model, tests):
+    """``eval_dF`` on the full matrices, paired with each test."""
+    G, region = _full_matrix_dF(u, model)
+    return solver._pair_with_tests(G, region, u.h, tests)
+
+
+def det_sym(M):
+    """Determinant of symmetric 2x2 / 3x3 matrices."""
+    return symmat.det_packed(symmat.components(M))
+
+
+def inv_sym(M):
+    """Adjugate inverse of symmetric 2x2 / 3x3 matrices."""
+    return symmat.matrices(symmat.inv_packed(symmat.components(M)))
+
+
+def cropped(grid):
+    """Restrict a grid to the bounding box of its valid region (all-valid result)."""
+    sl = grids.bounding_box(grid.valid)
+    if not grid.valid[sl].all():
+        raise GridError("valid region is not a box; cannot crop")
+    return ScalarGrid(h=grid.h, origin=grid.origin + grid.h * np.array([s.start for s in sl]),
+                      values=grid.values[sl].copy(), boundary_width=grid.boundary_width)
+
+
+def hyperplane_jump_field(grid_like, matrix):
+    """Field +-A split by the hyperplane {x_0 = 0.49 h}, just off the node
+    lattice so no node lands on the jump itself."""
+    packed = symmat.pack(np.asarray(matrix, dtype=float))
+    X = grid_like.coords()[0]
+    return SymMatField(h=grid_like.h, origin=np.array(grid_like.origin),
+                       values=np.where((X > 0.49 * grid_like.h)[..., None], packed, -packed))

@@ -217,7 +217,7 @@ def test_criterion_6_reverse_holder_stability():
     constants = {}
     for nodes in (33, 65):  # h = 1/32 -> 1/64 from the criterion-1 family
         g, u, _ = solve_quadratic(nodes)
-        fq = grids.difference_quotient(u, 0).cropped()
+        fq = oracles.cropped(grids.difference_quotient(u, 0))
         if nodes == 33:
             # the constant-coefficient comparison solve reproduces the
             # difference quotient exactly, so the classical comparison field
@@ -319,7 +319,7 @@ def test_criterion_9_singular_set_detector():
     g = grids.make_grid(2, 97, 1.0)
     h = g.h
     A = np.eye(2)
-    f = fixtures.hyperplane_jump_field(g, A)
+    f = oracles.hyperplane_jump_field(g, A)
     p0 = 2.5
     cont = float(symmat.hs_norm(A)) ** p0 * np.pi  # half-half jump density
     mask = diag.singular_set(f, p0, [8 * h, 4 * h, 3 * h], tau=0.5 * cont)

@@ -9,6 +9,8 @@ from hessvar import fixtures, gridio, grids, models
 from hessvar.cli import run
 from hessvar.config import ConfigError, parse_config
 
+import oracles
+
 
 def write_config(path, text):
     path.write_text(text)
@@ -221,17 +223,22 @@ def test_solve_max_iter_flag_exit_2(tmp_path):
     assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("dim, nodes, amplitude", [(2, 17, "1e160"), (3, 11, "1e200")])
-def test_solve_overflowing_energy_exits_65(tmp_path, capsys, dim, nodes, amplitude):
+# the finite check reports the overflow; numpy warns of none of it
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dim, nodes, amplitude, kind", [
+    (2, 17, "1e160", "quadratic"), (3, 11, "1e200", "quadratic"), (2, 17, "1e160", "area")],
+    ids=["2-17-1e160", "3-11-1e200", "2-17-1e160-area"])
+def test_solve_overflowing_energy_exits_65(tmp_path, capsys, dim, nodes, amplitude, kind):
     text = BASE_SOLVE.replace("dim = 2", f"dim = {dim}")
+    text = text.replace("kind = quadratic", f"kind = {kind}")
     text = text.replace("nodes = 33", f"nodes = {nodes}")
     text = text.replace("amplitude = 1.0", f"amplitude = {amplitude}")
     text = text.replace("init = zero", "init = boundary")
     cfg = write_config(tmp_path / "huge.cfg", text)
-    with np.errstate(over="ignore"):
-        assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 65
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 65
     err = capsys.readouterr().err
     assert "data error" in err and "finite" in err
+    assert len(err.splitlines()) == 1, err
     assert "Traceback" not in err
     assert not (tmp_path / "o" / "solve_report.json").exists()
 
@@ -318,7 +325,7 @@ def test_diagnose_requires_tau_sigma(tmp_path):
 
 def test_diagnose_jump_field_mask_and_dimension(tmp_path):
     g = grids.make_grid(2, 65, 0.5)
-    field = fixtures.hyperplane_jump_field(g, np.eye(2))
+    field = oracles.hyperplane_jump_field(g, np.eye(2))
     fpath = tmp_path / "jump.hvgf"
     gridio.write_binary(fpath, field)
     tail = DIAG_TAIL.replace("tau_sigma = 0.5",

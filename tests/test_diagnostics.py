@@ -353,12 +353,17 @@ def test_campanato_discrete_biharmonic_decay():
 
 # --------------------------------------------------------- reverse Hoelder
 
+def finite_constants(res):
+    arr = np.asarray(res.constants, dtype=float)
+    return arr[np.isfinite(arr)]
+
+
 def test_reverse_holder_constant_field_is_one():
     g = grids.make_grid(2, 33, 1.0)
     f = constant_field(g, np.array([[1.5, 0.0], [0.0, -0.5]]))
     res = diag.reverse_holder_check(f, [(0.0, 0.0)], [0.1, 0.2])
     assert res.pbar == pytest.approx(1.0)  # 2n/(n+2) at n = 2
-    np.testing.assert_allclose(res.finite_constants(), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(finite_constants(res), 1.0, rtol=1e-12)
 
 
 def test_reverse_holder_exponent_arithmetic():
@@ -872,11 +877,10 @@ def test_three_dimensional_oscillation_and_detector():
                           values=np.broadcast_to(packed, g.extents + (6,)).copy())
     rh = diag.reverse_holder_check(c, [(0.0, 0.0, 0.0)], [0.2])
     assert rh.pbar == pytest.approx(1.2)
-    np.testing.assert_allclose(rh.finite_constants(), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(finite_constants(rh), 1.0, rtol=1e-12)
 
     # hyperplane jump: the detector marks the interface plane
-    from hessvar import fixtures
-    jump = fixtures.hyperplane_jump_field(g, np.eye(3))
+    jump = oracles.hyperplane_jump_field(g, np.eye(3))
     cont = float(symmat.hs_norm(np.eye(3))) ** 2.5 * (4.0 / 3.0) * np.pi
     mask = diag.singular_set(jump, 2.5, [4 * h, 3 * h], tau=0.5 * cont)
     X0 = g.coords()[0]

@@ -535,7 +535,7 @@ def test_cropped_grid_after_difference_quotient():
     g = grids.make_grid(2, 21, 1.0)
     u = grids.sample(g, lambda x, y: x**3 * y)
     f = grids.difference_quotient(u, 0)
-    c = f.cropped()
+    c = oracles.cropped(f)
     assert c.extents == (20, 21)
     assert c.valid.all()
     # cropping preserves node coordinates

@@ -216,13 +216,37 @@ def test_check_admissible_names_the_node_the_solve_rejects():
     bc = ClampedBoundaryData.from_potential(g, f)
     model = models.area_model(2, rho_U=0.7)
     u = bc.apply(grids.sample(g, f))
-    with pytest.raises(AdmissibilityError) as direct:
-        solver.check_admissible(u, model)
     with pytest.raises(AdmissibilityError) as solve:
         solver.minimize_clamped(model, bc, u)
-    assert str(solve.value) == str(direct.value)
-    assert solve.value.index == direct.value.index
-    solver.check_admissible(u, replace(model, rho_U=0.95))
+    assert str(solve.value).startswith("Hessian operator norm not below rho_U = 0.7 at node")
+    for evaluate in _routed_evaluators(u):
+        with pytest.raises(AdmissibilityError) as direct:
+            evaluate(u, model)
+        assert str(solve.value) == str(direct.value)
+        assert solve.value.index == direct.value.index
+        evaluate(u, replace(model, rho_U=0.95))
+
+
+def _routed_evaluators(u):
+    """assemble_energy, energy_gradient and weak_residual on nodal tests of u."""
+    tests = oracles.nodal_tests(u, stride=7)
+    return (solver.assemble_energy, solver.energy_gradient,
+            lambda u, model: solver.weak_residual(u, model, tests))
+
+
+def test_table_lattice_error_passes_through_the_routed_evaluators(tmp_path):
+    # rho_U above the lattice: the node passes the operator-norm test and the
+    # table's own range check raises, with no node index
+    path = tmp_path / "quad.csv"
+    models.write_table_model(path, models.quadratic_model(2), lo=-1.0, hi=1.0, count=5)
+    model = models.load_table_model(path, 2, rho_U=10.0)
+    g = grids.make_grid(2, 17, 1.0)
+    u = grids.sample(g, lambda x, y: 0.75 * (x**2 + y**2))   # D^2 u = 1.5 I
+    for evaluate in _routed_evaluators(u):
+        with pytest.raises(AdmissibilityError) as err:
+            evaluate(u, model)
+        assert str(err.value) == "matrix entries leave the table lattice"
+        assert err.value.index is None
 
 
 def test_boundary_data_satisfaction_check():
@@ -394,8 +418,8 @@ def test_iterate_record_matches_public_evaluators(dim):
     H = grids.hessian_field(u)
     assert np.array_equal(it.region, H.valid)
     assert it.peak == symmat.op_norm(H.matrices()[H.valid]).max()
-    assert it.energy() == solver.assemble_energy(u, model)
-    assert np.array_equal(it.gradient(), solver.energy_gradient(u, model))
+    assert it.energy() == oracles.full_matrix_energy(u, model)
+    assert np.array_equal(it.gradient(), oracles.full_matrix_gradient(u, model))
     op = it.newton_operator()
     ref = tensor_field_operator(models.eval_d2F(model, H.matrices()[H.valid]),
                                 H.valid, u.interior & u.valid, u.h)
@@ -404,6 +428,36 @@ def test_iterate_record_matches_public_evaluators(dim):
         v = rng.standard_normal(u.extents)
         assert np.array_equal(op.matvec(v), ref.matvec(v))
     assert solver._Iterate(u, replace(model, rho_U=np.inf)).peak == 0.0
+
+
+def _hs_root(M):
+    """sqrt(1 + |M|^2), a convex custom integrand."""
+    return np.sqrt(1.0 + np.sum(M * M, axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("holed", [False, True])
+@pytest.mark.parametrize("kind", ["quadratic", "area", "custom_dF", "custom_fd"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_public_energy_family_has_the_full_matrix_bits(dim, kind, holed):
+    g = grids.make_grid(dim, 33 if dim == 2 else 13, 0.5)
+    if holed:                   # a masked corner: the region is not a box
+        valid = np.ones(g.extents, dtype=bool)
+        valid[(slice(-6, None),) * dim] = False
+        g = replace(g, valid=valid)
+    f = (lambda x, y: 0.15 * np.sin(2 * x) * y + 0.1 * x**3) if dim == 2 else (
+        lambda x, y, z: 0.2 * (x**3 * y + y * z**2 - x * z))
+    u = ClampedBoundaryData.from_potential(g, f).apply(grids.sample(g, f))
+    model = {"quadratic": models.quadratic_model(dim),
+             "area": models.area_model(dim, rho_U=0.9),
+             "custom_dF": models.custom_model(
+                 dim, _hs_root, dF=lambda M: M / _hs_root(M)[..., None, None]),
+             "custom_fd": models.custom_model(dim, _hs_root)}[kind]
+    tests = oracles.nodal_tests(u, stride=5)
+    assert solver.assemble_energy(u, model) == oracles.full_matrix_energy(u, model)
+    assert np.array_equal(solver.energy_gradient(u, model),
+                          oracles.full_matrix_gradient(u, model))
+    assert np.array_equal(solver.weak_residual(u, model, tests),
+                          oracles.full_matrix_weak_residual(u, model, tests))
 
 
 # ------------------------------------------------------ screened peak
@@ -425,9 +479,10 @@ def test_iterate_rejects_a_non_finite_entry_at_its_node(dim, bad, monkeypatch):
     with pytest.raises(AdmissibilityError) as err:
         it.require_admissible()
     assert err.value.index == node
-    with pytest.raises(AdmissibilityError) as direct:
-        solver.check_admissible(u, model)
-    assert str(direct.value) == str(err.value)
+    for evaluate in _routed_evaluators(u):
+        with pytest.raises(AdmissibilityError) as direct:
+            evaluate(u, model)
+        assert str(direct.value) == str(err.value)
     # the nodewise public evaluator rejects the same node
     with pytest.raises(AdmissibilityError) as nodewise:
         models.eval_F(model, symmat.unpack(vals[H.valid]))

@@ -5,6 +5,8 @@ import pytest
 
 from hessvar import models, symmat
 
+import oracles
+
 
 def random_sym(rng, count, n, scale=1.0):
     A = rng.standard_normal((count, n, n)) * scale
@@ -35,9 +37,9 @@ def test_component_major_layout_gives_the_full_matrix_bits(n):
     c = np.ascontiguousarray(symmat.pack(M).T)
     assert np.array_equal(symmat.eigvals_packed(c), symmat.sym_eigvals(M))
     assert np.array_equal(np.abs(symmat.eigvals_packed(c)).max(axis=-1), symmat.op_norm(M))
-    assert np.array_equal(symmat.det_packed(c), symmat.det_sym(M))
+    assert np.array_equal(symmat.det_packed(c), oracles.det_sym(M))
     g = np.eye(n) + M @ M
-    B = symmat.inv_sym(g)
+    B = oracles.inv_sym(g)
     assert np.array_equal(symmat.unpack(symmat.inv_packed(symmat.pack(g).T).T), B)
     # each upper entry of the product is summed in ascending k, as einsum does
     assert np.array_equal(symmat.sym_product(c, symmat.pack(B).T),
@@ -169,8 +171,8 @@ def test_nonfinite_matrix_is_not_admissible():
 def test_det_and_inverse_against_lapack(n):
     rng = np.random.default_rng(4)
     M = random_sym(rng, 50, n) + 4.0 * np.eye(n)
-    np.testing.assert_allclose(symmat.det_sym(M), np.linalg.det(M), rtol=1e-12)
-    np.testing.assert_allclose(symmat.inv_sym(M), np.linalg.inv(M), rtol=1e-11, atol=1e-13)
+    np.testing.assert_allclose(oracles.det_sym(M), np.linalg.det(M), rtol=1e-12)
+    np.testing.assert_allclose(oracles.inv_sym(M), np.linalg.inv(M), rtol=1e-11, atol=1e-13)
 
 
 def test_op_norm_is_max_abs_eigenvalue():
