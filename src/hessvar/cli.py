@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -84,12 +85,6 @@ def build_parser() -> _Parser:
     return p
 
 
-def _resolved_config(cfg: RunConfig, seed: int) -> dict:
-    d = cfg.to_dict()
-    d["seed"] = seed
-    return d
-
-
 def build_model(cfg: RunConfig, base: str = ".") -> models.EnergyModel:
     if cfg.model_kind == "quadratic":
         return models.quadratic_model(cfg.dim)
@@ -148,13 +143,13 @@ def cmd_solve(cfg: RunConfig, out: str, seed: int, base: str = ".") -> int:
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "solve",
-        "config": _resolved_config(cfg, seed),
+        "config": replace(cfg, seed=seed),
         "seed": seed,
         "iterations": rep.iterations,
         "grad_norm": rep.grad_norm,
         "energy": rep.energy,
         "steps": list(rep.steps),
-        "solver": rep.to_dict(),
+        "solver": rep,
         "outputs": {"solution": "solution.hvgf"},
     }
     write_report(os.path.join(out, "solve_report.json"), payload)
@@ -215,10 +210,10 @@ def cmd_diagnose(cfg: RunConfig, field_file: str, out: str, seed: int) -> int:
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "diagnose",
-        "config": _resolved_config(cfg, seed),
+        "config": replace(cfg, seed=seed),
         "seed": seed,
         "bmo": {
-            **jn.bmo.to_dict(),
+            **asdict(jn.bmo),
             "small_bmo_regime": bool(jn.bmo.omega <= cfg.omega_threshold),
             "omega_threshold": cfg.omega_threshold,
         },
@@ -234,8 +229,7 @@ def cmd_diagnose(cfg: RunConfig, field_file: str, out: str, seed: int) -> int:
         }],
         "gehring": {
             "pbar": rh.pbar,
-            "constants": [[None if not np.isfinite(v) else v for v in row]
-                          for row in rh.constants],
+            "constants": rh.constants,
             "p0": p0est.p0,
             "required_constants": list(p0est.required_constants),
             "K_max": p0est.K_max,
@@ -290,7 +284,7 @@ def cmd_hamstat(cfg: RunConfig, out: str, seed: int, base: str = ".") -> int:
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "hamstat",
-        "config": _resolved_config(cfg, seed),
+        "config": replace(cfg, seed=seed),
         "seed": seed,
         "phase": {
             "file": phase_file,
@@ -299,7 +293,7 @@ def cmd_hamstat(cfg: RunConfig, out: str, seed: int, base: str = ".") -> int:
         "metric": {"file": metric_file},
         "residuals": {
             "variational_sup": float(np.abs(vres).max()),
-            "harmonicity": pres.to_dict(),
+            "harmonicity": pres,
         },
         "certificate": cert.to_dict(),
     }
@@ -329,11 +323,11 @@ def cmd_campanato(cfg: RunConfig, field_file: str, out: str, seed: int) -> int:
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "campanato",
-        "config": _resolved_config(cfg, seed),
+        "config": replace(cfg, seed=seed),
         "seed": seed,
-        "curve": curve.to_dict(),
-        "fit": fit.to_dict(),
-        "iteration_lemma": lemma.to_dict() if lemma is not None else None,
+        "curve": curve,
+        "fit": fit,
+        "iteration_lemma": lemma,
         "outputs": {"csv": "campanato.csv"},
     }
     write_report(os.path.join(out, "campanato.json"), payload)

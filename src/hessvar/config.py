@@ -44,7 +44,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 from .fixtures import POTENTIALS
 
@@ -60,7 +60,7 @@ class RunConfig:
     eta: float | None = None             # area admissibility margin
     rho_U: float | None = None           # explicit admissible radius
     model_table: str | None = None       # integrand table CSV (kind = table)
-    negate: bool = False                 # flip a concave custom integrand
+    negate: bool = False                 # flip a concave table integrand
     # [grid]
     dim: int = 2
     nodes: int = 65
@@ -91,9 +91,6 @@ class RunConfig:
     inner_fraction: float = 0.5
     # [run]
     seed: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 _SCHEMA = {
@@ -191,6 +188,8 @@ def parse_config(path) -> RunConfig:
 def validate_config(cfg: RunConfig, base: str = ".") -> None:
     if cfg.model_kind not in ("quadratic", "area", "table"):
         raise ConfigError(f"model kind {cfg.model_kind!r} not recognized")
+    if cfg.negate and cfg.model_kind != "table":
+        raise ConfigError(f"negate = true needs model kind 'table', got {cfg.model_kind!r}")
     if cfg.eta is not None and not (0.0 < cfg.eta < 1.0):
         raise ConfigError(f"eta must lie in (0, 1), got {cfg.eta}")
     if not (0.0 < cfg.alpha < 1.0):

@@ -136,13 +136,6 @@ class BMOResult:
     ball: Ball
     family_size: int
 
-    def to_dict(self) -> dict:
-        return {
-            "omega": self.omega,
-            "ball": {"center": list(self.ball.center), "radius": self.ball.radius},
-            "family_size": self.family_size,
-        }
-
 
 def bmo_modulus(f: SymMatField, family: BallFamily) -> BMOResult:
     """Supremum of the L^1 mean oscillation over the recorded ball family."""
@@ -195,15 +188,6 @@ class OscillationCurve:
     integrals: tuple        # un-normalized integral per radius
     p: float
 
-    def to_dict(self) -> dict:
-        return {
-            "center": list(self.center),
-            "radii": list(self.radii),
-            "values": list(self.values),
-            "integrals": list(self.integrals),
-            "p": self.p,
-        }
-
 
 @dataclass(frozen=True)
 class DecayFit:
@@ -215,14 +199,15 @@ class DecayFit:
     degenerate: bool
     n_radii: int
 
-    def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "log_constant": self.log_constant,
-            "residual": self.residual,
-            "degenerate": self.degenerate,
-            "n_radii": self.n_radii,
-        }
+
+def _nested_radii(radii) -> list:
+    """``radii`` as floats, largest first: at least 3, no two equal."""
+    radii = sorted((float(r) for r in radii), reverse=True)
+    if len(radii) < 3:
+        raise DiagnosticsError("nested-ball fits need at least 3 radii")
+    if len(set(radii)) != len(radii):
+        raise DiagnosticsError("radii must be strictly decreasing")
+    return radii
 
 
 def campanato_decay(f: SymMatField, center, radii, p: float = 2.0):
@@ -233,11 +218,7 @@ def campanato_decay(f: SymMatField, center, radii, p: float = 2.0):
     variation fits n + p and solutions of the constant-coefficient comparison
     problem decay at least that fast.
     """
-    radii = sorted((float(r) for r in radii), reverse=True)
-    if len(radii) < 3:
-        raise DiagnosticsError("decay fits need at least 3 radii")
-    if len(set(radii)) != len(radii):
-        raise DiagnosticsError("radii must be strictly decreasing")
+    radii = _nested_radii(radii)
     _check_exponent(p)
     center = tuple(float(c) for c in center)
     means, counts = _ball_means(f, [Ball(center=center, radius=r) for r in radii], (p,))
@@ -270,18 +251,6 @@ class ReverseHolderResult:
     constants: tuple        # (center, scale) -> constant, NaN when degenerate
     degenerate: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "pbar": self.pbar,
-            "centers": [list(c) for c in self.centers],
-            "scales": list(self.scales),
-            "constants": [
-                [None if not np.isfinite(v) else v for v in row]
-                for row in self.constants
-            ],
-            "degenerate": [list(row) for row in self.degenerate],
-        }
-
 
 def reverse_holder_check(f: SymMatField, centers, scales) -> ReverseHolderResult:
     """Doubling constants (mean |f|^2 on B_s)^{1/2} / (mean |f|^pbar on B_2s)^{1/pbar}.
@@ -300,12 +269,10 @@ def reverse_holder_check(f: SymMatField, centers, scales) -> ReverseHolderResult
             f"doubled ball B_{2 * scales[k]:g}({centers[i]}) leaves the valid region"
         )
     pairs = [(c, s) for c in centers for s in scales]
-    (inner,), _ = _ball_means(f, [Ball(center=c, radius=s) for c, s in pairs], (2.0,),
-                              centred=False)
-    (outer,), _ = _ball_means(f, [Ball(center=c, radius=2.0 * s) for c, s in pairs], (pbar,),
-                              centred=False)
+    balls = [Ball(center=c, radius=k * s) for k in (1.0, 2.0) for c, s in pairs]
+    (sq, pw), _ = _ball_means(f, balls, (2.0, pbar), centred=False)
     ratios = []
-    for num, den in zip(inner.tolist(), outer.tolist()):
+    for num, den in zip(sq[:len(pairs)].tolist(), pw[len(pairs):].tolist()):
         den = den ** (1.0 / pbar)
         ratios.append((np.nan, True) if den == 0.0 else (num**0.5 / den, False))
     rows = [ratios[i * len(scales):(i + 1) * len(scales)] for i in range(len(centers))]
@@ -337,16 +304,6 @@ class P0Estimate:
         return (f"certified p0 = {self.p0:g}" if self.certified
                 else "no exponent certified")
 
-    def to_dict(self) -> dict:
-        return {
-            "p0": self.p0,
-            "scan": list(self.scan),
-            "required_constants": [
-                None if not np.isfinite(v) else v for v in self.required_constants
-            ],
-            "K_max": self.K_max,
-        }
-
 
 def fit_p0(f: SymMatField, center, radii, K_max: float = 10.0,
            scan=DEFAULT_P_SCAN) -> P0Estimate:
@@ -355,9 +312,7 @@ def fit_p0(f: SymMatField, center, radii, K_max: float = 10.0,
     The inequality must hold with a single K <= K_max across every nested
     pair rho < r drawn from ``radii``.
     """
-    radii = sorted((float(r) for r in radii), reverse=True)
-    if len(radii) < 3:
-        raise DiagnosticsError("higher-integrability scan needs >= 3 radii")
+    radii = _nested_radii(radii)
     center = tuple(float(c) for c in center)
     means, _ = _ball_means(f, [Ball(center=center, radius=r) for r in radii],
                            (2.0,) + tuple(scan), centred=False)
@@ -392,15 +347,6 @@ class SingularMask:
     p0: float
     radii: tuple
     tau: float
-
-    def to_dict(self) -> dict:
-        return {
-            "p0": self.p0,
-            "radii": list(self.radii),
-            "tau": self.tau,
-            "flagged": int(self.mask.sum()),
-            "computable": int(self.computable.sum()),
-        }
 
 
 def _computable(f: SymMatField, offs) -> np.ndarray:
@@ -519,15 +465,6 @@ class HolderEstimate:
     pairs_used: int
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "seminorm": self.value,
-            "pair": [list(self.pair[0]), list(self.pair[1])] if self.pair else None,
-            "pairs_used": self.pairs_used,
-            "seed": self.seed,
-        }
-
 
 def holder_seminorm(f: SymMatField, alpha: float, pair_budget: int = 2000,
                     seed: int = 0, region_fraction: float = 0.75) -> HolderEstimate:
@@ -593,17 +530,6 @@ class IterationLemmaResult:
     passes: bool
     pair_count: int
     message: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "epsilon": self.epsilon,
-            "epsilon0": self.epsilon0,
-            "c": self.c,
-            "passes": self.passes,
-            "pair_count": self.pair_count,
-            "message": self.message,
-        }
 
 
 def iteration_lemma_check(radii, phi, A: float, kappa: float, gamma: float,

@@ -183,9 +183,6 @@ class ResidualSummary:
     l2: float
     nodes: int
 
-    def to_dict(self) -> dict:
-        return {"sup": self.sup, "l2": self.l2, "nodes": self.nodes}
-
 
 def phase_harmonicity_residual(geom: GraphGeometry,
                                inner_fraction: float = 0.5) -> ResidualSummary:

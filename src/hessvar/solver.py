@@ -124,22 +124,6 @@ class SolveReport:
     stagnated: bool = False
     grad_tol: float = np.nan
 
-    def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "grad_norm": self.grad_norm,
-            "energy": self.energy,
-            "steps": list(self.steps),
-            "energies": list(self.energies),
-            "cg_iterations": list(self.cg_iterations),
-            "cg_residuals": list(self.cg_residuals),
-            "cg_forcing": list(self.cg_forcing),
-            "admissibility_margins": list(self.admissibility_margins),
-            "converged": self.converged,
-            "stagnated": self.stagnated,
-            "grad_tol": self.grad_tol,
-        }
-
 
 # -------------------------------------------------------------- energy
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 import sys
@@ -5,9 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from hessvar import diagnostics as diag
 from hessvar import fixtures, gridio, grids, models
 from hessvar.cli import run
-from hessvar.config import ConfigError, parse_config
+from hessvar.config import ConfigError, RunConfig, parse_config
 
 import oracles
 
@@ -166,6 +168,9 @@ def _with_setting(text, section, key, value):
     ("solve", "boundary", "amplitude", "inf"),
     ("solve", "boundary", "amplitude", "nan"),
     ("solve", "model", "rho_u", "nan"),
+    # negate applies to a table integrand only: quadratic, then area
+    ("solve", "model", "negate", "true"),
+    ("hamstat", "model", "negate", "true"),
     ("diagnose", "diagnostics", "pair_budget", "-5"),
     ("diagnose", "diagnostics", "pair_budget", "0"),
     ("diagnose", "diagnostics", "ball_stride", "-1"),
@@ -271,18 +276,20 @@ def test_solve_max_iter_zero_converged_start_exits_0(tmp_path):
     assert report["grad_norm"] <= report["solver"]["grad_tol"]
 
 
-def test_diagnose_constant_field(tmp_path):
+def _constant_field_file(tmp_path, packed):
     g = grids.make_grid(2, 65, 0.5)
-    field = grids.SymMatField(
-        h=g.h, origin=g.origin,
-        values=np.broadcast_to(np.array([1.0, 0.0, 1.0]),
-                               g.extents + (3,)).copy())
+    field = grids.SymMatField(h=g.h, origin=g.origin,
+                              values=np.broadcast_to(packed, g.extents + (3,)).copy())
     fpath = tmp_path / "const.hvgf"
     gridio.write_binary(fpath, field)
+    return str(fpath)
+
+
+def test_diagnose_constant_field(tmp_path):
+    fpath = _constant_field_file(tmp_path, np.array([1.0, 0.0, 1.0]))
     cfg = write_config(tmp_path / "d.cfg", BASE_SOLVE + DIAG_TAIL)
     out = tmp_path / "diag"
-    assert run(["diagnose", "--config", cfg, "--field", str(fpath),
-                "--out", str(out)]) == 0
+    assert run(["diagnose", "--config", cfg, "--field", fpath, "--out", str(out)]) == 0
     rep = json.loads((out / "diagnostics.json").read_text())
     assert rep["bmo"]["omega"] == 0.0
     assert rep["bmo"]["small_bmo_regime"] is True
@@ -621,6 +628,35 @@ def test_campanato_command(tmp_path):
     lines = (out / "campanato.csv").read_text().strip().splitlines()
     assert lines[0] == "rho,oscillation,integral"
     assert len(lines) == 1 + len(rep["curve"]["radii"])
+
+
+def test_diagnose_zero_field_writes_null_constants(tmp_path):
+    # every reverse-Hoelder ratio is 0/0, so every gehring constant is NaN
+    fpath = _constant_field_file(tmp_path, np.zeros(3))
+    cfg = write_config(tmp_path / "d.cfg", BASE_SOLVE + DIAG_TAIL)
+    out = tmp_path / "diag"
+    assert run(["diagnose", "--config", cfg, "--field", fpath, "--out", str(out)]) == 0
+    rep = json.loads((out / "diagnostics.json").read_text())
+    constants = rep["gehring"]["constants"]
+    assert len(constants) == 5 and all(row == [None] * 3 for row in constants)
+    assert rep["bmo"]["omega"] == 0.0 and rep["jn"] == {"p": 2.0, "cbar": 0.0, "degenerate": True}
+    assert sorted(rep["bmo"]) == sorted([f.name for f in dataclasses.fields(diag.BMOResult)]
+                                        + ["small_bmo_regime", "omega_threshold"])
+    assert rep["campanato"][0]["c"] is None and rep["campanato"][0]["degenerate"] is True
+
+
+def test_campanato_constant_field_writes_null_iteration_lemma(tmp_path):
+    fpath = _constant_field_file(tmp_path, np.array([1.0, 0.5, -2.0]))
+    cfg = write_config(tmp_path / "c.cfg", BASE_SOLVE + DIAG_TAIL)
+    out = tmp_path / "camp"
+    assert run(["campanato", "--config", cfg, "--field", fpath, "--out", str(out)]) == 0
+    rep = json.loads((out / "campanato.json").read_text())
+    assert rep["iteration_lemma"] is None
+    assert rep["fit"]["degenerate"] is True
+    assert set(rep["fit"]) == {f.name for f in dataclasses.fields(diag.DecayFit)}
+    assert set(rep["curve"]) == {f.name for f in dataclasses.fields(diag.OscillationCurve)}
+    assert rep["config"]["seed"] == 3 and set(rep["config"]) == {
+        f.name for f in dataclasses.fields(RunConfig)}
 
 
 def test_report_merge(tmp_path):

@@ -340,6 +340,19 @@ def test_campanato_needs_three_radii():
         diag.campanato_decay(f, (0.0, 0.0), [0.4, 0.2], p=2.0)
 
 
+@pytest.mark.parametrize("fit", ["campanato", "p0"])
+def test_nested_ball_fits_reject_duplicate_radii(fit):
+    # a repeated radius would pair a ball with itself as a nested pair
+    rng = np.random.default_rng(65)
+    g = grids.make_grid(2, 65, 1.0)
+    f = grids.SymMatField(h=g.h, origin=g.origin, values=rng.standard_normal(g.extents + (3,)))
+    run = {"campanato": diag.campanato_decay, "p0": diag.fit_p0}[fit]
+    with pytest.raises(diag.DiagnosticsError, match="strictly decreasing"):
+        run(f, (0.0, 0.0), [0.4, 0.2, 0.2])
+    with pytest.raises(diag.DiagnosticsError, match="at least 3 radii"):
+        run(f, (0.0, 0.0), [0.4, 0.2])
+
+
 def test_campanato_discrete_biharmonic_decay():
     # Hessian of the clamped fourth-order solution with cubic data decays at
     # least like rho^(n + p - 1/2) in the un-normalized p = 2 integral
@@ -389,6 +402,22 @@ def test_reverse_holder_names_first_oversized_ball():
     assert str(err.value) == "doubled ball B_0.6((0.5, -0.2)) leaves the valid region"
     res = diag.reverse_holder_check(f, [], scales)
     assert res.constants == () and res.degenerate == ()
+
+
+def test_reverse_holder_takes_one_pass_over_inner_and_outer_balls(monkeypatch):
+    calls = []
+    ball_means = diag._ball_means
+
+    def counting(f, balls, exponents, centred=True):
+        calls.append((len(balls), tuple(exponents), centred))
+        return ball_means(f, balls, exponents, centred)
+
+    monkeypatch.setattr(diag, "_ball_means", counting)
+    g = grids.make_grid(2, 33, 1.0)
+    f = linear_field(g, np.array([[1.0, 0.5], [0.5, -2.0]]))
+    res = diag.reverse_holder_check(f, [(0.0, 0.0), (0.1, -0.1)], [0.1, 0.2])
+    assert calls == [(8, (2.0, res.pbar), False)]
+    assert np.isfinite(np.asarray(res.constants)).all()
 
 
 def test_reverse_holder_degenerate_zero_denominator():
