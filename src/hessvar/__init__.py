@@ -33,7 +33,6 @@ from .models import (
     quadratic_model,
 )
 from .solver import (
-    ClampedBoundaryData,
     SolveReport,
     assemble_energy,
     energy_gradient,

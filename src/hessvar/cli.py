@@ -42,7 +42,7 @@ from .hamstat import (
 )
 from .models import AdmissibilityError, ModelError
 from .reports import SCHEMA_VERSION, write_report
-from .solver import ClampedBoundaryData, SolverError, minimize_clamped
+from .solver import SolverError, minimize_clamped
 
 EXIT_OK = 0
 EXIT_NONCONVERGED = 2
@@ -104,39 +104,40 @@ def build_model(cfg: RunConfig, base: str = ".") -> models.EnergyModel:
     return table
 
 
-def _potential_file(cfg: RunConfig, grid: ScalarGrid, base: str) -> ScalarGrid:
-    """The [boundary] file potential, on the configured grid and finite."""
-    path = os.path.join(base, cfg.boundary_file)
-    u = gridio.read_grid(path)
-    if u.extents != grid.extents:
-        raise GridError(f"boundary file extents {u.extents} do not match the "
-                        f"configured grid {grid.extents}")
+def _potential(cfg: RunConfig, base: str) -> ScalarGrid:
+    """The [boundary] potential on the configured grid, finite at every node; a
+    file must match that grid in extents and, to 1e-12 relative, in spacing."""
+    grid = make_grid(cfg.dim, cfg.nodes, cfg.half_width)
+    if cfg.boundary_kind == "file":
+        where = os.path.join(base, cfg.boundary_file)
+        f = gridio.read_grid(where)
+        if f.extents != grid.extents:
+            raise GridError(f"boundary file extents {f.extents} do not match the "
+                            f"configured grid {grid.extents}")
+        if not abs(f.h - grid.h) <= 1e-12 * grid.h:
+            raise GridError(f"boundary file spacing {f.h!r} does not match the "
+                            f"configured grid spacing {grid.h!r}")
+        u = grid.with_values(f.values)
+    else:
+        where = f"[boundary] kind {cfg.boundary_kind!r}"
+        with np.errstate(over="ignore", invalid="ignore"):      # reported below
+            u = sample(grid, potential(cfg.boundary_kind, cfg.amplitude))
     bad = np.argwhere(~np.isfinite(u.values))
     if len(bad):
-        raise GridError(f"{path}: non-finite potential value at node "
+        raise GridError(f"{where}: non-finite potential value at node "
                         f"{tuple(bad[0].tolist())}")
     return u
-
-
-def _boundary_and_init(cfg: RunConfig, grid: ScalarGrid, base: str):
-    if cfg.boundary_kind == "file":
-        bgrid = _potential_file(cfg, grid, base)
-        return (ClampedBoundaryData.from_grid(bgrid),
-                bgrid if cfg.init == "boundary" else grid)
-    fn = potential(cfg.boundary_kind, cfg.amplitude)
-    bc = ClampedBoundaryData.from_potential(grid, fn)
-    init = sample(grid, fn) if cfg.init == "boundary" else grid
-    return bc, init
 
 
 # ------------------------------------------------------------------- solve
 
 def cmd_solve(cfg: RunConfig, out: str, seed: int, base: str = ".") -> int:
     os.makedirs(out, exist_ok=True)
-    grid = make_grid(cfg.dim, cfg.nodes, cfg.half_width)
     model = build_model(cfg, base)
-    bc, init = _boundary_and_init(cfg, grid, base)
-    u, rep = minimize_clamped(model, bc, init, grad_tol=cfg.grad_tol,
+    u0 = _potential(cfg, base)
+    if cfg.init == "zero":
+        u0 = u0.with_values(np.where(u0.interior, 0.0, u0.values))
+    u, rep = minimize_clamped(model, u0, grad_tol=cfg.grad_tol,
                               max_iter=cfg.max_iter, cg_rtol=cfg.cg_rtol)
     solution_path = os.path.join(out, "solution.hvgf")
     gridio.write_binary(solution_path, u)
@@ -187,18 +188,19 @@ def cmd_diagnose(cfg: RunConfig, field_file: str, out: str, seed: int) -> int:
     p0est = diag.fit_p0(field, center, radii, K_max=cfg.p0_K_max)
 
     off = width / 8.0
+    # the centre and its four offsets along the first two axes, in 3D too
     centers = [center] + [
         tuple(c + (off if d == axis else 0.0) * sgn for d, c in enumerate(center))
-        for axis in range(field.dim) for sgn in (+1, -1)
-    ][: 2 * field.dim]
+        for axis in range(2) for sgn in (+1, -1)
+    ]
     s0 = width / 8.0
     scales = [s0, s0 / 2.0, s0 / 4.0]
-    rh = diag.reverse_holder_check(field, centers[:5], scales)
+    rh = diag.reverse_holder_check(field, centers, scales)
 
     sigma_p0 = cfg.sigma_p0 if cfg.sigma_p0 is not None else (
         p0est.p0 if p0est.certified else 2.5
     )
-    mask = diag.singular_set(field, sigma_p0, [8 * h, 4 * h, 3 * h],
+    mask = diag.singular_set(field, sigma_p0, [4 * h, 3 * h],
                              cfg.tau_sigma)
     box_dim, sizes, counts = diag.box_counting_dimension(mask.mask)
     mask_file = "sigma_mask.hvgf"
@@ -261,9 +263,7 @@ def cmd_hamstat(cfg: RunConfig, out: str, seed: int, base: str = ".") -> int:
     if cfg.eta is None:
         raise ConfigError("hamstat needs [model] eta in (0, 1)")
     os.makedirs(out, exist_ok=True)
-    grid = make_grid(cfg.dim, cfg.nodes, cfg.half_width)
-    u = (_potential_file(cfg, grid, base) if cfg.boundary_kind == "file"
-         else sample(grid, potential(cfg.boundary_kind, cfg.amplitude)))
+    u = _potential(cfg, base)
 
     geom = graph_geometry(hessian_field(u))
     phase_file = "phase.hvgf"
@@ -272,8 +272,7 @@ def cmd_hamstat(cfg: RunConfig, out: str, seed: int, base: str = ".") -> int:
         boundary_width=u.boundary_width, valid=geom.valid))
     metric_file = "metric.hvgf"
     gridio.write_binary(os.path.join(out, metric_file), SymMatField(
-        h=u.h, origin=u.origin, valid=geom.valid,
-        values=np.where(geom.valid[..., None], geom.g, np.nan)))
+        h=u.h, origin=u.origin, values=geom.g, valid=geom.valid))
 
     center = tuple(o + u.h * 0.5 * (N - 1) for o, N in zip(u.origin, u.extents))
     tests = bump_tests(u, [center], scale=cfg.bump_scale)
@@ -372,6 +371,8 @@ def run(argv=None) -> int:
             return cmd_report_merge(args.inputs, args.out)
         cfg = parse_config(args.config)
         seed = args.seed if args.seed is not None else cfg.seed
+        if seed < 0:
+            raise UsageError(f"--seed must be >= 0, got {seed}")
         base = os.path.dirname(os.path.abspath(args.config))
         if args.command == "solve":
             return cmd_solve(cfg, args.out, seed, base)

@@ -47,6 +47,7 @@ import os
 from dataclasses import dataclass
 
 from .fixtures import POTENTIALS
+from .grids import spacing_ok
 
 
 class ConfigError(ValueError):
@@ -200,9 +201,15 @@ def validate_config(cfg: RunConfig, base: str = ".") -> None:
         raise ConfigError(f"grid dim must be 2 or 3, got {cfg.dim}")
     if cfg.nodes < 11:
         raise ConfigError(f"grid needs at least 11 nodes per axis, got {cfg.nodes}")
-    positive = {"rho_U": cfg.rho_U, "half_width": cfg.half_width,
-                "grad_tol": cfg.grad_tol, "r_min": cfg.r_min, "r_max": cfg.r_max,
-                "p0_k_max": cfg.p0_K_max, "bump_scale": cfg.bump_scale}
+    try:
+        h = 2.0 * cfg.half_width / (cfg.nodes - 1)
+    except OverflowError:       # a node count past the float range
+        h = 0.0
+    if not spacing_ok(h, cfg.dim):
+        raise ConfigError(f"half_width = {cfg.half_width!r} over {cfg.nodes} nodes gives a "
+                          f"spacing h = {h!r} without a finite, nonzero h**{cfg.dim}")
+    positive = {"rho_U": cfg.rho_U, "grad_tol": cfg.grad_tol, "r_min": cfg.r_min,
+                "r_max": cfg.r_max, "p0_k_max": cfg.p0_K_max, "bump_scale": cfg.bump_scale}
     for key, value in positive.items():
         if value is not None and not value > 0:
             raise ConfigError(f"{key} must be positive, got {value}")
@@ -210,7 +217,7 @@ def validate_config(cfg: RunConfig, base: str = ".") -> None:
         raise ConfigError(f"[diagnostics] r_min = {cfg.r_min} exceeds r_max = {cfg.r_max}")
     at_least = (("max_iter", cfg.max_iter, 0), ("ball_stride", cfg.ball_stride, 0),
                 ("tau_sigma", cfg.tau_sigma, 0), ("sigma_p0", cfg.sigma_p0, 1),
-                ("pair_budget", cfg.pair_budget, 1))
+                ("pair_budget", cfg.pair_budget, 1), ("seed", cfg.seed, 0))
     for key, value, lowest in at_least:
         if value is not None and not value >= lowest:
             raise ConfigError(f"{key} must be >= {lowest}, got {value}")

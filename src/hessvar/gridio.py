@@ -31,7 +31,7 @@ import struct
 import numpy as np
 
 from . import symmat
-from .grids import GridError, ScalarGrid, SymMatField
+from .grids import GridError, ScalarGrid, SymMatField, spacing_ok
 
 MAGIC = b"HVGF"
 
@@ -45,12 +45,7 @@ def _fmt(x: float) -> str:
 
 
 def _check_spacing(path, h: float, dim: int) -> None:
-    """Require a finite positive h whose cell volume h**dim is a finite nonzero float."""
-    try:
-        ok = math.isfinite(h) and h > 0 and 0.0 < h**dim < math.inf
-    except OverflowError:
-        ok = False
-    if not ok:
+    if not spacing_ok(h, dim):
         raise FormatError(
             f"{path}: grid spacing must be finite and positive with a finite, "
             f"nonzero cell volume h**{dim}, got {h!r}")

@@ -21,6 +21,7 @@ downstream operators intersect their stencil footprint with ``valid``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -259,6 +260,14 @@ class TestFunctionSet:
                 raise GridError(f"test function {k} shape {f.shape} != grid extents")
             if np.any(f[~interior] != 0.0):
                 raise GridError(f"test function {k} does not vanish off the interior")
+
+
+def spacing_ok(h: float, dim: int) -> bool:
+    """Whether h is finite and positive with a finite, nonzero cell volume h**dim."""
+    try:
+        return math.isfinite(h) and h > 0 and 0.0 < h**dim < math.inf
+    except OverflowError:
+        return False
 
 
 def make_grid(

@@ -5,8 +5,10 @@ The discrete energy of a potential u on a grid is
     E(u) = h^n * sum_x F(D^2_h u(x))
 
 over every node x where the Hessian stencil is defined (one ring beyond the
-interior); the unknowns are the interior node values, with the two outer
-rings clamped.  The gradient of E with respect to the interior values is the
+interior); the unknowns are the interior node values.  A clamped solve takes
+one grid: its two outer rings (:attr:`grids.ScalarGrid.prescribed`) are the
+data, fixing u and Du on the edge, and stay as given; its interior is the
+start.  The gradient of E with respect to the interior values is the
 double-divergence stencil application of F^{ij}(D^2 u) — for the quadratic
 integrand it is exactly the 13-point (2D) discrete bi-Laplacian at every
 interior node.
@@ -63,43 +65,6 @@ FORCING_SAFEGUARD = 0.1
 
 class SolverError(RuntimeError):
     """Linear-solver or line-search breakdown."""
-
-
-@dataclass(frozen=True)
-class ClampedBoundaryData:
-    """Prescribed values on the two outer node rings (value + normal slope).
-
-    Only the coupled encoding is supported: both rings sampled from one
-    scalar function.  Independent prescriptions of the value and the normal
-    derivative are rejected by construction — there is no API for them.
-    """
-
-    ring_values: np.ndarray   # full-extents array; only prescribed slots used
-    boundary_width: int = 2
-
-    def __post_init__(self):
-        vals = np.asarray(self.ring_values, dtype=float)
-        object.__setattr__(self, "ring_values", vals)
-
-    @staticmethod
-    def from_potential(grid: ScalarGrid, fn) -> "ClampedBoundaryData":
-        vals = np.asarray(fn(*grid.coords()), dtype=float)
-        if not np.all(np.isfinite(vals[grid.prescribed])):
-            raise GridError("boundary data must be finite on the prescribed rings")
-        return ClampedBoundaryData(ring_values=vals, boundary_width=grid.boundary_width)
-
-    @staticmethod
-    def from_grid(grid: ScalarGrid) -> "ClampedBoundaryData":
-        return ClampedBoundaryData(ring_values=np.array(grid.values),
-                                   boundary_width=grid.boundary_width)
-
-    def apply(self, grid: ScalarGrid) -> ScalarGrid:
-        if self.ring_values.shape != grid.extents:
-            raise GridError("boundary data shape does not match the grid")
-        vals = np.array(grid.values)
-        rings = grid.prescribed
-        vals[rings] = self.ring_values[rings]
-        return grid.with_values(vals)
 
 
 @dataclass
@@ -440,15 +405,9 @@ def _forcing(eta: float | None, gnorm: float, gnorm_prev: float | None) -> float
     return eta_k
 
 
-def minimize_clamped(
-    model: EnergyModel,
-    bc: ClampedBoundaryData,
-    init: ScalarGrid,
-    grad_tol: float | None = None,
-    max_iter: int = 50,
-    cg_rtol: float = 1e-12,
-    cg_maxiter: int | None = None,
-):
+def minimize_clamped(model: EnergyModel, u0: ScalarGrid, grad_tol: float | None = None,
+                     max_iter: int = 50, cg_rtol: float = 1e-12,
+                     cg_maxiter: int | None = None):
     """Damped Newton minimization of the clamped discrete energy.
 
     Returns ``(solution, SolveReport)``.  Non-convergence inside ``max_iter``
@@ -467,11 +426,11 @@ def minimize_clamped(
     run to ``cg_rtol``.  The report records the tolerance of each step in
     ``cg_forcing``.
 
-    The prescribed rings of ``init`` are stamped from ``bc``, so ``init``
-    only supplies the interior starting values (and must be admissible once
-    stamped).
+    The prescribed rings of ``u0`` are the clamped data and its interior the
+    start, which must be admissible.  Steps move only the unknowns, so the
+    solution keeps the rings of ``u0`` bit for bit.
     """
-    it = _Iterate(bc.apply(init), model).require_admissible()
+    it = _Iterate(u0, model).require_admissible()
     unknowns = it.u.interior & it.u.valid
     if cg_maxiter is None:
         cg_maxiter = _default_cg_maxiter(unknowns)
@@ -524,7 +483,6 @@ def minimize_clamped(
         armijo_floor = 64.0 * np.finfo(float).eps * (1.0 + abs(energy))
         u = it.u
         t = 1.0
-        accepted = False
         while t >= 1e-12:
             trial = _Iterate(
                 u.with_values(np.where(unknowns, u.values + t * delta, u.values)),
@@ -534,17 +492,11 @@ def minimize_clamped(
                 continue
             trial_energy = trial.energy()
             on_floor = -t * slope <= armijo_floor
-            if on_floor:
-                accepted = True
-                break
-            if trial_energy <= energy + 1e-4 * t * slope:
-                accepted = True
+            if on_floor or trial_energy <= energy + 1e-4 * t * slope:
                 break
             t *= 0.5
-        if not accepted:
-            raise SolverError(
-                "line search stalled: no admissible decreasing step found"
-            )
+        else:
+            raise SolverError("line search stalled: no admissible decreasing step found")
         it = trial
         energy = trial_energy
         report.steps.append(t)
@@ -607,24 +559,23 @@ def linearized_residual(f: ScalarGrid, b_field: np.ndarray,
 
 # -------------------------------------------------------------- linear BVP
 
-def solve_constant_coeff_bvp(
-    c0, bc: ClampedBoundaryData, grid: ScalarGrid,
-    cg_rtol: float = 1e-12, cg_maxiter: int | None = None,
-) -> ScalarGrid:
+def solve_constant_coeff_bvp(c0, u0: ScalarGrid, cg_rtol: float = 1e-12,
+                             cg_maxiter: int | None = None) -> ScalarGrid:
     """Clamped solve of the constant-coefficient double-divergence equation.
 
     Minimizes the quadratic energy (1/2) h^n sum <c0 D^2 w, D^2 w> subject to
-    the two prescribed rings.  ``c0`` is the packed (m, m) coefficient of
-    :func:`models.pack_tensor` for ``grid.dim`` (``models.packed_identity``
-    for the bi-Laplacian), symmetrized as (c0 + c0^T) / 2; the normal
-    equations are SPD when it passes the Legendre positivity check
-    (:func:`models.packed_min_eig`), and are solved by conjugate gradients.
+    the two prescribed rings of ``u0``, from its interior values.  ``c0`` is
+    the packed (m, m) coefficient of :func:`models.pack_tensor` for
+    ``u0.dim`` (``models.packed_identity`` for the bi-Laplacian), symmetrized
+    as (c0 + c0^T) / 2; the normal equations are SPD when it passes the
+    Legendre positivity check (:func:`models.packed_min_eig`), and are solved
+    by conjugate gradients.
     """
-    m = symmat.packed_size(grid.dim)
+    m = symmat.packed_size(u0.dim)
     P0 = np.asarray(c0, dtype=float)
     if P0.shape != (m, m) or not np.all(np.isfinite(P0)):
         raise models.ModelError(f"coefficient must be a finite packed ({m}, {m}) "
-                                f"array in dimension {grid.dim}, got shape {P0.shape}")
+                                f"array in dimension {u0.dim}, got shape {P0.shape}")
     P0 = 0.5 * (P0 + P0.T)
     lam_min = float(models.packed_min_eig(P0))
     if lam_min <= 0.0:
@@ -632,7 +583,6 @@ def solve_constant_coeff_bvp(
             f"coefficient tensor fails the Legendre check (min eigenvalue "
             f"{lam_min:g})"
         )
-    u0 = bc.apply(grid)
     region = hessian_field(u0).valid
     unknowns = u0.interior & u0.valid
     P = np.broadcast_to(P0[..., None], P0.shape + (int(region.sum()),))

@@ -36,7 +36,9 @@
   :func:`hessvar.solver.energy_gradient` and
   :func:`hessvar.solver.weak_residual` run;
 - the full-matrix determinant and adjugate inverse, the crop of a grid to
-  the box of its valid nodes, and the hyperplane jump field.
+  the box of its valid nodes, and the hyperplane jump field;
+- the input of a clamped solve: rings sampled from a potential, interior
+  from a start grid or zero.
 """
 
 from dataclasses import dataclass
@@ -454,3 +456,11 @@ def hyperplane_jump_field(grid_like, matrix):
     X = grid_like.coords()[0]
     return SymMatField(h=grid_like.h, origin=np.array(grid_like.origin),
                        values=np.where((X > 0.49 * grid_like.h)[..., None], packed, -packed))
+
+
+def clamped(grid, fn, start=None):
+    """``grid`` with its prescribed rings sampled from ``fn`` and its interior
+    values from the grid ``start`` on the same lattice, or zero: the one grid
+    a clamped solve takes, data and start together."""
+    inner = 0.0 if start is None else start.values
+    return grid.with_values(np.where(grid.prescribed, grids.sample(grid, fn).values, inner))

@@ -12,7 +12,6 @@ import numpy as np
 from hessvar import diagnostics as diag
 from hessvar import fixtures, grids, gridio, hamstat, models, solver, symmat
 from hessvar.cli import run
-from hessvar.solver import ClampedBoundaryData
 
 import oracles
 
@@ -36,8 +35,7 @@ def cubic_biharmonic(x, y):
 def solve_quadratic(nodes, amp=1.0, grad_tol=None):
     g = grids.make_grid(2, nodes, 0.5)
     fn = lambda x, y: amp * cubic_biharmonic(x, y)
-    bc = ClampedBoundaryData.from_potential(g, fn)
-    u, rep = solver.minimize_clamped(models.quadratic_model(2), bc, g,
+    u, rep = solver.minimize_clamped(models.quadratic_model(2), oracles.clamped(g, fn),
                                      grad_tol=grad_tol)
     return g, u, rep
 
@@ -190,8 +188,8 @@ def test_criterion_5_campanato_decay():
     # discrete comparison solution with cubic data; h = 1/96 so the smallest
     # dyadic radius 0.03125 equals 3h
     g = grids.make_grid(2, 97, 0.5)
-    bc = ClampedBoundaryData.from_potential(g, lambda x, y: x**3 + y**3)
-    w = solver.solve_constant_coeff_bvp(models.packed_identity(2), bc, g)
+    w = solver.solve_constant_coeff_bvp(models.packed_identity(2),
+                                        oracles.clamped(g, lambda x, y: x**3 + y**3))
     f = grids.hessian_field(w)
     radii = [0.25, 0.125, 0.0625, 0.03125]
     curve, fit = diag.campanato_decay(f, (0.0, 0.0), radii, p=2.0)
@@ -224,9 +222,7 @@ def test_criterion_6_reverse_holder_stability():
             # v = f - w is solver noise; the doubling constants are measured
             # on the difference quotient itself, for which the same estimate
             # holds
-            wcmp = solver.solve_constant_coeff_bvp(
-                models.packed_identity(2),
-                ClampedBoundaryData.from_grid(fq), fq)
+            wcmp = solver.solve_constant_coeff_bvp(models.packed_identity(2), fq)
             degen = np.abs(fq.values - wcmp.values)[fq.valid & wcmp.valid].max()
             assert degen < 1e-10
         H = grids.hessian_field(fq)
@@ -276,10 +272,8 @@ def test_criterion_7_hamstat_residuals():
     for nodes in (33, 65):
         gc = grids.make_grid(2, nodes, 0.5)
         fn = lambda x, y: 0.1 * cubic_biharmonic(x, y)
-        bc = ClampedBoundaryData.from_potential(gc, fn)
         uc, rep = solver.minimize_clamped(models.area_model(2, rho_U=0.8),
-                                          bc, grids.sample(gc, fn),
-                                          grad_tol=1e-12)
+                                          grids.sample(gc, fn), grad_tol=1e-12)
         assert rep.converged
         H = grids.hessian_field(uc)
         opn = symmat.op_norm(H.matrices()[H.valid]).max()

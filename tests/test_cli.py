@@ -183,6 +183,14 @@ def _with_setting(text, section, key, value):
     ("diagnose", "diagnostics", "p", "0.5"),
     ("diagnose", "diagnostics", "p", "nan"),
     ("hamstat", "hamstat", "bump_scale", "0"),
+    # a negative seed reaches numpy's generator in hamstat and diagnose
+    ("hamstat", "run", "seed", "-1"),
+    ("diagnose", "run", "seed", "-1"),
+    # h = 2 half_width / 16 underflows h**2, or overflows it
+    ("solve", "grid", "half_width", "1e-200"),
+    ("hamstat", "grid", "half_width", "1e200"),
+    # a node count past the float range leaves no spacing to compute
+    ("solve", "grid", "nodes", "1" + "0" * 400),
 ])
 def test_out_of_range_config_value_exits_64(tmp_path, capsys, command,
                                              section, key, value):
@@ -195,6 +203,16 @@ def test_out_of_range_config_value_exits_64(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert "config error" in err and key in err
     assert "Traceback" not in err
+
+
+def test_negative_seed_option_exits_64(tmp_path, capsys):
+    cfg = write_config(tmp_path / "h.cfg", HAMSTAT_AREA)
+    assert run(["hamstat", "--config", cfg, "--out", str(tmp_path / "o"),
+                "--seed", "-3"]) == 64
+    err = capsys.readouterr().err
+    assert "--seed must be >= 0, got -3" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["diagnose", "campanato"])
@@ -602,6 +620,55 @@ def test_hamstat_nonfinite_potential_exits_65(tmp_path, capsys, fmt, bad):
         err = capsys.readouterr().err
         assert f"u.{fmt}: non-finite potential value at node (10, 12)" in err
     assert not (tmp_path / "hamstat" / "hamstat_report.json").exists()
+
+
+def test_boundary_file_at_another_spacing_exits_65(tmp_path, capsys):
+    # same extents as the 17^2 grid of half-width 0.5, at twice its spacing
+    g = grids.make_grid(2, 17, 1.0)
+    gridio.write_binary(tmp_path / "u.hvgf",
+                        grids.sample(g, fixtures.potential("quadratic_iso", 0.2)))
+    cfg = write_config(tmp_path / "h.cfg",
+                       HAMSTAT_FILE.format(dim=2, nodes=17, file="u.hvgf"))
+    for command in ("hamstat", "solve"):
+        assert run([command, "--config", cfg, "--out", str(tmp_path / command)]) == 65
+        err = capsys.readouterr().err
+        assert ("boundary file spacing 0.125 does not match the configured "
+                "grid spacing 0.0625") in err
+        assert not list((tmp_path / command).glob("*.json"))
+
+
+@pytest.mark.parametrize("init", ["zero", "boundary"])
+def test_solve_from_a_boundary_file_matches_the_named_potential(tmp_path, init):
+    # a file sampled on the configured grid is the same data as the named
+    # potential: both solves write the same solution and the same numbers
+    text = BASE_SOLVE.replace("nodes = 33", "nodes = 17").replace(
+        "init = zero", f"init = {init}")
+    g = grids.make_grid(2, 17, 0.5)
+    gridio.write_binary(tmp_path / "u.hvgf",
+                        grids.sample(g, fixtures.potential("cubic_biharmonic", 1.0)))
+    named = write_config(tmp_path / "named.cfg", text)
+    filed = write_config(tmp_path / "file.cfg", text.replace(
+        "kind = cubic_biharmonic\namplitude = 1.0", "kind = file\nfile = u.hvgf"))
+    for cfg, out in ((named, "a"), (filed, "b")):
+        assert run(["solve", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+    a, b = (json.loads((tmp_path / out / "solve_report.json").read_text())
+            for out in "ab")
+    assert (tmp_path / "a" / "solution.hvgf").read_bytes() == (
+        tmp_path / "b" / "solution.hvgf").read_bytes()
+    assert a["solver"] == b["solver"] and a["energy"] == b["energy"]
+    assert b["config"]["boundary_kind"] == "file"
+
+
+def test_nonfinite_named_potential_exits_65(tmp_path, capsys):
+    # exp(x) overflows on the grid of half-width 1000
+    text = _with_setting(HAMSTAT_AREA, "grid", "half_width", "1000")
+    text = _with_setting(text, "boundary", "kind", "harmonic_exp")
+    cfg = write_config(tmp_path / "h.cfg", text)
+    for command in ("hamstat", "solve"):
+        assert run([command, "--config", cfg, "--out", str(tmp_path / command)]) == 65
+        err = capsys.readouterr().err
+        assert "[boundary] kind 'harmonic_exp': non-finite potential value at node" in err
+        assert not list((tmp_path / command).glob("*.json"))
 
 
 def test_hamstat_invalid_eta_exits_64(tmp_path):

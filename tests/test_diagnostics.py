@@ -357,8 +357,8 @@ def test_campanato_discrete_biharmonic_decay():
     # Hessian of the clamped fourth-order solution with cubic data decays at
     # least like rho^(n + p - 1/2) in the un-normalized p = 2 integral
     g = grids.make_grid(2, 65, 0.5)
-    bc = solver.ClampedBoundaryData.from_potential(g, lambda x, y: x**3 + y**3)
-    w = solver.solve_constant_coeff_bvp(models.packed_identity(2), bc, g)
+    w = solver.solve_constant_coeff_bvp(models.packed_identity(2),
+                                        oracles.clamped(g, lambda x, y: x**3 + y**3))
     f = grids.hessian_field(w)
     curve, fit = diag.campanato_decay(f, (0.0, 0.0), [0.25, 0.125, 0.0625], p=2.0)
     assert fit.slope >= 2 + 2 - 0.5
@@ -940,6 +940,34 @@ def test_iteration_lemma_constant_function_needs_large_slack():
     assert "slack" in res.message
 
 
+def test_iteration_lemma_lower_order_term_carries_a_flat_sample():
+    # phi = 0.01 is flat: with B = 0 every pair needs slack near 1, while
+    # B r^beta = r outweighs phi at every sampled radius and absorbs it
+    radii, phi = [0.1, 0.2, 0.4, 0.8], [0.01] * 4
+    bare = diag.iteration_lemma_check(radii, phi, A=1.0, kappa=5.0, gamma=2.0)
+    assert not bare.passes and "slack" in bare.message
+    res = diag.iteration_lemma_check(radii, phi, A=1.0, kappa=5.0, gamma=2.0,
+                                     B=1.0, beta=1.0)
+    assert res.theta == pytest.approx(2.0 ** (-1.0 / 3.0))
+    assert res.epsilon0 == pytest.approx(res.theta**5)
+    assert res.passes and res.epsilon == 0.0
+    # c = max phi(tau) / ((tau / r)^gamma phi(r) + B tau^beta) over the pairs
+    theta = res.theta
+    pairs = [(t, r) for t in radii for r in radii if t < r and t <= theta * r]
+    assert res.pair_count == len(pairs)
+    assert res.c == pytest.approx(max(0.01 / ((t / r) ** 2 * 0.01 + t) for t, r in pairs))
+
+
+def test_iteration_lemma_zero_sample_below_a_positive_one_fails():
+    # 1e-13 then zeros is nondecreasing within the 1e-12 tolerance; a zero
+    # phi(r) leaves no room for a positive phi(tau)
+    res = diag.iteration_lemma_check([0.1, 0.2, 0.4], [1e-13, 0.0, 0.0],
+                                     A=1.0, kappa=4.0, gamma=2.0)
+    assert not res.passes
+    assert res.epsilon == np.inf and res.c == np.inf
+    assert res.message == "hypothesis fails at a zero sample"
+
+
 def test_iteration_lemma_rejects_nonmonotone_samples():
     with pytest.raises(diag.DiagnosticsError):
         diag.iteration_lemma_check([0.1, 0.2, 0.4], [1.0, 0.5, 2.0],
@@ -951,8 +979,8 @@ def test_iteration_lemma_on_biharmonic_decay_curve():
     cs = {}
     for nodes in (65, 129):
         g = grids.make_grid(2, nodes, 0.5)
-        bc = solver.ClampedBoundaryData.from_potential(g, lambda x, y: x**3 + y**3)
-        w = solver.solve_constant_coeff_bvp(models.packed_identity(2), bc, g)
+        w = solver.solve_constant_coeff_bvp(models.packed_identity(2),
+                                            oracles.clamped(g, lambda x, y: x**3 + y**3))
         f = grids.hessian_field(w)
         radii = [0.25 / 2**k for k in range(4) if 0.25 / 2**k >= 3 * g.h]
         curve, _ = diag.campanato_decay(f, (0.0, 0.0), radii, p=2.0)

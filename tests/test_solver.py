@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from hessvar import grids, models, reports, solver, symmat
 from hessvar.models import AdmissibilityError
-from hessvar.solver import ClampedBoundaryData
 
 import oracles
 
@@ -34,8 +33,9 @@ def apply_13point(values, h):
     return out / h**4
 
 
-def assemble_13point_system(grid, bc):
-    """Sparse oracle: rows of h^n * 13-point operator at interior nodes."""
+def assemble_13point_system(grid):
+    """Sparse oracle: rows of h^n * 13-point operator at interior nodes, with
+    the prescribed rings of ``grid`` moved to the right-hand side."""
     h = grid.h
     interior = grid.interior
     idx = -np.ones(grid.extents, dtype=int)
@@ -45,7 +45,6 @@ def assemble_13point_system(grid, bc):
     N = len(nodes)
     rows, cols, vals = [], [], []
     rhs = np.zeros(N)
-    ubc = bc.apply(grid).values
     scale = h**2 / h**4  # h^n weight over h^4 stencil scale, n = 2
     for k, node in enumerate(nodes):
         for (di, dj), w in BILAPLACIAN_13.items():
@@ -55,7 +54,7 @@ def assemble_13point_system(grid, bc):
                 cols.append(idx[ni, nj])
                 vals.append(w * scale)
             else:
-                rhs[k] -= w * scale * ubc[ni, nj]
+                rhs[k] -= w * scale * grid.values[ni, nj]
     A = sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
     return A, rhs, nodes
 
@@ -142,8 +141,8 @@ def test_gradient_matches_energy_finite_differences(kind):
 
 def test_minimize_recovers_cubic_biharmonic_and_matches_sparse_solve():
     g = grids.make_grid(2, 33, 0.5)
-    bc = ClampedBoundaryData.from_potential(g, cubic_biharmonic)
-    u, rep = solver.minimize_clamped(models.quadratic_model(2), bc, g)
+    u0 = oracles.clamped(g, cubic_biharmonic)
+    u, rep = solver.minimize_clamped(models.quadratic_model(2), u0)
     assert rep.converged
 
     # the discrete operator annihilates cubics, so recovery is exact up to
@@ -152,7 +151,7 @@ def test_minimize_recovers_cubic_biharmonic_and_matches_sparse_solve():
     assert np.abs(u.values - exact.values).max() < 1e-9
 
     # independent oracle: direct sparse solve of the same equations
-    A, rhs, nodes = assemble_13point_system(g, bc)
+    A, rhs, nodes = assemble_13point_system(u0)
     direct = spla.spsolve(A.tocsc(), rhs)
     got = np.array([u.values[tuple(node)] for node in nodes])
     np.testing.assert_allclose(got, direct, atol=1e-9)
@@ -161,38 +160,37 @@ def test_minimize_recovers_cubic_biharmonic_and_matches_sparse_solve():
 def test_minimize_quadratic_boundary_needs_zero_iterations():
     g = grids.make_grid(2, 17, 1.0)
     q = lambda x, y: 0.08 * x**2 - 0.03 * x * y + 0.05 * y**2
-    bc = ClampedBoundaryData.from_potential(g, q)
     init = grids.sample(g, q)
     for model in (models.quadratic_model(2), models.area_model(2, rho_U=0.9)):
-        u, rep = solver.minimize_clamped(model, bc, init)
+        u, rep = solver.minimize_clamped(model, init)
         assert rep.converged
         assert rep.iterations == 0
 
 
 def test_minimize_zero_boundary_gives_zero():
     g = grids.make_grid(2, 17, 1.0)
-    bc = ClampedBoundaryData.from_potential(g, lambda x, y: 0.0 * x)
-    init = g.with_values(np.random.default_rng(52).standard_normal(g.extents) * 0.01)
-    u, rep = solver.minimize_clamped(models.quadratic_model(2), bc, init)
+    start = g.with_values(np.random.default_rng(52).standard_normal(g.extents) * 0.01)
+    init = oracles.clamped(g, lambda x, y: 0.0 * x, start)
+    u, rep = solver.minimize_clamped(models.quadratic_model(2), init)
     assert np.abs(u.values).max() < 1e-11
 
 
 def test_minimize_unique_up_to_tolerance():
     g = grids.make_grid(2, 21, 0.5)
-    bc = ClampedBoundaryData.from_potential(g, cubic_biharmonic)
     tol = 1e-11
-    u1, _ = solver.minimize_clamped(models.quadratic_model(2), bc, g, grad_tol=tol)
+    u1, _ = solver.minimize_clamped(models.quadratic_model(2),
+                                    oracles.clamped(g, cubic_biharmonic), grad_tol=tol)
     rng = np.random.default_rng(53)
-    init2 = g.with_values(0.01 * rng.standard_normal(g.extents))
-    u2, _ = solver.minimize_clamped(models.quadratic_model(2), bc, init2, grad_tol=tol)
+    init2 = oracles.clamped(g, cubic_biharmonic,
+                            g.with_values(0.01 * rng.standard_normal(g.extents)))
+    u2, _ = solver.minimize_clamped(models.quadratic_model(2), init2, grad_tol=tol)
     assert np.abs(u1.values - u2.values).max() <= 10 * tol
 
 
 def test_minimize_area_energy_decreases_monotonically():
     g = grids.make_grid(2, 21, 0.5)
-    bc = ClampedBoundaryData.from_potential(g, lambda x, y: 0.15 * np.sin(2 * x) * y)
     init = grids.sample(g, lambda x, y: 0.15 * np.sin(2 * x) * y)
-    u, rep = solver.minimize_clamped(models.area_model(2, rho_U=0.9), bc, init,
+    u, rep = solver.minimize_clamped(models.area_model(2, rho_U=0.9), init,
                                      grad_tol=1e-12)
     assert rep.converged
     energies = np.array(rep.energies)
@@ -203,21 +201,19 @@ def test_minimize_area_energy_decreases_monotonically():
 def test_minimize_inadmissible_init_names_node():
     g = grids.make_grid(2, 17, 1.0)
     f = lambda x, y: x**2  # Hessian diag(2, 0), operator norm 2
-    bc = ClampedBoundaryData.from_potential(g, f)
     init = grids.sample(g, f)
     with pytest.raises(AdmissibilityError) as err:
-        solver.minimize_clamped(models.area_model(2, rho_U=1.0), bc, init)
+        solver.minimize_clamped(models.area_model(2, rho_U=1.0), init)
     assert err.value.index is not None
 
 
 def test_check_admissible_names_the_node_the_solve_rejects():
     g = grids.make_grid(2, 17, 1.0)
     f = lambda x, y: 0.15 * x**3  # ||D^2 f||_op = 0.9 |x|
-    bc = ClampedBoundaryData.from_potential(g, f)
     model = models.area_model(2, rho_U=0.7)
-    u = bc.apply(grids.sample(g, f))
+    u = grids.sample(g, f)
     with pytest.raises(AdmissibilityError) as solve:
-        solver.minimize_clamped(model, bc, u)
+        solver.minimize_clamped(model, u)
     assert str(solve.value).startswith("Hessian operator norm not below rho_U = 0.7 at node")
     for evaluate in _routed_evaluators(u):
         with pytest.raises(AdmissibilityError) as direct:
@@ -250,20 +246,38 @@ def test_table_lattice_error_passes_through_the_routed_evaluators(tmp_path):
 
 
 def test_boundary_data_satisfaction_check():
+    # the prescribed rings of the start are the clamped data: both solvers
+    # return them bit for bit and move only the unknowns
     g = grids.make_grid(2, 17, 1.0)
-    bc = ClampedBoundaryData.from_potential(g, lambda x, y: x + y)
+    f = lambda x, y: 0.1 * x**3 * y + 0.05 * (x + y)
+    u0 = oracles.clamped(g, f)
     X, Y = g.coords()
-    stamped = bc.apply(g).values
-    assert np.array_equal(stamped[g.prescribed], (X + Y)[g.prescribed])
-    assert np.all(stamped[g.interior] == 0.0)
-    assert np.any(g.values[g.prescribed] != stamped[g.prescribed])
+    assert np.array_equal(u0.values[g.prescribed], f(X, Y)[g.prescribed])
+    assert np.all(u0.values[g.interior] == 0.0)
+    u, rep = solver.minimize_clamped(models.quadratic_model(2), u0)
+    w = solver.solve_constant_coeff_bvp(models.packed_identity(2), u0)
+    assert rep.converged and rep.iterations >= 1
+    for out in (u, w):
+        assert np.array_equal(out.values[g.prescribed], u0.values[g.prescribed])
+        assert np.any(out.values[g.interior] != 0.0)
+
+
+def test_minimize_backtracks_on_the_armijo_test():
+    # rho_U is infinite, so no step is halved for admissibility: the 0.5 step
+    # is the Armijo test's
+    g = grids.make_grid(2, 17, 0.5)
+    model = models.area_model(2)
+    assert model.rho_U == np.inf
+    u, rep = solver.minimize_clamped(model, oracles.clamped(g, lambda x, y: 0.6 * x**3 * y))
+    assert rep.converged
+    assert min(rep.steps) < 1.0
+    assert np.all(np.diff(rep.energies) < 0.0)
 
 
 def test_minimize_3d_recovers_cubic():
     g = grids.make_grid(3, 13, 0.5)
     fn = lambda x, y, z: x**3 * y + 0.5 * z**2 * 0  # cubic, z-independent
-    bc = ClampedBoundaryData.from_potential(g, fn)
-    u, rep = solver.minimize_clamped(models.quadratic_model(3), bc, g)
+    u, rep = solver.minimize_clamped(models.quadratic_model(3), oracles.clamped(g, fn))
     assert rep.converged
     exact = grids.sample(g, fn)
     assert np.abs(u.values - exact.values).max() < 1e-9
@@ -271,8 +285,8 @@ def test_minimize_3d_recovers_cubic():
 
 def test_minimize_max_iter_flag_not_fatal():
     g = grids.make_grid(2, 33, 0.5)
-    bc = ClampedBoundaryData.from_potential(g, cubic_biharmonic)
-    u, rep = solver.minimize_clamped(models.quadratic_model(2), bc, g, max_iter=0)
+    u, rep = solver.minimize_clamped(models.quadratic_model(2),
+                                     oracles.clamped(g, cubic_biharmonic), max_iter=0)
     assert not rep.converged
     assert rep.iterations == 0
 
@@ -280,15 +294,14 @@ def test_minimize_max_iter_flag_not_fatal():
 def test_minimize_max_iter_zero_judges_the_start_point():
     # the exact cubic has a zero discrete gradient, so no step is needed
     g = grids.make_grid(2, 33, 0.5)
-    bc = ClampedBoundaryData.from_potential(g, cubic_biharmonic)
     init = grids.sample(g, cubic_biharmonic)
     model = models.quadratic_model(2)
-    _, rep = solver.minimize_clamped(model, bc, init, max_iter=0)
+    _, rep = solver.minimize_clamped(model, init, max_iter=0)
     assert rep.iterations == 0
     assert rep.grad_norm == 0.0
     assert np.isfinite(rep.grad_tol)
     assert rep.converged
-    _, rep5 = solver.minimize_clamped(model, bc, init, max_iter=5)
+    _, rep5 = solver.minimize_clamped(model, init, max_iter=5)
     assert reports.sanitize(rep5) == reports.sanitize(rep)
 
 
@@ -304,8 +317,7 @@ AREA_LIBRARY_SOLVES = {
 def test_forced_area_solve_keeps_its_energy_with_fewer_cg_iterations(dim):
     nodes, f, energy, cg_total, steps = AREA_LIBRARY_SOLVES[dim]
     g = grids.make_grid(dim, nodes, 0.5)
-    bc = ClampedBoundaryData.from_potential(g, f)
-    _, rep = solver.minimize_clamped(models.area_model(dim, rho_U=0.9), bc,
+    _, rep = solver.minimize_clamped(models.area_model(dim, rho_U=0.9),
                                      grids.sample(g, f))
     assert rep.converged and not rep.stagnated
     assert abs(rep.energy - energy) <= 1e-14 * energy
@@ -327,8 +339,7 @@ def test_quadratic_solve_runs_every_cg_solve_to_cg_rtol(dim, nodes, f,
     # its Newton equation is its minimizer equation: forcing has nothing to
     # trade against, and the counts and energies are those before forcing
     g = grids.make_grid(dim, nodes, 0.5)
-    bc = ClampedBoundaryData.from_potential(g, f)
-    _, rep = solver.minimize_clamped(models.quadratic_model(dim), bc, g)
+    _, rep = solver.minimize_clamped(models.quadratic_model(dim), oracles.clamped(g, f))
     assert rep.converged
     assert rep.cg_forcing == [1e-12] * len(cg_iterations)
     assert rep.cg_iterations == cg_iterations
@@ -346,8 +357,7 @@ def test_forcing_term_follows_the_gradient_decrease_with_its_safeguard():
 def test_forcing_is_floored_at_cg_rtol():
     nodes, f, energy, _, _ = AREA_LIBRARY_SOLVES[2]
     g = grids.make_grid(2, nodes, 0.5)
-    bc = ClampedBoundaryData.from_potential(g, f)
-    _, rep = solver.minimize_clamped(models.area_model(2, rho_U=0.9), bc,
+    _, rep = solver.minimize_clamped(models.area_model(2, rho_U=0.9),
                                      grids.sample(g, f), cg_rtol=1e-2)
     assert rep.converged
     assert rep.cg_forcing == [1e-2] * rep.iterations
@@ -360,8 +370,7 @@ def test_minimize_stops_when_floor_steps_stop_halving_the_gradient():
     # digits and leave ||g||_inf where it is
     g = grids.make_grid(2, 65, 0.5)
     f = lambda x, y: 0.3 * np.exp(x) * np.cos(y)
-    bc = ClampedBoundaryData.from_potential(g, f)
-    _, rep = solver.minimize_clamped(models.area_model(2, rho_U=0.9), bc,
+    _, rep = solver.minimize_clamped(models.area_model(2, rho_U=0.9),
                                      grids.sample(g, f), grad_tol=1e-12, max_iter=8)
     assert rep.stagnated and not rep.converged
     assert rep.iterations < 8
@@ -374,8 +383,7 @@ def test_minimize_keeps_going_while_loose_cg_solves_cut_the_gradient():
     # stagnant, so the floor steps run on to grad_tol
     nodes, f, _, _, _ = AREA_LIBRARY_SOLVES[2]
     g = grids.make_grid(2, nodes, 0.5)
-    bc = ClampedBoundaryData.from_potential(g, f)
-    _, rep = solver.minimize_clamped(models.area_model(2, rho_U=0.9), bc,
+    _, rep = solver.minimize_clamped(models.area_model(2, rho_U=0.9),
                                      grids.sample(g, f), cg_rtol=0.5)
     assert rep.converged and not rep.stagnated
 
@@ -393,7 +401,7 @@ def _area_iterate(dim, nodes):
     g = grids.make_grid(dim, nodes, 0.5)
     f = (lambda x, y: 0.3 * cubic_biharmonic(x, y)) if dim == 2 else (
         lambda x, y, z: 0.3 * (x**3 * y + x * y**3) + 0.2 * np.sin(2 * z) * x)
-    u = ClampedBoundaryData.from_potential(g, f).apply(grids.sample(g, f))
+    u = grids.sample(g, f)
     return solver._Iterate(u, models.area_model(dim, rho_U=0.9))
 
 
@@ -407,7 +415,7 @@ def _area_field(dim):
     else:
         g = grids.make_grid(3, 11, 0.5)
         f = lambda x, y, z: 0.2 * (x**3 * y + y * z**2 - x * z)
-    u = ClampedBoundaryData.from_potential(g, f).apply(grids.sample(g, f))
+    u = grids.sample(g, f)
     return u, models.area_model(dim, rho_U=0.9)
 
 
@@ -446,7 +454,7 @@ def test_public_energy_family_has_the_full_matrix_bits(dim, kind, holed):
         g = replace(g, valid=valid)
     f = (lambda x, y: 0.15 * np.sin(2 * x) * y + 0.1 * x**3) if dim == 2 else (
         lambda x, y, z: 0.2 * (x**3 * y + y * z**2 - x * z))
-    u = ClampedBoundaryData.from_potential(g, f).apply(grids.sample(g, f))
+    u = grids.sample(g, f)
     model = {"quadratic": models.quadratic_model(dim),
              "area": models.area_model(dim, rho_U=0.9),
              "custom_dF": models.custom_model(
@@ -576,8 +584,7 @@ def test_minimize_runs_op_norm_once_per_evaluated_iterate(monkeypatch):
                         counted("preconditioner", solver.squared_laplacian_preconditioner))
     g = grids.make_grid(2, 21, 0.5)
     f = lambda x, y: 0.15 * np.sin(2 * x) * y
-    bc = ClampedBoundaryData.from_potential(g, f)
-    _, rep = solver.minimize_clamped(models.area_model(2, rho_U=0.9), bc,
+    _, rep = solver.minimize_clamped(models.area_model(2, rho_U=0.9),
                                      grids.sample(g, f), grad_tol=1e-12)
     assert rep.converged and rep.iterations >= 2
     # the start point, then one iterate per line-search trial; one
@@ -608,10 +615,9 @@ def test_minimize_backtracked_steps_keep_the_accepted_trial():
     f = lambda x, y: 0.1 * x**3 * y
     bump = lambda x, y: np.where((abs(x) < 0.4) & (abs(y) < 0.4),
                                  (0.16 - x**2)**3 * (0.16 - y**2)**3, 0.0)
-    bc = ClampedBoundaryData.from_potential(g, f)
-    init = grids.sample(g, lambda x, y: f(x, y) + 1000.0 * bump(x, y))
+    init = oracles.clamped(g, f, grids.sample(g, lambda x, y: f(x, y) + 1000.0 * bump(x, y)))
     model = _flattening_model()
-    u, rep = solver.minimize_clamped(model, bc, init, grad_tol=1e-8)
+    u, rep = solver.minimize_clamped(model, init, grad_tol=1e-8)
     assert rep.converged
     assert min(rep.steps) < 1.0
     # steps below the Armijo round-off floor may leave the energy unchanged
@@ -831,8 +837,7 @@ def test_newton_operator_matches_gradient_finite_differences():
 def test_solve_report_records_admissibility_margins():
     g = grids.make_grid(2, 21, 0.5)
     f = lambda x, y: 0.15 * np.sin(2 * x) * y
-    bc = ClampedBoundaryData.from_potential(g, f)
-    u, rep = solver.minimize_clamped(models.area_model(2, rho_U=0.9), bc,
+    u, rep = solver.minimize_clamped(models.area_model(2, rho_U=0.9),
                                      grids.sample(g, f), grad_tol=1e-12)
     margins = rep.admissibility_margins
     assert rep.iterations >= 1
@@ -842,7 +847,7 @@ def test_solve_report_records_admissibility_margins():
     assert margins[-1] == symmat.op_norm(H.matrices()[H.valid]).max() / 0.9
     assert reports.sanitize(rep)["admissibility_margins"] == margins
 
-    _, rep = solver.minimize_clamped(models.quadratic_model(2), bc, g)
+    _, rep = solver.minimize_clamped(models.quadratic_model(2), oracles.clamped(g, f))
     assert rep.admissibility_margins == [0.0] * len(rep.steps)
 
 
@@ -924,7 +929,7 @@ def test_preconditioner_symmetric_positive_on_masked_unknowns():
 
 def _area_newton_system(g):
     f = lambda x, y: 0.3 * cubic_biharmonic(x, y)
-    u = ClampedBoundaryData.from_potential(g, f).apply(grids.sample(g, f))
+    u = grids.sample(g, f)
     model = models.area_model(2, rho_U=0.9)
     return u, model, solver.energy_gradient(u, model)
 
@@ -992,8 +997,8 @@ def test_constant_coeff_bvp_second_order_on_transcendental_solution():
     for nodes in (17, 33, 65):
         g = grids.make_grid(2, nodes, 0.5)
         f = lambda x, y: np.exp(x) * np.cos(y)
-        bc = ClampedBoundaryData.from_potential(g, f)
-        w = solver.solve_constant_coeff_bvp(models.packed_identity(2), bc, g)
+        w = solver.solve_constant_coeff_bvp(models.packed_identity(2),
+                                            oracles.clamped(g, f))
         errs[nodes] = np.abs(w.values - grids.sample(g, f).values).max()
     order1 = np.log2(errs[17] / errs[33])
     order2 = np.log2(errs[33] / errs[65])
@@ -1002,45 +1007,42 @@ def test_constant_coeff_bvp_second_order_on_transcendental_solution():
 
 def test_constant_coeff_bvp_examples():
     g = grids.make_grid(2, 33, 0.5)
-    bc = ClampedBoundaryData.from_potential(g, cubic_biharmonic)
-    w = solver.solve_constant_coeff_bvp(models.packed_identity(2), bc, g)
+    u0 = oracles.clamped(g, cubic_biharmonic)
+    w = solver.solve_constant_coeff_bvp(models.packed_identity(2), u0)
     exact = grids.sample(g, cubic_biharmonic)
     assert np.abs(w.values - exact.values).max() < 1e-9
 
-    zero_bc = ClampedBoundaryData.from_potential(g, lambda x, y: 0.0 * x)
-    w0 = solver.solve_constant_coeff_bvp(models.packed_identity(2), zero_bc, g)
+    w0 = solver.solve_constant_coeff_bvp(models.packed_identity(2),
+                                         oracles.clamped(g, lambda x, y: 0.0 * x))
     assert np.abs(w0.values).max() == 0.0
 
     # positive scaling of the coefficient leaves the minimizer unchanged
-    w5 = solver.solve_constant_coeff_bvp(5.0 * models.packed_identity(2), bc, g)
+    w5 = solver.solve_constant_coeff_bvp(5.0 * models.packed_identity(2), u0)
     np.testing.assert_allclose(w5.values, w.values, atol=1e-9)
 
 
 def test_constant_coeff_bvp_rejects_indefinite_tensor():
     g = grids.make_grid(2, 17, 1.0)
-    bc = ClampedBoundaryData.from_potential(g, lambda x, y: 0.0 * x)
     with pytest.raises(models.ModelError):
-        solver.solve_constant_coeff_bvp(-models.packed_identity(2), bc, g)
+        solver.solve_constant_coeff_bvp(-models.packed_identity(2), g)
 
 
 def test_constant_coeff_bvp_rejects_a_coefficient_that_is_not_finite_packed():
     g = grids.make_grid(2, 17, 1.0)
-    bc = ClampedBoundaryData.from_potential(g, lambda x, y: 0.0 * x)
     nan_id, inf_id = models.packed_identity(2), models.packed_identity(2)
     nan_id[0, 1] = nan_id[1, 0] = np.nan
     inf_id[2, 2] = np.inf
     for bad in (oracles.identity_tensor(2), oracles.identity_tensor(3),
                 models.packed_identity(3), np.ones((2, 2, 2)), nan_id, inf_id):
         with pytest.raises(models.ModelError, match="finite packed"):
-            solver.solve_constant_coeff_bvp(bad, bc, g)
+            solver.solve_constant_coeff_bvp(bad, g)
 
 
 def test_minimize_agrees_with_bvp_for_quadratic_model():
     g = grids.make_grid(2, 21, 0.5)
-    bc = ClampedBoundaryData.from_potential(g, cubic_biharmonic)
-    u, _ = solver.minimize_clamped(models.quadratic_model(2), bc, g,
-                                   grad_tol=1e-13)
-    w = solver.solve_constant_coeff_bvp(models.packed_identity(2), bc, g)
+    u0 = oracles.clamped(g, cubic_biharmonic)
+    u, _ = solver.minimize_clamped(models.quadratic_model(2), u0, grad_tol=1e-13)
+    w = solver.solve_constant_coeff_bvp(models.packed_identity(2), u0)
     assert np.abs(u.values - w.values).max() < 1e-10
 
 
@@ -1067,9 +1069,9 @@ def test_weak_residual_nodal_hats_reproduce_gradient():
 
 def test_weak_residual_of_converged_minimizer_is_small():
     g = grids.make_grid(2, 21, 0.5)
-    bc = ClampedBoundaryData.from_potential(g, cubic_biharmonic)
     tol = 1e-11
-    u, rep = solver.minimize_clamped(models.quadratic_model(2), bc, g, grad_tol=tol)
+    u, rep = solver.minimize_clamped(models.quadratic_model(2),
+                                     oracles.clamped(g, cubic_biharmonic), grad_tol=tol)
     tests = grids.bump_tests(g, [(0.0, 0.0), (0.1, -0.05)], scale=0.2)
     res = solver.weak_residual(u, models.quadratic_model(2), tests)
     for k, eta in enumerate(tests):
@@ -1184,9 +1186,9 @@ def test_linearized_residual_of_difference_quotient():
     # one difference quotient of a converged critical point solves the
     # linearized equation up to solver tolerance scaled by 1/h
     g = grids.make_grid(2, 21, 0.5)
-    bc = ClampedBoundaryData.from_potential(g, cubic_biharmonic)
     tol = 1e-12
-    u, _ = solver.minimize_clamped(models.quadratic_model(2), bc, g, grad_tol=tol)
+    u, _ = solver.minimize_clamped(models.quadratic_model(2),
+                                   oracles.clamped(g, cubic_biharmonic), grad_tol=tol)
     f = grids.difference_quotient(u, 0)
     quad = models.quadratic_model(2)
     beta = models.linearized_coefficients(quad, np.zeros((2, 2)), np.zeros((2, 2)))
@@ -1210,8 +1212,7 @@ def test_difference_quotient_of_area_minimizer_solves_the_segment_equation(dim, 
     data = (lambda x, y: 0.3 * (x**3 * y + x * y**3)) if dim == 2 else (
         lambda x, y, z: 0.3 * (x**3 * y + x * y**3) + 0.2 * x * y * z)
     model = models.area_model(dim, rho_U=0.9)
-    u, rep = solver.minimize_clamped(model, ClampedBoundaryData.from_potential(g, data),
-                                     grids.sample(g, data), grad_tol=1e-12)
+    u, rep = solver.minimize_clamped(model, grids.sample(g, data), grad_tol=1e-12)
     assert rep.converged
     H = grids.hessian_field(u)
     M = H.matrices()
