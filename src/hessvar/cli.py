@@ -394,6 +394,9 @@ def run(argv=None) -> int:
             PhaseError, OSError) as exc:
         print(f"hessvar: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:
+        print(f"hessvar: data error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 def main() -> int:

@@ -44,6 +44,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 from .fixtures import POTENTIALS
@@ -201,13 +202,15 @@ def validate_config(cfg: RunConfig, base: str = ".") -> None:
         raise ConfigError(f"grid dim must be 2 or 3, got {cfg.dim}")
     if cfg.nodes < 11:
         raise ConfigError(f"grid needs at least 11 nodes per axis, got {cfg.nodes}")
-    try:
-        h = 2.0 * cfg.half_width / (cfg.nodes - 1)
-    except OverflowError:       # a node count past the float range
-        h = 0.0
+    if cfg.nodes**cfg.dim * 8 * (cfg.dim * (cfg.dim + 1) // 2) ** 2 > sys.maxsize:
+        # the packed second derivative, m^2 floats per node, is the largest array
+        raise ConfigError(f"[grid] nodes = {cfg.nodes} gives {cfg.nodes}**{cfg.dim} nodes, "
+                          f"more than an array can hold")
+    h = 2.0 * cfg.half_width / (cfg.nodes - 1)     # the node count is below sys.maxsize
     if not spacing_ok(h, cfg.dim):
         raise ConfigError(f"half_width = {cfg.half_width!r} over {cfg.nodes} nodes gives a "
-                          f"spacing h = {h!r} without a finite, nonzero h**{cfg.dim}")
+                          f"spacing h = {h!r} without a finite, nonzero h**{cfg.dim} "
+                          f"and a finite 1/h**4")
     positive = {"rho_U": cfg.rho_U, "grad_tol": cfg.grad_tol, "r_min": cfg.r_min,
                 "r_max": cfg.r_max, "p0_k_max": cfg.p0_K_max, "bump_scale": cfg.bump_scale}
     for key, value in positive.items():

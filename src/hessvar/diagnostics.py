@@ -27,7 +27,6 @@ from .grids import (
     EmptyRegionError,
     GridError,
     SymMatField,
-    ball_chunks,
     balls_fit,
     inner_box_nodes,
     node_ball_offsets,
@@ -57,70 +56,89 @@ def _component_major(f: SymMatField) -> np.ndarray:
     return vals
 
 
-def _chunk_deviations(vals, w, idx, count=None, valid=None):
+def _chunk_deviations(vals, w, idx, count=None, holes=()):
     """|f - (f)_B| on a chunk of balls, one ball per row of ``idx``; |f| when ``count`` is None.
 
     ``vals`` holds the packed components by row, ``(m, nodes)`` and
     C-contiguous, and ``idx`` the node indices of each ball, (balls,
     nodes); ``w`` are the duplication weights, ``count`` the valid nodes per
-    ball (a scalar or a column) and ``valid`` the valid entries of ``idx``
-    (None when all are).  Each component is gathered as (balls, nodes), a
-    ball's mean is numpy's pairwise sum of its row (of its valid entries
-    alone, for a row with holes) over ``count``, and the norm adds the
-    weighted squares in component storage order, as
-    ``symmat.hs_norm_packed`` does.  A ball gets the same bits alone as in
-    any chunk of :func:`_ball_means` or :func:`_density`.  Hole
-    entries get a value too, which the caller drops.
+    ball (a scalar or a column) and ``holes`` the pair ``(rows, ok)`` of the
+    rows with invalid entries and their valid masks.  One gather reads all
+    components, as (m, balls, nodes); a ball's mean is numpy's pairwise sum
+    of its row (of its valid entries alone, per component, for a row with
+    holes) over ``count``, and the norm adds the weighted squares in
+    component storage order, as ``symmat.hs_norm_packed`` does.  A ball gets
+    the same bits alone as in any chunk of :func:`_ball_means` or
+    :func:`_density`.  Hole entries get a value too, which the caller drops.
     """
-    holed = () if valid is None else np.flatnonzero(~valid.all(axis=1))
-    dev, tmp = np.zeros(idx.shape), np.empty(idx.shape)
-    for a in range(len(w)):
-        x = vals[a].take(idx)
-        if count is not None:
-            mean = np.add.reduce(x, axis=1, keepdims=True)
-            for b in holed:
-                mean[b] = np.add.reduce(x[b][valid[b]])
-            x -= mean / count
-        np.multiply(w[a], x, out=tmp)
-        tmp *= x
-        dev += tmp
+    x = vals.take(idx, axis=1)
+    if count is not None:
+        mean = np.add.reduce(x, axis=2, keepdims=True)
+        for b, ok in zip(*holes):
+            for a in range(len(w)):
+                mean[a, b] = np.add.reduce(x[a, b][ok])
+        mean /= count
+        x -= mean
+    np.square(x, out=x)
+    for a in np.flatnonzero(w != 1.0):
+        x[a] *= w[a]                        # exact: the weights are 1 and 2
+    dev = x[0]
+    for a in range(1, len(w)):
+        dev += x[a]
     return np.sqrt(dev, out=dev)
 
 
-def _ball_means(f: SymMatField, balls, exponents, centred: bool = True):
+def _ball_means(f: SymMatField, balls, exponents, centred: bool = True, groups=None):
     """Per exponent q, each ball's mean of |f - (f)_B|^q over its valid nodes.
 
     Returns ``(means, counts)``: ``means[i, k]`` belongs to ``exponents[i]``
     and ``balls[k]``, and ``counts[k]`` is the number of valid nodes of
-    ``balls[k]``.  Uncentred, the means are of |f|^q.  Each chunk of
-    :func:`ball_chunks` goes through :func:`_chunk_deviations` on one
-    component-major copy of the field, and each sum is numpy's pairwise sum
-    over a ball's row of valid nodes (a row with holes is compacted first),
-    so a ball's values do not depend on the other balls or on the chunking.
-    The first ball in ``balls`` order without a valid node raises
-    :class:`EmptyRegionError`.
+    ``balls[k]``.  Uncentred, the means are of |f|^q.  A dict ``exponents``
+    maps each q to the balls that need it (an index or slice of ``balls``),
+    and the other balls' means for that q are NaN.  ``groups`` is a
+    :class:`hessvar.grids.BallGroups` of ``balls``, used when it lies on the
+    field's lattice.
+
+    The counts are :meth:`BallGroups.counts` of the valid mask, and only
+    rows with fewer valid nodes than their pattern gather it.  Each chunk
+    goes through :func:`_chunk_deviations` on one component-major copy of
+    the field, and each sum is numpy's pairwise sum over a ball's row of
+    valid nodes (a row with holes is compacted first), so a ball's values do
+    not depend on the other balls or on the chunking.  The first ball in
+    ``balls`` order without a valid node raises :class:`EmptyRegionError`.
     """
+    if groups is None or not groups.fits(f):
+        groups = grids.ball_groups(f, [b.center for b in balls], [b.radius for b in balls])
+    counts = groups.counts(f.valid)
+    if not counts.all():
+        raise EmptyRegionError(f"ball {balls[np.argmin(counts)]} contains no valid nodes")
+    need = np.zeros((len(exponents), len(balls)), dtype=bool)
+    for i, q in enumerate(exponents):
+        need[i, exponents[q] if isinstance(exponents, dict) else slice(None)] = True
     w = symmat.duplication_weights(f.dim)
     vals, valid = _component_major(f).reshape(len(w), -1), f.valid.reshape(-1)
-    means, counts, empty = np.empty((len(exponents), len(balls))), np.empty(len(balls), int), []
-    for members, nodes in ball_chunks(f, balls):
-        ok = valid.take(nodes)
-        count = ok.sum(axis=1)
-        if not count.all():
-            empty.append(members[count == 0][0])
-            continue
+    means = np.full(need.shape, np.nan)
+    for members, nodes in groups.chunks():
+        count = counts[members]
         holed = np.flatnonzero(count < nodes.shape[1])
-        dev = _chunk_deviations(vals, w, nodes, count[:, None] if centred else None,
-                                ok if len(holed) else None)
+        holes = (holed, valid.take(nodes[holed])) if len(holed) else ()
+        dev = _chunk_deviations(vals, w, nodes, count[:, None] if centred else None, holes)
         for i, q in enumerate(exponents):
-            powered = dev if q == 1.0 else dev**q
-            sums = np.add.reduce(powered, axis=1)
-            for b in holed:
-                sums[b] = powered[b][ok[b]].sum()
-            means[i, members] = sums / count
-        counts[members] = count
-    if empty:
-        raise EmptyRegionError(f"ball {balls[min(empty)]} contains no valid nodes")
+            rows = need[i, members]
+            full = rows.all()
+            if not (full or rows.any()):
+                continue
+            part, rows = (dev, slice(None)) if full else (dev[rows], rows)  # dev[rows] copies
+            if q == 2.0 and (not full or not need[i + 1:, members].any()):
+                part = np.square(part, out=part)        # dev is not read again
+            elif q != 1.0:
+                part = part**q
+            sums = np.add.reduce(part, axis=1)
+            for b, ok in zip(*holes):
+                if full or rows[b]:
+                    at = b if full else np.count_nonzero(rows[:b])   # b's row of part
+                    sums[at] = part[at][ok].sum()
+            means[i, members[rows]] = sums / count[rows]
     return means, counts
 
 
@@ -166,7 +184,7 @@ def john_nirenberg_ratio(f: SymMatField, family: BallFamily, p: float) -> JNEsti
     ball-by-ball evaluation.
     """
     _check_exponent(p)
-    (osc1, oscp), _ = _ball_means(f, family.balls, (1.0, p))
+    (osc1, oscp), _ = _ball_means(f, family.balls, (1.0, p), groups=family.groups)
     omega, omega_ball = -1.0, None
     for ball, osc in zip(family, osc1.tolist()):
         if osc > omega:
@@ -270,7 +288,8 @@ def reverse_holder_check(f: SymMatField, centers, scales) -> ReverseHolderResult
         )
     pairs = [(c, s) for c in centers for s in scales]
     balls = [Ball(center=c, radius=k * s) for k in (1.0, 2.0) for c, s in pairs]
-    (sq, pw), _ = _ball_means(f, balls, (2.0, pbar), centred=False)
+    inner, outer = slice(None, len(pairs)), slice(len(pairs), None)
+    (sq, pw), _ = _ball_means(f, balls, {2.0: inner, pbar: outer}, False)
     ratios = []
     for num, den in zip(sq[:len(pairs)].tolist(), pw[len(pairs):].tolist()):
         den = den ** (1.0 / pbar)
@@ -389,6 +408,74 @@ def _density(f: SymMatField, vals, radius: float, p0: float, nodes):
     return f.h**f.dim * acc / radius**f.dim
 
 
+def _window_extreme(a: np.ndarray, width: int, op) -> np.ndarray:
+    """``op`` (np.maximum or np.minimum) over every box of ``width`` nodes per axis in ``a``.
+
+    Entry ``x`` of the result belongs to the box whose first corner is
+    ``x``, so the result is ``width - 1`` shorter on each axis.  Windows
+    double along each axis, so an axis takes about ``log2(width)`` passes.
+    """
+    for axis in range(a.ndim):
+        done = 1
+        while done < width:
+            step = min(done, width - done)
+            keep = a.shape[axis] - step
+            head = (slice(None),) * axis + (slice(0, keep),)
+            tail = (slice(None),) * axis + (slice(step, step + keep),)
+            a = op(a[head], a[tail])
+            done += step
+    return a
+
+
+# relative margin of the density bound over the rounding of the densities
+_BOUND_MARGIN = 1e-9
+
+
+def _may_exceed(f: SymMatField, vals, radius: float, p0: float, tau: float) -> np.ndarray:
+    """Mask of the nodes whose ``radius`` density is not shown to be at most ``tau``.
+
+    The density of a node whose ball lies on valid nodes is at most
+    ``h^n r^-n |B_r| D^p0``, with ``D = sqrt(sum_a w_a s_a^2)`` and ``s_a``
+    the spread ``max_a - min_a`` of component ``a`` over the node's box of the
+    ball's reach (which holds the ball), widened by ``|B_r| 2^-52 max|f_a|``
+    for the rounding of the computed ball mean: every computed ``|f - (f)_B|``
+    on the ball is at most ``D``.  A node is dropped when ``bound (1 +
+    1e-9) <= tau``; the margin covers the relative rounding of the bound and
+    of the density.  A NaN or infinite bound keeps the node.  The bound is
+    built from ``vals``, the :func:`_component_major` copy, one component
+    and one slab of about ``BALL_CHUNK`` nodes along the first axis at a
+    time.
+    """
+    offs = np.array(node_ball_offsets(radius, f.h, f.dim))
+    reach, k = int(np.abs(offs).max()), len(offs)
+    width = 2 * reach + 1
+    keep = np.zeros(f.extents, dtype=bool)
+    if min(f.extents) < width:
+        return keep
+    scale = f.h**f.dim * k / radius**f.dim * (1.0 + _BOUND_MARGIN)
+    rows = max(1, grids.BALL_CHUNK // int(np.prod(f.extents[1:])))
+    inner = (slice(reach, -reach),) * (f.dim - 1)
+    for first in range(0, f.extents[0] - 2 * reach, rows):
+        slab = vals[:, first:first + rows + 2 * reach]
+        spread2 = 0.0
+        for a, wa in enumerate(symmat.duplication_weights(f.dim)):
+            hi = _window_extreme(slab[a], width, np.maximum)
+            lo = _window_extreme(slab[a], width, np.minimum)
+            spread = hi - lo
+            np.maximum(hi, np.negative(lo, out=lo), out=hi)      # max |f_a| on the box
+            hi *= k * 2.0**-52
+            spread += hi
+            np.square(spread, out=spread)
+            spread *= wa
+            spread2 = spread2 + spread
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = np.sqrt(spread2, out=spread2) ** p0
+            bound *= scale
+        at = slice(first + reach, first + reach + len(bound))
+        keep[(at,) + inner] = ~(bound <= tau)
+    return keep
+
+
 def singular_set(f: SymMatField, p0: float, radii, tau: float) -> SingularMask:
     """Flag nodes whose small-radius oscillation density stays above tau.
 
@@ -399,10 +486,14 @@ def singular_set(f: SymMatField, p0: float, radii, tau: float) -> SingularMask:
 
     Both densities come from :func:`_density`.  The computable nodes are
     those whose larger ball lies on valid nodes, which holds the smaller
-    ball too.  They are screened radius by radius, smaller first, since
+    ball too.  First an upper bound of the smaller-radius density
+    (:func:`_may_exceed`) drops the computable nodes it shows to be at most
+    ``tau``.  The rest are screened radius by radius, smaller first, since
     ``min(d1, d2) > tau`` holds exactly when both densities exceed ``tau``
     (a NaN exceeds nothing): the larger radius is evaluated only at the
     candidates, the nodes whose smaller-radius density exceeds ``tau``.
+    Each step drops only nodes that cannot be flagged, so the mask is that
+    of evaluating both densities everywhere.
     """
     _check_exponent(p0)
     radii = sorted((float(r) for r in radii), reverse=True)
@@ -414,7 +505,8 @@ def singular_set(f: SymMatField, p0: float, radii, tau: float) -> SingularMask:
         )
     large, small = radii[-2:]
     computable = _computable(f, node_ball_offsets(large, f.h, f.dim))
-    vals, cand = _component_major(f), np.flatnonzero(computable)
+    vals = _component_major(f)
+    cand = np.flatnonzero(computable & _may_exceed(f, vals, small, p0, tau))
     for radius in (small, large):
         cand = cand[_density(f, vals, radius, p0, cand) > tau]
     mask = np.zeros(f.extents, dtype=bool)

@@ -48,7 +48,7 @@ def _check_spacing(path, h: float, dim: int) -> None:
     if not spacing_ok(h, dim):
         raise FormatError(
             f"{path}: grid spacing must be finite and positive with a finite, "
-            f"nonzero cell volume h**{dim}, got {h!r}")
+            f"nonzero cell volume h**{dim} and a finite 1/h**4, got {h!r}")
 
 
 def _origin_centered(extents, h: float) -> np.ndarray:

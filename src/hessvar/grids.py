@@ -22,7 +22,7 @@ downstream operators intersect their stencil footprint with ``valid``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -210,9 +210,14 @@ class Ball:
 
 @dataclass(frozen=True)
 class BallFamily:
-    """Finite ball collection standing in for 'all balls' in oscillation suprema."""
+    """Finite ball collection standing in for 'all balls' in oscillation suprema.
+
+    ``groups`` is the :class:`BallGroups` of ``balls`` when the family was
+    built by :func:`ball_family`, for reuse on fields of the same lattice.
+    """
 
     balls: tuple
+    groups: "BallGroups" = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.balls) == 0:
@@ -263,10 +268,11 @@ class TestFunctionSet:
 
 
 def spacing_ok(h: float, dim: int) -> bool:
-    """Whether h is finite and positive with a finite, nonzero cell volume h**dim."""
+    """Whether h is finite and positive with a finite, nonzero cell volume h**dim
+    and a finite 1/h**4, the scale of the fourth-order operators."""
     try:
-        return math.isfinite(h) and h > 0 and 0.0 < h**dim < math.inf
-    except OverflowError:
+        return math.isfinite(h) and h > 0 and 0.0 < h**dim < math.inf and 1.0 / h**4 < math.inf
+    except (OverflowError, ZeroDivisionError):
         return False
 
 
@@ -441,48 +447,137 @@ def _r2(radius: float) -> float:
 BALL_CHUNK = 1 << 15
 
 
+@dataclass(frozen=True)
+class BallGroups:
+    """Balls grouped by node pattern on one lattice geometry.
+
+    Each group is ``(members, base, offsets, runs)``: ``members`` indexes the
+    balls, ``base`` is each member's flat window start, ``offsets`` the flat
+    C-order node offsets of the group's window mask, so row ``i`` of the
+    group's nodes is ``base[i] + offsets``, and ``runs`` the ``(starts,
+    stops)`` of the maximal runs of consecutive offsets.  ``extents``, ``h``
+    and ``origin`` are the lattice the grouping belongs to.
+    """
+
+    extents: tuple
+    h: float
+    origin: tuple
+    size: int                   # number of balls
+    groups: tuple
+
+    def fits(self, grid_like) -> bool:
+        """Whether ``grid_like`` lies on this grouping's lattice."""
+        return (self.extents == grid_like.extents and self.h == grid_like.h
+                and self.origin == tuple(grid_like.origin.tolist()))
+
+    def chunks(self):
+        """Yield ``(members, nodes)`` per chunk of about ``BALL_CHUNK`` node-ball pairs."""
+        for members, base, offsets, _ in self.groups:
+            step = max(1, BALL_CHUNK // max(1, offsets.size))
+            for i in range(0, len(members), step):
+                yield members[i:i + step], base[i:i + step, None] + offsets
+
+    def counts(self, mask: np.ndarray) -> np.ndarray:
+        """Nodes of ``mask`` in each ball, exact, from prefix sums of the flat mask over the runs."""
+        prefix = np.zeros(mask.size + 1, dtype=np.intp)
+        np.cumsum(mask.reshape(-1), out=prefix[1:])
+        counts = np.zeros(self.size, dtype=np.intp)
+        for members, base, _, (starts, stops) in self.groups:
+            step = max(1, BALL_CHUNK // max(1, starts.size))
+            for i in range(0, len(members), step):
+                at = base[i:i + step, None]
+                inside = prefix[at + stops]
+                inside -= prefix[at + starts]
+                counts[members[i:i + step]] = inside.sum(axis=1)
+        return counts
+
+    def select(self, keep: np.ndarray) -> "BallGroups":
+        """The grouping of the balls where ``keep`` holds, numbered in order."""
+        number = np.cumsum(keep) - 1
+        groups = []
+        for members, base, offsets, runs in self.groups:
+            kept = keep[members]
+            if kept.any():
+                groups.append((number[members[kept]], base[kept], offsets, runs))
+        return replace(self, size=int(keep.sum()), groups=tuple(groups))
+
+
+def _runs(offsets: np.ndarray):
+    """``(starts, stops)`` of the maximal runs of consecutive values in ``offsets``."""
+    cut = np.flatnonzero(np.diff(offsets) != 1) + 1
+    first, last = np.concatenate(([0], cut)), np.concatenate((cut, [len(offsets)])) - 1
+    return (offsets[first], offsets[last] + 1) if len(offsets) else (offsets, offsets)
+
+
+def _first_seen(keys):
+    """``(ids, distinct)``: each key's index among the distinct keys, in first-seen order."""
+    seen = {}
+    ids = np.array([seen.setdefault(k, len(seen)) for k in keys], dtype=np.intp)
+    return ids, list(seen)
+
+
+def ball_groups(grid_like, centers, radii) -> BallGroups:
+    """Group the balls ``B_radii[k](centers[k])`` by their window mask.
+
+    A ball's window is the box of nodes that pass the distance test
+    ``|x - center|^2 <= radius^2 (1 + 1e-12)`` axis by axis, and its nodes
+    are the window nodes that pass it in full.  Balls whose windows have the
+    same shape and mask share a group, so a family of node-centred balls
+    forms one group per radius.  Windows and masks are built once per
+    distinct axis window and pattern; per ball there is one dict lookup for
+    its radius and for each axis, and the rest is array work.
+    """
+    centers = np.asarray(centers, dtype=float).reshape(-1, grid_like.dim)
+    rid, radii = _first_seen(np.asarray(radii, dtype=float).reshape(-1).tolist())
+    r2 = [_r2(r) for r in radii]
+    # per axis, one window per distinct (centre coordinate, radius); equal
+    # squared-distance rows at one radius share a row id
+    starts, keys, rows = [], [rid], {}
+    for axis in range(grid_like.dim):
+        coords = grid_like.axis_coords(axis)
+        cid, cs = _first_seen(centers[:, axis].tolist())
+        pid, pairs = _first_seen((cid * len(radii) + rid).tolist())
+        start, row = np.empty((2, len(pairs)), dtype=np.intp)
+        for j, pair in enumerate(pairs):
+            c, k = divmod(pair, len(radii))
+            sl, d2 = _axis_window(coords, cs[c], r2[k])
+            start[j], row[j] = sl.start, rows.setdefault((k, d2.tobytes()), len(rows))
+        starts.append(start[pid])
+        keys.append(row[pid])
+    d2rows = [np.frombuffer(bits) for _, bits in rows]
+    pattern, patterns = _first_seen(zip(*(key.tolist() for key in keys)))
+    masks, found = [], {}
+    to_group = np.empty(len(patterns), dtype=np.intp)
+    for j, (k, *axes) in enumerate(patterns):
+        mask = _window_mask([d2rows[a] for a in axes], r2[k])
+        to_group[j] = found.setdefault((mask.shape, mask.tobytes()), len(found))
+        if to_group[j] == len(masks):
+            masks.append(mask)
+    group = to_group[pattern]
+    starts = np.stack(starts, axis=1)
+    out = []
+    for g, mask in enumerate(masks):
+        members = np.flatnonzero(group == g)
+        offsets = np.ravel_multi_index(np.nonzero(mask), grid_like.extents)
+        base = np.ravel_multi_index(tuple(starts[members].T), grid_like.extents)
+        out.append((members, base, offsets, _runs(offsets)))
+    return BallGroups(extents=grid_like.extents, h=grid_like.h,
+                      origin=tuple(grid_like.origin.tolist()), size=len(centers),
+                      groups=tuple(out))
+
+
 def ball_chunks(grid_like, balls):
     """Yield ``(members, nodes)`` over ``balls``, in groups that share one window mask.
 
     ``members`` indexes ``balls``; row ``i`` of ``nodes`` holds, in C order,
     the flat indices of the nodes ``x`` with ``|x - center|^2 <= radius^2 (1 +
     1e-12)`` of ball ``members[i]`` (no nodes for a ball that misses the
-    grid).  Each ball's nodes lie in its window, the box of nodes that pass
-    the distance test axis by axis.  Balls whose windows have the same shape
-    and mask share a group, so a family of node-centred balls forms one group
-    per radius, and a ball with a window of its own (an off-node centre, a
-    window cut by the grid edge) forms a group of one.  A group is cut into
-    chunks of about ``BALL_CHUNK`` node-ball pairs, one ball at least.
+    grid).  The groups are those of :func:`ball_groups`; a ball with a window
+    of its own (an off-node centre, a window cut by the grid edge) forms a
+    group of one.  A group is cut into chunks of about ``BALL_CHUNK``
+    node-ball pairs, one ball at least.
     """
-    coords = [grid_like.axis_coords(axis) for axis in range(grid_like.dim)]
-    # each ball's group and window start, in arrays: per-ball lists would be
-    # interleaved with the caller's objects and keep heap pages alive
-    group = np.empty(len(balls), dtype=np.intp)
-    starts = np.empty((len(balls), grid_like.dim), dtype=np.intp)
-    windows, patterns, groups = {}, {}, {}
-    for k, ball in enumerate(balls):
-        r2 = _r2(ball.radius)
-        rows = [r2]                     # r2, then each axis's squared distances
-        for axis in range(grid_like.dim):
-            c = ball.center[axis]
-            if (axis, c, r2) not in windows:
-                sl, d2 = _axis_window(coords[axis], c, r2)
-                windows[axis, c, r2] = sl.start, d2.tobytes()
-            starts[k, axis], row = windows[axis, c, r2]
-            rows.append(row)
-        rows = tuple(rows)
-        if rows not in patterns:
-            mask = _window_mask([np.frombuffer(row) for row in rows[1:]], r2)
-            patterns[rows] = mask.shape, mask.tobytes()
-        group[k] = groups.setdefault(patterns[rows], len(groups))
-    for (shape, bits), g in groups.items():
-        mask = np.frombuffer(bits, dtype=bool).reshape(shape)
-        offsets = np.ravel_multi_index(np.nonzero(mask), grid_like.extents)
-        members = np.flatnonzero(group == g)
-        base = np.ravel_multi_index(tuple(starts[members].T), grid_like.extents)
-        step = max(1, BALL_CHUNK // max(1, offsets.size))
-        for i in range(0, len(members), step):
-            yield members[i:i + step], base[i:i + step, None] + offsets
+    return ball_groups(grid_like, [b.center for b in balls], [b.radius for b in balls]).chunks()
 
 
 def node_ball_offsets(radius: float, h: float, dim: int) -> list:
@@ -573,9 +668,9 @@ def ball_family(
 
     Radii ``r_max, r_max/2, ...`` down to ``r_min`` at every center; chains
     are clipped to balls that fit the usable region and hold a usable node,
-    tested per group of :func:`ball_chunks` (one group per radius on the
-    strided node lattice).  ``center_stride = 0`` places a single center at
-    the domain midpoint.
+    counted by :meth:`BallGroups.counts` on the family's grouping (one group
+    per radius on the strided node lattice), which the family keeps.
+    ``center_stride = 0`` places a single center at the domain midpoint.
     """
     if r_min > r_max:
         raise GridError(f"r_min {r_min} exceeds r_max {r_max}")
@@ -585,7 +680,7 @@ def ball_family(
     lo, hi = _bounds(grid_like, usable)
     radii = dyadic_radii(r_max, r_min)
     if center_stride <= 0:
-        centers = [0.5 * (lo + hi)]
+        centers = np.reshape(0.5 * (lo + hi), (1, -1))
     else:
         axes = []
         for axis in range(grid_like.dim):
@@ -593,16 +688,15 @@ def ball_family(
             inside = np.nonzero((coords >= lo[axis] - 1e-12) & (coords <= hi[axis] + 1e-12))[0]
             axes.append(coords[inside[::center_stride]])
         centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, grid_like.dim)
-    fitting = [Ball(center=c, radius=r) for c, row in zip(centers, _fits(lo, hi, centers, radii))
-               for r, fit in zip(radii, row) if fit]
-    keep = np.zeros(len(fitting), dtype=bool)
-    usable = usable.reshape(-1)
-    for members, nodes in ball_chunks(grid_like, fitting):
-        keep[members] = usable[nodes].any(axis=1)
-    balls = [b for b, k in zip(fitting, keep) if k]
-    if not balls:
+    at, size = np.nonzero(_fits(lo, hi, centers, radii))
+    centers, radii = centers[at], np.asarray(radii)[size]
+    balls = [Ball(center=c, radius=r) for c, r in zip(centers.tolist(), radii.tolist())]
+    groups = ball_groups(grid_like, centers, radii)
+    keep = groups.counts(usable) > 0
+    if not keep.any():
         raise EmptyRegionError("ball family is empty for the given parameters")
-    return BallFamily(balls=tuple(balls))
+    balls = [b for b, k in zip(balls, keep.tolist()) if k]
+    return BallFamily(balls=tuple(balls), groups=groups.select(keep))
 
 
 def bump_tests(grid: ScalarGrid, centers, scale: float) -> TestFunctionSet:

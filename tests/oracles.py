@@ -335,6 +335,29 @@ def shifted_oscillation_density(f, radius, p0):
     return dens, computable
 
 
+def density_bound(f, radius, p0):
+    """The singular set's screening bound on the whole grid, from shifted copies.
+
+    ``h^n r^-n |B_r| D^p0 (1 + 1e-9)`` with ``D^2 = sum_a w_a s_a^2``, ``s_a`` the
+    spread of component ``a`` over the box of the ball's reach about each node
+    (invalid nodes read as 0) widened by ``|B_r| 2^-52 max|f_a|``; NaN where the
+    box leaves the grid.
+    """
+    offs = integer_ball_offsets(radius, f.h, f.dim)
+    reach = max(max(abs(o) for o in off) for off in offs)
+    box = [tuple(int(v) - reach for v in off) for off in np.ndindex(*(2 * reach + 1,) * f.dim)]
+    w = symmat.duplication_weights(f.dim)
+    d2 = np.zeros(f.extents)
+    for a in range(len(w)):
+        comp = np.where(f.valid, f.values[..., a], 0.0)
+        copies = np.stack([shifted(comp, off, np.nan) for off in box])
+        hi, lo = copies.max(axis=0), copies.min(axis=0)
+        spread = (hi - lo) + len(offs) * 2.0**-52 * np.maximum(hi, -lo)
+        d2 += w[a] * spread**2
+    scale = f.h**f.dim * len(offs) / radius**f.dim * (1.0 + 1e-9)
+    return np.sqrt(d2) ** p0 * scale
+
+
 def singular_set(f, p0, radii, tau):
     """``(mask, computable)`` from both small-radius densities on the whole grid."""
     radii = sorted((float(r) for r in radii), reverse=True)

@@ -2,12 +2,14 @@ import dataclasses
 import json
 import struct
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from hessvar import diagnostics as diag
 from hessvar import fixtures, gridio, grids, models
+from hessvar import cli as cli_module
 from hessvar.cli import run
 from hessvar.config import ConfigError, RunConfig, parse_config
 
@@ -414,6 +416,55 @@ def test_huge_spacing_exits_65(tmp_path, capsys, command):
     assert run([command, "--config", cfg, "--field", str(fpath),
                 "--out", str(tmp_path / "o")]) == 65
     assert "grid spacing" in capsys.readouterr().err
+
+
+def test_spacing_whose_fourth_order_scale_overflows_exits_64(tmp_path, capsys):
+    # h = 1.25e-101 on 17 nodes: h**2 is a normal float, 1/h**4 overflows
+    text = _with_setting(_with_setting(BASE_SOLVE, "grid", "nodes", "17"),
+                         "grid", "half_width", "1e-100")
+    cfg = write_config(tmp_path / "tiny.cfg", text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 64
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "config error" in err and "1/h**4" in err
+    assert not (tmp_path / "o").exists()
+    # a grid file at that spacing is a data error, as gridio checks the same rule
+    assert not grids.spacing_ok(1e-80, 2) and grids.spacing_ok(1e-70, 2)
+    g = grids.make_grid(2, 33, 0.5)
+    fpath = tmp_path / "tiny.hvgf"
+    gridio.write_binary(fpath, grids.SymMatField(
+        h=1e-80, origin=g.origin, values=np.zeros(g.extents + (3,))))
+    cfg = write_config(tmp_path / "d.cfg", BASE_SOLVE + DIAG_TAIL)
+    assert run(["diagnose", "--config", cfg, "--field", str(fpath),
+                "--out", str(tmp_path / "o")]) == 65
+    assert "1/h**4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim, nodes", [(2, 10**12), (3, 10**6), (2, 10**400)])
+def test_node_count_no_array_can_hold_exits_64(tmp_path, capsys, dim, nodes):
+    # counts numpy refuses before allocating anything: a grid of them is
+    # past the largest array size
+    text = _with_setting(_with_setting(BASE_SOLVE, "grid", "nodes", str(nodes)),
+                         "grid", "dim", str(dim))
+    cfg = write_config(tmp_path / "big.cfg", text)
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 64
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "config error" in err and "nodes" in err
+    assert "Traceback" not in err
+
+
+def test_out_of_memory_is_one_line_and_exit_65(tmp_path, capsys, monkeypatch):
+    # a grid that fits an array but not the memory ends in MemoryError;
+    # simulated, so that nothing is allocated
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(cli_module, "make_grid", no_memory)
+    cfg = write_config(tmp_path / "c.cfg", BASE_SOLVE)
+    assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 65
+    err = capsys.readouterr().err
+    assert err == "hessvar: data error: out of memory: Unable to allocate 74.5 GiB for an array\n"
 
 
 @pytest.mark.parametrize("broken, code", [("config", 64), ("field", 65)])

@@ -214,6 +214,35 @@ def test_grouped_oscillations_equal_per_ball_oracle(dim, nodes, stride, reach, m
             assert diag.bmo_modulus(f, family) == jn.bmo
 
 
+@pytest.mark.parametrize("dim, nodes", [(2, 41), (3, 19)], ids=["2d", "3d"])
+def test_family_grouping_reused_on_other_validity_and_regrouped_on_other_geometry(
+        dim, nodes, monkeypatch):
+    f = _holed_field(dim, nodes, 85 + dim)
+    h = f.h
+    g = grids.make_grid(dim, nodes, 1.0)        # all valid, the field's lattice
+    fam = grids.ball_family(g, 3, r_min=3 * h, r_max=6 * h)
+    moved = grids.SymMatField(h=h, origin=f.origin + 0.3 * h, values=f.values, valid=f.valid)
+    wider = grids.SymMatField(h=1.5 * h, origin=f.origin, values=f.values, valid=f.valid)
+    calls = []
+    ball_groups = grids.ball_groups
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return ball_groups(*args)
+
+    monkeypatch.setattr(grids, "ball_groups", counting)
+    for field, regroups in ((f, 0), (moved, 1), (wider, 1)):
+        calls.clear()
+        for p in (1.0, 2.5):
+            osc1, oscp, (omega, ball, cbar) = _per_ball_jn(field, fam.balls, p)
+            jn = diag.john_nirenberg_ratio(field, fam, p)
+            assert (jn.bmo.omega, jn.bmo.ball, jn.cbar) == (omega, ball, cbar)
+            (got1, gotp), _ = diag._ball_means(field, fam.balls, (1.0, p), groups=fam.groups)
+            assert got1.tolist() == osc1 and gotp.tolist() == oscp
+        assert calls == [len(fam)] * (4 * regroups)
+    assert any(not f.valid[_reference_ball_mask(f, b)].all() for b in fam)
+
+
 def _fsum_deviations(vals, w):
     """Oracle: |f - (f)_B| at the rows ``vals``, each component's mean a ``math.fsum``."""
     mean = [math.fsum(col) / len(vals) for col in vals.T.tolist()]
@@ -697,9 +726,9 @@ def test_singular_set_evaluates_the_larger_radius_at_candidates_only(monkeypatch
     pairs = {}                              # node-ball pairs per ball size
     chunk_deviations = diag._chunk_deviations
 
-    def counting(vals, w, idx, count, valid=None):
+    def counting(vals, w, idx, count, holes=()):
         pairs[idx.shape[1]] = pairs.get(idx.shape[1], 0) + idx.size
-        return chunk_deviations(vals, w, idx, count, valid)
+        return chunk_deviations(vals, w, idx, count, holes)
 
     monkeypatch.setattr(diag, "_chunk_deviations", counting)
     g = grids.make_grid(2, 65, 1.0)
@@ -708,17 +737,97 @@ def test_singular_set_evaluates_the_larger_radius_at_candidates_only(monkeypatch
     small, c_small = oracles.shifted_oscillation_density(f, 3 * h, p0)
     c_large = oracles.shifted_oscillation_density(f, 4 * h, p0)[1]
     computable = c_small & c_large
+    bound = oracles.density_bound(f, 3 * h, p0)
     k_small, k_large = (len(grids.node_ball_offsets(r, h, 2)) for r in (3 * h, 4 * h))
-    res = diag.singular_set(f, p0, [4 * h, 3 * h], tau=1.01 * small[computable].max())
-    assert np.array_equal(res.computable, computable) and not res.mask.any()
-    assert pairs == {k_small: computable.sum() * k_small}
-    tau = 0.5 * np.pi
-    candidates = int((computable & (small > tau)).sum())
-    assert 0 < candidates < computable.sum()
-    pairs.clear()
-    res = diag.singular_set(f, p0, [4 * h, 3 * h], tau)
-    assert pairs == {k_small: computable.sum() * k_small, k_large: candidates * k_large}
-    assert 0 < res.mask.sum() <= candidates
+    for tau in (1.01 * small[computable].max(), 0.5 * np.pi):
+        # the smaller radius runs at the nodes the bound does not clear, the
+        # larger one at the candidates, whose smaller-radius density exceeds tau
+        screened = int((computable & ~(bound <= tau)).sum())
+        candidates = int((computable & (small > tau)).sum())
+        assert candidates <= screened < computable.sum() / 4
+        pairs.clear()
+        res = diag.singular_set(f, p0, [4 * h, 3 * h], tau)
+        want = {k_small: screened * k_small, k_large: candidates * k_large}
+        assert pairs == {k: n for k, n in want.items() if n}
+        assert np.array_equal(res.computable, computable)
+        assert res.mask.sum() <= candidates
+    assert 0 < res.mask.sum() and 0 < candidates
+
+
+def _smooth_field(dim, nodes):
+    """The Hessian of a cubic potential: linear, so every ball has a small spread."""
+    g = grids.make_grid(dim, nodes, 1.0)
+    cubic = (lambda x, y: x**3 * y + 0.5 * y**3) if dim == 2 else (
+        lambda x, y, z: x**3 * y + 0.5 * y * z**2)
+    return grids.hessian_field(grids.sample(g, cubic))
+
+
+@pytest.mark.parametrize("dim, nodes", [(2, 41), (3, 19)], ids=["2d", "3d"])
+@pytest.mark.parametrize("kind", ["jump", "smooth", "holed"])
+def test_screened_singular_set_equals_full_evaluation(dim, nodes, kind):
+    if kind == "jump":
+        g = grids.make_grid(dim, nodes, 1.0)
+        f = oracles.hyperplane_jump_field(g, np.eye(dim))
+    else:
+        f = _smooth_field(dim, nodes) if kind == "smooth" else _density_field(dim, nodes)
+    h = f.h
+    radii = [4 * h, 3 * h]
+    for p0 in (1.0, 2.5, 4.0):
+        large, c_large = oracles.shifted_oscillation_density(f, 4 * h, p0)
+        small, c_small = oracles.shifted_oscillation_density(f, 3 * h, p0)
+        computable = c_large & c_small
+        bound = oracles.density_bound(f, 3 * h, p0)
+        dens = np.sort(small[computable & (small > 0.0)])
+        # a tau just above one node's density, and just below it, probe the
+        # bound's margin at that node
+        node = dens[len(dens) // 2]
+        # and the smallest bound, which the screen clears at its node
+        lowest = np.min(bound[computable])
+        taus = [0.0, dens[len(dens) // 4], node, np.nextafter(node, 0.0),
+                np.nextafter(node, 1.0), lowest]
+        for tau in taus:
+            want = computable & (np.minimum(large, small) > tau)    # as oracles.singular_set
+            got = diag.singular_set(f, p0, radii, tau)
+            assert np.array_equal(got.mask, want), (kind, p0, tau)
+            assert np.array_equal(got.computable, computable)
+            assert (bound[want] > tau).all()        # no flagged node is screened out
+
+
+def test_screened_singular_set_keeps_rounded_means_and_nonfinite_bounds():
+    # a constant 0.1 field: each ball's spread is 0, but its computed mean
+    # rounds, so a density can be a few ulps above tau = 0
+    g = grids.make_grid(2, 41, 1.0)
+    f = constant_field(g, 0.1 * np.array([[1.0, 3.0], [3.0, 7.0]]))
+    h = g.h
+    for p0 in (1.0, 2.5):
+        want, _ = oracles.singular_set(f, p0, [4 * h, 3 * h], 0.0)
+        assert np.array_equal(diag.singular_set(f, p0, [4 * h, 3 * h], 0.0).mask, want)
+    # an infinite value makes the bound infinite or NaN near it: those nodes
+    # are evaluated, and their NaN densities flag nothing
+    vals = np.array(f.values)
+    vals[20, 20, 0] = np.inf
+    f = grids.SymMatField(h=h, origin=g.origin, values=vals)
+    with np.errstate(invalid="ignore"):
+        want, _ = oracles.singular_set(f, 2.5, [4 * h, 3 * h], -1.0)
+        got = diag.singular_set(f, 2.5, [4 * h, 3 * h], -1.0)
+    assert np.array_equal(got.mask, want) and got.mask.any() and not got.mask[20, 20]
+
+
+def test_reverse_holder_raises_each_ball_to_its_own_exponent():
+    f = _holed_field(3, 19, 84)
+    centers, scales = [(0.05,) * 3, (-0.1,) * 3], [0.3, 0.15]
+    pairs = [(c, s) for c in centers for s in scales]
+    balls = [Ball(center=c, radius=k * s) for k in (1.0, 2.0) for c, s in pairs]
+    pbar = diag.sobolev_dual_exponent(3)
+    inner, outer = slice(None, len(pairs)), slice(len(pairs), None)
+    (sq, pw), counts = diag._ball_means(f, balls, {2.0: inner, pbar: outer}, False)
+    (sq_all, pw_all), counts_all = diag._ball_means(f, balls, (2.0, pbar), False)
+    # the inner balls' squares and the outer balls' pbar powers, with the
+    # bits of raising every ball to both
+    assert np.isnan(sq[outer]).all() and np.isnan(pw[inner]).all()
+    assert sq[inner].tolist() == sq_all[inner].tolist()
+    assert pw[outer].tolist() == pw_all[outer].tolist()
+    assert counts.tolist() == counts_all.tolist()
 
 
 def test_singular_set_peak_memory_is_within_three_field_copies():

@@ -540,3 +540,44 @@ def test_cropped_grid_after_difference_quotient():
     assert c.valid.all()
     # cropping preserves node coordinates
     np.testing.assert_allclose(c.axis_coords(0), f.axis_coords(0)[:20])
+
+
+@pytest.mark.parametrize("dim, nodes", [(2, 41), (3, 19)], ids=["2d", "3d"])
+def test_prefix_sum_counts_equal_gathered_counts(dim, nodes):
+    rng = np.random.default_rng(70 + dim)
+    g = grids.make_grid(dim, nodes, 1.0)
+    h = g.h
+    valid = rng.random(g.extents) > 0.05
+    valid[(slice(nodes - 9, nodes - 5),) * dim] = False
+    scalar = replace(g, valid=valid)
+    field = grids.SymMatField(h=h, origin=g.origin, valid=valid,
+                              values=np.zeros(g.extents + (symmat.packed_size(dim),)))
+    fam = grids.ball_family(g, 2, r_min=3 * h, r_max=8 * h).balls
+    extra = (Ball(center=(0.1 * h,) * dim, radius=3.3 * h),       # off-node centre
+             Ball(center=tuple(g.origin + h), radius=4 * h),      # cut by the grid edge
+             Ball(center=(3.0,) * dim, radius=h))                # misses the grid
+    balls = fam[::3] + extra
+    for grid_like in (scalar, field):
+        usable = grids._usable(grid_like)
+        # usable differs from valid on the scalar grid's rings
+        assert (usable != valid).any() == (grid_like is scalar)
+        groups = grids.ball_groups(grid_like, [b.center for b in balls],
+                                   [b.radius for b in balls])
+        want = np.zeros(len(balls), dtype=int)
+        for members, rows in groups.chunks():
+            want[members] = usable.reshape(-1)[rows].sum(axis=1)
+        got = groups.counts(usable)
+        assert got.dtype.kind == "i" and got.tolist() == want.tolist()
+        assert 0 < want.min() or want[-1] == 0
+        assert (want[:-1] < [len(_full_grid_ball_nodes(g, b)) for b in balls[:-1]]).any()
+        # the family keeps the balls holding a usable node, with their rows
+        holed = grids.ball_family(grid_like, 2, r_min=3 * h, r_max=8 * h)
+        assert holed.groups.fits(grid_like) and holed.groups.size == len(holed)
+        seen = np.zeros(len(holed), dtype=int)
+        for members, rows in holed.groups.chunks():
+            for k, row in zip(members, rows):
+                nodes_k = _full_grid_ball_nodes(g, holed.balls[k])
+                assert row.tolist() == np.ravel_multi_index(tuple(nodes_k.T), g.extents).tolist()
+                assert usable[tuple(nodes_k.T)].any()
+                seen[k] += 1
+        assert (seen == 1).all()
