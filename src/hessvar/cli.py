@@ -220,15 +220,7 @@ def cmd_diagnose(cfg: RunConfig, field_file: str, out: str, seed: int) -> int:
             "omega_threshold": cfg.omega_threshold,
         },
         "jn": jn.to_dict(),
-        "campanato": [{
-            "center": list(curve.center),
-            "p": curve.p,
-            "slope": fit.slope,
-            "c": (None if fit.degenerate else float(np.exp(fit.log_constant))),
-            "degenerate": fit.degenerate,
-            "radii": list(curve.radii),
-            "integrals": list(curve.integrals),
-        }],
+        "campanato": {"curve": curve, "fit": fit},
         "gehring": {
             "pbar": rh.pbar,
             "constants": rh.constants,

@@ -88,37 +88,36 @@ def _chunk_deviations(vals, w, idx, count=None, holes=()):
     return np.sqrt(dev, out=dev)
 
 
-def _ball_means(f: SymMatField, balls, exponents, centred: bool = True, groups=None):
+def _ball_means(f: SymMatField, family: BallFamily, exponents, centred: bool = True):
     """Per exponent q, each ball's mean of |f - (f)_B|^q over its valid nodes.
 
     Returns ``(means, counts)``: ``means[i, k]`` belongs to ``exponents[i]``
-    and ``balls[k]``, and ``counts[k]`` is the number of valid nodes of
-    ``balls[k]``.  Uncentred, the means are of |f|^q.  A dict ``exponents``
-    maps each q to the balls that need it (an index or slice of ``balls``),
-    and the other balls' means for that q are NaN.  ``groups`` is a
-    :class:`hessvar.grids.BallGroups` of ``balls``, used when it lies on the
-    field's lattice.
+    and ball ``k`` of ``family``, and ``counts[k]`` is the number of valid
+    nodes of ball ``k``.  Uncentred, the means are of |f|^q.  A dict
+    ``exponents`` maps each q to the balls that need it (an index or slice of
+    the family), and the other balls' means for that q are NaN.  The family
+    is regrouped when it lies on another lattice than the field's.
 
-    The counts are :meth:`BallGroups.counts` of the valid mask, and only
+    The counts are :meth:`BallFamily.counts` of the valid mask, and only
     rows with fewer valid nodes than their pattern gather it.  Each chunk
     goes through :func:`_chunk_deviations` on one component-major copy of
     the field, and each sum is numpy's pairwise sum over a ball's row of
     valid nodes (a row with holes is compacted first), so a ball's values do
     not depend on the other balls or on the chunking.  The first ball in
-    ``balls`` order without a valid node raises :class:`EmptyRegionError`.
+    family order without a valid node raises :class:`EmptyRegionError`.
     """
-    if groups is None or not groups.fits(f):
-        groups = grids.ball_groups(f, [b.center for b in balls], [b.radius for b in balls])
-    counts = groups.counts(f.valid)
+    family = family.on(f)
+    counts = family.counts(f.valid)
     if not counts.all():
-        raise EmptyRegionError(f"ball {balls[np.argmin(counts)]} contains no valid nodes")
-    need = np.zeros((len(exponents), len(balls)), dtype=bool)
+        raise EmptyRegionError(
+            f"ball {family.ball(int(np.argmin(counts)))} contains no valid nodes")
+    need = np.zeros((len(exponents), len(family)), dtype=bool)
     for i, q in enumerate(exponents):
         need[i, exponents[q] if isinstance(exponents, dict) else slice(None)] = True
     w = symmat.duplication_weights(f.dim)
     vals, valid = _component_major(f).reshape(len(w), -1), f.valid.reshape(-1)
     means = np.full(need.shape, np.nan)
-    for members, nodes in groups.chunks():
+    for members, nodes in family.chunks():
         count = counts[members]
         holed = np.flatnonzero(count < nodes.shape[1])
         holes = (holed, valid.take(nodes[holed])) if len(holed) else ()
@@ -145,7 +144,8 @@ def _ball_means(f: SymMatField, balls, exponents, centred: bool = True, groups=N
 def mean_oscillation(f: SymMatField, ball: Ball, p: float = 1.0) -> float:
     """Normalized p-oscillation: mean over the ball of |f - (f)_B|^p."""
     _check_exponent(p)
-    return float(_ball_means(f, [ball], (p,))[0][0, 0])
+    family = grids.ball_groups(f, [ball.center], [ball.radius])
+    return float(_ball_means(f, family, (p,))[0][0, 0])
 
 
 @dataclass(frozen=True)
@@ -177,19 +177,19 @@ def john_nirenberg_ratio(f: SymMatField, family: BallFamily, p: float) -> JNEsti
     """Max over the family of osc_p / omega; degenerate when omega = 0.
 
     omega is the BMO modulus, attained at the first ball of largest L^1
-    oscillation.  One grouped pass yields both the L^1 and the L^p
-    oscillation of every ball: the balls of one radius about family
-    centres on the node lattice share one node pattern and are evaluated
-    together, in chunks (see :func:`_ball_means`), with the same values as
-    ball-by-ball evaluation.
+    oscillation (a NaN never wins), the one ball the result names.  One
+    grouped pass yields both the L^1 and the L^p oscillation of every ball:
+    the balls of one radius about family centres on the node lattice share
+    one node pattern and are evaluated together, in chunks (see
+    :func:`_ball_means`), with the same values as ball-by-ball evaluation.
     """
     _check_exponent(p)
-    (osc1, oscp), _ = _ball_means(f, family.balls, (1.0, p), groups=family.groups)
-    omega, omega_ball = -1.0, None
-    for ball, osc in zip(family, osc1.tolist()):
-        if osc > omega:
-            omega, omega_ball = osc, ball
-    bmo = BMOResult(omega=omega, ball=omega_ball, family_size=len(family))
+    if not len(family):
+        raise EmptyRegionError("ball family is empty")
+    (osc1, oscp), _ = _ball_means(f, family, (1.0, p))
+    k = int(np.argmax(np.where(np.isnan(osc1), -np.inf, osc1)))
+    omega, ball = (float(osc1[k]), family.ball(k)) if osc1[k] >= 0.0 else (-1.0, None)
+    bmo = BMOResult(omega=omega, ball=ball, family_size=len(family))
     if omega == 0.0:
         return JNEstimate(p=p, cbar=0.0, degenerate=True, bmo=bmo)
     return JNEstimate(p=p, cbar=max(v / omega for v in oscp.tolist()),
@@ -239,7 +239,7 @@ def campanato_decay(f: SymMatField, center, radii, p: float = 2.0):
     radii = _nested_radii(radii)
     _check_exponent(p)
     center = tuple(float(c) for c in center)
-    means, counts = _ball_means(f, [Ball(center=center, radius=r) for r in radii], (p,))
+    means, counts = _ball_means(f, grids.ball_groups(f, [center] * len(radii), radii), (p,))
     values = means[0].tolist()
     integrals = [osc * f.h**f.dim * k for osc, k in zip(values, counts.tolist())]
     curve = OscillationCurve(center=center, radii=tuple(radii),
@@ -286,12 +286,14 @@ def reverse_holder_check(f: SymMatField, centers, scales) -> ReverseHolderResult
         raise GridError(
             f"doubled ball B_{2 * scales[k]:g}({centers[i]}) leaves the valid region"
         )
-    pairs = [(c, s) for c in centers for s in scales]
-    balls = [Ball(center=c, radius=k * s) for k in (1.0, 2.0) for c, s in pairs]
-    inner, outer = slice(None, len(pairs)), slice(len(pairs), None)
-    (sq, pw), _ = _ball_means(f, balls, {2.0: inner, pbar: outer}, False)
+    inner = len(centers) * len(scales)
+    radii = [s for _ in centers for s in scales]
+    doubled = grids.ball_groups(f, [c for c in centers for _ in scales] * 2,
+                                radii + [2.0 * s for s in radii])
+    (sq, pw), _ = _ball_means(f, doubled, {2.0: slice(None, inner), pbar: slice(inner, None)},
+                              False)
     ratios = []
-    for num, den in zip(sq[:len(pairs)].tolist(), pw[len(pairs):].tolist()):
+    for num, den in zip(sq[:inner].tolist(), pw[inner:].tolist()):
         den = den ** (1.0 / pbar)
         ratios.append((np.nan, True) if den == 0.0 else (num**0.5 / den, False))
     rows = [ratios[i * len(scales):(i + 1) * len(scales)] for i in range(len(centers))]
@@ -333,7 +335,7 @@ def fit_p0(f: SymMatField, center, radii, K_max: float = 10.0,
     """
     radii = _nested_radii(radii)
     center = tuple(float(c) for c in center)
-    means, _ = _ball_means(f, [Ball(center=center, radius=r) for r in radii],
+    means, _ = _ball_means(f, grids.ball_groups(f, [center] * len(radii), radii),
                            (2.0,) + tuple(scan), centred=False)
     means = means.tolist()
     rhs = [m**0.5 for m in means[0]]

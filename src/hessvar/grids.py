@@ -22,7 +22,7 @@ downstream operators intersect their stencil footprint with ``valid``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -206,29 +206,6 @@ class Ball:
         if self.radius <= 0:
             raise GridError(f"ball radius must be positive, got {self.radius}")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-
-
-@dataclass(frozen=True)
-class BallFamily:
-    """Finite ball collection standing in for 'all balls' in oscillation suprema.
-
-    ``groups`` is the :class:`BallGroups` of ``balls`` when the family was
-    built by :func:`ball_family`, for reuse on fields of the same lattice.
-    """
-
-    balls: tuple
-    groups: "BallGroups" = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if len(self.balls) == 0:
-            raise EmptyRegionError("ball family is empty")
-        object.__setattr__(self, "balls", tuple(self.balls))
-
-    def __len__(self):
-        return len(self.balls)
-
-    def __iter__(self):
-        return iter(self.balls)
 
 
 @dataclass(frozen=True)
@@ -442,33 +419,46 @@ def _r2(radius: float) -> float:
     return radius**2 * (1.0 + 1e-12)
 
 
-# node-ball pairs per chunk of ball_chunks, so a float64 temporary over a
+# node-ball pairs per chunk of BallFamily.chunks, so a float64 temporary over a
 # chunk is 256 KB; chunks of 128 KB-1 MB run equally fast on a 257^2 family
 BALL_CHUNK = 1 << 15
 
 
-@dataclass(frozen=True)
-class BallGroups:
-    """Balls grouped by node pattern on one lattice geometry.
+@dataclass(frozen=True, eq=False)
+class BallFamily:
+    """A finite set of balls on one lattice, grouped by node pattern.
 
-    Each group is ``(members, base, offsets, runs)``: ``members`` indexes the
-    balls, ``base`` is each member's flat window start, ``offsets`` the flat
-    C-order node offsets of the group's window mask, so row ``i`` of the
-    group's nodes is ``base[i] + offsets``, and ``runs`` the ``(starts,
-    stops)`` of the maximal runs of consecutive offsets.  ``extents``, ``h``
-    and ``origin`` are the lattice the grouping belongs to.
+    Ball ``k`` is ``B_radii[k](centers[k])``, with ``centers`` ``(k, n)`` and
+    ``radii`` ``(k,)``.  Each group is ``(members, base, offsets, runs)``:
+    ``members`` indexes the balls, ``base`` is each member's flat window
+    start, ``offsets`` the flat C-order node offsets of the group's window
+    mask, so row ``i`` of the group's nodes is ``base[i] + offsets``, and
+    ``runs`` the ``(starts, stops)`` of the maximal runs of consecutive
+    offsets.  ``extents``, ``h`` and ``origin`` are the lattice the grouping
+    belongs to.  Built by :func:`ball_groups`; :func:`ball_family` builds the
+    one that stands in for 'all balls' in oscillation suprema.
     """
 
+    centers: np.ndarray
+    radii: np.ndarray
     extents: tuple
     h: float
     origin: tuple
-    size: int                   # number of balls
     groups: tuple
 
-    def fits(self, grid_like) -> bool:
-        """Whether ``grid_like`` lies on this grouping's lattice."""
-        return (self.extents == grid_like.extents and self.h == grid_like.h
-                and self.origin == tuple(grid_like.origin.tolist()))
+    def __len__(self):
+        return len(self.radii)
+
+    def ball(self, k: int) -> Ball:
+        """Ball ``k`` as a :class:`Ball` record."""
+        return Ball(center=self.centers[k].tolist(), radius=float(self.radii[k]))
+
+    def on(self, grid_like) -> "BallFamily":
+        """These balls grouped on the lattice of ``grid_like``: the family itself on its own."""
+        if (self.extents == grid_like.extents and self.h == grid_like.h
+                and self.origin == tuple(grid_like.origin.tolist())):
+            return self
+        return ball_groups(grid_like, self.centers, self.radii)
 
     def chunks(self):
         """Yield ``(members, nodes)`` per chunk of about ``BALL_CHUNK`` node-ball pairs."""
@@ -478,28 +468,36 @@ class BallGroups:
                 yield members[i:i + step], base[i:i + step, None] + offsets
 
     def counts(self, mask: np.ndarray) -> np.ndarray:
-        """Nodes of ``mask`` in each ball, exact, from prefix sums of the flat mask over the runs."""
-        prefix = np.zeros(mask.size + 1, dtype=np.intp)
-        np.cumsum(mask.reshape(-1), out=prefix[1:])
-        counts = np.zeros(self.size, dtype=np.intp)
+        """Nodes of ``mask`` in each ball, exact, from prefix sums of the flat mask over the runs.
+
+        The prefix covers only the flat span from the first window start to
+        the last node of any ball.
+        """
+        lo = min((int(base.min()) for _, base, _, _ in self.groups), default=0)
+        hi = max((int(base.max() + stops[-1]) for _, base, _, (_, stops) in self.groups
+                  if stops.size), default=lo)
+        prefix = np.zeros(hi - lo + 1, dtype=np.intp)
+        np.cumsum(mask.reshape(-1)[lo:hi], out=prefix[1:])
+        counts = np.zeros(len(self), dtype=np.intp)
         for members, base, _, (starts, stops) in self.groups:
             step = max(1, BALL_CHUNK // max(1, starts.size))
             for i in range(0, len(members), step):
-                at = base[i:i + step, None]
+                at = base[i:i + step, None] - lo
                 inside = prefix[at + stops]
                 inside -= prefix[at + starts]
                 counts[members[i:i + step]] = inside.sum(axis=1)
         return counts
 
-    def select(self, keep: np.ndarray) -> "BallGroups":
-        """The grouping of the balls where ``keep`` holds, numbered in order."""
+    def select(self, keep: np.ndarray) -> "BallFamily":
+        """The balls where the boolean ``keep`` holds, numbered in order, with their groups."""
         number = np.cumsum(keep) - 1
         groups = []
         for members, base, offsets, runs in self.groups:
             kept = keep[members]
             if kept.any():
                 groups.append((number[members[kept]], base[kept], offsets, runs))
-        return replace(self, size=int(keep.sum()), groups=tuple(groups))
+        return replace(self, centers=self.centers[keep], radii=self.radii[keep],
+                       groups=tuple(groups))
 
 
 def _runs(offsets: np.ndarray):
@@ -516,30 +514,35 @@ def _first_seen(keys):
     return ids, list(seen)
 
 
-def ball_groups(grid_like, centers, radii) -> BallGroups:
-    """Group the balls ``B_radii[k](centers[k])`` by their window mask.
+def ball_groups(grid_like, centers, radii) -> BallFamily:
+    """The :class:`BallFamily` of the balls ``B_radii[k](centers[k])``, grouped by window mask.
 
     A ball's window is the box of nodes that pass the distance test
     ``|x - center|^2 <= radius^2 (1 + 1e-12)`` axis by axis, and its nodes
-    are the window nodes that pass it in full.  Balls whose windows have the
-    same shape and mask share a group, so a family of node-centred balls
-    forms one group per radius.  Windows and masks are built once per
+    are the window nodes that pass it in full (none for a ball that misses
+    the grid).  Balls whose windows have the same shape and mask share a
+    group, so a family of node-centred balls forms one group per radius,
+    and a ball with a window of its own (an off-node centre, a window cut
+    by the grid edge) forms a group of one.  Windows and masks are built once per
     distinct axis window and pattern; per ball there is one dict lookup for
     its radius and for each axis, and the rest is array work.
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, grid_like.dim)
-    rid, radii = _first_seen(np.asarray(radii, dtype=float).reshape(-1).tolist())
-    r2 = [_r2(r) for r in radii]
+    radii = np.asarray(radii, dtype=float).reshape(-1)
+    if (radii <= 0).any():
+        raise GridError(f"ball radius must be positive, got {radii[radii <= 0][0]}")
+    rid, distinct = _first_seen(radii.tolist())
+    r2 = [_r2(r) for r in distinct]
     # per axis, one window per distinct (centre coordinate, radius); equal
     # squared-distance rows at one radius share a row id
     starts, keys, rows = [], [rid], {}
     for axis in range(grid_like.dim):
         coords = grid_like.axis_coords(axis)
         cid, cs = _first_seen(centers[:, axis].tolist())
-        pid, pairs = _first_seen((cid * len(radii) + rid).tolist())
+        pid, pairs = _first_seen((cid * len(distinct) + rid).tolist())
         start, row = np.empty((2, len(pairs)), dtype=np.intp)
         for j, pair in enumerate(pairs):
-            c, k = divmod(pair, len(radii))
+            c, k = divmod(pair, len(distinct))
             sl, d2 = _axis_window(coords, cs[c], r2[k])
             start[j], row[j] = sl.start, rows.setdefault((k, d2.tobytes()), len(rows))
         starts.append(start[pid])
@@ -561,31 +564,16 @@ def ball_groups(grid_like, centers, radii) -> BallGroups:
         offsets = np.ravel_multi_index(np.nonzero(mask), grid_like.extents)
         base = np.ravel_multi_index(tuple(starts[members].T), grid_like.extents)
         out.append((members, base, offsets, _runs(offsets)))
-    return BallGroups(extents=grid_like.extents, h=grid_like.h,
-                      origin=tuple(grid_like.origin.tolist()), size=len(centers),
-                      groups=tuple(out))
-
-
-def ball_chunks(grid_like, balls):
-    """Yield ``(members, nodes)`` over ``balls``, in groups that share one window mask.
-
-    ``members`` indexes ``balls``; row ``i`` of ``nodes`` holds, in C order,
-    the flat indices of the nodes ``x`` with ``|x - center|^2 <= radius^2 (1 +
-    1e-12)`` of ball ``members[i]`` (no nodes for a ball that misses the
-    grid).  The groups are those of :func:`ball_groups`; a ball with a window
-    of its own (an off-node centre, a window cut by the grid edge) forms a
-    group of one.  A group is cut into chunks of about ``BALL_CHUNK``
-    node-ball pairs, one ball at least.
-    """
-    return ball_groups(grid_like, [b.center for b in balls], [b.radius for b in balls]).chunks()
+    return BallFamily(centers=centers, radii=radii, extents=grid_like.extents, h=grid_like.h,
+                      origin=tuple(grid_like.origin.tolist()), groups=tuple(out))
 
 
 def node_ball_offsets(radius: float, h: float, dim: int) -> list:
     """Offsets, in C order, of the lattice nodes within ``radius`` of a node.
 
     The nodes of the ball about node 0 of the lattice ``h Z^dim``, by the
-    distance test of :func:`ball_chunks`, so a node-centred ball's row of
-    :func:`ball_chunks` is its centre plus these offsets.
+    distance test of :func:`ball_groups`, so a node-centred ball's row of
+    :meth:`BallFamily.chunks` is its centre plus these offsets.
     """
     reach = int(radius / h) + 1
     r2 = _r2(radius)
@@ -603,7 +591,7 @@ def integrate(values: np.ndarray, grid_like, region=None) -> float:
     if region is None:
         picked = vals[usable]
     elif isinstance(region, Ball):
-        (_, nodes), = ball_chunks(grid_like, [region])
+        (_, nodes), = ball_groups(grid_like, [region.center], [region.radius]).chunks()
         picked = vals.reshape(-1)[nodes[0]][usable.reshape(-1)[nodes[0]]]
     else:
         raise GridError(f"unsupported region spec {region!r}")
@@ -668,7 +656,7 @@ def ball_family(
 
     Radii ``r_max, r_max/2, ...`` down to ``r_min`` at every center; chains
     are clipped to balls that fit the usable region and hold a usable node,
-    counted by :meth:`BallGroups.counts` on the family's grouping (one group
+    counted by :meth:`BallFamily.counts` on the family's grouping (one group
     per radius on the strided node lattice), which the family keeps.
     ``center_stride = 0`` places a single center at the domain midpoint.
     """
@@ -689,14 +677,11 @@ def ball_family(
             axes.append(coords[inside[::center_stride]])
         centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, grid_like.dim)
     at, size = np.nonzero(_fits(lo, hi, centers, radii))
-    centers, radii = centers[at], np.asarray(radii)[size]
-    balls = [Ball(center=c, radius=r) for c, r in zip(centers.tolist(), radii.tolist())]
-    groups = ball_groups(grid_like, centers, radii)
-    keep = groups.counts(usable) > 0
+    family = ball_groups(grid_like, centers[at], np.asarray(radii)[size])
+    keep = family.counts(usable) > 0
     if not keep.any():
         raise EmptyRegionError("ball family is empty for the given parameters")
-    balls = [b for b, k in zip(balls, keep.tolist()) if k]
-    return BallFamily(balls=tuple(balls), groups=groups.select(keep))
+    return family.select(keep)
 
 
 def bump_tests(grid: ScalarGrid, centers, scale: float) -> TestFunctionSet:

@@ -302,6 +302,11 @@ def laplace_beltrami(scalar, geom):
     return out, valid
 
 
+def family_balls(family):
+    """The balls of a ``grids.BallFamily`` as ``grids.Ball`` records, in order."""
+    return [family.ball(k) for k in range(len(family))]
+
+
 def integer_ball_offsets(radius, h, dim):
     """Offsets d in C order with |d|^2 h^2 <= r^2 (1 + 1e-12), in integers."""
     reach = int(np.floor(radius / h + 1e-12))

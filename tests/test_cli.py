@@ -760,7 +760,8 @@ def test_diagnose_zero_field_writes_null_constants(tmp_path):
     assert rep["bmo"]["omega"] == 0.0 and rep["jn"] == {"p": 2.0, "cbar": 0.0, "degenerate": True}
     assert sorted(rep["bmo"]) == sorted([f.name for f in dataclasses.fields(diag.BMOResult)]
                                         + ["small_bmo_regime", "omega_threshold"])
-    assert rep["campanato"][0]["c"] is None and rep["campanato"][0]["degenerate"] is True
+    assert set(rep["campanato"]) == {"curve", "fit"}
+    assert rep["campanato"]["fit"]["degenerate"] is True
 
 
 def test_campanato_constant_field_writes_null_iteration_lemma(tmp_path):

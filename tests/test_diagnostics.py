@@ -96,7 +96,7 @@ def test_bmo_linear_field_attained_at_largest_ball():
     res = diag.bmo_modulus(f, fam)
     assert res.ball.radius == pytest.approx(0.8)
     # linear-field oscillation is homogeneous of degree 1 in the radius
-    per_ball = {b.radius: diag.mean_oscillation(f, b, 1.0) for b in fam}
+    per_ball = {b.radius: diag.mean_oscillation(f, b, 1.0) for b in oracles.family_balls(fam)}
     assert res.omega == pytest.approx(max(per_ball.values()))
     assert per_ball[0.8] / per_ball[0.4] == pytest.approx(2.0, rel=0.02)
 
@@ -107,7 +107,7 @@ def test_bmo_monotone_under_family_refinement():
     f = grids.SymMatField(h=g.h, origin=g.origin,
                           values=rng.standard_normal(g.extents + (3,)))
     big = grids.ball_family(g, center_stride=4, r_min=0.15, r_max=0.6)
-    sub = grids.BallFamily(balls=big.balls[::3])
+    sub = big.select(np.arange(len(big)) % 3 == 0)
     assert diag.bmo_modulus(f, sub).omega <= diag.bmo_modulus(f, big).omega
 
 
@@ -155,6 +155,29 @@ def test_jn_linear_field_stable_under_refinement():
     assert vals[65] == pytest.approx(vals[33], rel=0.10)
 
 
+def test_only_the_ball_a_result_names_is_built(monkeypatch):
+    g = grids.make_grid(2, 65, 1.0)
+    f = jump_field(g, np.eye(2))
+    made = []
+    post_init = Ball.__post_init__
+
+    def counting(self):
+        post_init(self)
+        made.append(self)
+
+    monkeypatch.setattr(Ball, "__post_init__", counting)
+    fam = grids.ball_family(f, 4, r_min=3 * g.h, r_max=0.25)
+    assert made == [] and len(fam) > 100
+    jn = diag.john_nirenberg_ratio(f, fam, 2.0)
+    assert made == [jn.bmo.ball] and jn.bmo.ball is not None
+    # the nested and doubled balls of the other reducers are arrays too
+    radii = [0.4, 0.2, 0.1]
+    diag.campanato_decay(f, (0.0, 0.0), radii)
+    diag.fit_p0(f, (0.0, 0.0), radii)
+    diag.reverse_holder_check(f, [(0.0, 0.0), (0.1, -0.1)], [0.2, 0.1])
+    assert made == [jn.bmo.ball]
+
+
 def _per_ball_jn(f, balls, p):
     """Oracle: ball-by-ball L^1/L^p oscillations and (omega, ball, cbar), on the full grid."""
     osc1, oscp = [], []
@@ -187,25 +210,27 @@ def test_grouped_oscillations_equal_per_ball_oracle(dim, nodes, stride, reach, m
     f = _holed_field(dim, nodes, 80 + dim)
     h = f.h
     fam = grids.ball_family(f, stride, r_min=3 * h, r_max=reach * h)
-    off_node = tuple(Ball(center=tuple(c), radius=r) for c, r in
-                     [((0.1 * h,) * dim, 3.3 * h), ((-0.37,) * dim, 4 * h),
-                      ((1.0 - h,) * dim, 3 * h)])   # the last is cut by the grid edge
+    off_node = [Ball(center=tuple(c), radius=r) for c, r in
+                [((0.1 * h,) * dim, 3.3 * h), ((-0.37,) * dim, 4 * h),
+                 ((1.0 - h,) * dim, 3 * h)]]   # the last is cut by the grid edge
+    mixed = off_node + oracles.family_balls(fam)[::5] + off_node[:1]
     families = {
         "strided": fam,
-        "sub": grids.BallFamily(fam.balls[::3]),
+        "sub": fam.select(np.arange(len(fam)) % 3 == 0),
         "midpoint": grids.ball_family(f, 0, r_min=3 * h, r_max=reach * h),
-        "mixed": grids.BallFamily(off_node + fam.balls[::5] + off_node[:1]),
+        "mixed": grids.ball_groups(f, [b.center for b in mixed], [b.radius for b in mixed]),
     }
-    holes = [not f.valid[_reference_ball_mask(f, b)].all() for b in fam]
+    holes = [not f.valid[_reference_ball_mask(f, b)].all() for b in oracles.family_balls(fam)]
     assert any(holes) and not all(holes)   # both the compacted and the plain rows run
     # the strided family spans more chunks than it has groups (one per radius)
-    assert len(list(grids.ball_chunks(f, fam.balls))) > len({b.radius for b in fam})
+    assert len(list(fam.chunks())) > len(set(fam.radii.tolist()))
     for chunk in (grids.BALL_CHUNK, 50):      # 50 pairs: one ball per chunk
         monkeypatch.setattr(grids, "BALL_CHUNK", chunk)
         for name, family in families.items():
             for p in (1.0, 2.5, 4.0):
-                osc1, oscp, (omega, ball, cbar) = _per_ball_jn(f, family.balls, p)
-                (got1, gotp), _ = diag._ball_means(f, family.balls, (1.0, p))
+                osc1, oscp, (omega, ball, cbar) = _per_ball_jn(
+                    f, oracles.family_balls(family), p)
+                (got1, gotp), _ = diag._ball_means(f, family, (1.0, p))
                 assert got1.tolist() == osc1, (name, p, chunk)
                 assert gotp.tolist() == oscp, (name, p, chunk)
                 jn = diag.john_nirenberg_ratio(f, family, p)
@@ -234,13 +259,13 @@ def test_family_grouping_reused_on_other_validity_and_regrouped_on_other_geometr
     for field, regroups in ((f, 0), (moved, 1), (wider, 1)):
         calls.clear()
         for p in (1.0, 2.5):
-            osc1, oscp, (omega, ball, cbar) = _per_ball_jn(field, fam.balls, p)
+            osc1, oscp, (omega, ball, cbar) = _per_ball_jn(field, oracles.family_balls(fam), p)
             jn = diag.john_nirenberg_ratio(field, fam, p)
             assert (jn.bmo.omega, jn.bmo.ball, jn.cbar) == (omega, ball, cbar)
-            (got1, gotp), _ = diag._ball_means(field, fam.balls, (1.0, p), groups=fam.groups)
+            (got1, gotp), _ = diag._ball_means(field, fam, (1.0, p))
             assert got1.tolist() == osc1 and gotp.tolist() == oscp
         assert calls == [len(fam)] * (4 * regroups)
-    assert any(not f.valid[_reference_ball_mask(f, b)].all() for b in fam)
+    assert any(not f.valid[_reference_ball_mask(f, b)].all() for b in oracles.family_balls(fam))
 
 
 def _fsum_deviations(vals, w):
@@ -258,9 +283,10 @@ def test_oscillations_match_fsum_reference(dim, nodes, stride, reach):
     f = _holed_field(dim, nodes, 80 + dim)
     h, w = f.h, symmat.duplication_weights(dim).tolist()
     fam = grids.ball_family(f, stride, r_min=3 * h, r_max=reach * h)
-    devs = [_fsum_deviations(_reference_ball_values(f, ball), w) for ball in fam]
+    devs = [_fsum_deviations(_reference_ball_values(f, ball), w)
+            for ball in oracles.family_balls(fam)]
     for p in (1.0, 2.5, 4.0):
-        (got1, gotp), _ = diag._ball_means(f, fam.balls, (1.0, p))
+        (got1, gotp), _ = diag._ball_means(f, fam, (1.0, p))
         np.testing.assert_allclose(got1, [math.fsum(d) / len(d) for d in devs], rtol=1e-12)
         np.testing.assert_allclose(gotp, [math.fsum(x**p for x in d) / len(d) for d in devs],
                                    rtol=1e-12)
@@ -311,12 +337,15 @@ def test_grouped_oscillations_raise_for_the_first_empty_ball():
     first_empty = Ball(center=hole, radius=h)     # four nodes, all in the hole
     balls = (Ball(center=(0.0, 0.0), radius=1.5 * h), first_empty,
              Ball(center=(hole[0] - 0.5 * h,) * 2, radius=1.5 * h))
+    family = grids.ball_groups(f, [b.center for b in balls], [b.radius for b in balls])
     for ball in balls[1:]:
         with pytest.raises(EmptyRegionError, match=re.escape(f"ball {ball} ")):
             diag.mean_oscillation(f, ball)
     named = re.escape(f"ball {first_empty} contains no valid nodes")
     with pytest.raises(EmptyRegionError, match=named):
-        diag.john_nirenberg_ratio(f, grids.BallFamily(balls), 2.0)
+        diag.john_nirenberg_ratio(f, family, 2.0)
+    with pytest.raises(EmptyRegionError, match="ball family is empty"):
+        diag.john_nirenberg_ratio(f, family.select(np.zeros(len(family), dtype=bool)), 2.0)
     # every per-ball entry point names the first empty ball of its own
     radii = [h, 0.9 * h, 0.8 * h]
     with pytest.raises(EmptyRegionError, match=named):
@@ -420,6 +449,22 @@ def test_reverse_holder_rejects_oversized_ball():
         diag.reverse_holder_check(f, [(0.5, 0.5)], [0.4])
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.1])
+def test_nonpositive_ball_radii_are_rejected(bad):
+    g = grids.make_grid(2, 33, 1.0)
+    f = linear_field(g, np.eye(2))
+    message = f"ball radius must be positive, got {bad}"
+    calls = [
+        lambda: diag.campanato_decay(f, (0.0, 0.0), [0.4, 0.2, bad]),
+        lambda: diag.fit_p0(f, (0.0, 0.0), [0.4, 0.2, bad]),
+        lambda: diag.reverse_holder_check(f, [(0.0, 0.0)], [0.2, bad]),
+        lambda: grids.ball_groups(f, [(0.0, 0.0)], [bad]),
+    ]
+    for call in calls:
+        with pytest.raises(grids.GridError, match=re.escape(message)):
+            call()
+
+
 def test_reverse_holder_names_first_oversized_ball():
     g = grids.make_grid(2, 33, 1.0)
     f = constant_field(g, np.eye(2))
@@ -437,9 +482,9 @@ def test_reverse_holder_takes_one_pass_over_inner_and_outer_balls(monkeypatch):
     calls = []
     ball_means = diag._ball_means
 
-    def counting(f, balls, exponents, centred=True):
-        calls.append((len(balls), tuple(exponents), centred))
-        return ball_means(f, balls, exponents, centred)
+    def counting(f, family, exponents, centred=True):
+        calls.append((len(family), tuple(exponents), centred))
+        return ball_means(f, family, exponents, centred)
 
     monkeypatch.setattr(diag, "_ball_means", counting)
     g = grids.make_grid(2, 33, 1.0)
@@ -558,7 +603,7 @@ def test_ball_diagnostics_equal_full_grid_mask_reference():
     fam = grids.ball_family(f, center_stride=3, r_min=3 * h, r_max=0.75)
     jn = diag.john_nirenberg_ratio(f, fam, p)
     omega, omega_ball, oscp = -1.0, None, []
-    for ball in fam:
+    for ball in oracles.family_balls(fam):
         dev = _reference_deviations(f, ball)
         if float(dev.mean()) > omega:
             omega, omega_ball = float(dev.mean()), ball
@@ -568,7 +613,7 @@ def test_ball_diagnostics_equal_full_grid_mask_reference():
     assert diag.bmo_modulus(f, fam) == jn.bmo
     assert jn.cbar == max(v / omega for v in oscp)
     flat = grids.SymMatField(h=h, origin=g.origin, values=np.ones_like(vals), valid=valid)
-    assert diag.bmo_modulus(flat, fam).ball == fam.balls[0]   # ties keep the first ball
+    assert diag.bmo_modulus(flat, fam).ball == fam.ball(0)   # ties keep the first ball
 
     center = (0.05, 0.0)
     radii = [0.6, 0.4, 0.3, 0.2]
@@ -820,8 +865,9 @@ def test_reverse_holder_raises_each_ball_to_its_own_exponent():
     balls = [Ball(center=c, radius=k * s) for k in (1.0, 2.0) for c, s in pairs]
     pbar = diag.sobolev_dual_exponent(3)
     inner, outer = slice(None, len(pairs)), slice(len(pairs), None)
-    (sq, pw), counts = diag._ball_means(f, balls, {2.0: inner, pbar: outer}, False)
-    (sq_all, pw_all), counts_all = diag._ball_means(f, balls, (2.0, pbar), False)
+    family = grids.ball_groups(f, [b.center for b in balls], [b.radius for b in balls])
+    (sq, pw), counts = diag._ball_means(f, family, {2.0: inner, pbar: outer}, False)
+    (sq_all, pw_all), counts_all = diag._ball_means(f, family, (2.0, pbar), False)
     # the inner balls' squares and the outer balls' pbar powers, with the
     # bits of raising every ball to both
     assert np.isnan(sq[outer]).all() and np.isnan(pw[inner]).all()

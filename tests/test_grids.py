@@ -399,7 +399,7 @@ def test_ball_window_selects_full_grid_ball_nodes_in_order(dim, nodes):
     radii = [k * h for k in (1, 2, 3, 5, 8)] + [0.37, 1.3, 4.0]
     outside = Ball(center=(3.0,) * dim, radius=0.5)
     for ball in [Ball(center=tuple(c), radius=r) for c in centers for r in radii] + [outside]:
-        (members, rows), = grids.ball_chunks(g, [ball])
+        (members, rows), = grids.ball_groups(g, [ball.center], [ball.radius]).chunks()
         want = _full_grid_ball_nodes(g, ball)
         assert members.tolist() == [0] and rows.shape == (1, len(want))
         np.testing.assert_array_equal(rows[0], np.ravel_multi_index(tuple(want.T), g.extents))
@@ -416,14 +416,14 @@ def test_ball_chunks_list_ball_window_nodes(dim, nodes, half_width, monkeypatch)
     g = grids.make_grid(dim, nodes, half_width)
     h = g.h
     # node-centred families at radii k h (8h/4h, 6h/3h) and off the lattice
-    families = [grids.ball_family(g, 3, r_min=3 * h, r_max=k * h).balls
-                for k in (8, 6, 7.3, 5.55)]
-    extra = (Ball(center=(0.1 * h,) * dim, radius=3.3 * h),       # off-node centre
+    families = [grids.ball_family(g, 3, r_min=3 * h, r_max=k * h) for k in (8, 6, 7.3, 5.55)]
+    extra = [Ball(center=(0.1 * h,) * dim, radius=3.3 * h),       # off-node centre
              Ball(center=tuple(g.origin + h), radius=4 * h),      # cut by the grid edge
-             Ball(center=(3.0 * half_width,) * dim, radius=h))   # misses the grid
-    balls = sum(families, ()) + extra
+             Ball(center=(3.0 * half_width,) * dim, radius=h)]   # misses the grid
+    balls = sum((oracles.family_balls(fam) for fam in families), []) + extra
+    table = grids.ball_groups(g, [b.center for b in balls], [b.radius for b in balls])
     seen = np.zeros(len(balls), dtype=int)
-    for members, nodes_ in grids.ball_chunks(g, balls):
+    for members, nodes_ in table.chunks():
         assert len(members) == 1 or nodes_.size <= grids.BALL_CHUNK
         for k, row in zip(members, nodes_):
             want = np.ravel_multi_index(tuple(_full_grid_ball_nodes(g, balls[k]).T), g.extents)
@@ -432,8 +432,10 @@ def test_ball_chunks_list_ball_window_nodes(dim, nodes, half_width, monkeypatch)
     assert (seen == 1).all()
     monkeypatch.setattr(grids, "BALL_CHUNK", 1 << 40)
     for fam in families:
-        # one group, hence one chunk, per radius
-        assert len(list(grids.ball_chunks(g, fam))) == len({b.radius for b in fam})
+        # one group, hence one chunk, per radius, kept by the family and regrouped
+        regrouped = grids.ball_groups(g, fam.centers, fam.radii)
+        assert len(list(regrouped.chunks())) == len(set(fam.radii.tolist()))
+        assert len(list(fam.chunks())) == len(set(fam.radii.tolist()))
     for r in (3 * h, 4 * h, 3.3 * h, 5.55 * h):
         c = (nodes // 2,) * dim
         want = _full_grid_ball_nodes(g, Ball(center=tuple(g.origin + h * np.array(c)),
@@ -454,7 +456,7 @@ def test_ball_family_single_ball():
     g = grids.make_grid(2, 33, 1.0)
     fam = grids.ball_family(g, center_stride=0, r_min=0.25, r_max=0.25)
     assert len(fam) == 1
-    assert fam.balls[0].radius == 0.25
+    assert fam.ball(0).radius == 0.25
 
 
 def test_ball_family_rejects_inverted_radii():
@@ -487,7 +489,7 @@ def test_ball_family_counting_oracle():
                         and cy - r >= lo - 1e-12 and cy + r <= hi + 1e-12):
                     count += 1
     assert len(fam) == count
-    for b in fam:
+    for b in oracles.family_balls(fam):
         assert grids.balls_fit(g, [b.center], [b.radius]).all()
 
 
@@ -552,10 +554,10 @@ def test_prefix_sum_counts_equal_gathered_counts(dim, nodes):
     scalar = replace(g, valid=valid)
     field = grids.SymMatField(h=h, origin=g.origin, valid=valid,
                               values=np.zeros(g.extents + (symmat.packed_size(dim),)))
-    fam = grids.ball_family(g, 2, r_min=3 * h, r_max=8 * h).balls
-    extra = (Ball(center=(0.1 * h,) * dim, radius=3.3 * h),       # off-node centre
+    fam = oracles.family_balls(grids.ball_family(g, 2, r_min=3 * h, r_max=8 * h))
+    extra = [Ball(center=(0.1 * h,) * dim, radius=3.3 * h),       # off-node centre
              Ball(center=tuple(g.origin + h), radius=4 * h),      # cut by the grid edge
-             Ball(center=(3.0,) * dim, radius=h))                # misses the grid
+             Ball(center=(3.0,) * dim, radius=h)]                # misses the grid
     balls = fam[::3] + extra
     for grid_like in (scalar, field):
         usable = grids._usable(grid_like)
@@ -572,12 +574,59 @@ def test_prefix_sum_counts_equal_gathered_counts(dim, nodes):
         assert (want[:-1] < [len(_full_grid_ball_nodes(g, b)) for b in balls[:-1]]).any()
         # the family keeps the balls holding a usable node, with their rows
         holed = grids.ball_family(grid_like, 2, r_min=3 * h, r_max=8 * h)
-        assert holed.groups.fits(grid_like) and holed.groups.size == len(holed)
+        assert holed.on(grid_like) is holed and holed.centers.shape == (len(holed), dim)
         seen = np.zeros(len(holed), dtype=int)
-        for members, rows in holed.groups.chunks():
+        for members, rows in holed.chunks():
             for k, row in zip(members, rows):
-                nodes_k = _full_grid_ball_nodes(g, holed.balls[k])
+                nodes_k = _full_grid_ball_nodes(g, holed.ball(k))
                 assert row.tolist() == np.ravel_multi_index(tuple(nodes_k.T), g.extents).tolist()
                 assert usable[tuple(nodes_k.T)].any()
                 seen[k] += 1
         assert (seen == 1).all()
+
+
+@pytest.mark.parametrize("dim, nodes", [(2, 41), (3, 19)], ids=["2d", "3d"])
+def test_span_prefix_counts_equal_brute_force_at_both_flat_ends(dim, nodes):
+    # the prefix sums cover only the flat span the balls touch; balls about
+    # the first and the last node reach both ends of the flat grid
+    rng = np.random.default_rng(75 + dim)
+    g = grids.make_grid(dim, nodes, 1.0)
+    h = g.h
+    mask = rng.random(g.extents) > 0.3
+    mask[(slice(3, 9),) * dim] = False
+    mask.reshape(-1)[[0, -1]] = True
+    first, last = g.origin, g.origin + (nodes - 1) * h
+    balls = [Ball(center=tuple(c), radius=r)
+             for c in (first, last, first + 5.5 * h, last - 7 * h) for r in (h, 3 * h, 4.5 * h)]
+    for picked in (balls[:3], balls[3:6], balls[6:], balls[::-1], balls):
+        fam = grids.ball_groups(g, [b.center for b in picked], [b.radius for b in picked])
+        got = fam.counts(mask)
+        want = [int(mask[tuple(_full_grid_ball_nodes(g, b).T)].sum()) for b in picked]
+        assert got.dtype.kind == "i" and got.tolist() == want
+    assert any(0 < n < len(_full_grid_ball_nodes(g, b)) for b, n in zip(balls, want))
+
+
+def test_selected_family_keeps_each_ball_and_row_bit_for_bit():
+    rng = np.random.default_rng(77)
+    g = grids.make_grid(2, 33, 1.0)
+    h = g.h
+    centers = g.origin + 32 * h * rng.random((40, 2))
+    radii = h * (3.0 + 5.0 * rng.random(40))
+    fam = grids.ball_groups(g, centers, radii)
+    fam = fam.select(np.arange(len(fam)) % 4 != 1)       # a selection of a selection
+    keep = rng.random(len(fam)) > 0.5
+    sub = fam.select(keep)
+    kept = np.flatnonzero(keep)
+    assert len(sub) == len(kept) and sub.on(g) is sub
+
+    def rows(family):
+        return {int(k): row.tolist() for members, nodes in family.chunks()
+                for k, row in zip(members, nodes)}
+
+    fam_rows, sub_rows = rows(fam), rows(sub)
+    for k, j in enumerate(kept.tolist()):
+        ball = sub.ball(k)
+        assert ball == fam.ball(j) and sub_rows[k] == fam_rows[j]
+        assert [c.hex() for c in ball.center] == [c.hex() for c in fam.centers[j].tolist()]
+        assert ball.radius.hex() == float(fam.radii[j]).hex()
+    assert len(sub_rows) == len(sub)
