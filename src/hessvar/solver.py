@@ -16,16 +16,19 @@ interior node.
 Minimization is damped inexact Newton with Armijo backtracking; the Newton
 systems are symmetric positive definite by uniform convexity and are solved,
 to the Eisenstat-Walker forcing tolerance of each step, with conjugate
-gradients preconditioned by the exact inverse of the squared
-Dirichlet Laplacian on the box of the unknowns, applied as products with
-dense DST-I sine matrices, one per box axis.  Steps are shortened until every
-node Hessian stays inside the model's admissible set (margin 1e-6).  Each
-iterate is evaluated once (:class:`_Iterate`), and so is the argument of the
-public energy, gradient and weak residual: one component-major copy of its
-Hessian field, which the packed integrand kernels read (custom callables get
-full matrices), and its operator-norm peak, screened by row and Frobenius
-norms, serve the admissibility test, the energy, the gradient, the weak
-residual and the Newton operator.  The Newton operator is matrix-free,
+gradients preconditioned by the inverse of the quadratic (bi-Laplacian)
+Newton operator on the box of the unknowns
+(:func:`clamped_box_preconditioner`): its DST-I symbol, applied as products
+with dense sine matrices, one per box axis, plus in 2D a capacitance
+correction on the box's edge layer that makes it exact.  Steps are shortened
+until every node Hessian stays inside the model's admissible set (margin
+1e-6).  Each iterate is evaluated once (:class:`_Iterate`), and so is the
+argument of the public energy, gradient and weak residual: one
+component-major copy of its Hessian field, which the packed integrand
+kernels read (custom callables get full matrices), and its operator-norm
+peak, screened by row and Frobenius norms, serve the admissibility test, the
+energy, the gradient, the weak residual and the Newton operator.  The Newton
+operator is matrix-free,
 ``h^n 1_U S^T (P : S v)`` on the one Hessian stencil S, with the packed
 second derivative P of the integrand (:func:`models.pack_tensor`) taken pair
 by pair (:func:`models.tensor_pairs`) and folded into one coefficient array
@@ -215,19 +218,40 @@ def _dst(z: np.ndarray, sines) -> np.ndarray:
     return z
 
 
-def squared_laplacian_preconditioner(unknowns: np.ndarray, h: float):
-    """Preconditioner ``P r = 1_U B^-1 (1_U r)`` with ``B = h^n L_B^2``.
+def clamped_box_preconditioner(unknowns: np.ndarray, h: float):
+    """Preconditioner ``P r = 1_U A_B^-1 (1_U r)``, ``A_B`` the quadratic Newton
+    operator on the bounding box B of the unknown nodes U.
 
-    ``L_B`` is the (2n+1)-point Dirichlet Laplacian on the bounding box B of
-    the unknown nodes U.  Its eigenvectors are products of DST-I modes, with
-    eigenvalues ``lambda_k = sum_axes (2 - 2 cos(k pi / (m + 1))) / h^2`` on
-    an axis of m box nodes, so ``B^-1`` is two DSTs per axis around the
-    per-mode factor ``(2 / (m + 1))^n / (h^n lambda_k^2)``.  Each DST is a
-    product with the axis's sine matrix, built once here.  ``P`` is
-    symmetric positive definite on U for every unknown set and equals
-    ``B^-1`` when U fills B.  The squared Laplacian is spectrally equivalent
-    to the fourth-order Newton operators (Braess and Peisker, IMA J. Numer.
-    Anal. 1986), so CG iteration counts grow slowly under refinement.
+    ``A_B`` is the Newton operator of F = |M|^2 / 2 (the 13-point
+    bi-Laplacian in 2D) with B's nodes as the unknowns and every node its
+    stencil reaches in the sum: on a clamped grid, the operator itself.
+    Split it as ``A_B = P' + R``:
+
+    - ``P'`` is ``A_B``'s stencil applied to the odd reflection of the box
+      values.  The DST-I diagonalizes it with the operator's own symbol
+      ``h^n (sum_a mu_a^2 + 2 sum_{a<b} kappa_a kappa_b)``, where ``mu = (2 -
+      2 cos theta) / h^2``, ``kappa = sin^2 theta / h^2`` and ``theta = k pi
+      / (m + 1)`` on an axis of m box nodes; ``kappa_a kappa_b`` is the
+      symbol of the squared centred mixed difference.  ``P'^-1`` is two
+      DSTs per axis around a per-mode factor.
+    - ``R`` lives on the layer of box nodes next to the box's edge, where the
+      reflected ghost values differ from the zero ones of ``A_B``.  On an
+      axis let E be the sum of the projections onto its first and its last
+      node (one node twice when m = 1) and K the operator of symbol ``sin^2
+      theta``; then in 2D ``R = h^(n-4) (E_1 D_2 + D_1 E_2 + E_1 E_2 / 8)``
+      with ``D = 1 - K / 2``, diagonal in the sines of the layer's sides.
+
+    In 2D the Woodbury identity makes P exact on B: the capacitance-matrix
+    method (Buzbee, Dorr, George and Golub, SIAM J. Numer. Anal. 8, 1971).
+    The box's two mirror symmetries split the capacitance system by the
+    parity of the sine index on each axis into four dense SPD systems, and
+    eliminating the diagonal block of each leaves matrices of order about
+    m_1 / 2 (:func:`_layer_correction`).  An application adds O(m^2) work
+    between the two DSTs.  In 3D the layer has about 6 m^2 nodes, too many
+    for dense systems, and ``P = 1_U P'^-1 1_U``.
+
+    Each DST is a product with the axis's sine matrix, built once here.
+    ``P`` is symmetric positive definite on U for every unknown set.
     Returns a callable on full-extents node arrays; the result is zero off U.
     """
     n = unknowns.ndim
@@ -235,24 +259,100 @@ def squared_laplacian_preconditioner(unknowns: np.ndarray, h: float):
         return np.zeros_like
     box = bounding_box(unknowns)
     mask = unknowns[box]
-    lam = np.zeros(mask.shape)
-    scale = 1.0
-    sines = [_sine_matrix(m) for m in mask.shape]
-    for axis, m in enumerate(mask.shape):
-        k = np.arange(1, m + 1).reshape((-1,) + (1,) * (n - 1 - axis))
-        lam = lam + (2.0 - 2.0 * np.cos(k * np.pi / (m + 1))) / h**2
-        scale *= 2.0 / (m + 1)
-    factor = scale / (h**n * lam**2)
+    # one matrix per distinct axis length: a square box shares it
+    sine_of = {m: _sine_matrix(m) for m in set(mask.shape)}
+    sines = [sine_of[m] for m in mask.shape]
+    theta = [np.pi * np.arange(1, m + 1) / (m + 1) for m in mask.shape]
+    shaped = [t.reshape((-1,) + (1,) * (n - 1 - a)) for a, t in enumerate(theta)]
+    kappa = [np.sin(t) ** 2 for t in shaped]
+    # 2 - 2 cos t as 4 sin^2(t / 2): no cancellation at the low modes
+    symbol = sum((4.0 * np.sin(0.5 * t) ** 2) ** 2 for t in shaped) + 2.0 * sum(
+        kappa[a] * kappa[b] for a in range(n) for b in range(a + 1, n))
+    # w: the h^(4-n) of the symbol's h^(n-4) times the (2 / (m + 1)) per axis
+    # that makes the two transforms orthonormal
+    w = h ** (4 - n) * float(np.prod([2.0 / (m + 1) for m in mask.shape]))
+    factor = w / symbol
+    correct = _layer_correction(factor, theta, w) if n == 2 else None
 
     def apply(r: np.ndarray) -> np.ndarray:
         z = _dst(np.where(mask, r[box], 0.0), sines)
         z *= factor
+        if correct is not None:
+            correct(z)
         z = _dst(z, sines)
         out = np.zeros_like(r)
         out[box] = np.where(mask, z, 0.0)
         return out
 
     return apply
+
+
+def _layer_correction(factor: np.ndarray, theta, w: float):
+    """The 2D Woodbury term of :func:`clamped_box_preconditioner`.
+
+    ``factor`` is the per-mode factor of ``P'^-1`` between unnormalized DSTs,
+    ``theta`` the sine angles per axis and ``w`` the factor times the
+    symbol.  Returns ``correct(z)``, which turns ``z = factor * DST(r)`` in
+    place into the sine coefficients of ``A_B^-1 r`` by subtracting ``factor
+    * V (w C^-1 + V^T factor V)^-1 V^T z``.
+
+    The columns of V are the sine coefficients of the layer functions in ``R
+    = h^(n-4) V C V^T``, combined into even and odd ones under each axis's
+    mirror: those along the two sides across axis 1 (C = D_2), along the two
+    across axis 2 (C = D_1) and the corners (C = 1/8).  Each parity class is
+    one system; its first block is diagonal and is eliminated here, and its
+    Schur complement is inverted.  ``V^T z`` and the correction are rank-2
+    products with the sine rows of the box's first node.  The correction is
+    built in one work array made here: a new full-size array per
+    application left the bench's 129^2 bilap pipeline 0.7 MB more peak
+    RSS, as freed arrays under the mmap threshold stay on the malloc heap.
+    """
+    # row q of edges[a]: sqrt(2) times the orthonormal sines of the axis's
+    # first node at the sine indices of parity q (k odd for q = 0), the
+    # even (q = 0) or odd functions under the axis's mirror
+    edges = []
+    for t in theta:
+        row = 2.0 * np.sin(t) / np.sqrt(t.size + 1)
+        edge = np.zeros((2, t.size))
+        edge[0, 0::2], edge[1, 1::2] = row[0::2], row[1::2]
+        edges.append(edge)
+    inv_side = [w / (1.0 - 0.5 * np.sin(t) ** 2) for t in theta]
+    systems = []
+    for q1, q2 in np.ndindex(2, 2):
+        s1, s2 = slice(q1, None, 2), slice(q2, None, 2)
+        a1, a2 = edges[0][q1, s1], edges[1][q2, s2]
+        if not (a1.size and a2.size):
+            continue
+        F = factor[s1, s2]
+        g1, g2 = a1**2 @ F, F @ a2**2
+        # unknowns: the sine coefficients of the two sides across axis 1
+        # (a diagonal block, eliminated), then of the two across axis 2 and
+        # the corners; X couples the first group to the others
+        d = 1.0 / (inv_side[1][s2] + g1)
+        X = np.column_stack(((a1[:, None] * F * a2).T, a2 * g1))
+        Y = np.diag(np.append(inv_side[0][s1] + g2, 8.0 * w + a1**2 @ g2))
+        Y[-1, :-1] = Y[:-1, -1] = a1 * g2
+        systems.append((q1, q2, s1, s2, a1, a2, F, g1, d,
+                        np.linalg.inv(Y - X.T @ (d[:, None] * X))))
+    e1, e2 = edges
+    work = np.empty(factor.shape)
+
+    def correct(z: np.ndarray) -> None:
+        zr, zc = e1 @ z, z @ e2.T
+        yr, yc = np.zeros_like(zr), np.zeros_like(zc)
+        for q1, q2, s1, s2, a1, a2, F, g1, d, schur_inv in systems:
+            # the products with X, read from the strided view F of factor
+            t = d * zr[q1, s2]
+            at = a2 * t
+            y = schur_inv @ np.append(zc[s1, q2] - a1 * (F @ at),
+                                      zr[q1, s2] @ a2 - g1 @ at)
+            yr[q1, s2] = t + a2 * (y[-1] - d * ((a1 * y[:-1]) @ F + g1 * y[-1]))
+            yc[s1, q2] = y[:-1]
+        np.matmul(np.hstack((e1.T, yc)), np.vstack((yr, e2)), out=work)
+        np.multiply(work, factor, out=work)
+        z -= work
+
+    return correct
 
 
 def conjugate_gradient(matvec, b: np.ndarray, x0: np.ndarray, rtol: float,
@@ -418,6 +518,13 @@ def minimize_clamped(model: EnergyModel, u0: ScalarGrid, grad_tol: float | None 
     and admissibility breakdowns, and an iterate whose energy or gradient is
     not finite, raise :class:`SolverError` / :class:`AdmissibilityError`.
 
+    Every accepted step passes the Armijo test, and so lowers the energy
+    strictly, unless its predicted change ``t g.delta`` is below the round-off
+    floor ``64 eps (1 + |E|)``.  Such a floor step is taken for the gradient
+    alone: its energy change is rounding, and it is accepted only if it
+    raises E by no more than the floor.  The loop ends after it unless it
+    halved ``||g||_inf``, so in a converged solve it is usually the last step.
+
     Each Newton system is solved by CG to ``max(eta_k, cg_rtol)`` relative,
     or to ``0.4 grad_tol`` absolute if that is looser: ``eta_k`` is the
     Eisenstat-Walker forcing term (:func:`_forcing`), and ``cg_rtol`` its
@@ -434,7 +541,7 @@ def minimize_clamped(model: EnergyModel, u0: ScalarGrid, grad_tol: float | None 
     unknowns = it.u.interior & it.u.valid
     if cg_maxiter is None:
         cg_maxiter = _default_cg_maxiter(unknowns)
-    precond = squared_laplacian_preconditioner(unknowns, it.u.h)
+    precond = clamped_box_preconditioner(unknowns, it.u.h)
 
     report = SolveReport()
     energy = it.energy()
@@ -492,7 +599,8 @@ def minimize_clamped(model: EnergyModel, u0: ScalarGrid, grad_tol: float | None 
                 continue
             trial_energy = trial.energy()
             on_floor = -t * slope <= armijo_floor
-            if on_floor or trial_energy <= energy + 1e-4 * t * slope:
+            if (trial_energy <= energy + 1e-4 * t * slope
+                    or (on_floor and trial_energy <= energy + armijo_floor)):
                 break
             t *= 0.5
         else:
@@ -593,6 +701,6 @@ def solve_constant_coeff_bvp(c0, u0: ScalarGrid, cg_rtol: float = 1e-12,
         cg_maxiter = _default_cg_maxiter(unknowns)
     delta, _, _ = conjugate_gradient(
         op.matvec, -grad, np.zeros_like(grad), cg_rtol, cg_maxiter,
-        precond=squared_laplacian_preconditioner(unknowns, u0.h),
+        precond=clamped_box_preconditioner(unknowns, u0.h),
     )
     return u0.with_values(np.where(unknowns, u0.values + delta, u0.values))
