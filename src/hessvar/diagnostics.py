@@ -88,7 +88,17 @@ def _chunk_deviations(vals, w, idx, count=None, holes=()):
     return np.sqrt(dev, out=dev)
 
 
-def _ball_means(f: SymMatField, family: BallFamily, exponents, centred: bool = True):
+def _valid_counts(f: SymMatField, family: BallFamily) -> np.ndarray:
+    """Valid nodes per ball of ``family`` (on the field's lattice); the first empty ball raises."""
+    counts = family.counts(f.valid)
+    if not counts.all():
+        raise EmptyRegionError(
+            f"ball {family.ball(int(np.argmin(counts)))} contains no valid nodes")
+    return counts
+
+
+def _ball_means(f: SymMatField, family: BallFamily, exponents, centred: bool = True,
+                vals=None, counts=None):
     """Per exponent q, each ball's mean of |f - (f)_B|^q over its valid nodes.
 
     Returns ``(means, counts)``: ``means[i, k]`` belongs to ``exponents[i]``
@@ -96,26 +106,28 @@ def _ball_means(f: SymMatField, family: BallFamily, exponents, centred: bool = T
     nodes of ball ``k``.  Uncentred, the means are of |f|^q.  A dict
     ``exponents`` maps each q to the balls that need it (an index or slice of
     the family), and the other balls' means for that q are NaN.  The family
-    is regrouped when it lies on another lattice than the field's.
+    is regrouped when it lies on another lattice than the field's.  A caller
+    that makes several passes over one field passes its
+    :func:`_component_major` copy ``vals`` and the family's ``counts``.
 
-    The counts are :meth:`BallFamily.counts` of the valid mask, and only
-    rows with fewer valid nodes than their pattern gather it.  Each chunk
-    goes through :func:`_chunk_deviations` on one component-major copy of
-    the field, and each sum is numpy's pairwise sum over a ball's row of
-    valid nodes (a row with holes is compacted first), so a ball's values do
-    not depend on the other balls or on the chunking.  The first ball in
-    family order without a valid node raises :class:`EmptyRegionError`.
+    The counts are :func:`_valid_counts`, and only rows with fewer valid
+    nodes than their pattern gather the valid mask.  Each chunk goes through
+    :func:`_chunk_deviations` on one component-major copy of the field, and
+    each sum is numpy's pairwise sum over a ball's row of valid nodes (a row
+    with holes is compacted first), so a ball's values do not depend on the
+    other balls or on the chunking.  The first ball in family order without
+    a valid node raises :class:`EmptyRegionError`.
     """
     family = family.on(f)
-    counts = family.counts(f.valid)
-    if not counts.all():
-        raise EmptyRegionError(
-            f"ball {family.ball(int(np.argmin(counts)))} contains no valid nodes")
+    if counts is None:
+        counts = _valid_counts(f, family)
+    if vals is None:
+        vals = _component_major(f)
     need = np.zeros((len(exponents), len(family)), dtype=bool)
     for i, q in enumerate(exponents):
         need[i, exponents[q] if isinstance(exponents, dict) else slice(None)] = True
     w = symmat.duplication_weights(f.dim)
-    vals, valid = _component_major(f).reshape(len(w), -1), f.valid.reshape(-1)
+    vals, valid = vals.reshape(len(w), -1), f.valid.reshape(-1)
     means = np.full(need.shape, np.nan)
     for members, nodes in family.chunks():
         count = counts[members]
@@ -173,27 +185,145 @@ class JNEstimate:
         return {"p": self.p, "cbar": self.cbar, "degenerate": self.degenerate}
 
 
+# relative margin of an oscillation bound over the rounding of the value it bounds
+_BOUND_MARGIN = 1e-9
+
+# the screen of john_nirenberg_ratio reads every node of the field a few
+# times, and pays off only when the family's node-ball pairs outnumber the
+# nodes by this factor (2D bench families: 22 and 100; 3D 33^3: 1)
+_SCREEN_PAIRS_PER_NODE = 4
+
+
+def _oscillation_bounds(f: SymMatField, family: BallFamily, counts, exponents) -> np.ndarray:
+    """Upper bounds of each ball's computed mean of |f - (f)_B|^q, one row per exponent q.
+
+    ``family`` lies on the field's lattice and ``counts`` are its
+    :func:`_valid_counts`.  Over the family's span the field is centred at
+    its valid-node mean ``c`` (``g = f - c``, 0 off valid nodes), and
+    :meth:`BallFamily.run_sums` of the running sums gives each ball's ``S_a
+    = sum g_a`` and ``Q = sum w_a g_a^2`` over its ``n`` valid nodes, each
+    within ``e = 4 k gamma sum|x|`` for a ball of ``k`` runs (``gamma =
+    gamma_N`` for the field's ``N`` nodes).  With ``A = (Q + e_Q) / n``,
+    ``B = sum w_a (max(|S_a| - e_a, 0) / n)^2``, ``M_a = max|g_a|`` and ``r =
+    1e-9 + 4 gamma``,
+
+        V = max(A - B, 0) + r A + sum w_a (3 gamma (|c_a| + M_a))^2
+
+    bounds the mean of the squared deviations that :func:`_chunk_deviations`
+    computes: ``A - B`` bounds the ball's variance of ``g``, ``r A`` the
+    rounding of ``g``, ``A`` and ``B``, and the last term the rounding of the
+    computed ball mean.  For q <= 2 the power-mean inequality gives
+    ``V^(q/2)``.  For q > 2 it is ``D^(q-2) V``, where ``D^2``, the smaller
+    of ``n V`` and the component ranges' ``sum w_a (2 M_a + 3 gamma (|c_a| +
+    M_a))^2``, times ``1 + r``, bounds every computed deviation.  Each bound
+    takes a factor ``(1 + r)^2`` for the rounding of the computed mean and
+    of the bound.  A NaN or infinite value in the field, or overflow, gives
+    a NaN or infinite bound.
+    """
+    w = symmat.duplication_weights(f.dim)
+    m, span = len(w), family.span
+    gamma = f.valid.size * 2.0**-53 / (1.0 - f.valid.size * 2.0**-53)
+    r = _BOUND_MARGIN + 4.0 * gamma
+    runs = np.empty(len(family))
+    for members, _, _, (starts, _) in family.groups:
+        runs[members] = starts.size
+    n = counts.astype(float)
+    # running sums over the span of g by component, then of Q's summands
+    prefix = np.zeros((m + 1, span.stop - span.start + 1))
+    g, valid = prefix[:m, 1:], f.valid.reshape(-1)[span]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.copyto(g, f.values.reshape(-1, m)[span].T)
+        np.copyto(g, 0.0, where=~valid)
+        c = g.sum(axis=1) / np.count_nonzero(valid)
+        g -= c[:, None]
+        np.copyto(g, 0.0, where=~valid)
+        np.einsum("an,an,a->n", g, g, w, out=prefix[m, 1:])
+        total, top, mag = np.empty(m + 1), np.empty(m), np.empty(g.shape[1])
+        for a in range(m):
+            np.abs(g[a], out=mag)
+            total[a], top[a] = mag.sum(), mag.max()
+        total[m] = prefix[m, 1:].sum()
+        del mag
+        np.cumsum(prefix[:, 1:], axis=1, out=prefix[:, 1:])
+        sums = family.run_sums(prefix)
+        err = 4.0 * gamma * total[:, None] * runs
+        mean_err = 3.0 * gamma * (np.abs(c) + top)
+        A = (sums[m] + err[m]) / n
+        S = np.maximum(np.abs(sums[:m]) - err[:m], 0.0) / n
+        V = np.maximum(A - w @ np.square(S), 0.0) + r * A + w @ np.square(mean_err)
+        D2 = np.minimum(n * V, w @ np.square(2.0 * top + mean_err)) * (1.0 + r)
+        bounds = [V ** (q / 2.0) if q <= 2.0 else D2 ** (q / 2.0 - 1.0) * V
+                  for q in exponents]
+        return np.array(bounds) * (1.0 + r) ** 2
+
+
 def john_nirenberg_ratio(f: SymMatField, family: BallFamily, p: float) -> JNEstimate:
     """Max over the family of osc_p / omega; degenerate when omega = 0.
 
     omega is the BMO modulus, attained at the first ball of largest L^1
-    oscillation (a NaN never wins), the one ball the result names.  One
-    grouped pass yields both the L^1 and the L^p oscillation of every ball:
-    the balls of one radius about family centres on the node lattice share
-    one node pattern and are evaluated together, in chunks (see
-    :func:`_ball_means`), with the same values as ball-by-ball evaluation.
+    oscillation, the one ball the result names; cbar is the largest ratio.
+    A NaN wins neither maximum (cbar is NaN only when every ratio is).
+
+    Both are maxima, so most balls need only a proof that they cannot win.
+    When the family's node-ball pairs are at least ``_SCREEN_PAIRS_PER_NODE``
+    times the field's nodes, :func:`_oscillation_bounds` gives each ball
+    upper bounds ``U_1`` and ``U_p`` of its oscillations.  The ball of
+    largest ``U_1`` is evaluated first; then every ball whose ``U_1`` is not
+    below its value, which yields omega and its ball; then every other ball
+    whose ``U_p / omega`` is not below the cbar so far.  A NaN bound keeps
+    its ball.  Smaller families evaluate every ball.  The evaluated balls go
+    through :func:`_ball_means` on one component-major copy and one count
+    pass, and a ball's values do not depend on the others, so the result
+    equals that of evaluating every ball.
     """
     _check_exponent(p)
     if not len(family):
         raise EmptyRegionError("ball family is empty")
-    (osc1, oscp), _ = _ball_means(f, family, (1.0, p))
-    k = int(np.argmax(np.where(np.isnan(osc1), -np.inf, osc1)))
-    omega, ball = (float(osc1[k]), family.ball(k)) if osc1[k] >= 0.0 else (-1.0, None)
+    family = family.on(f)
+    counts = _valid_counts(f, family)
+    pairs = sum(len(members) * offsets.size for members, _, offsets, _ in family.groups)
+    screen = pairs >= _SCREEN_PAIRS_PER_NODE * f.valid.size
+    if screen:
+        bound = _oscillation_bounds(f, family, counts, (1.0, p))
+    vals = _component_major(f)
+    osc = np.full((2, len(family)), np.nan)     # L^1 and L^p; NaN until evaluated
+    todo = np.ones(len(family), dtype=bool)
+
+    def evaluate(which, rows=slice(None)):
+        """Evaluate the balls of ``which`` not yet evaluated, for the exponents ``(1, p)[rows]``."""
+        which = which & todo
+        if which.any():
+            osc[rows, which] = _ball_means(f, family.select(which), (1.0, p)[rows],
+                                           vals=vals, counts=counts[which])[0]
+            todo[which] = False
+
+    if screen:
+        top = _first_max(bound[0])
+        evaluate(np.arange(len(family)) == top)
+        evaluate(~(bound[0] < osc[0, top]))     # a NaN value keeps every ball
+    else:
+        osc[:] = _ball_means(f, family, (1.0, p), vals=vals, counts=counts)[0]
+    k = _first_max(osc[0])
+    omega, ball = (float(osc[0, k]), family.ball(k)) if osc[0, k] >= 0.0 else (-1.0, None)
     bmo = BMOResult(omega=omega, ball=ball, family_size=len(family))
     if omega == 0.0:
         return JNEstimate(p=p, cbar=0.0, degenerate=True, bmo=bmo)
-    return JNEstimate(p=p, cbar=max(v / omega for v in oscp.tolist()),
-                      degenerate=False, bmo=bmo)
+    cbar = _nan_max(osc[1] / omega)
+    if screen:
+        evaluate(~(bound[1] / omega < cbar), slice(1, 2))
+        cbar = _nan_max(osc[1] / omega)
+    return JNEstimate(p=p, cbar=cbar, degenerate=False, bmo=bmo)
+
+
+def _first_max(values: np.ndarray) -> int:
+    """Index of the first largest value that is not NaN (0 when every value is NaN)."""
+    return int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
+
+
+def _nan_max(values: np.ndarray) -> float:
+    """The largest value that is not NaN; NaN when every value is."""
+    values = values[~np.isnan(values)]
+    return float(values.max()) if values.size else np.nan
 
 
 # -------------------------------------------------------------- decay fits
@@ -429,10 +559,6 @@ def _window_extreme(a: np.ndarray, width: int, op) -> np.ndarray:
     return a
 
 
-# relative margin of the density bound over the rounding of the densities
-_BOUND_MARGIN = 1e-9
-
-
 def _may_exceed(f: SymMatField, vals, radius: float, p0: float, tau: float) -> np.ndarray:
     """Mask of the nodes whose ``radius`` density is not shown to be at most ``tau``.
 
@@ -577,16 +703,15 @@ def holder_seminorm(f: SymMatField, alpha: float, pair_budget: int = 2000,
     # coarse exhaustive sub-lattice: k nodes give k(k-1)/2 pairs
     k_target = max(2, int(np.sqrt(pair_budget)))
     stride = max(1, len(nodes) // k_target)
-    coarse = nodes[::stride]
-    pairs = [(a, b) for i, a in enumerate(coarse) for b in coarse[i + 1:]]
+    coarse = np.stack(np.triu_indices(len(nodes[::stride]), 1), axis=1) * stride
+    draws = []
     rng = np.random.default_rng(seed)
-    while len(pairs) < pair_budget:
-        i, j = rng.integers(0, len(nodes), size=2)
-        if i == j:
-            continue
-        pairs.append((nodes[i], nodes[j]))
-    ends = np.array(pairs)                  # (pairs, 2, n) node indices
-    a, b = ends[:, 0], ends[:, 1]
+    while len(coarse) + len(draws) < pair_budget:
+        i, j = rng.integers(0, len(nodes), size=2).tolist()
+        if i != j:
+            draws.append((i, j))
+    pairs = np.concatenate([coarse, np.array(draws, dtype=np.intp).reshape(-1, 2)])
+    a, b = nodes[pairs[:, 0]], nodes[pairs[:, 1]]
     diff = f.values[tuple(a.T)] - f.values[tuple(b.T)]
     dist = f.h * np.sqrt(((a - b) ** 2).sum(axis=1))
     # scalar pow per distance: numpy's vectorized pow can differ from it in

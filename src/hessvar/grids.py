@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -467,26 +468,44 @@ class BallFamily:
             for i in range(0, len(members), step):
                 yield members[i:i + step], base[i:i + step, None] + offsets
 
-    def counts(self, mask: np.ndarray) -> np.ndarray:
-        """Nodes of ``mask`` in each ball, exact, from prefix sums of the flat mask over the runs.
-
-        The prefix covers only the flat span from the first window start to
-        the last node of any ball.
-        """
+    @cached_property
+    def span(self) -> slice:
+        """The flat nodes from the first window start to the last node of any ball."""
         lo = min((int(base.min()) for _, base, _, _ in self.groups), default=0)
         hi = max((int(base.max() + stops[-1]) for _, base, _, (_, stops) in self.groups
                   if stops.size), default=lo)
-        prefix = np.zeros(hi - lo + 1, dtype=np.intp)
-        np.cumsum(mask.reshape(-1)[lo:hi], out=prefix[1:])
-        counts = np.zeros(len(self), dtype=np.intp)
+        return slice(lo, hi)
+
+    def run_sums(self, prefix: np.ndarray) -> np.ndarray:
+        """Each ball's sum of the values over :attr:`span` whose running sums are ``prefix``.
+
+        ``prefix`` is ``leading + (span nodes + 1,)``, and its entry ``i`` sums
+        the first ``i`` values of the span, so entry 0 is 0; the result is
+        ``leading + (balls,)``.  A ball's sum adds the prefix differences at
+        the ends of its runs.  An integer prefix gives exact sums.  For a
+        float prefix summed in node order (``np.cumsum``), the sum of a ball
+        of ``k`` runs is within ``4 k gamma_N sum|x|`` of the exact one, with
+        the sum of ``|x|`` over the span, ``gamma_N = N u / (1 - N u)``, ``u =
+        2^-53`` and ``N`` at least the span's node count: each prefix entry
+        is a recursive sum.
+        """
+        sums = np.zeros(prefix.shape[:-1] + (len(self),), dtype=prefix.dtype)
+        lo, rows = self.span.start, prefix.size // prefix.shape[-1]
         for members, base, _, (starts, stops) in self.groups:
-            step = max(1, BALL_CHUNK // max(1, starts.size))
+            step = max(1, BALL_CHUNK // max(1, starts.size * rows))
             for i in range(0, len(members), step):
                 at = base[i:i + step, None] - lo
-                inside = prefix[at + stops]
-                inside -= prefix[at + starts]
-                counts[members[i:i + step]] = inside.sum(axis=1)
-        return counts
+                inside = prefix.take(at + stops, axis=-1)
+                inside -= prefix.take(at + starts, axis=-1)
+                sums[..., members[i:i + step]] = np.add.reduce(inside, axis=-1)
+        return sums
+
+    def counts(self, mask: np.ndarray) -> np.ndarray:
+        """Nodes of ``mask`` in each ball, exact, from :meth:`run_sums` of its prefix sums."""
+        span = self.span
+        prefix = np.zeros(span.stop - span.start + 1, dtype=np.intp)
+        np.cumsum(mask.reshape(-1)[span], out=prefix[1:])
+        return self.run_sums(prefix)
 
     def select(self, keep: np.ndarray) -> "BallFamily":
         """The balls where the boolean ``keep`` holds, numbered in order, with their groups."""

@@ -179,7 +179,10 @@ def test_only_the_ball_a_result_names_is_built(monkeypatch):
 
 
 def _per_ball_jn(f, balls, p):
-    """Oracle: ball-by-ball L^1/L^p oscillations and (omega, ball, cbar), on the full grid."""
+    """Oracle: ball-by-ball L^1/L^p oscillations and (omega, ball, cbar), on the full grid.
+
+    A NaN wins neither maximum, and omega = 0 gives cbar = 0.
+    """
     osc1, oscp = [], []
     omega, omega_ball = -1.0, None
     for ball in balls:
@@ -188,7 +191,8 @@ def _per_ball_jn(f, balls, p):
         oscp.append(float((dev**p).mean()))
         if osc1[-1] > omega:
             omega, omega_ball = osc1[-1], ball
-    return osc1, oscp, (omega, omega_ball, max(v / omega for v in oscp))
+    ratios = [v / omega for v in oscp if not math.isnan(v / omega)] if omega != 0.0 else [0.0]
+    return osc1, oscp, (omega, omega_ball, max(ratios, default=math.nan))
 
 
 def _holed_field(dim, nodes, seed):
@@ -266,6 +270,128 @@ def test_family_grouping_reused_on_other_validity_and_regrouped_on_other_geometr
             assert got1.tolist() == osc1 and gotp.tolist() == oscp
         assert calls == [len(fam)] * (4 * regroups)
     assert any(not f.valid[_reference_ball_mask(f, b)].all() for b in oracles.family_balls(fam))
+
+
+def _seeded_jump_field(nodes, seed):
+    """The seeded jump field of the bench's bilap diagnose: the Hessian of 0.3 e^x cos y
+    plus +-0.2 I across the line ``x cos a + y sin a = offset`` drawn from ``[seed, 2024]``."""
+    h = 1.0 / (nodes - 1)
+    X, Y = np.meshgrid(*[-0.5 + h * np.arange(nodes)] * 2, indexing="ij")
+    rng = np.random.default_rng([seed, 2024])
+    angle, offset = float(rng.uniform(0.0, math.pi)), float(rng.uniform(-0.1, 0.1))
+    side = np.where(X * math.cos(angle) + Y * math.sin(angle) - offset > 0.0, 0.2, -0.2)
+    ex = 0.3 * np.exp(X)
+    vals = np.stack([ex * np.cos(Y) + side, -ex * np.sin(Y), -ex * np.cos(Y) + side], axis=-1)
+    return grids.SymMatField(h=h, origin=(-0.5, -0.5), values=vals)
+
+
+def _evaluated_families(monkeypatch):
+    """The families that go through ``_ball_means`` from now on, in call order."""
+    seen, ball_means = [], diag._ball_means
+
+    def recording(f, family, *args, **kwargs):
+        seen.append(family)
+        return ball_means(f, family, *args, **kwargs)
+
+    monkeypatch.setattr(diag, "_ball_means", recording)
+    return seen
+
+
+def _pairs(family):
+    return sum(len(members) * offsets.size for members, _, offsets, _ in family.groups)
+
+
+def _bound_fields(dim, nodes, seed):
+    """Holed fields for the oscillation bounds: noise over a jump, the same
+    shifted by 1e6 I, a near-constant field (3 I plus 1e-13 noise) and a
+    two-level one (+-I across the jump plus 1e-9 noise), whose balls on one
+    side have a variance far below the rounding of their sums of squares."""
+    f = _holed_field(dim, nodes, seed)
+    eye = symmat.pack(np.eye(dim))
+    noise = np.random.default_rng(seed).standard_normal(f.values.shape)
+    side = np.where(f.coords()[0] > 0.1, 1.0, -1.0)[..., None]
+
+    def on_valid(values):
+        return f.with_values(np.where(f.valid[..., None], values, np.nan))
+
+    return {"holed": f, "shifted": f.with_values(f.values + 1e6 * eye),
+            "near-constant": on_valid(3.0 * eye + 1e-13 * noise),
+            "two-level": on_valid(side * eye + 1e-9 * noise)}
+
+
+@pytest.mark.parametrize("dim, nodes, stride, reach", [(2, 41, 2, 8), (3, 19, 2, 6)],
+                         ids=["2d", "3d"])
+def test_oscillation_bounds_dominate_the_computed_means(dim, nodes, stride, reach):
+    exponents = (1.0, 1.5, 2.0, 2.5, 4.0)
+    for seed in (90, 91, 92):
+        for name, f in _bound_fields(dim, nodes, seed).items():
+            h = f.h
+            fam = grids.ball_family(f, stride, r_min=3 * h, r_max=reach * h)
+            off_node = [((0.1 * h,) * dim, 3.3 * h), ((-0.37,) * dim, 4 * h),
+                        ((1.0 - h,) * dim, 3 * h)]    # the last is cut by the grid edge
+            family = grids.ball_groups(f, [c for c, _ in off_node] + fam.centers.tolist(),
+                                       [r for _, r in off_node] + fam.radii.tolist())
+            bounds = diag._oscillation_bounds(f, family, diag._valid_counts(f, family),
+                                              exponents)
+            means, _ = diag._ball_means(f, family, exponents)
+            assert np.isfinite(bounds).all() and (bounds >= means).all(), (name, seed)
+            if name in ("holed", "shifted"):      # U_2 is the computed value up to rounding
+                np.testing.assert_array_less(bounds[2], means[2] * (1 + 1e-6))
+
+
+@pytest.mark.parametrize("field", ["jump", "linear", "flat", "shifted", "holed"])
+def test_screened_jn_equals_the_full_evaluation(field, monkeypatch):
+    g, jump = grids.make_grid(2, 65, 1.0), _seeded_jump_field(65, 3)
+    f = {"jump": jump,
+         "linear": linear_field(g, np.diag([1.0, -0.5])),    # ties in exact arithmetic
+         "flat": constant_field(g, np.eye(2)),               # ties at omega = 0
+         "shifted": jump.with_values(jump.values + 1e6 * symmat.pack(np.eye(2))),
+         "holed": _holed_field(2, 65, 93)}[field]
+    fam = grids.ball_family(f, 4, r_min=3 * f.h, r_max=0.25)
+    assert _pairs(fam) >= diag._SCREEN_PAIRS_PER_NODE * f.valid.size     # the screen runs
+    seen = _evaluated_families(monkeypatch)
+    for p in (1.0, 1.5, 2.0, 2.5, 4.0):
+        _, _, (omega, ball, cbar) = _per_ball_jn(f, oracles.family_balls(fam), p)
+        seen.clear()
+        jn = diag.john_nirenberg_ratio(f, fam, p)
+        assert jn == diag.JNEstimate(
+            p=p, cbar=cbar, degenerate=omega == 0.0,
+            bmo=diag.BMOResult(omega=omega, ball=ball, family_size=len(fam))), p
+        if field in ("jump", "shifted") and p <= 2.0:    # the screen skips most balls
+            assert sum(len(s) for s in seen) < len(fam) // 10, p
+
+
+def test_screen_evaluates_under_one_percent_of_the_pairs_on_the_seeded_jump_field(monkeypatch):
+    f = _seeded_jump_field(257, 0)
+    fam = grids.ball_family(f, 8, r_min=0.25 / 8, r_max=0.25)    # diagnose's defaults
+    assert (len(fam), _pairs(fam)) == (2716, 6_579_736)
+    seen = _evaluated_families(monkeypatch)
+    jn = diag.john_nirenberg_ratio(f, fam, 2.0)
+    # one ball, the one of omega, is evaluated: 12,853 of 6,579,736 pairs (0.2%)
+    assert [len(s) for s in seen] == [1] and sum(map(_pairs, seen)) == 12_853
+    assert _pairs(seen[0]) <= 0.01 * _pairs(fam)
+    assert seen[0].ball(0) == jn.bmo.ball
+
+
+def test_jn_nan_at_a_valid_node_wins_neither_maximum():
+    g = grids.make_grid(2, 33, 1.0)
+    vals = np.array(jump_field(g, np.eye(2)).values)
+    vals[4, 4] = np.nan                                  # valid, in the corner balls alone
+    f = grids.SymMatField(h=g.h, origin=g.origin, values=vals)
+    fam = grids.ball_family(f, 4, r_min=3 * g.h, r_max=0.25)
+    balls = oracles.family_balls(fam)
+    first = [k for k, b in enumerate(balls) if _reference_ball_mask(f, b)[4, 4]]
+    assert 0 < len(first) < len(fam)
+    # the balls holding the NaN first, then the rest: cbar must not depend on the order
+    order = first + [k for k in range(len(fam)) if k not in first]
+    moved = grids.ball_groups(f, fam.centers[order], fam.radii[order])
+    for p in (1.0, 2.0, 2.5):
+        osc1, oscp, (omega, ball, cbar) = _per_ball_jn(f, balls, p)
+        assert math.isnan(osc1[first[0]]) and math.isnan(oscp[first[0]])
+        assert omega > 0.0 and not math.isnan(cbar)
+        for family in (fam, moved):
+            jn = diag.john_nirenberg_ratio(f, family, p)
+            assert (jn.bmo.omega, jn.bmo.ball, jn.cbar) == (omega, ball, cbar), p
 
 
 def _fsum_deviations(vals, w):
