@@ -29,7 +29,6 @@ from .models import (
     eval_dF,
     eval_d2F,
     linearized_coefficients,
-    load_table_model,
     quadratic_model,
 )
 from .solver import (

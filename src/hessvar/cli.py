@@ -85,23 +85,16 @@ def build_parser() -> _Parser:
     return p
 
 
-def build_model(cfg: RunConfig, base: str = ".") -> models.EnergyModel:
+def build_model(cfg: RunConfig) -> models.EnergyModel:
     if cfg.model_kind == "quadratic":
         return models.quadratic_model(cfg.dim)
-    if cfg.model_kind == "area":
-        if cfg.rho_U is not None:
-            rho = cfg.rho_U
-        elif cfg.eta is not None:
-            rho = 1.0 - cfg.eta
-        else:
-            rho = np.inf
-        return models.area_model(cfg.dim, rho_U=rho)
-    table = models.load_table_model(os.path.join(base, cfg.model_table),
-                                    cfg.dim, rho_U=cfg.rho_U)
-    if cfg.negate:
-        return models.custom_model(cfg.dim, table._F, rho_U=table.rho_U,
-                                   fd_step=table.fd_step, negate=True)
-    return table
+    if cfg.rho_U is not None:
+        rho = cfg.rho_U
+    elif cfg.eta is not None:
+        rho = 1.0 - cfg.eta
+    else:
+        rho = np.inf
+    return models.area_model(cfg.dim, rho_U=rho)
 
 
 def _potential(cfg: RunConfig, base: str) -> ScalarGrid:
@@ -133,7 +126,7 @@ def _potential(cfg: RunConfig, base: str) -> ScalarGrid:
 
 def cmd_solve(cfg: RunConfig, out: str, seed: int, base: str = ".") -> int:
     os.makedirs(out, exist_ok=True)
-    model = build_model(cfg, base)
+    model = build_model(cfg)
     u0 = _potential(cfg, base)
     if cfg.init == "zero":
         u0 = u0.with_values(np.where(u0.interior, 0.0, u0.values))

@@ -34,7 +34,7 @@ The format is INI-style with bracketed sections and no nesting::
     seed = 0
 
 Every key has a default except where noted; parse errors carry line numbers.
-Referenced files (boundary data, integrand tables) must exist at parse time.
+A referenced boundary data file must exist at parse time.
 The fully resolved configuration is embedded in every report so reruns are
 reproducible bit for bit.
 """
@@ -58,11 +58,9 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     # [model]
-    model_kind: str = "quadratic"        # quadratic | area | table
+    model_kind: str = "quadratic"        # quadratic | area
     eta: float | None = None             # area admissibility margin
-    rho_U: float | None = None           # explicit admissible radius
-    model_table: str | None = None       # integrand table CSV (kind = table)
-    negate: bool = False                 # flip a concave table integrand
+    rho_U: float | None = None           # explicit admissible radius (kind = area)
     # [grid]
     dim: int = 2
     nodes: int = 65
@@ -100,8 +98,6 @@ _SCHEMA = {
         "kind": ("model_kind", str),
         "eta": ("eta", float),
         "rho_u": ("rho_U", float),
-        "table": ("model_table", str),
-        "negate": ("negate", bool),
     },
     "grid": {
         "dim": ("dim", int),
@@ -141,17 +137,12 @@ _SCHEMA = {
     },
 }
 
-_BOOL = {"true": True, "yes": True, "1": True,
-         "false": False, "no": False, "0": False}
-
 
 def _convert(raw: str, typ, where: str):
     raw = raw.strip()
     try:
-        if typ is bool:
-            return _BOOL[raw.lower()]
         value = typ(raw)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse {raw!r} as {typ.__name__}") from exc
     if typ is float and not math.isfinite(value):
         raise ConfigError(f"{where}: {raw!r} is not a finite number")
@@ -188,10 +179,10 @@ def parse_config(path) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig, base: str = ".") -> None:
-    if cfg.model_kind not in ("quadratic", "area", "table"):
+    if cfg.model_kind not in ("quadratic", "area"):
         raise ConfigError(f"model kind {cfg.model_kind!r} not recognized")
-    if cfg.negate and cfg.model_kind != "table":
-        raise ConfigError(f"negate = true needs model kind 'table', got {cfg.model_kind!r}")
+    if cfg.rho_U is not None and cfg.model_kind != "area":
+        raise ConfigError(f"rho_u needs model kind 'area', got {cfg.model_kind!r}")
     if cfg.eta is not None and not (0.0 < cfg.eta < 1.0):
         raise ConfigError(f"eta must lie in (0, 1), got {cfg.eta}")
     if not (0.0 < cfg.alpha < 1.0):
@@ -230,12 +221,6 @@ def validate_config(cfg: RunConfig, base: str = ".") -> None:
         raise ConfigError(f"hamstat samples must be >= 1, got {cfg.hs_samples}")
     if cfg.init not in ("boundary", "zero"):
         raise ConfigError(f"solver init must be 'boundary' or 'zero', got {cfg.init!r}")
-    if cfg.model_kind == "table":
-        if cfg.model_table is None:
-            raise ConfigError("model kind 'table' needs a table path")
-        table = os.path.join(base, cfg.model_table)
-        if not os.path.exists(table):
-            raise ConfigError(f"integrand table {table} does not exist")
     if cfg.boundary_kind == "file":
         if cfg.boundary_file is None:
             raise ConfigError("boundary kind 'file' needs a file path")

@@ -36,9 +36,6 @@ Built-in kinds:
   (derived at ``_area_d2F_pairs``); no eigen-decomposition is needed.
 * ``custom``     user callables, with matrix finite differences (Richardson
   extrapolated, step ``delta * (1 + |M|)``) filling in missing derivatives.
-
-Coefficient tables on a packed-entry lattice (CSV, multilinear interpolation)
-can be loaded as custom models; see :func:`load_table_model`.
 """
 
 from __future__ import annotations
@@ -152,18 +149,11 @@ def area_model(n: int, rho_U: float = np.inf) -> EnergyModel:
 
 
 def custom_model(n: int, F, dF=None, d2F=None, rho_U: float = np.inf,
-                 fd_step: float = 1e-5, negate: bool = False) -> EnergyModel:
+                 fd_step: float = 1e-5) -> EnergyModel:
     """Model from user callables; missing derivatives use finite differences.
 
-    Callables receive batched ``(..., n, n)`` arrays.  ``negate = True``
-    flips the sign of F (and supplied derivatives), turning a uniformly
-    concave integrand into the convex one the solver machinery expects.
+    Callables receive batched ``(..., n, n)`` arrays.
     """
-    if negate:
-        F_orig, dF_orig, d2F_orig = F, dF, d2F
-        F = lambda M: -F_orig(M)
-        dF = (lambda M: -dF_orig(M)) if dF_orig is not None else None
-        d2F = (lambda M: -d2F_orig(M)) if d2F_orig is not None else None
     return EnergyModel(kind="custom", n=n, rho_U=rho_U, fd_step=fd_step,
                        _F=F, _dF=dF, _d2F=d2F)
 
@@ -473,101 +463,3 @@ def linearized_coefficients(
         term = wq * _d2F_packed_body(model, symmat.components(M + tq * (M_shift - M)))
         out = term if out is None else out + term
     return 0.5 * (out + np.swapaxes(out, 0, 1))
-
-
-# ---------------------------------------------------------------- tables
-
-def load_table_model(path, n: int, rho_U: float | None = None,
-                     fd_step: float = 1e-3) -> EnergyModel:
-    """Custom model from an integrand table on a packed-entry lattice.
-
-    CSV schema::
-
-        packed_dim,m,lo,hi,count
-        2,3,-1.0,1.0,9
-        flat_index,value
-        0,2.0
-        ...
-
-    The lattice samples each packed entry (upper triangle, row-major; see
-    :mod:`hessvar.symmat`) on ``count`` uniform points in ``[lo, hi]``;
-    ``flat_index`` is row-major over the m lattice axes.  Evaluation uses
-    multilinear interpolation; derivatives fall back to finite differences,
-    so their fidelity is limited by the table resolution.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except UnicodeDecodeError as exc:
-        raise ModelError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
-    if len(lines) < 3 or lines[0] != "packed_dim,m,lo,hi,count":
-        raise ModelError(f"{path}: missing integrand table header")
-    try:
-        dim_s, m_s, lo_s, hi_s, cnt_s = lines[1].split(",")
-        dim, m, lo, hi, count = (int(dim_s), int(m_s), float(lo_s),
-                                 float(hi_s), int(cnt_s))
-    except ValueError as exc:
-        raise ModelError(f"{path}: bad table metadata {lines[1]!r}") from exc
-    if dim != n or m != symmat.packed_size(n):
-        raise ModelError(f"{path}: table is for dimension {dim}, requested {n}")
-    if count < 2 or not (hi > lo and np.isfinite(hi - lo)):
-        raise ModelError(f"{path}: degenerate lattice ({count} points in [{lo},{hi}])")
-    if lines[2] != "flat_index,value":
-        raise ModelError(f"{path}: expected 'flat_index,value' column header")
-    rows = lines[3:]
-    if len(rows) != count**m:
-        raise ModelError(f"{path}: expected {count**m} rows, got {len(rows)}")
-    table = np.full(count**m, np.nan)     # NaN marks an entry not yet read
-    for row in rows:
-        try:
-            idx_s, val_s = row.split(",")
-            idx, val = int(idx_s), float(val_s)
-        except ValueError as exc:
-            raise ModelError(f"{path}: bad table row {row!r}") from exc
-        if not 0 <= idx < table.size:
-            raise ModelError(f"{path}: flat_index {idx} outside [0, {table.size})")
-        if not np.isnan(table[idx]):
-            raise ModelError(f"{path}: flat_index {idx} appears twice")
-        if not np.isfinite(val):
-            raise ModelError(f"{path}: non-finite value in row {row!r}")
-        table[idx] = val
-    table = table.reshape((count,) * m)
-    step = (hi - lo) / (count - 1)
-
-    def F(M):
-        p = symmat.pack(np.asarray(M, dtype=float))
-        if np.any(p < lo - 1e-12) or np.any(p > hi + 1e-12):
-            raise AdmissibilityError("matrix entries leave the table lattice")
-        t = np.clip((p - lo) / step, 0.0, count - 1 - 1e-12)
-        i0 = np.floor(t).astype(int)
-        frac = t - i0
-        out = np.zeros(p.shape[:-1])
-        for corner in range(2**m):
-            bits = [(corner >> a) & 1 for a in range(m)]
-            weight = np.ones(p.shape[:-1])
-            idx = []
-            for a, bit in enumerate(bits):
-                weight = weight * np.where(bit, frac[..., a], 1.0 - frac[..., a])
-                idx.append(i0[..., a] + bit)
-            out = out + weight * table[tuple(idx)]
-        return out
-
-    if rho_U is None:
-        rho_U = min(-lo, hi)
-    return EnergyModel(kind="custom", n=n, rho_U=rho_U, fd_step=fd_step, _F=F)
-
-
-def write_table_model(path, model: EnergyModel, lo: float, hi: float,
-                      count: int) -> None:
-    """Sample ``eval_F`` on the packed lattice and write the table CSV."""
-    n = model.n
-    m = symmat.packed_size(n)
-    axes = [np.linspace(lo, hi, count)] * m
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
-    vals = eval_F(model, symmat.unpack(mesh))
-    lines = ["packed_dim,m,lo,hi,count",
-             f"{n},{m},{repr(float(lo))},{repr(float(hi))},{count}",
-             "flat_index,value"]
-    lines += [f"{k},{repr(float(v))}" for k, v in enumerate(vals)]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -95,49 +95,6 @@ def test_solve_end_to_end(tmp_path):
     assert np.abs(u.values - exact.values).max() < 1e-8
 
 
-def test_table_model_config(tmp_path):
-    from hessvar import models
-    from hessvar.cli import build_model
-
-    table = tmp_path / "quad_table.csv"
-    models.write_table_model(table, models.quadratic_model(2),
-                             lo=-2.0, hi=2.0, count=9)
-    text = BASE_SOLVE.replace("kind = quadratic",
-                              "kind = table\ntable = quad_table.csv")
-    cfg = parse_config(write_config(tmp_path / "t.cfg", text))
-    model = build_model(cfg, base=str(tmp_path))
-    M = np.diag([0.5, -1.0])  # lattice point: interpolation is exact there
-    assert models.eval_F(model, M) == pytest.approx(
-        models.eval_F(models.quadratic_model(2), M), rel=1e-12)
-
-
-def test_table_model_missing_file_is_config_error(tmp_path):
-    text = BASE_SOLVE.replace("kind = quadratic",
-                              "kind = table\ntable = missing.csv")
-    with pytest.raises(ConfigError):
-        parse_config(write_config(tmp_path / "t.cfg", text))
-
-
-@pytest.mark.parametrize("defect", ["no comma", "index past end", "not utf-8",
-                                    "negative index", "duplicate index", "nan value"])
-def test_bad_integrand_table_exits_65(tmp_path, capsys, defect):
-    from hessvar import models
-
-    table = tmp_path / "quad_table.csv"
-    models.write_table_model(table, models.quadratic_model(2),
-                             lo=-2.0, hi=2.0, count=3)
-    lines = table.read_text().splitlines()      # 3 header lines, rows 0..26
-    value = lines[-1].split(",")[1]
-    last = {"no comma": f"26 {value}", "index past end": f"27,{value}",
-            "not utf-8": f"26,{value}\udcff", "negative index": f"-1,{value}",
-            "duplicate index": f"25,{value}", "nan value": "26,nan"}[defect]
-    table.write_bytes("\n".join(lines[:-1] + [last, ""]).encode("utf-8", "surrogateescape"))
-    text = BASE_SOLVE.replace("kind = quadratic", "kind = table\ntable = quad_table.csv")
-    cfg = write_config(tmp_path / "t.cfg", text)
-    assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 65
-    assert "quad_table.csv" in capsys.readouterr().err
-
-
 def test_solve_malformed_config_exits_64(tmp_path, capsys):
     cfg = write_config(tmp_path / "bad.cfg", "[model\nkind = quadratic\n")
     assert run(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 64
@@ -170,7 +127,11 @@ def _with_setting(text, section, key, value):
     ("solve", "boundary", "amplitude", "inf"),
     ("solve", "boundary", "amplitude", "nan"),
     ("solve", "model", "rho_u", "nan"),
-    # negate applies to a table integrand only: quadratic, then area
+    # rho_u sets the area integrand's admissible radius; no quadratic run reads it
+    ("solve", "model", "rho_u", "0.9"),
+    # the model kinds are quadratic and area; table and negate are unknown keys
+    ("solve", "model", "kind", "table"),
+    ("solve", "model", "table", "x.csv"),
     ("solve", "model", "negate", "true"),
     ("hamstat", "model", "negate", "true"),
     ("diagnose", "diagnostics", "pair_budget", "-5"),

@@ -1,11 +1,10 @@
-"""Fuzzed reader inputs: malformed grids, configs and tables raise only the documented errors.
+"""Fuzzed reader inputs: malformed grids and configs raise only the documented errors.
 
 HVGF and CSV files are assembled from mutated headers, extents, spacings and
-payloads, config text from mutated keys and values, and integrand tables
-from mutated headers, metadata, rows, indices, values and bytes; each reader
-must either return or raise ``FormatError`` / ``ConfigError`` /
-``ModelError`` (CLI exit 65 / 64 / 65), never another exception.  Examples are derandomized, so tier-1 stays
-deterministic.
+payloads, and config text from mutated keys and values, unknown keys such
+as ``table`` and ``negate`` among them; each reader must either return or
+raise ``FormatError`` / ``ConfigError`` (CLI exit 65 / 64), never another
+exception.  Examples are derandomized, so tier-1 stays deterministic.
 """
 
 import math
@@ -14,7 +13,7 @@ import struct
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hessvar import gridio, models
+from hessvar import gridio
 from hessvar.config import ConfigError, parse_config
 
 FUZZ = settings(max_examples=120, deadline=None, derandomize=True, database=None,
@@ -91,43 +90,6 @@ def csv_files(draw):
     return draw(spliced(text)) if mutation == "bytes" else text.encode()
 
 
-TABLE_MUTATIONS = st.sampled_from(["none"] * 3 + ["header", "meta", "meta length", "columns",
-                                                "rows", "index", "value", "row", "bytes"])
-
-
-@st.composite
-def table_files(draw):
-    """Bytes of an integrand table (at most one defect) and the dimension to load it for."""
-    n = draw(st.sampled_from([2, 3]))
-    m = n * (n + 1) // 2
-    count = draw(st.sampled_from([2, 3])) if n == 2 else 2
-    head, cols = "packed_dim,m,lo,hi,count", "flat_index,value"
-    meta = [str(n), str(m), "-1.0", "1.0", str(count)]
-    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=count**m, max_size=count**m))
-    rows = [[str(k), repr(v)] for k, v in enumerate(values)]
-    k = draw(st.integers(0, len(rows) - 1))
-    mutation = draw(TABLE_MUTATIONS)
-    if mutation == "header":
-        head = draw(st.sampled_from(["packed_dim,m,lo,hi", "", cols]))
-    elif mutation == "meta":
-        meta[draw(st.integers(0, 4))] = draw(GARBAGE | SPACINGS.map(repr)
-                                             | st.integers(-2, 7).map(str))
-    elif mutation == "meta length":
-        meta = meta[:draw(st.integers(0, 4))] or meta + ["0"]
-    elif mutation == "columns":
-        cols = draw(st.sampled_from(["flat_index", "value,flat_index", "", head]))
-    elif mutation == "rows":        # one row missing, or one too many
-        rows = rows[:k] + rows[k + 1:] if draw(st.booleans()) else rows + [rows[k]]
-    elif mutation == "index":
-        rows[k][0] = draw(GARBAGE | st.integers(-3, count**m + 2).map(str))
-    elif mutation == "value":
-        rows[k][1] = draw(GARBAGE | SPACINGS.map(repr))
-    elif mutation == "row":         # no comma, an empty field or a third field
-        rows[k] = draw(st.lists(GARBAGE, max_size=3))
-    text = "\n".join([head, ",".join(meta), cols] + [",".join(r) for r in rows]) + "\n"
-    return (draw(spliced(text)) if mutation == "bytes" else text.encode()), n
-
-
 GOOD_CONFIG = {
     "model": {"kind": "area", "eta": "0.1"},
     "grid": {"dim": "2", "nodes": "17", "half_width": "0.5"},
@@ -200,18 +162,3 @@ def test_parse_config_raises_only_config_error(tmp_path, raw):
         parse_config(path)
     except ConfigError:
         pass
-
-
-@FUZZ
-@given(case=table_files())
-def test_load_table_model_raises_only_model_error(tmp_path, case):
-    raw, n = case
-    path = tmp_path / "table.csv"
-    path.write_bytes(raw)
-    try:
-        model = models.load_table_model(path, n)
-    except models.ModelError:
-        return
-    # every lattice entry was read: F at the zero matrix interpolates from all
-    # 2^m entries of a 2-point lattice (and from the middle cell of a 3-point one)
-    assert np.isfinite(models.eval_F(model, np.zeros((n, n))))

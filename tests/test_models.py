@@ -472,32 +472,3 @@ def test_dd_linearization_degenerate_segment_display():
             wantT[i, j] += scale * np.einsum("pqkl,pq->kl", da, M)
     wantT = oracles.symmetrize_tensor(wantT)
     np.testing.assert_allclose(got, wantT, rtol=1e-6, atol=1e-8)
-
-
-def test_negated_custom_model():
-    concave = lambda M: -0.5 * symmat.hs_inner(M, M)
-    m = custom_model(2, concave, negate=True)
-    M = np.diag([1.0, 2.0])
-    assert eval_F(m, M) == pytest.approx(2.5)
-
-
-# ------------------------------------------------------------- table models
-
-def test_table_model_roundtrip(tmp_path):
-    path = tmp_path / "quad.csv"
-    models.write_table_model(path, quadratic_model(2), lo=-1.0, hi=1.0, count=9)
-    tm = models.load_table_model(path, 2)
-    # exact at lattice points
-    M = symmat.unpack(np.array([0.5, -0.25, 0.75]))
-    assert eval_F(tm, M) == pytest.approx(eval_F(quadratic_model(2), M), rel=1e-12)
-    # multilinear interpolation error O(step^2) off-lattice
-    M = symmat.unpack(np.array([0.3, 0.1, -0.2]))
-    step = 0.25
-    assert abs(eval_F(tm, M) - eval_F(quadratic_model(2), M)) <= 3 * step**2
-
-
-def test_table_model_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("wrong\n")
-    with pytest.raises(models.ModelError):
-        models.load_table_model(path, 2)

@@ -230,18 +230,21 @@ def _routed_evaluators(u):
             lambda u, model: solver.weak_residual(u, model, tests))
 
 
-def test_table_lattice_error_passes_through_the_routed_evaluators(tmp_path):
-    # rho_U above the lattice: the node passes the operator-norm test and the
-    # table's own range check raises, with no node index
-    path = tmp_path / "quad.csv"
-    models.write_table_model(path, models.quadratic_model(2), lo=-1.0, hi=1.0, count=5)
-    model = models.load_table_model(path, 2, rho_U=10.0)
+def test_custom_model_error_passes_through_the_routed_evaluators():
+    # rho_U above 1.5: the node passes the operator-norm test and the
+    # integrand's own domain check raises, with no node index
+    def F(M):
+        if np.abs(M).max() > 1.0:
+            raise AdmissibilityError("matrix entries leave [-1, 1]")
+        return 0.5 * symmat.hs_inner(M, M)
+
+    model = models.custom_model(2, F, rho_U=10.0)
     g = grids.make_grid(2, 17, 1.0)
     u = grids.sample(g, lambda x, y: 0.75 * (x**2 + y**2))   # D^2 u = 1.5 I
     for evaluate in _routed_evaluators(u):
         with pytest.raises(AdmissibilityError) as err:
             evaluate(u, model)
-        assert str(err.value) == "matrix entries leave the table lattice"
+        assert str(err.value) == "matrix entries leave [-1, 1]"
         assert err.value.index is None
 
 
