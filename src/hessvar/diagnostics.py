@@ -103,9 +103,7 @@ def _ball_means(f: SymMatField, family: BallFamily, exponents, centred: bool = T
 
     Returns ``(means, counts)``: ``means[i, k]`` belongs to ``exponents[i]``
     and ball ``k`` of ``family``, and ``counts[k]`` is the number of valid
-    nodes of ball ``k``.  Uncentred, the means are of |f|^q.  A dict
-    ``exponents`` maps each q to the balls that need it (an index or slice of
-    the family), and the other balls' means for that q are NaN.  The family
+    nodes of ball ``k``.  Uncentred, the means are of |f|^q.  The family
     is regrouped when it lies on another lattice than the field's.  A caller
     that makes several passes over one field passes its
     :func:`_component_major` copy ``vals`` and the family's ``counts``.
@@ -123,33 +121,24 @@ def _ball_means(f: SymMatField, family: BallFamily, exponents, centred: bool = T
         counts = _valid_counts(f, family)
     if vals is None:
         vals = _component_major(f)
-    need = np.zeros((len(exponents), len(family)), dtype=bool)
-    for i, q in enumerate(exponents):
-        need[i, exponents[q] if isinstance(exponents, dict) else slice(None)] = True
     w = symmat.duplication_weights(f.dim)
     vals, valid = vals.reshape(len(w), -1), f.valid.reshape(-1)
-    means = np.full(need.shape, np.nan)
+    means = np.empty((len(exponents), len(family)))
     for members, nodes in family.chunks():
         count = counts[members]
         holed = np.flatnonzero(count < nodes.shape[1])
         holes = (holed, valid.take(nodes[holed])) if len(holed) else ()
         dev = _chunk_deviations(vals, w, nodes, count[:, None] if centred else None, holes)
         for i, q in enumerate(exponents):
-            rows = need[i, members]
-            full = rows.all()
-            if not (full or rows.any()):
-                continue
-            part, rows = (dev, slice(None)) if full else (dev[rows], rows)  # dev[rows] copies
-            if q == 2.0 and (not full or not need[i + 1:, members].any()):
-                part = np.square(part, out=part)        # dev is not read again
+            part = dev
+            if q == 2.0 and i == len(exponents) - 1:
+                part = np.square(dev, out=dev)          # dev is not read again
             elif q != 1.0:
-                part = part**q
+                part = dev**q
             sums = np.add.reduce(part, axis=1)
             for b, ok in zip(*holes):
-                if full or rows[b]:
-                    at = b if full else np.count_nonzero(rows[:b])   # b's row of part
-                    sums[at] = part[at][ok].sum()
-            means[i, members[rows]] = sums / count[rows]
+                sums[b] = part[b][ok].sum()
+            means[i, members] = sums / count
     return means, counts
 
 
@@ -420,8 +409,7 @@ def reverse_holder_check(f: SymMatField, centers, scales) -> ReverseHolderResult
     radii = [s for _ in centers for s in scales]
     doubled = grids.ball_groups(f, [c for c in centers for _ in scales] * 2,
                                 radii + [2.0 * s for s in radii])
-    (sq, pw), _ = _ball_means(f, doubled, {2.0: slice(None, inner), pbar: slice(inner, None)},
-                              False)
+    (sq, pw), _ = _ball_means(f, doubled, (2.0, pbar), False)
     ratios = []
     for num, den in zip(sq[:inner].tolist(), pw[inner:].tolist()):
         den = den ** (1.0 / pbar)
@@ -643,20 +631,21 @@ def singular_set(f: SymMatField, p0: float, radii, tau: float) -> SingularMask:
                         radii=tuple(radii), tau=tau)
 
 
-def box_counting_dimension(mask: np.ndarray, sizes=None):
+def box_counting_dimension(mask: np.ndarray):
     """Upper box-counting dimension of a node mask, resolution limited.
 
-    Counts occupied b-node boxes for dyadic b and fits the log-log slope.
-    Returns ``(dimension, sizes, counts)``; an empty mask gives dimension 0.
+    Counts occupied b-node boxes for the dyadic b = 2 to 32 up to a quarter
+    of the shortest axis (1 and 2 when fewer than two fit) and fits the
+    log-log slope.  Returns ``(dimension, sizes, counts)``; an empty mask
+    gives dimension 0.
     """
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         return 0.0, (), ()
-    if sizes is None:
-        top = max(2, min(mask.shape) // 4)
-        sizes = [b for b in (2, 4, 8, 16, 32) if b <= top]
-        if len(sizes) < 2:
-            sizes = [1, 2]
+    top = max(2, min(mask.shape) // 4)
+    sizes = [b for b in (2, 4, 8, 16, 32) if b <= top]
+    if len(sizes) < 2:
+        sizes = [1, 2]
     counts = []
     for b in sizes:
         padded_shape = tuple(-(-s // b) * b for s in mask.shape)
@@ -687,17 +676,17 @@ class HolderEstimate:
 
 
 def holder_seminorm(f: SymMatField, alpha: float, pair_budget: int = 2000,
-                    seed: int = 0, region_fraction: float = 0.75) -> HolderEstimate:
+                    seed: int = 0) -> HolderEstimate:
     """Max of |f(x) - f(y)| / |x - y|^alpha over sampled node pairs.
 
     Pairs come from a deterministic coarse sub-lattice (all pairs) topped up
-    with seeded random draws, restricted to the concentric
-    ``region_fraction`` sub-box of the valid region.  The seed is recorded so
+    with seeded random draws, restricted to the concentric sub-box with 0.75
+    of the side of the valid region's bounding box.  The seed is recorded so
     reruns are reproducible.
     """
     if not (0.0 < alpha < 1.0):
         raise DiagnosticsError(f"alpha must lie in (0, 1), got {alpha}")
-    nodes = inner_box_nodes(f.valid, region_fraction)
+    nodes = inner_box_nodes(f.valid, 0.75)
     if len(nodes) < 2:
         raise EmptyRegionError("need at least two nodes for a Hoelder estimate")
     # coarse exhaustive sub-lattice: k nodes give k(k-1)/2 pairs

@@ -19,8 +19,9 @@ HVGF binary layout (little endian):
 
 The payload dtype is inferred from the remaining byte count: one f64 per node
 (scalar grid), m = n(n+1)/2 f64 per node (symmetric matrix field), or one u8
-per node (mask).  Origins default to the centered domain; boundary width is
-not stored and defaults to 2 on load.
+per node (mask).  Origins default to the centered domain.  Boundary width is
+not stored: a scalar grid read from HVGF has the :class:`ScalarGrid` default
+of 2.  A symmetric matrix field has no boundary width; its CSV row says 2.
 """
 
 from __future__ import annotations
@@ -65,22 +66,19 @@ def _build(path, cls, **fields):
 
 # ---------------------------------------------------------------- CSV
 
-def write_csv(path, obj, boundary_width: int | None = None) -> None:
+def write_csv(path, obj) -> None:
     """Write a ScalarGrid or SymMatField as CSV."""
     if isinstance(obj, ScalarGrid):
-        ncomp = 1
         data = obj.values[..., None]
         bw = obj.boundary_width
         value_cols = ["value"]
     elif isinstance(obj, SymMatField):
-        n = obj.dim
-        ncomp = symmat.packed_size(n)
         data = obj.values
-        bw = 2 if boundary_width is None else boundary_width
-        value_cols = [f"m{i + 1}{j + 1}" for i, j in symmat.PACKED_PAIRS[n]]
+        bw = 2
+        value_cols = [f"m{i + 1}{j + 1}" for i, j in symmat.PACKED_PAIRS[obj.dim]]
     else:
         raise FormatError(f"cannot serialize {type(obj).__name__}")
-    dim = data.ndim - 1
+    dim, ncomp = data.ndim - 1, data.shape[-1]
     extents = data.shape[:-1]
     if len(set(extents)) != 1:
         raise FormatError("CSV format requires equal extents per axis")
@@ -146,10 +144,7 @@ def read_csv(path):
 
 def write_binary(path, obj) -> None:
     """Write a ScalarGrid, SymMatField, or (mask, h) pair as HVGF binary."""
-    if isinstance(obj, ScalarGrid):
-        dim, extents, h = obj.dim, obj.extents, obj.h
-        payload = np.ascontiguousarray(obj.values, dtype="<f8").tobytes()
-    elif isinstance(obj, SymMatField):
+    if isinstance(obj, (ScalarGrid, SymMatField)):
         dim, extents, h = obj.dim, obj.extents, obj.h
         payload = np.ascontiguousarray(obj.values, dtype="<f8").tobytes()
     elif isinstance(obj, tuple) and len(obj) == 2:
@@ -166,7 +161,7 @@ def write_binary(path, obj) -> None:
         fh.write(header + payload)
 
 
-def read_binary(path, boundary_width: int = 2):
+def read_binary(path):
     """Read an HVGF file: ScalarGrid, SymMatField, or (mask, h) for u8 payloads."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -188,8 +183,7 @@ def read_binary(path, boundary_width: int = 2):
     origin = _origin_centered(extents, h)
     if len(body) == 8 * nodes:
         values = np.frombuffer(body, dtype="<f8").reshape(extents)
-        return _build(path, ScalarGrid, h=h, origin=origin, values=values.copy(),
-                      boundary_width=boundary_width)
+        return _build(path, ScalarGrid, h=h, origin=origin, values=values.copy())
     m = symmat.packed_size(dim)
     if len(body) == 8 * nodes * m:
         values = np.frombuffer(body, dtype="<f8").reshape(extents + (m,)).copy()
@@ -204,24 +198,21 @@ def read_binary(path, boundary_width: int = 2):
     )
 
 
-def read_field(path) -> SymMatField:
-    """Read a SymMatField from CSV or binary, sniffing the format."""
+def _read(path, cls, what):
+    """Read a ``cls`` object from CSV or binary, sniffing the format."""
     with open(path, "rb") as fh:
         head = fh.read(4)
     obj = read_binary(path) if head == MAGIC else read_csv(path)
-    if not isinstance(obj, SymMatField):
-        raise FormatError(f"{path}: expected a symmetric matrix field")
+    if not isinstance(obj, cls):
+        raise FormatError(f"{path}: expected {what}")
     return obj
 
 
-def read_grid(path, boundary_width: int = 2) -> ScalarGrid:
+def read_field(path) -> SymMatField:
+    """Read a SymMatField from CSV or binary, sniffing the format."""
+    return _read(path, SymMatField, "a symmetric matrix field")
+
+
+def read_grid(path) -> ScalarGrid:
     """Read a ScalarGrid from CSV or binary, sniffing the format."""
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head == MAGIC:
-        obj = read_binary(path, boundary_width=boundary_width)
-    else:
-        obj = read_csv(path)
-    if not isinstance(obj, ScalarGrid):
-        raise FormatError(f"{path}: expected a scalar grid")
-    return obj
+    return _read(path, ScalarGrid, "a scalar grid")

@@ -254,9 +254,7 @@ def spacing_ok(h: float, dim: int) -> bool:
         return False
 
 
-def make_grid(
-    dim: int, nodes_per_axis: int, half_width: float, boundary_width: int = 2
-) -> ScalarGrid:
+def make_grid(dim: int, nodes_per_axis: int, half_width: float) -> ScalarGrid:
     """Zero-valued grid covering ``[-half_width, half_width]^dim``."""
     if dim not in (2, 3):
         raise GridError(f"dim must be 2 or 3, got {dim}")
@@ -270,7 +268,7 @@ def make_grid(
     h = 2.0 * half_width / (nodes_per_axis - 1)
     origin = np.full(dim, -half_width)
     values = np.zeros((nodes_per_axis,) * dim)
-    return ScalarGrid(h=h, origin=origin, values=values, boundary_width=boundary_width)
+    return ScalarGrid(h=h, origin=origin, values=values)
 
 
 def sample(grid: ScalarGrid, fn) -> ScalarGrid:

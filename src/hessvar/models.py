@@ -35,7 +35,8 @@ Built-in kinds:
   T^{ij,kl} = F [A_ij A_kl + (B_ik B_jl + B_il B_jk)/2 - (A_ik A_jl + A_il A_jk)/2]
   (derived at ``_area_d2F_pairs``); no eigen-decomposition is needed.
 * ``custom``     user callables, with matrix finite differences (Richardson
-  extrapolated, step ``delta * (1 + |M|)``) filling in missing derivatives.
+  extrapolated central differences, step ``FD_STEP * (1 + |M|)``) filling in
+  missing derivatives.
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ class AdmissibilityError(ValueError):
 
 class ModelError(ValueError):
     """Invalid model construction or usage."""
+
+
+# relative step of the finite-difference derivatives of a custom model
+FD_STEP = 1e-5
 
 
 # ---------------------------------------------------------------- tensors
@@ -121,7 +126,6 @@ class EnergyModel:
     kind: str
     n: int
     rho_U: float
-    fd_step: float = 1e-5
     _F: object = None
     _dF: object = None
     _d2F: object = None
@@ -148,14 +152,12 @@ def area_model(n: int, rho_U: float = np.inf) -> EnergyModel:
     return EnergyModel(kind="area", n=n, rho_U=rho_U)
 
 
-def custom_model(n: int, F, dF=None, d2F=None, rho_U: float = np.inf,
-                 fd_step: float = 1e-5) -> EnergyModel:
+def custom_model(n: int, F, dF=None, d2F=None, rho_U: float = np.inf) -> EnergyModel:
     """Model from user callables; missing derivatives use finite differences.
 
     Callables receive batched ``(..., n, n)`` arrays.
     """
-    return EnergyModel(kind="custom", n=n, rho_U=rho_U, fd_step=fd_step,
-                       _F=F, _dF=dF, _d2F=d2F)
+    return EnergyModel(kind="custom", n=n, rho_U=rho_U, _F=F, _dF=dF, _d2F=d2F)
 
 
 def admissible(model: EnergyModel, M: np.ndarray) -> np.ndarray:
@@ -323,7 +325,7 @@ def _dF_body(model: EnergyModel, c):
     M = symmat.matrices(c)
     if model._dF is not None:
         return symmat.components(np.asarray(model._dF(M), dtype=float))
-    return _fd_dF(model._F, M, model.fd_step)
+    return _fd_dF(model._F, M, FD_STEP)
 
 
 def _d2F_packed_body(model: EnergyModel, c) -> np.ndarray:
@@ -343,8 +345,8 @@ def _d2F_packed_body(model: EnergyModel, c) -> np.ndarray:
     if model._d2F is not None:
         return pack_tensor(np.asarray(model._d2F(M), dtype=float))
     dF = model._dF if model._dF is not None else (
-        lambda X: symmat.matrices(_fd_dF(model._F, X, model.fd_step)))
-    return _fd_d2F(dF, M, model.fd_step)
+        lambda X: symmat.matrices(_fd_dF(model._F, X, FD_STEP)))
+    return _fd_d2F(dF, M, FD_STEP)
 
 
 def _d2F_pairs(model: EnergyModel, c):

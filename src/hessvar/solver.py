@@ -506,8 +506,7 @@ def _forcing(eta: float | None, gnorm: float, gnorm_prev: float | None) -> float
 
 
 def minimize_clamped(model: EnergyModel, u0: ScalarGrid, grad_tol: float | None = None,
-                     max_iter: int = 50, cg_rtol: float = 1e-12,
-                     cg_maxiter: int | None = None):
+                     max_iter: int = 50, cg_rtol: float = 1e-12):
     """Damped Newton minimization of the clamped discrete energy.
 
     Returns ``(solution, SolveReport)``.  Non-convergence inside ``max_iter``
@@ -539,8 +538,7 @@ def minimize_clamped(model: EnergyModel, u0: ScalarGrid, grad_tol: float | None 
     """
     it = _Iterate(u0, model).require_admissible()
     unknowns = it.u.interior & it.u.valid
-    if cg_maxiter is None:
-        cg_maxiter = _default_cg_maxiter(unknowns)
+    cg_maxiter = _default_cg_maxiter(unknowns)
     precond = clamped_box_preconditioner(unknowns, it.u.h)
 
     report = SolveReport()
@@ -667,8 +665,7 @@ def linearized_residual(f: ScalarGrid, b_field: np.ndarray,
 
 # -------------------------------------------------------------- linear BVP
 
-def solve_constant_coeff_bvp(c0, u0: ScalarGrid, cg_rtol: float = 1e-12,
-                             cg_maxiter: int | None = None) -> ScalarGrid:
+def solve_constant_coeff_bvp(c0, u0: ScalarGrid) -> ScalarGrid:
     """Clamped solve of the constant-coefficient double-divergence equation.
 
     Minimizes the quadratic energy (1/2) h^n sum <c0 D^2 w, D^2 w> subject to
@@ -677,7 +674,7 @@ def solve_constant_coeff_bvp(c0, u0: ScalarGrid, cg_rtol: float = 1e-12,
     ``u0.dim`` (``models.packed_identity`` for the bi-Laplacian), symmetrized
     as (c0 + c0^T) / 2; the normal equations are SPD when it passes the
     Legendre positivity check (:func:`models.packed_min_eig`), and are solved
-    by conjugate gradients.
+    by conjugate gradients to a relative residual of 1e-12.
     """
     m = symmat.packed_size(u0.dim)
     P0 = np.asarray(c0, dtype=float)
@@ -696,11 +693,8 @@ def solve_constant_coeff_bvp(c0, u0: ScalarGrid, cg_rtol: float = 1e-12,
     P = np.broadcast_to(P0[..., None], P0.shape + (int(region.sum()),))
     op = NewtonOperator(models.tensor_pairs(P), region, unknowns, u0.h)
     grad = op.matvec(np.array(u0.values))
-
-    if cg_maxiter is None:
-        cg_maxiter = _default_cg_maxiter(unknowns)
     delta, _, _ = conjugate_gradient(
-        op.matvec, -grad, np.zeros_like(grad), cg_rtol, cg_maxiter,
+        op.matvec, -grad, np.zeros_like(grad), 1e-12, _default_cg_maxiter(unknowns),
         precond=clamped_box_preconditioner(unknowns, u0.h),
     )
     return u0.with_values(np.where(unknowns, u0.values + delta, u0.values))

@@ -98,8 +98,8 @@ def full_d2F(model, c):
     if model._d2F is not None:
         return np.asarray(model._d2F(M), dtype=float)
     dF = model._dF if model._dF is not None else (
-        lambda X: symmat.matrices(models._fd_dF(model._F, X, model.fd_step)))
-    T = symmat.matrices(models._fd_dF(dF, M, model.fd_step))
+        lambda X: symmat.matrices(models._fd_dF(model._F, X, models.FD_STEP)))
+    T = symmat.matrices(models._fd_dF(dF, M, models.FD_STEP))
     return symmetrize_tensor(0.5 * (T + np.swapaxes(np.swapaxes(T, -4, -2), -3, -1)))
 
 

@@ -990,16 +990,15 @@ def test_reverse_holder_raises_each_ball_to_its_own_exponent():
     pairs = [(c, s) for c in centers for s in scales]
     balls = [Ball(center=c, radius=k * s) for k in (1.0, 2.0) for c, s in pairs]
     pbar = diag.sobolev_dual_exponent(3)
-    inner, outer = slice(None, len(pairs)), slice(len(pairs), None)
     family = grids.ball_groups(f, [b.center for b in balls], [b.radius for b in balls])
-    (sq, pw), counts = diag._ball_means(f, family, {2.0: inner, pbar: outer}, False)
-    (sq_all, pw_all), counts_all = diag._ball_means(f, family, (2.0, pbar), False)
-    # the inner balls' squares and the outer balls' pbar powers, with the
-    # bits of raising every ball to both
-    assert np.isnan(sq[outer]).all() and np.isnan(pw[inner]).all()
-    assert sq[inner].tolist() == sq_all[inner].tolist()
-    assert pw[outer].tolist() == pw_all[outer].tolist()
-    assert counts.tolist() == counts_all.tolist()
+    (sq, pw), _ = diag._ball_means(f, family, (2.0, pbar), False)
+    # each constant is the inner ball's mean square over the outer ball's
+    # pbar mean, with the bits of raising every ball to both exponents
+    want = [sq_in**0.5 / pw_out ** (1.0 / pbar)
+            for sq_in, pw_out in zip(sq[:len(pairs)].tolist(), pw[len(pairs):].tolist())]
+    res = diag.reverse_holder_check(f, centers, scales)
+    assert [v for row in res.constants for v in row] == want
+    assert not np.any(res.degenerate) and f.valid.sum() < f.valid.size
 
 
 def test_singular_set_peak_memory_is_within_three_field_copies():
