@@ -14,11 +14,13 @@ package use this single convention.  Inside the package T exists only
 packed, ``P[a, b] = T^{ij,kl}`` with a = (k, l) and b = (i, j) packed slots,
 an (m, m, ...) array (:func:`pack_tensor`): the ellipticity estimate
 (:func:`packed_min_eig`), the linearized coefficients and the solver read
-it.  The solver takes it pair by pair, one item per a <= b, which stands
-for (b, a) too where P is major-symmetric (:func:`tensor_pairs`); the area
-closed form yields its pairs one at a time.  ``eval_d2F`` is the full-tensor
-adapter (:func:`unpack_tensor`), and a custom ``d2F`` callback's full tensor
-is packed once.
+it.  P is major-symmetric, as for any C^2 integrand: a custom ``d2F``
+callback's full tensor is packed and symmetrized once.  The solver takes P
+pair by pair, one item per a <= b standing for (b, a) too
+(:func:`tensor_pairs`); the area closed form yields its pairs one at a
+time.  ``eval_d2F`` is the full-tensor adapter (:func:`unpack_tensor`).
+The one admissibility check, :func:`require_admissible`, serves the public
+evaluators, :func:`linearized_coefficients` and the solver.
 
 The integrand kernels take and return packed components (see
 :mod:`hessvar.symmat`), as the solver holds its Hessians; ``eval_*`` and
@@ -79,16 +81,14 @@ def pack_tensor(T: np.ndarray) -> np.ndarray:
 
 
 def tensor_pairs(P: np.ndarray):
-    """Items ``(a, b, P[a, b], mirror)`` of a packed P (m, m, ...), slots a <= b
-    in lexicographic order: ``mirror`` is None where P[b, a] has the bits of
-    P[a, b], else P[b, a].  All-zero pairs are left out."""
+    """Items ``(a, b, P[a, b])`` of a major-symmetric packed P (m, m, ...), slots
+    a <= b in lexicographic order; each stands for (b, a) too.  All-zero
+    pairs are left out."""
     m = len(P)
     for a in range(m):
         for b in range(a, m):
-            if not np.array_equal(P[a, b], P[b, a]):
-                yield a, b, P[a, b], P[b, a]
-            elif P[a, b].any():
-                yield a, b, P[a, b], None
+            if P[a, b].any():
+                yield a, b, P[a, b]
 
 
 def unpack_tensor(P: np.ndarray) -> np.ndarray:
@@ -105,16 +105,16 @@ def packed_identity(n: int) -> np.ndarray:
 
 def packed_min_eig(P: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the form sigma -> <T sigma, sigma> over |sigma| = 1,
-    for each packed P (m, m, ...).
+    for each packed, major-symmetric P (m, m, ...), as every model's is.
 
     In the coordinates sqrt(dup_a) sigma_a, orthonormal for the Hilbert-Schmidt
-    product, the form's matrix is the symmetric part of D^1/2 P D^1/2, D the
-    duplication weights; :func:`packed_identity` gives exactly I.
+    product, the form's matrix is D^1/2 P D^1/2, D the duplication weights;
+    :func:`packed_identity` gives exactly I.
     """
     w = symmat.duplication_weights(symmat.dim_from_packed(len(P)))
     s = np.sqrt(np.outer(w, w))
     G = np.moveaxis(s.reshape(s.shape + (1,) * (P.ndim - 2)) * P, (0, 1), (-2, -1))
-    return np.linalg.eigvalsh(0.5 * (G + np.swapaxes(G, -1, -2)))[..., 0]
+    return np.linalg.eigvalsh(G)[..., 0]
 
 
 # ---------------------------------------------------------------- models
@@ -160,24 +160,36 @@ def custom_model(n: int, F, dF=None, d2F=None, rho_U: float = np.inf) -> EnergyM
     return EnergyModel(kind="custom", n=n, rho_U=rho_U, _F=F, _dF=dF, _d2F=d2F)
 
 
-def admissible(model: EnergyModel, M: np.ndarray) -> np.ndarray:
-    """Boolean batch: operator norm strictly inside rho_U."""
+def admissibility_peak(model: EnergyModel, c) -> float:
+    """max ||M||_op over the packed components c (m, ...), bit for bit, or 0.0
+    where rho_U is infinite.
+
+    A matrix's row 2-norms bound its operator norm from below and its
+    Frobenius norm from above, so :func:`symmat.op_norm` runs only where the
+    Frobenius norm reaches the largest row norm, less a relative 1e-8 far
+    above rounding, or is non-finite (a NaN, inf or overflow)."""
     if not np.isfinite(model.rho_U):
-        return np.ones(np.asarray(M).shape[:-2], dtype=bool)
-    return symmat.op_norm(M) < model.rho_U
+        return 0.0
+    c = np.reshape(c, (len(c), -1))
+    n = symmat.dim_from_packed(len(c))
+    S = symmat.SLOTS[n]
+    with np.errstate(over="ignore"):
+        sq = c * c
+        fro = symmat.duplication_weights(n) @ sq
+    lower = max(sum(sq[S[i][j]] for j in range(n)).max(initial=0.0) for i in range(n))
+    cand = ~(fro < (1.0 - 1e-8) * lower)
+    return float(symmat.op_norm(symmat.matrices(c[:, cand])).max(initial=0.0))
 
 
-def require_admissible(model: EnergyModel, M: np.ndarray) -> None:
-    ok = admissible(model, M)
-    if not np.all(ok):
-        bad = np.argwhere(~ok)
-        idx = tuple(int(v) for v in bad[0]) if bad.size else None
-        worst = float(symmat.op_norm(np.asarray(M)[~ok]).max())
-        raise AdmissibilityError(
-            f"matrix outside admissible set (op norm {worst:g} >= "
-            f"rho_U {model.rho_U:g}) at batch index {idx}",
-            index=idx,
-        )
+def require_admissible(model: EnergyModel, c, mask: np.ndarray) -> None:
+    """Raise AdmissibilityError at the first matrix of the packed c (m, ...)
+    whose operator norm is not below rho_U (a NaN one is not), named by the
+    index of its True entry of ``mask``, one per matrix in C order."""
+    if not admissibility_peak(model, c) < model.rho_U:
+        bad = ~(symmat.op_norm(symmat.matrices(c)) < model.rho_U)
+        node = tuple(int(v) for v in np.argwhere(mask)[np.argmax(bad)])
+        raise AdmissibilityError(f"Hessian operator norm not below rho_U = "
+                                 f"{model.rho_U:g} at node {node}", index=node)
 
 
 # ---- finite differences along the symmetric-variable convention
@@ -211,12 +223,6 @@ def _fd_dF(F, M: np.ndarray, step: float) -> list:
     eps = step * (1.0 + symmat.hs_norm(M))
     return [_richardson_central(F, M, D, eps) / w
             for D, w in zip(_packed_directions(n), symmat.duplication_weights(n))]
-
-
-def _fd_d2F(dF, M: np.ndarray, step: float) -> np.ndarray:
-    """Packed P (m, m, ...) from finite differences of dF, major-symmetrized."""
-    D = np.array([symmat.components(col) for col in _fd_dF(dF, M, step)])
-    return 0.5 * (D + np.swapaxes(D, 0, 1))
 
 
 # ---- area closed forms, on packed components (see :mod:`hessvar.symmat`)
@@ -268,10 +274,9 @@ def _area_d2F_pairs(c):
         T^{ij,kl} = F [A_ij A_kl + (B_ik B_jl + B_il B_jk) / 2
                                  - (A_ik A_jl + A_il A_jk) / 2].
 
-    Yields ``(a, b, T_ab, None)`` for every packed slot pair a <= b in
-    lexicographic order, the items of :func:`tensor_pairs` for this
-    major-symmetric tensor.  Each pair is evaluated on the packed B, F and
-    A = M B (:func:`_area_BFA`, by :func:`symmat.blockwise`) into one of
+    Yields ``(a, b, T_ab)`` for every packed slot pair a <= b in
+    lexicographic order, the items of :func:`tensor_pairs`.  Each pair is
+    evaluated on the packed B, F and A = M B (:func:`_area_BFA`, by :func:`symmat.blockwise`) into one of
     three buffers allocated once, which the next pair overwrites.
     """
     B, F, A = symmat.blockwise(_area_BFA, c)
@@ -286,7 +291,7 @@ def _area_d2F_pairs(c):
             acc -= np.multiply(A[S[i][l]], A[S[j][k]], out=tmp)
             acc *= 0.5
             acc += np.multiply(A[a], A[b], out=T)
-            yield a, b, np.multiply(F, acc, out=T), None
+            yield a, b, np.multiply(F, acc, out=T)
 
 
 def _area_d2F_packed(c) -> np.ndarray:
@@ -294,7 +299,7 @@ def _area_d2F_packed(c) -> np.ndarray:
     P[a, b] and P[b, a] get the same bits."""
     m = len(c)
     P = np.empty((m, m) + np.shape(c[0]))
-    for a, b, T, _ in _area_d2F_pairs(c):
+    for a, b, T in _area_d2F_pairs(c):
         P[a, b] = P[b, a] = T
     return P
 
@@ -332,8 +337,10 @@ def _d2F_packed_body(model: EnergyModel, c) -> np.ndarray:
     """The second derivative packed as by :func:`pack_tensor`, shape (m, m, ...).
 
     The quadratic integrand gets a read-only broadcast view of
-    :func:`packed_identity`; a custom ``d2F`` callback's full tensor is packed
-    once, and without one the derivative is a finite difference of dF.
+    :func:`packed_identity`.  A custom ``d2F`` callback's full tensor is
+    packed once, and without one the derivative is a finite difference of
+    dF; either is major-symmetrized once, as (P + P^T) / 2 over the slot
+    axes, so every kind's P is the symmetric form that CG needs.
     """
     if model.kind == "quadratic":
         P = packed_identity(model.n)
@@ -343,10 +350,12 @@ def _d2F_packed_body(model: EnergyModel, c) -> np.ndarray:
         return _area_d2F_packed(c)
     M = symmat.matrices(c)
     if model._d2F is not None:
-        return pack_tensor(np.asarray(model._d2F(M), dtype=float))
-    dF = model._dF if model._dF is not None else (
-        lambda X: symmat.matrices(_fd_dF(model._F, X, FD_STEP)))
-    return _fd_d2F(dF, M, FD_STEP)
+        P = pack_tensor(np.asarray(model._d2F(M), dtype=float))
+    else:
+        dF = model._dF if model._dF is not None else (
+            lambda X: symmat.matrices(_fd_dF(model._F, X, FD_STEP)))
+        P = np.array([symmat.components(col) for col in _fd_dF(dF, M, FD_STEP)])
+    return 0.5 * (P + np.swapaxes(P, 0, 1))
 
 
 def _d2F_pairs(model: EnergyModel, c):
@@ -357,26 +366,28 @@ def _d2F_pairs(model: EnergyModel, c):
     return tensor_pairs(_d2F_packed_body(model, c))
 
 
+def _admissible_components(model: EnergyModel, M) -> list:
+    """The packed components of admissible (..., n, n) matrices M; an error
+    names a matrix by its batch index."""
+    c = symmat.components(np.asarray(M, dtype=float))
+    require_admissible(model, c, np.ones(np.shape(c[0]), dtype=bool))
+    return c
+
+
 def eval_F(model: EnergyModel, M: np.ndarray) -> np.ndarray:
     """Integrand value; raises AdmissibilityError off the admissible set."""
-    M = np.asarray(M, dtype=float)
-    require_admissible(model, M)
-    return _F_body(model, symmat.components(M))
+    return _F_body(model, _admissible_components(model, M))
 
 
 def eval_dF(model: EnergyModel, M: np.ndarray) -> np.ndarray:
     """First derivative: symmetric matrix G with <G, sigma> = D_sigma F."""
-    M = np.asarray(M, dtype=float)
-    require_admissible(model, M)
-    return symmat.matrices(_dF_body(model, symmat.components(M)))
+    return symmat.matrices(_dF_body(model, _admissible_components(model, M)))
 
 
 def eval_d2F(model: EnergyModel, M: np.ndarray) -> np.ndarray:
-    """Second derivative tensor (..., n, n, n, n) with the minor symmetries:
-    the full-tensor adapter, unpacking the packed body."""
-    M = np.asarray(M, dtype=float)
-    require_admissible(model, M)
-    return unpack_tensor(_d2F_packed_body(model, symmat.components(M)))
+    """Second derivative tensor (..., n, n, n, n) with the minor and major
+    symmetries: the full-tensor adapter, unpacking the packed body."""
+    return unpack_tensor(_d2F_packed_body(model, _admissible_components(model, M)))
 
 
 # ---------------------------------------------------------------- ellipticity
@@ -433,17 +444,6 @@ def _gauss_legendre_01(quad_nodes: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _require_segment(model_rho: float, M: np.ndarray, M_shift: np.ndarray) -> None:
-    if not np.isfinite(model_rho):
-        return
-    for name, X in (("start", M), ("end", M_shift)):
-        if np.any(symmat.op_norm(X) >= model_rho):
-            raise AdmissibilityError(
-                f"segment {name} point leaves the admissible ball "
-                f"(rho_U = {model_rho:g})"
-            )
-
-
 def linearized_coefficients(
     model: EnergyModel, M: np.ndarray, M_shift: np.ndarray, quad_nodes: int = 8
 ) -> np.ndarray:
@@ -452,16 +452,18 @@ def linearized_coefficients(
     Gauss-Legendre quadrature in the segment parameter; this is the leading
     coefficient of the equation satisfied by a difference quotient of a
     critical point, with M and M_shift the (..., n, n) Hessians at the two
-    sample points.  Returns P (m, m, ...) of :func:`pack_tensor`, symmetrized
-    as (P + P^T) / 2 over the slot axes.  The operator norm is convex, so the
-    segment lies in U when both ends do.
+    sample points.  Returns the major-symmetric P (m, m, ...) of
+    :func:`pack_tensor`.  The operator norm is convex, so the segment lies in
+    U when both ends do; the error on an end outside names it by the index
+    of ``np.stack((M, M_shift))``, whose first entry is 0 at the start and
+    1 at the end.
     """
     M = np.asarray(M, dtype=float)
     M_shift = np.asarray(M_shift, dtype=float)
-    _require_segment(model.rho_U, M, M_shift)
+    _admissible_components(model, np.stack((M, M_shift)))
     t, w = _gauss_legendre_01(quad_nodes)
     out = None
     for tq, wq in zip(t, w):
         term = wq * _d2F_packed_body(model, symmat.components(M + tq * (M_shift - M)))
         out = term if out is None else out + term
-    return 0.5 * (out + np.swapaxes(out, 0, 1))
+    return out

@@ -25,16 +25,15 @@ until every node Hessian stays inside the model's admissible set (margin
 1e-6).  Each iterate is evaluated once (:class:`_Iterate`), and so is the
 argument of the public energy, gradient and weak residual: one
 component-major copy of its Hessian field, which the packed integrand
-kernels read (custom callables get full matrices), and its operator-norm
-peak, screened by row and Frobenius norms, serve the admissibility test, the
-energy, the gradient, the weak residual and the Newton operator.  The Newton
-operator is matrix-free,
-``h^n 1_U S^T (P : S v)`` on the one Hessian stencil S, with the packed
-second derivative P of the integrand (:func:`models.pack_tensor`) taken pair
-by pair (:func:`models.tensor_pairs`) and folded into one coefficient array
-per slot pair a <= b, which also serves the mirror (b, a) where P is
-major-symmetric.  S and S^T run one kernel, :func:`grids.add_stencil`, over
-the flat unit-sign stencil of :func:`grids.hessian_stencil`.
+kernels read (custom callables get full matrices), serves the admissibility
+check of :mod:`hessvar.models`, the energy, the gradient, the weak residual
+and the Newton operator.  The Newton operator is matrix-free,
+``h^n 1_U S^T (P : S v)`` on the one Hessian stencil S, with the packed,
+major-symmetric second derivative P of the integrand
+(:func:`models.pack_tensor`) taken pair by pair (:func:`models.tensor_pairs`)
+and folded into one coefficient array per slot pair a <= b, which serves
+(b, a) too.  S and S^T run one kernel, :func:`grids.add_stencil`, over the
+flat unit-sign stencil of :func:`grids.hessian_stencil`.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from .grids import (
     hessian_field,
     hessian_stencil,
 )
-from .models import AdmissibilityError, EnergyModel
+from .models import EnergyModel
 
 ADMISSIBILITY_MARGIN = 1e-6
 
@@ -117,19 +116,19 @@ class NewtonOperator:
     on the unknown nodes U, and zero elsewhere.  S is the packed Hessian
     stencil of :func:`grids.hessian_stencil` and T the per-node tensor of
     second derivatives of the integrand on the quadrature region (zero off
-    it), given as the packed pairs of :func:`models.tensor_pairs`: items
-    ``(a, b, T_ab, mirror)`` with a <= b in lexicographic order, where
-    ``T_ab = T^{ij,kl}`` over the K region nodes pairs input slot b = (i, j)
-    of S v with output slot a = (k, l), as in :func:`models.pack_tensor`,
-    and ``mirror`` is ``T_ba``, or None when T_ba = T_ab.  Each slot keeps
+    it), major-symmetric, given as the packed pairs of
+    :func:`models.tensor_pairs`: items ``(a, b, T_ab)`` with a <= b in
+    lexicographic order, where ``T_ab = T^{ij,kl}`` over the K region nodes
+    pairs input slot b = (i, j) of S v with output slot a = (k, l), as in
+    :func:`models.pack_tensor`, and stands for T_ba too.  Each slot keeps
     its flat unit-sign stencil; h^n dup[a] dup[b] and both slots' stencil
-    scales are folded into ``terms``, one ``(a, b, c, c_ba)`` per pair,
-    applied as ``W[a] += c Sv[b]`` and, off the diagonal, ``W[b] += c_ba
-    Sv[a]``; a shared pair has ``c_ba is c``.  In that order every row of W adds its
-    terms in ascending input slot.  The scales differ by powers of two, so
-    a shared array has the bits of both one-sided ones.  The arrays span
-    the unknowns' flat index range widened by the stencil reach; the
-    unknowns must lie off the two outer node rings.
+    scales are folded into ``terms``, one ``(a, b, c)`` per pair, applied
+    as ``W[a] += c Sv[b]`` and, off the diagonal, ``W[b] += c Sv[a]``.  In
+    that order every row of W adds its terms in ascending input slot.  The
+    scales differ by powers of two, so the one array has the bits of both
+    one-sided ones.  The arrays span the unknowns' flat index range widened
+    by the stencil reach; the unknowns must lie off the two outer node
+    rings.
     """
 
     def __init__(self, pairs, region: np.ndarray, unknowns: np.ndarray, h: float):
@@ -144,17 +143,11 @@ class NewtonOperator:
         k0, k1 = np.searchsorted(nodes, (self.lo, self.hi))
         at = nodes[k0:k1] - self.lo
         scale = symmat.duplication_weights(n) * scales
-
-        def coefficients(a, b, T):
+        self.terms = []
+        for a, b, T in pairs:
             c = np.zeros(self.hi - self.lo)
             c[at] = h**n * scale[a] * scale[b] * T[k0:k1]
-            return c
-
-        self.terms = []
-        for a, b, T, mirror in pairs:
-            c = coefficients(a, b, T)
-            self.terms.append((a, b, c, None if a == b else
-                               c if mirror is None else coefficients(b, a, mirror)))
+            self.terms.append((a, b, c))
 
     @cached_property
     def _work(self):
@@ -171,10 +164,10 @@ class NewtonOperator:
         for row, st in zip(Sv, self.stencils):
             add_stencil(row, vflat, self.lo, st)
         W.fill(0.0)
-        for a, b, c, c_ba in self.terms:
+        for a, b, c in self.terms:
             W[a] += np.multiply(c, Sv[b], out=tmp)
-            if c_ba is not None:
-                W[b] += np.multiply(c_ba, Sv[a], out=tmp)
+            if a != b:
+                W[b] += np.multiply(c, Sv[a], out=tmp)
         out = np.zeros(vflat.size)
         acc = out[self.start:self.stop]
         for row, st in zip(W, self.stencils):
@@ -243,7 +236,7 @@ def clamped_box_preconditioner(unknowns: np.ndarray, h: float):
 
     In 2D the Woodbury identity makes P exact on B: the capacitance-matrix
     method (Buzbee, Dorr, George and Golub, SIAM J. Numer. Anal. 8, 1971).
-    The box's two mirror symmetries split the capacitance system by the
+    The box's two reflection symmetries split the capacitance system by the
     parity of the sine index on each axis into four dense SPD systems, and
     eliminating the diagonal block of each leaves matrices of order about
     m_1 / 2 (:func:`_layer_correction`).  An application adds O(m^2) work
@@ -298,8 +291,8 @@ def _layer_correction(factor: np.ndarray, theta, w: float):
 
     The columns of V are the sine coefficients of the layer functions in ``R
     = h^(n-4) V C V^T``, combined into even and odd ones under each axis's
-    mirror: those along the two sides across axis 1 (C = D_2), along the two
-    across axis 2 (C = D_1) and the corners (C = 1/8).  Each parity class is
+    reflection: those along the two sides across axis 1 (C = D_2), along the
+    two across axis 2 (C = D_1) and the corners (C = 1/8).  Each parity class is
     one system; its first block is diagonal and is eliminated here, and its
     Schur complement is inverted.  ``V^T z`` and the correction are rank-2
     products with the sine rows of the box's first node.  The correction is
@@ -309,7 +302,7 @@ def _layer_correction(factor: np.ndarray, theta, w: float):
     """
     # row q of edges[a]: sqrt(2) times the orthonormal sines of the axis's
     # first node at the sine indices of parity q (k odd for q = 0), the
-    # even (q = 0) or odd functions under the axis's mirror
+    # even (q = 0) or odd functions under the axis's reflection
     edges = []
     for t in theta:
         row = 2.0 * np.sin(t) / np.sqrt(t.size + 1)
@@ -405,31 +398,13 @@ def conjugate_gradient(matvec, b: np.ndarray, x0: np.ndarray, rtol: float,
     )
 
 
-def _screened_peak(c: np.ndarray) -> float:
-    """max ||M||_op over the packed components c (m, K), bit for bit.
-
-    A node's row 2-norms bound its operator norm from below and its
-    Frobenius norm from above, so :func:`symmat.op_norm` runs only where the
-    Frobenius norm reaches the region's largest row norm, less a relative
-    1e-8 far above rounding, or is non-finite (a NaN, inf or overflow)."""
-    n = symmat.dim_from_packed(len(c))
-    S = symmat.SLOTS[n]
-    with np.errstate(over="ignore"):
-        sq = c * c
-        fro = symmat.duplication_weights(n) @ sq
-    lower = max(sum(sq[S[i][j]] for j in range(n)).max(initial=0.0) for i in range(n))
-    cand = ~(fro < (1.0 - 1e-8) * lower)
-    return float(symmat.op_norm(symmat.matrices(c[:, cand])).max(initial=0.0))
-
-
 class _Iterate:
     """One iterate, evaluated once: the one evaluation path of the energy family.
 
-    Holds ``u``, the quadrature region (the Hessian-valid nodes), ``c``, one
-    contiguous component-major (m, K) copy of D^2 u on the region, and
-    ``peak`` = max ||D^2 u||_op (0.0 when rho_U is infinite).  The solve and
-    the public :func:`assemble_energy`, :func:`energy_gradient` and
-    :func:`weak_residual` call :meth:`require_admissible` first, so the
+    Holds ``u``, the quadrature region (the Hessian-valid nodes) and ``c``,
+    one contiguous component-major (m, K) copy of D^2 u on the region.  The
+    solve and the public :func:`assemble_energy`, :func:`energy_gradient`
+    and :func:`weak_residual` call :meth:`require_admissible` first, so the
     energy, the gradient, the weak residual and the Newton operator run the
     unchecked integrand bodies on c.  The energy and the gradient may
     overflow without a warning; the solve's finite check reports them.
@@ -439,17 +414,10 @@ class _Iterate:
         H = hessian_field(u)
         self.u, self.model, self.region = u, model, H.valid
         self.c = np.stack([x[H.valid] for x in np.moveaxis(H.values, -1, 0)])
-        self.peak = _screened_peak(self.c) if np.isfinite(model.rho_U) else 0.0
 
     def require_admissible(self) -> "_Iterate":
-        """Return self, or raise at the first region node (C order) whose
-        operator norm is not below rho_U; a non-finite Hessian entry gives a
-        NaN norm, which is not."""
-        if not self.peak < self.model.rho_U:
-            bad = ~(symmat.op_norm(symmat.matrices(self.c)) < self.model.rho_U)
-            node = tuple(int(v) for v in np.argwhere(self.region)[np.argmax(bad)])
-            raise AdmissibilityError(f"Hessian operator norm not below rho_U = "
-                                     f"{self.model.rho_U:g} at node {node}", index=node)
+        """Self, after :func:`models.require_admissible` over the region."""
+        models.require_admissible(self.model, self.c, self.region)
         return self
 
     def energy(self) -> float:
@@ -515,7 +483,7 @@ def minimize_clamped(model: EnergyModel, u0: ScalarGrid, grad_tol: float | None 
     to halve ``||g||_inf``, or to cut it below twice its CG residual when
     that is looser, ends the loop with ``stagnated`` set.  Line-search
     and admissibility breakdowns, and an iterate whose energy or gradient is
-    not finite, raise :class:`SolverError` / :class:`AdmissibilityError`.
+    not finite, raise :class:`SolverError` / :class:`models.AdmissibilityError`.
 
     Every accepted step passes the Armijo test, and so lowers the energy
     strictly, unless its predicted change ``t g.delta`` is below the round-off
@@ -592,7 +560,8 @@ def minimize_clamped(model: EnergyModel, u0: ScalarGrid, grad_tol: float | None 
             trial = _Iterate(
                 u.with_values(np.where(unknowns, u.values + t * delta, u.values)),
                 model)
-            if not trial.peak < model.rho_U - ADMISSIBILITY_MARGIN:
+            peak = models.admissibility_peak(model, trial.c)
+            if not peak < model.rho_U - ADMISSIBILITY_MARGIN:
                 t *= 0.5
                 continue
             trial_energy = trial.energy()
@@ -606,7 +575,7 @@ def minimize_clamped(model: EnergyModel, u0: ScalarGrid, grad_tol: float | None 
         it = trial
         energy = trial_energy
         report.steps.append(t)
-        report.admissibility_margins.append(it.peak / model.rho_U)
+        report.admissibility_margins.append(peak / model.rho_U)
         report.energies.append(energy)
         report.iterations += 1
     report.energy = energy

@@ -176,7 +176,7 @@ def linearized_coefficients_dd(model, M, M_shift, quad_nodes=8):
     """
     M = np.asarray(M, dtype=float)
     M_shift = np.asarray(M_shift, dtype=float)
-    models._require_segment(model.rho_U, M, M_shift)
+    models._admissible_components(model, np.stack((M, M_shift)))
     n = model.n
     t, w = models._gauss_legendre_01(quad_nodes)
     dirs = models._packed_directions(n)

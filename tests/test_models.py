@@ -90,6 +90,31 @@ def test_admissibility_raises_with_index():
     with pytest.raises(AdmissibilityError) as err:
         eval_F(m, M)
     assert err.value.index == (1,)
+    assert str(err.value) == "Hessian operator norm not below rho_U = 0.5 at node (1,)"
+    # every public evaluator runs the one check; a single matrix has index ()
+    for evaluate in (eval_dF, eval_d2F):
+        with pytest.raises(AdmissibilityError) as other:
+            evaluate(m, M.reshape(1, 2, 2, 2))
+        assert other.value.index == (0, 1)
+    with pytest.raises(AdmissibilityError) as single:
+        eval_F(m, M[1])
+    assert single.value.index == ()
+
+
+def test_custom_d2F_is_major_symmetrized_once():
+    # a callback that is not the Hessian of any F: its symmetric part
+    # (P + P^T) / 2, in both eval_d2F and the packed body
+    rng = np.random.default_rng(31)
+    Bm = random_sym(rng, 1, 2)[0]
+    d2F = lambda M: (2.0 * oracles.identity_tensor(2)
+                     + 0.5 * np.einsum("...ij,kl->...ijkl", M, Bm))
+    m = custom_model(2, lambda M: symmat.hs_inner(M, M), d2F=d2F)
+    M = random_sym(rng, 4, 2)
+    P = models.pack_tensor(d2F(M))
+    assert np.abs(P - np.swapaxes(P, 0, 1)).max() > 0.1
+    sym = 0.5 * (P + np.swapaxes(P, 0, 1))
+    assert np.array_equal(models._d2F_packed_body(m, symmat.components(M)), sym)
+    assert np.array_equal(eval_d2F(m, M), models.unpack_tensor(sym))
 
 
 # ------------------------------------------------------- derivative oracles
@@ -426,6 +451,23 @@ def test_linearized_coefficients_segment_leaves_ball():
     m = area_model(2, rho_U=0.5)
     with pytest.raises(AdmissibilityError):
         linearized_coefficients(m, np.zeros((2, 2)), np.diag([0.9, 0.0]))
+
+
+def test_linearized_coefficients_names_the_failing_end():
+    # the index is that of np.stack((M, M_shift)): 0 the start, 1 the end
+    m = area_model(2, rho_U=0.5)
+    M = np.zeros((3, 2, 2))
+    bad = np.diag([0.9, 0.0])
+    for end, node in ((0, 2), (1, 1)):
+        ends = [M.copy(), M.copy()]
+        ends[end][node] = bad
+        with pytest.raises(AdmissibilityError) as err:
+            linearized_coefficients(m, *ends)
+        assert err.value.index == (end, node)
+        assert str(err.value) == (f"Hessian operator norm not below rho_U = 0.5 "
+                                  f"at node {(end, node)}")
+    beta = linearized_coefficients(m, M, M + 0.1 * np.eye(2))
+    assert np.array_equal(beta, np.swapaxes(beta, 0, 1))
 
 
 def test_dd_linearization_constant_coefficient():

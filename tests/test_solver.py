@@ -223,6 +223,23 @@ def test_check_admissible_names_the_node_the_solve_rejects():
         evaluate(u, replace(model, rho_U=0.95))
 
 
+def test_public_evaluators_raise_the_solve_error():
+    # the full-matrix evaluators on the Hessian field, zero off the region,
+    # name the node the solve rejects with the solve's own message
+    g = grids.make_grid(2, 17, 1.0)
+    u = grids.sample(g, lambda x, y: 0.15 * x**3)
+    model = models.area_model(2, rho_U=0.7)
+    with pytest.raises(AdmissibilityError) as solve:
+        solver.assemble_energy(u, model)
+    H = grids.hessian_field(u)
+    M = np.where(H.valid[..., None, None], H.matrices(), 0.0)
+    for evaluate in (models.eval_F, models.eval_dF, models.eval_d2F):
+        with pytest.raises(AdmissibilityError) as direct:
+            evaluate(model, M)
+        assert str(direct.value) == str(solve.value)
+        assert direct.value.index == solve.value.index
+
+
 def _routed_evaluators(u):
     """assemble_energy, energy_gradient and weak_residual on nodal tests of u."""
     tests = oracles.nodal_tests(u, stride=7)
@@ -438,7 +455,8 @@ def test_iterate_record_matches_public_evaluators(dim):
     it = solver._Iterate(u, model)
     H = grids.hessian_field(u)
     assert np.array_equal(it.region, H.valid)
-    assert it.peak == symmat.op_norm(H.matrices()[H.valid]).max()
+    assert (models.admissibility_peak(model, it.c)
+            == symmat.op_norm(H.matrices()[H.valid]).max())
     assert it.energy() == oracles.full_matrix_energy(u, model)
     assert np.array_equal(it.gradient(), oracles.full_matrix_gradient(u, model))
     op = it.newton_operator()
@@ -448,7 +466,7 @@ def test_iterate_record_matches_public_evaluators(dim):
     for _ in range(3):
         v = rng.standard_normal(u.extents)
         assert np.array_equal(op.matvec(v), ref.matvec(v))
-    assert solver._Iterate(u, replace(model, rho_U=np.inf)).peak == 0.0
+    assert models.admissibility_peak(replace(model, rho_U=np.inf), it.c) == 0.0
 
 
 def _hs_root(M):
@@ -496,7 +514,7 @@ def test_iterate_rejects_a_non_finite_entry_at_its_node(dim, bad, monkeypatch):
     vals[node + (symmat.packed_size(dim) - 1,)] = bad
     monkeypatch.setattr(solver, "hessian_field", lambda _: replace(H, values=vals))
     it = solver._Iterate(u, model)
-    assert not it.peak < model.rho_U
+    assert not models.admissibility_peak(model, it.c) < model.rho_U
     with pytest.raises(AdmissibilityError) as err:
         it.require_admissible()
     assert err.value.index == node
@@ -538,14 +556,12 @@ def packed_fields(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(packed_fields())
 def test_screened_peak_keeps_the_bits_of_the_full_op_norm(c):
-    n = symmat.dim_from_packed(len(c))
-    H = grids.SymMatField(h=1.0, origin=np.zeros(n),
-                          values=c.T.reshape((c.shape[1],) + (1,) * (n - 1) + (len(c),)))
-    u = grids.make_grid(n, 11, 1.0)   # only its spacing is read
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "hessian_field", lambda _: H)
-        it = solver._Iterate(u, models.area_model(n, rho_U=0.9))
-    assert it.peak == symmat.op_norm(symmat.unpack(c.T)).max()
+    model = models.area_model(symmat.dim_from_packed(len(c)), rho_U=0.9)
+    want = symmat.op_norm(symmat.unpack(c.T)).max()
+    assert models.admissibility_peak(model, c) == want
+    # the components of full matrices, in any batch shape, give the same peak
+    M = symmat.unpack(c.T)
+    assert models.admissibility_peak(model, symmat.components(M[None])) == want
 
 
 def _traced_area_newton_operator_3d():
@@ -563,14 +579,13 @@ def _traced_area_newton_operator_3d():
 
 def test_newton_operator_holds_at_most_m_squared_grid_arrays():
     # matrix-free and major-symmetric: one coefficient array per packed pair
-    # a <= b of the 3D tensor, m (m + 1) / 2 = 21, shared with its mirror,
+    # a <= b of the 3D tensor, m (m + 1) / 2 = 21, which serves (b, a) too,
     # and no coefficient row per stencil offset
     op, held, _, _ = _traced_area_newton_operator_3d()
     assert len(op.terms) == 21
-    assert [(a, b) for a, b, _, _ in op.terms] == [
+    assert [(a, b) for a, b, _ in op.terms] == [
         (a, b) for a in range(6) for b in range(a, 6)]
-    assert all(mirror is (None if a == b else c) for a, b, c, mirror in op.terms)
-    assert all(c.any() for _, _, c, _ in op.terms)
+    assert all(c.any() for _, _, c in op.terms)
     assert held <= 21 * op.unknowns.size * 8      # 21 float64 grid arrays
 
 
@@ -716,8 +731,8 @@ def tensor_chain(Tfield, g, region, unknowns, v):
 
 def test_newton_operator_matches_independent_tensor_chain():
     # the assembled operator against S^T [T : S v] built from hessian_field,
-    # tensor_apply and hessian_adjoint, on a tensor field without major
-    # symmetry so that the input/output slot convention is pinned
+    # tensor_apply and hessian_adjoint, on the major-symmetric part of a
+    # random tensor field with the minor symmetries
     rng = np.random.default_rng(58)
     masked = grids.make_grid(2, 17, 1.0)
     valid = np.ones(masked.extents, dtype=bool)
@@ -728,10 +743,10 @@ def test_newton_operator_matches_independent_tensor_chain():
         region = grids.hessian_field(g).valid
         unknowns = g.interior & g.valid
         K = int(region.sum())
-        Tfield = oracles.symmetrize_tensor(
+        Tfield = major_symmetric_part(oracles.symmetrize_tensor(
             2.0 * oracles.identity_tensor(dim)
-            + 0.3 * rng.standard_normal((K,) + (dim,) * 4))
-        assert np.abs(Tfield - Tfield.transpose(0, 3, 4, 1, 2)).max() > 0.1
+            + 0.3 * rng.standard_normal((K,) + (dim,) * 4)))
+        assert np.array_equal(Tfield, Tfield.transpose(0, 3, 4, 1, 2))
         op = tensor_field_operator(Tfield, region, unknowns, g.h)
 
         v = rng.standard_normal(g.extents)
@@ -783,7 +798,14 @@ def test_pair_built_newton_operator_on_a_20_node_grid(dim):
         assert np.abs(op.matvec(v) - want).max() <= 1e-15 * np.abs(want).max()
 
 
-def test_custom_model_without_major_symmetry_keeps_one_sided_arrays():
+def major_symmetric_part(T):
+    """(T + T^T) / 2 of a (..., n, n, n, n) tensor, T^T swapping (ij) and (kl)."""
+    return 0.5 * (T + np.moveaxis(T, (-4, -3), (-2, -1)))
+
+
+def test_custom_model_without_major_symmetry_gets_its_symmetric_part():
+    # the solver reads the symmetric part (T + T^T) / 2 of a custom tensor:
+    # one array per pair a <= b, the chain of the symmetrized field
     rng = np.random.default_rng(63)
     T0 = oracles.symmetrize_tensor(2.0 * oracles.identity_tensor(3)
                                    + 0.3 * rng.standard_normal((3,) * 4))
@@ -794,15 +816,32 @@ def test_custom_model_without_major_symmetry_keeps_one_sided_arrays():
     it = solver._Iterate(u, model)
     op = it.newton_operator()
     assert len(op.terms) == 21
-    assert all(mirror is None if a == b else mirror is not None and mirror is not c
-               for a, b, c, mirror in op.terms)
+    assert [(a, b) for a, b, _ in op.terms] == [
+        (a, b) for a in range(6) for b in range(a, 6)]
     region, unknowns = it.region, u.interior & u.valid
-    Tfield = d2F(grids.hessian_field(u).matrices()[region])
+    Tfield = major_symmetric_part(d2F(grids.hessian_field(u).matrices()[region]))
     for _ in range(3):
         v = rng.standard_normal(u.extents)
         want = tensor_chain(Tfield, u, region, unknowns, v)
         np.testing.assert_allclose(op.matvec(v), want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max())
+
+
+def test_newton_operator_of_a_custom_d2F_is_symmetric_on_the_unknowns():
+    # d2F = 2 I(x)I + 0.5 M(x)B is not the Hessian of any F, and its
+    # non-symmetric part varies with M; CG needs the symmetric operator
+    rng = np.random.default_rng(64)
+    Bm = 0.5 * (lambda A: A + A.T)(rng.standard_normal((3, 3)))
+    d2F = lambda M: (2.0 * oracles.identity_tensor(3)
+                     + 0.5 * np.einsum("...ij,kl->...ijkl", M, Bm))
+    model = models.custom_model(3, lambda M: symmat.hs_inner(M, M), d2F=d2F)
+    u = _area_iterate(3, 11).u
+    unknowns = u.interior & u.valid
+    op = solver._Iterate(u, model).newton_operator()
+    for _ in range(3):
+        v, w = (np.where(unknowns, rng.standard_normal(u.extents), 0.0) for _ in "vw")
+        vAw, wAv = np.vdot(v, op.matvec(w)), np.vdot(w, op.matvec(v))
+        assert abs(vAw - wAv) <= 1e-12 * abs(vAw)
 
 
 def _area_newton_point_3d():

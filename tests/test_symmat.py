@@ -129,7 +129,7 @@ def test_blocked_kernels_keep_their_bits_at_every_block_size(n, monkeypatch):
         "graph_metric_packed": partial(symmat.blockwise, models.graph_metric_packed),
         "area F": partial(models._F_body, area),
         "area dF": partial(models._dF_body, area),
-        "area d2F pairs": lambda c: [T.copy() for _, _, T, _ in models._area_d2F_pairs(c)],
+        "area d2F pairs": lambda c: [T.copy() for _, _, T in models._area_d2F_pairs(c)],
     }
     K = c.shape[1]
     for name, kernel in kernels.items():
@@ -164,7 +164,12 @@ def test_nonfinite_matrix_is_not_admissible():
     M = np.stack([0.1 * np.eye(3)] * 3)
     M[1, 0, 2] = M[1, 2, 0] = np.nan
     M[2, 1, 1] = np.inf
-    assert models.admissible(model, M).tolist() == [True, False, False]
+    assert (symmat.op_norm(M) < model.rho_U).tolist() == [True, False, False]
+    assert np.isnan(models.admissibility_peak(model, symmat.components(M)))
+    for bad in (1, 2):
+        with pytest.raises(models.AdmissibilityError) as err:
+            models.eval_F(model, M[[0, bad]])
+        assert err.value.index == (1,)
 
 
 @pytest.mark.parametrize("n", [2, 3])
