@@ -264,7 +264,7 @@ def _area_dF(c) -> np.ndarray:
     return F * A
 
 
-def _area_d2F_pairs(c):
+def _area_d2F_pairs(B, F, A):
     """The packed pairs of the volume integrand's second derivative, in closed form.
 
     With B = g^-1 and A = B M (B commutes with M): dF[tau] = F tr(A tau), so
@@ -276,11 +276,11 @@ def _area_d2F_pairs(c):
 
     Yields ``(a, b, T_ab)`` for every packed slot pair a <= b in
     lexicographic order, the items of :func:`tensor_pairs`.  Each pair is
-    evaluated on the packed B, F and A = M B (:func:`_area_BFA`, by :func:`symmat.blockwise`) into one of
-    three buffers allocated once, which the next pair overwrites.
+    evaluated on the packed B, F and A = M B of :func:`_area_BFA` (by
+    :func:`symmat.blockwise`) into one of three buffers allocated once, which
+    the next pair overwrites.
     """
-    B, F, A = symmat.blockwise(_area_BFA, c)
-    n = symmat.dim_from_packed(len(c))
+    n = symmat.dim_from_packed(len(B))
     S, pairs = symmat.SLOTS[n], symmat.PACKED_PAIRS[n]
     T, acc, tmp = (np.empty(np.shape(F)) for _ in range(3))
     for a, (i, j) in enumerate(pairs):
@@ -299,7 +299,7 @@ def _area_d2F_packed(c) -> np.ndarray:
     P[a, b] and P[b, a] get the same bits."""
     m = len(c)
     P = np.empty((m, m) + np.shape(c[0]))
-    for a, b, T in _area_d2F_pairs(c):
+    for a, b, T in _area_d2F_pairs(*symmat.blockwise(_area_BFA, c)):
         P[a, b] = P[b, a] = T
     return P
 
@@ -362,7 +362,7 @@ def _d2F_pairs(model: EnergyModel, c):
     """The second derivative as :func:`tensor_pairs` items; the area ones are
     evaluated one at a time, with no (m, m, ...) array."""
     if model.kind == "area":
-        return _area_d2F_pairs(c)
+        return _area_d2F_pairs(*symmat.blockwise(_area_BFA, c))
     return tensor_pairs(_d2F_packed_body(model, c))
 
 

@@ -16,18 +16,20 @@ interior node.
 Minimization is damped inexact Newton with Armijo backtracking; the Newton
 systems are symmetric positive definite by uniform convexity and are solved,
 to the Eisenstat-Walker forcing tolerance of each step, with conjugate
-gradients preconditioned by the inverse of the quadratic (bi-Laplacian)
-Newton operator on the box of the unknowns
-(:func:`clamped_box_preconditioner`): its DST-I symbol, applied as products
-with dense sine matrices, one per box axis, plus in 2D a capacitance
-correction on the box's edge layer that makes it exact.  Steps are shortened
-until every node Hessian stays inside the model's admissible set (margin
-1e-6).  Each iterate is evaluated once (:class:`_Iterate`), and so is the
-argument of the public energy, gradient and weak residual: one
-component-major copy of its Hessian field, which the packed integrand
-kernels read (custom callables get full matrices), serves the admissibility
-check of :mod:`hessvar.models`, the energy, the gradient, the weak residual
-and the Newton operator.  The Newton operator is matrix-free,
+gradients preconditioned by the quadratic (bi-Laplacian) Newton operator on
+the box of the unknowns (:func:`clamped_box_preconditioner`), inverted in a
+tensor basis applied as dense products, one per box axis: in 2D exactly, by
+its DST-I symbol plus a capacitance correction on the box's edge layer; in
+3D approximately, by the diagonal of the operator in the eigenbasis of its
+clamped one-axis factors.  Steps are shortened until every node Hessian
+stays inside the model's admissible set (margin 1e-6).  Each iterate is
+evaluated once (:class:`_Iterate`), and so is the argument of the public
+energy, gradient and weak residual: one component-major copy of its Hessian
+field, which the packed integrand kernels read (custom callables get full
+matrices), serves the admissibility check of :mod:`hessvar.models`, the
+energy, the gradient, the weak residual and the Newton operator, and the
+area integrand's closed form on it serves both the gradient and the Newton
+operator.  The Newton operator is matrix-free,
 ``h^n 1_U S^T (P : S v)`` on the one Hessian stencil S, with the packed,
 major-symmetric second derivative P of the integrand
 (:func:`models.pack_tensor`) taken pair by pair (:func:`models.tensor_pairs`)
@@ -200,25 +202,49 @@ def _sine_matrix(m: int) -> np.ndarray:
     return np.sin(np.pi * (np.outer(k, k) % (2 * (m + 1))) / (m + 1))
 
 
-def _dst(z: np.ndarray, sines) -> np.ndarray:
-    """Unnormalized DST-I along every axis of z, one matrix product per axis.
+def _axis_products(z: np.ndarray, mats) -> np.ndarray:
+    """``M_a^T`` applied along every axis a of z, one matrix product per axis.
 
     Each product contracts the leading axis and appends the transformed one,
-    so after one product per axis the axes are back in their order.
+    so after one product per axis the axes are back in their order.  With the
+    symmetric sine matrices it is the unnormalized DST-I.
     """
-    for S in sines:
-        z = np.tensordot(z, S, axes=(0, 0))
+    for M in mats:
+        z = np.tensordot(z, M, axes=(0, 0))
     return z
+
+
+def _clamped_axis_basis(m: int):
+    """``(Q, lam, y)`` of the one-axis factors of the quadratic box operator.
+
+    On an axis of m box nodes, D is the second difference and C the centred
+    difference from the box values to the m + 2 quadrature nodes (the box and
+    one node past each end), zero outside the box.  ``X = D^T D`` is the
+    Toeplitz (1, -4, 6, -4, 1) and ``Y = C^T C`` the Toeplitz (-1, 0, 2, 0,
+    -1) / 4.  Returns the orthonormal eigenvectors Q (columns) and the
+    eigenvalues lam of X, and ``y = diag(Q^T Y Q)``.
+    """
+    D = np.eye(m + 2, m) - 2.0 * np.eye(m + 2, m, -1) + np.eye(m + 2, m, -2)
+    C = 0.5 * (np.eye(m + 2, m) - np.eye(m + 2, m, -2))
+    lam, Q = np.linalg.eigh(D.T @ D)
+    return Q, lam, np.einsum("ji,jk,ki->i", Q, C.T @ C, Q)
 
 
 def clamped_box_preconditioner(unknowns: np.ndarray, h: float):
     """Preconditioner ``P r = 1_U A_B^-1 (1_U r)``, ``A_B`` the quadratic Newton
-    operator on the bounding box B of the unknown nodes U.
+    operator on the bounding box B of the unknown nodes U; exact in 2D.
 
     ``A_B`` is the Newton operator of F = |M|^2 / 2 (the 13-point
     bi-Laplacian in 2D) with B's nodes as the unknowns and every node its
-    stencil reaches in the sum: on a clamped grid, the operator itself.
-    Split it as ``A_B = P' + R``:
+    stencil reaches in the sum: on a clamped grid, the operator itself.  On
+    an axis of m box nodes let X and Y be the one-axis factors of
+    :func:`_clamped_axis_basis`; then
+
+        A_B = h^(n-4) [sum_a X_a + 2 sum_{a<b} Y_a Y_b],
+
+    X_a and Y_a acting along axis a.
+
+    **2D.**  Split ``A_B = P' + R``:
 
     - ``P'`` is ``A_B``'s stencil applied to the odd reflection of the box
       values.  The DST-I diagonalizes it with the operator's own symbol
@@ -231,19 +257,28 @@ def clamped_box_preconditioner(unknowns: np.ndarray, h: float):
       reflected ghost values differ from the zero ones of ``A_B``.  On an
       axis let E be the sum of the projections onto its first and its last
       node (one node twice when m = 1) and K the operator of symbol ``sin^2
-      theta``; then in 2D ``R = h^(n-4) (E_1 D_2 + D_1 E_2 + E_1 E_2 / 8)``
-      with ``D = 1 - K / 2``, diagonal in the sines of the layer's sides.
+      theta``; then ``R = h^(n-4) (E_1 D_2 + D_1 E_2 + E_1 E_2 / 8)`` with
+      ``D = 1 - K / 2``, diagonal in the sines of the layer's sides.
 
-    In 2D the Woodbury identity makes P exact on B: the capacitance-matrix
-    method (Buzbee, Dorr, George and Golub, SIAM J. Numer. Anal. 8, 1971).
-    The box's two reflection symmetries split the capacitance system by the
+    The Woodbury identity makes P exact on B: the capacitance-matrix method
+    (Buzbee, Dorr, George and Golub, SIAM J. Numer. Anal. 8, 1971).  The
+    box's two reflection symmetries split the capacitance system by the
     parity of the sine index on each axis into four dense SPD systems, and
     eliminating the diagonal block of each leaves matrices of order about
     m_1 / 2 (:func:`_layer_correction`).  An application adds O(m^2) work
-    between the two DSTs.  In 3D the layer has about 6 m^2 nodes, too many
-    for dense systems, and ``P = 1_U P'^-1 1_U``.
+    between the two DSTs.  Each DST is a product with the axis's sine
+    matrix, built once here.
 
-    Each DST is a product with the axis's sine matrix, built once here.
+    **3D.**  The layer has about 6 m^2 nodes, too many for dense systems.
+    Instead P is the fast-diagonalization inverse (Lynch, Rice and Thomas,
+    Numer. Math. 6, 1964) in the tensor eigenbasis ``Phi = Q_1 Q_2 Q_3`` of
+    the clamped factors X, not of their reflection: ``P = 1_U Phi
+    diag(Phi^T A_B Phi)^-1 Phi^T 1_U``, whose per-mode factor is ``h^(4-n)
+    / (sum_a lam_a + 2 sum_{a<b} y_a y_b)``.  It is exact on ``sum_a X_a``;
+    only the mixed terms off the diagonal of ``Phi^T A_B Phi`` are left
+    out.  ``Phi^T`` and ``Phi`` are one dense product per axis with the
+    axis's Q, built once here by ``eigh``.
+
     ``P`` is symmetric positive definite on U for every unknown set.
     Returns a callable on full-extents node arrays; the result is zero off U.
     """
@@ -252,27 +287,38 @@ def clamped_box_preconditioner(unknowns: np.ndarray, h: float):
         return np.zeros_like
     box = bounding_box(unknowns)
     mask = unknowns[box]
-    # one matrix per distinct axis length: a square box shares it
-    sine_of = {m: _sine_matrix(m) for m in set(mask.shape)}
-    sines = [sine_of[m] for m in mask.shape]
-    theta = [np.pi * np.arange(1, m + 1) / (m + 1) for m in mask.shape]
-    shaped = [t.reshape((-1,) + (1,) * (n - 1 - a)) for a, t in enumerate(theta)]
-    kappa = [np.sin(t) ** 2 for t in shaped]
-    # 2 - 2 cos t as 4 sin^2(t / 2): no cancellation at the low modes
-    symbol = sum((4.0 * np.sin(0.5 * t) ** 2) ** 2 for t in shaped) + 2.0 * sum(
-        kappa[a] * kappa[b] for a in range(n) for b in range(a + 1, n))
-    # w: the h^(4-n) of the symbol's h^(n-4) times the (2 / (m + 1)) per axis
-    # that makes the two transforms orthonormal
-    w = h ** (4 - n) * float(np.prod([2.0 / (m + 1) for m in mask.shape]))
-    factor = w / symbol
-    correct = _layer_correction(factor, theta, w) if n == 2 else None
+    if n == 2:
+        # one matrix per distinct axis length: a square box shares it
+        sine_of = {m: _sine_matrix(m) for m in set(mask.shape)}
+        forward = backward = [sine_of[m] for m in mask.shape]
+        theta = [np.pi * np.arange(1, m + 1) / (m + 1) for m in mask.shape]
+        shaped = [t.reshape((-1,) + (1,) * (n - 1 - a)) for a, t in enumerate(theta)]
+        kappa = [np.sin(t) ** 2 for t in shaped]
+        # 2 - 2 cos t as 4 sin^2(t / 2): no cancellation at the low modes
+        symbol = sum((4.0 * np.sin(0.5 * t) ** 2) ** 2 for t in shaped) + 2.0 * sum(
+            kappa[a] * kappa[b] for a in range(n) for b in range(a + 1, n))
+        # w: the h^(4-n) of the symbol's h^(n-4) times the (2 / (m + 1)) per
+        # axis that makes the two transforms orthonormal
+        w = h ** (4 - n) * float(np.prod([2.0 / (m + 1) for m in mask.shape]))
+        factor = w / symbol
+        correct = _layer_correction(factor, theta, w)
+    else:
+        basis_of = {m: _clamped_axis_basis(m) for m in set(mask.shape)}
+        forward, lam, y = zip(*(basis_of[m] for m in mask.shape))
+        backward = [Q.T for Q in forward]
+        # the per-axis values, broadcast along their axis of the box
+        lam, y = ([v.reshape((-1,) + (1,) * (n - 1 - a)) for a, v in enumerate(vs)]
+                  for vs in (lam, y))
+        factor = h ** (4 - n) / (sum(lam) + 2.0 * sum(
+            y[a] * y[b] for a in range(n) for b in range(a + 1, n)))
+        correct = None
 
     def apply(r: np.ndarray) -> np.ndarray:
-        z = _dst(np.where(mask, r[box], 0.0), sines)
+        z = _axis_products(np.where(mask, r[box], 0.0), forward)
         z *= factor
         if correct is not None:
             correct(z)
-        z = _dst(z, sines)
+        z = _axis_products(z, backward)
         out = np.zeros_like(r)
         out[box] = np.where(mask, z, 0.0)
         return out
@@ -406,8 +452,11 @@ class _Iterate:
     solve and the public :func:`assemble_energy`, :func:`energy_gradient`
     and :func:`weak_residual` call :meth:`require_admissible` first, so the
     energy, the gradient, the weak residual and the Newton operator run the
-    unchecked integrand bodies on c.  The energy and the gradient may
-    overflow without a warning; the solve's finite check reports them.
+    unchecked integrand bodies on c.  For the area integrand the gradient
+    (dF = F A) and the Newton operator read one evaluation of its closed
+    form ``(B, F, A)``, made at the first of the two calls and dropped once
+    the operator is built, before its CG solve.  The energy and the gradient
+    may overflow without a warning; the solve's finite check reports them.
     """
 
     def __init__(self, u: ScalarGrid, model: EnergyModel):
@@ -424,18 +473,32 @@ class _Iterate:
         with np.errstate(over="ignore", invalid="ignore"):
             return float(self.u.h**self.u.dim * models._F_body(self.model, self.c).sum())
 
+    @cached_property
+    def _area(self):
+        """``(B, F, A)`` of the area closed form on c (:func:`models._area_BFA`),
+        read by both the gradient and the Newton operator."""
+        return symmat.blockwise(models._area_BFA, self.c)
+
     def gradient(self) -> np.ndarray:
         u = self.u
         with np.errstate(over="ignore", invalid="ignore"):
-            grad = u.h**u.dim * hessian_adjoint(models._dF_body(self.model, self.c),
-                                                self.region, u.h)
+            if self.model.kind == "area":
+                _, F, A = self._area
+                dF = F * A
+            else:
+                dF = models._dF_body(self.model, self.c)
+            grad = u.h**u.dim * hessian_adjoint(dF, self.region, u.h)
         grad[~(u.interior & u.valid)] = 0.0
         return grad
 
     def newton_operator(self) -> NewtonOperator:
         u = self.u
-        return NewtonOperator(models._d2F_pairs(self.model, self.c),
-                              self.region, u.interior & u.valid, u.h)
+        pairs = (models._area_d2F_pairs(*self._area) if self.model.kind == "area"
+                 else models._d2F_pairs(self.model, self.c))
+        op = NewtonOperator(pairs, self.region, u.interior & u.valid, u.h)
+        # the build is the last reader of B, F and A: free them before CG
+        self.__dict__.pop("_area", None)
+        return op
 
 
 def _newton_direction(it: _Iterate, grad: np.ndarray, precond, cg_rtol: float,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import toeplitz
 from hypothesis import given, settings, strategies as st
 
 from hessvar import grids, models, reports, solver, symmat
@@ -361,8 +362,8 @@ def test_forced_area_solve_keeps_its_energy_with_fewer_cg_iterations(dim):
 
 @pytest.mark.parametrize("dim, nodes, f, cg_iterations, energy", [
     (2, 65, lambda x, y: 0.3 * np.exp(x) * np.cos(y), [1], 0.10198790204839177),
-    (3, 17, lambda x, y, z: 0.3 * np.exp(x) * np.cos(y) * np.cos(z), [12, 3],
-     0.12239217429466373),
+    (3, 17, lambda x, y, z: 0.3 * np.exp(x) * np.cos(y) * np.cos(z), [10, 3],
+     0.1223921742946638),
 ], ids=["2d", "3d"])
 def test_quadratic_solve_runs_every_cg_solve_to_cg_rtol(dim, nodes, f,
                                                         cg_iterations, energy):
@@ -620,6 +621,29 @@ def test_minimize_runs_op_norm_once_per_evaluated_iterate(monkeypatch):
     iterates = 1 + sum(round(-np.log2(t)) + 1 for t in rep.steps)
     assert calls == {"op_norm": iterates, "hessian_field": iterates,
                      "preconditioner": 1}
+
+
+def test_area_closed_form_runs_once_per_accepted_iterate(monkeypatch):
+    # the gradient and the Newton operator of an iterate read one evaluation
+    # of B, F and A, which the operator's build then drops
+    evaluated, BFA = [], models._area_BFA
+
+    def counted(c):
+        evaluated.append(len(c[0]))
+        return BFA(c)
+
+    monkeypatch.setattr(models, "_area_BFA", counted)
+    g = grids.make_grid(3, 11, 0.5)
+    u = grids.sample(g, AREA_LIBRARY_SOLVES[3][1])
+    _, rep = solver.minimize_clamped(models.area_model(3, rho_U=0.9), u)
+    assert rep.converged and rep.iterations >= 2
+    K = int(grids.hessian_field(u).valid.sum())
+    assert sum(evaluated) == (rep.iterations + 1) * K
+    it = solver._Iterate(u, models.area_model(3, rho_U=0.9))
+    it.gradient()
+    assert "_area" in vars(it)
+    it.newton_operator()
+    assert "_area" not in vars(it)
 
 
 def _flattening_model():
@@ -927,7 +951,7 @@ def test_sine_matrix_products_match_fft_dst(m):
         want = z
         for axis in range(z.ndim):
             want = _dst1(want, axis)
-        got = solver._dst(z, [solver._sine_matrix(k) for k in shape])
+        got = solver._axis_products(z, [solver._sine_matrix(k) for k in shape])
         assert got.shape == shape
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-13 * np.abs(want).max())
@@ -996,12 +1020,29 @@ def odd_reflection_operator(z, h):
     return h**n * out[(slice(2, -2),) * n]
 
 
-def test_preconditioner_inverts_the_exact_symbol_in_3d():
+def test_preconditioner_divides_by_the_operator_diagonal_in_the_3d_eigenbasis():
+    # the dense A_B of the box from the operator's own matvecs; the tensor
+    # eigenvectors phi of the one-axis factor (1, -4, 6, -4, 1) must come
+    # back as phi / (phi^T A_B phi)
     box, h = (4, 5, 6), 0.1
-    _, unknowns = quadratic_box_operator(box, h)
+    op, unknowns = quadratic_box_operator(box, h)
     inner = (slice(2, -2),) * 3
-    op = lambda z: np.where(unknowns, np.pad(odd_reflection_operator(z[inner], h), 2), 0.0)
-    assert_inverts(op, unknowns, h, seed=61)
+    cols = []
+    for k in range(int(np.prod(box))):
+        e = np.zeros(box)
+        e.flat[k] = 1.0
+        cols.append(op.matvec(np.pad(e, 2))[inner].ravel())
+    A = np.array(cols).T
+    assert np.allclose(A, A.T, rtol=0, atol=1e-12 * np.abs(A).max())
+    bases = [np.linalg.eigh(toeplitz(np.r_[6.0, -4.0, 1.0, np.zeros(m - 3)][:m]))[1]
+             for m in box]
+    P = solver.clamped_box_preconditioner(unknowns, h)
+    for i, j, k in np.ndindex(box):
+        phi = np.einsum("a,b,c->abc", bases[0][:, i], bases[1][:, j], bases[2][:, k])
+        want = phi / (phi.ravel() @ A @ phi.ravel())
+        got = P(np.pad(phi, 2))
+        assert np.all(got[~unknowns] == 0.0)
+        assert np.abs(got[inner] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_odd_reflection_oracle_differs_from_the_operator_on_the_layer_only():
@@ -1022,6 +1063,20 @@ def test_preconditioner_symmetric_positive_on_masked_unknowns():
     rng = np.random.default_rng(60)
     unknowns = rng.random((13, 17)) < 0.6
     unknowns[:, :2] = False
+    P = solver.clamped_box_preconditioner(unknowns, 0.05)
+    r, s = (np.where(unknowns, rng.standard_normal(unknowns.shape), 0.0)
+            for _ in range(2))
+    Pr, Ps = P(r), P(s)
+    assert np.all(Pr[~unknowns] == 0.0)
+    assert np.vdot(Pr, s) == pytest.approx(np.vdot(r, Ps), rel=1e-12)
+    assert np.vdot(r, Pr) > 0.0
+
+
+def test_preconditioner_symmetric_positive_on_masked_3d_unknowns():
+    rng = np.random.default_rng(63)
+    unknowns = rng.random((9, 11, 8)) < 0.6
+    unknowns[:, :2] = False
+    unknowns[..., -1] = False
     P = solver.clamped_box_preconditioner(unknowns, 0.05)
     r, s = (np.where(unknowns, rng.standard_normal(unknowns.shape), 0.0)
             for _ in range(2))
@@ -1067,6 +1122,17 @@ def test_cg_counts_per_newton_step_hold_under_refinement():
             area[nodes] = rep.cg_iterations
     lo, hi = min(area[65]) - 3, max(area[65]) + 3
     assert all(lo <= c <= hi for counts in area.values() for c in counts), area
+
+
+def test_cg_counts_per_newton_step_hold_under_refinement_in_3d():
+    counts = {}
+    for nodes in (17, 33, 49):
+        g = grids.make_grid(3, nodes, 0.5)
+        _, rep = solver.minimize_clamped(models.area_model(3, rho_U=0.9),
+                                         grids.sample(g, AREA_LIBRARY_SOLVES[3][1]))
+        assert rep.converged
+        counts[nodes] = rep.cg_iterations
+    assert all(c <= 7 for per_step in counts.values() for c in per_step), counts
 
 
 def test_preconditioner_beats_jacobi_on_masked_l_shape():

@@ -129,7 +129,7 @@ def test_blocked_kernels_keep_their_bits_at_every_block_size(n, monkeypatch):
         "graph_metric_packed": partial(symmat.blockwise, models.graph_metric_packed),
         "area F": partial(models._F_body, area),
         "area dF": partial(models._dF_body, area),
-        "area d2F pairs": lambda c: [T.copy() for _, _, T in models._area_d2F_pairs(c)],
+        "area d2F pairs": lambda c: [T.copy() for _, _, T in models._d2F_pairs(area, c)],
     }
     K = c.shape[1]
     for name, kernel in kernels.items():
